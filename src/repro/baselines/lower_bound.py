@@ -50,6 +50,19 @@ def _pin_y_range_um(
     return edge, edge
 
 
+def _row_geometry(
+    placement: Placement,
+    technology: Technology,
+    channel_tracks: Optional[Mapping[int, int]],
+) -> Tuple[List[float], float]:
+    """``(row base y, chip height)`` in µm under ``channel_tracks``."""
+    tracks = dict(channel_tracks or {})
+    return (
+        row_base_y_um(placement, tracks, technology),
+        chip_height_um(placement, tracks, technology),
+    )
+
+
 def hpwl_length_um(
     net: Net,
     placement: Placement,
@@ -57,9 +70,17 @@ def hpwl_length_um(
     channel_tracks: Optional[Mapping[int, int]] = None,
 ) -> float:
     """Half-perimeter wire length of one net in µm (see module docs)."""
-    tracks = dict(channel_tracks or {})
-    row_y = row_base_y_um(placement, tracks, technology)
-    height = chip_height_um(placement, tracks, technology)
+    row_y, height = _row_geometry(placement, technology, channel_tracks)
+    return _hpwl_um(net, placement, technology, row_y, height)
+
+
+def _hpwl_um(
+    net: Net,
+    placement: Placement,
+    technology: Technology,
+    row_y: List[float],
+    height: float,
+) -> float:
     xs: List[float] = []
     bottoms: List[float] = []
     tops: List[float] = []
@@ -84,9 +105,10 @@ def hpwl_caps(
 ) -> WireCaps:
     """Per-net lower-bound wiring capacitances from HPWL lengths."""
     model = CapacitanceDelayModel(technology, width_cap_exponent)
+    row_y, height = _row_geometry(placement, technology, channel_tracks)
     caps = WireCaps()
     for net in circuit.routable_nets:
-        length = hpwl_length_um(net, placement, technology, channel_tracks)
+        length = _hpwl_um(net, placement, technology, row_y, height)
         caps.set(net, model.wire_cap_pf(length, net.width_pitches))
     return caps
 

@@ -26,6 +26,22 @@ bug there can double-adopt a wire or under-report density — inflating
 wire length or shrinking the floorplan — while still passing checks
 1-6.  The verifier must not trust any engine's bookkeeping.
 
+Cost, for a net with ``e`` route edges, ``a`` attachments, ``p`` pins
+and ``s`` granted slot columns, on a chip ``W`` columns wide with ``C``
+channels — every check but density is per net, so a call costs the sum
+over nets plus the density pass:
+
+1. completeness — one set difference over the net names;
+2. tree legality — ``O(e log e)``: each channel's wires are sorted once
+   and swept, plus ``O(a·e)`` at worst for the through-cell merges;
+3. geometry — ``O(e)``; the chip width is read once per call, because
+   ``Placement.width_columns`` re-sums every placed cell;
+4. slot exclusivity — ``O(e + s)``;
+5. terminal coverage — ``O(a + p)``;
+6. length accounting and 7. wire uniqueness — ``O(e)`` each;
+8. density accounting — ``O(e log e)`` per net to merge its trunks,
+   then ``O(W)`` per channel that holds a trunk, ``O(C·W)`` at most.
+
 Violations come back as a list of human-readable strings (empty = clean),
 so the checker slots directly into tests, CI, and post-run sanity checks.
 """
@@ -57,13 +73,15 @@ def verify_routing(
     for name in sorted(extra):
         violations.append(f"net {name}: routed but not routable")
 
+    # Placement.width_columns re-sums every placed cell on each read.
+    width = placement.width_columns
     slot_owner: Dict[Tuple[int, int], str] = {}
     for name in sorted(result.routes):
         if name not in routable:
             continue
         route = result.routes[name]
         net = circuit.net(name)
-        violations.extend(_check_geometry(route, placement))
+        violations.extend(_check_geometry(route, placement, width))
         violations.extend(_check_tree(route))
         violations.extend(_check_terminals(route, net, placement))
         violations.extend(_check_length(route))
@@ -72,14 +90,15 @@ def verify_routing(
             violations.extend(
                 _check_slots(route, net, assignment, slot_owner)
             )
-    violations.extend(_check_density(result, placement))
+    violations.extend(_check_density(result, placement, width))
     return violations
 
 
 # ----------------------------------------------------------------------
-def _check_geometry(route: NetRoute, placement: Placement) -> List[str]:
+def _check_geometry(
+    route: NetRoute, placement: Placement, width: int
+) -> List[str]:
     problems = []
-    width = placement.width_columns
     for edge in route.edges:
         if not (0 <= edge.channel < placement.n_channels):
             problems.append(
@@ -103,12 +122,16 @@ def _check_tree(route: NetRoute) -> List[str]:
     """The trunks and branches must form one connected structure.
 
     The snapshot stores geometry, not graph endpoints, so connectivity is
-    checked physically: two wires touch when they share a point — trunks
-    of one channel with overlapping/abutting intervals, a branch tapping
-    anywhere along a trunk in either channel it joins, or two branches
-    stacked through adjacent rows at one column.  Pins connecting
-    segments *through a cell* (a terminal reachable from both adjacent
-    channels) also merge the wires at that pin's column.
+    checked physically: two wires connect when they share a column of a
+    channel — trunks of one channel whose intervals share a column, a
+    branch tapping a trunk at its column in either channel it joins, or
+    two branches stacked through adjacent rows at one column.  Pins
+    connecting segments *through a cell* (a terminal reachable from both
+    adjacent channels) also merge the wires at that pin's column.
+
+    Each channel's wires are swept in order of ``lo``: a wire joins the
+    running group while its ``lo`` is at most the largest ``hi`` seen so
+    far, which finds the same groups as testing every pair of wires.
     """
     trunks = [e for e in route.edges if e.kind is EdgeKind.TRUNK]
     branches = [e for e in route.edges if e.kind is EdgeKind.BRANCH]
@@ -127,37 +150,37 @@ def _check_tree(route: NetRoute) -> List[str]:
     def union(i: int, j: int) -> None:
         parent[find(i)] = find(j)
 
-    def channels_of(edge) -> Tuple[int, ...]:
-        if edge.kind is EdgeKind.TRUNK:
-            return (edge.channel,)
-        return (edge.channel, edge.channel + 1)
-
-    def touches(a, b) -> bool:
-        shared = set(channels_of(a)) & set(channels_of(b))
-        if not shared:
-            return False
-        return a.interval.overlaps(b.interval)
-
-    for i in range(len(wires)):
-        for j in range(i + 1, len(wires)):
-            if touches(wires[i], wires[j]):
-                union(i, j)
+    # A branch crosses a row, so it joins the lists of both channels.
+    by_channel: Dict[int, List[Tuple[int, int, int]]] = {}
+    for index, wire in enumerate(wires):
+        span = (wire.interval.lo, wire.interval.hi, index)
+        by_channel.setdefault(wire.channel, []).append(span)
+        if wire.kind is EdgeKind.BRANCH:
+            by_channel.setdefault(wire.channel + 1, []).append(span)
+    for spans in by_channel.values():
+        spans.sort()
+        group, reach = -1, float("-inf")
+        for lo, hi, index in spans:
+            if lo <= reach:
+                union(index, group)
+                reach = max(reach, hi)
+            else:
+                group, reach = index, hi
 
     # A pin reachable from both adjacent channels merges wires at its
     # column (the route crosses through the cell).
-    columns_with_attachments: Dict[int, List[int]] = {}
+    channels_at: Dict[int, Set[int]] = {}
     for attachment in route.attachments:
-        columns_with_attachments.setdefault(
-            attachment.column, []
-        ).append(attachment.channel)
-    for column, channels in columns_with_attachments.items():
-        incident: List[int] = []
-        for channel in set(channels):
-            for index, wire in enumerate(wires):
-                if channel in channels_of(wire) and wire.interval.contains(
-                    column
-                ):
-                    incident.append(index)
+        channels_at.setdefault(attachment.column, set()).add(
+            attachment.channel
+        )
+    for column, channels in channels_at.items():
+        incident = [
+            index
+            for channel in channels
+            for lo, hi, index in by_channel.get(channel, ())
+            if lo <= column <= hi
+        ]
         for a, b in zip(incident, incident[1:]):
             union(a, b)
 
@@ -224,7 +247,7 @@ def _check_duplicates(route: NetRoute) -> List[str]:
 
 
 def _check_density(
-    result: GlobalRoutingResult, placement: Placement
+    result: GlobalRoutingResult, placement: Placement, width: int
 ) -> List[str]:
     """The reported peak density must cover the actual trunk coverage.
 
@@ -238,7 +261,7 @@ def _check_density(
     under-reported density — an under-sized floorplan — never a
     representation difference.
     """
-    width = max(1, placement.width_columns)
+    width = max(1, width)
     coverage: Dict[int, List[int]] = {}
     for name in sorted(result.routes):
         route = result.routes[name]

@@ -366,30 +366,44 @@ class NegotiatedEngine(RoutingEngine):
     def _edge_costs(
         self, state, pn: float, discount: float
     ) -> List[float]:
-        """Negotiated cost per edge id of the state's graph."""
+        """Negotiated cost per edge id of the state's graph.
+
+        The penalty is evaluated only where the net can pay it: per
+        channel, over the window from the lowest to the highest column
+        its trunk edges cover.  Each trunk sums its slice of that window,
+        the same values in the same order as a chip-wide penalty row, so
+        the costs do not depend on the window's extent.
+        """
+        graph = state.graph
+        costs = [0.0] * len(graph.edges)
+        spans: Dict[int, List[Tuple[int, int, int]]] = {}
+        for edge in graph.edges:
+            costs[edge.index] = edge.length_um
+            if edge.kind is EdgeKind.TRUNK:
+                lo, hi = coverage_columns(edge)
+                spans.setdefault(edge.channel, []).append(
+                    (edge.index, lo, hi)
+                )
         usage = self._usage
         weight = density_weight(state.net)
         h_weight = self.router.config.neg_history_weight
         scale = self._pitch * discount
-        penalty: List[np.ndarray] = []
-        for channel in range(usage.n_channels):
+        for channel, trunks in spans.items():
+            first = min(lo for _, lo, _ in trunks)
+            stop = max(hi for _, _, hi in trunks) + 1
             over = (
-                usage.d_max[channel].astype(np.float64)
+                usage.d_max[channel][first:stop].astype(np.float64)
                 + float(weight)
                 - float(self._cap[channel])
             )
             np.clip(over, 0.0, None, out=over)
-            penalty.append(
-                (h_weight * self._history[channel] + pn * over) * scale
-            )
-        graph = state.graph
-        costs = [0.0] * len(graph.edges)
-        for edge in graph.edges:
-            base = edge.length_um
-            if edge.kind is EdgeKind.TRUNK:
-                lo, hi = coverage_columns(edge)
-                base += float(penalty[edge.channel][lo : hi + 1].sum())
-            costs[edge.index] = base
+            window = (
+                h_weight * self._history[channel][first:stop] + pn * over
+            ) * scale
+            for index, lo, hi in trunks:
+                costs[index] += float(
+                    window[lo - first : hi - first + 1].sum()
+                )
         return costs
 
     # ==================================================================

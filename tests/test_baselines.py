@@ -68,6 +68,40 @@ class TestHpwl:
             caps.get(net) > 0 for net in circuit.routable_nets
         )
 
+    def test_caps_compute_row_geometry_once_per_call(
+        self, placed_chain, monkeypatch
+    ):
+        from repro.baselines import lower_bound
+        from repro.layout import floorplan
+        from repro.timing.delay_model import CapacitanceDelayModel
+
+        circuit, placement = placed_chain
+        tracks = {c: 3 for c in range(placement.n_channels)}
+        expected = {
+            net.name: hpwl_length_um(net, placement, Technology(), tracks)
+            for net in circuit.routable_nets
+        }
+        calls = []
+        row_base_y_um = floorplan.row_base_y_um
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return row_base_y_um(*args, **kwargs)
+
+        monkeypatch.setattr(floorplan, "row_base_y_um", counted)
+        monkeypatch.setattr(lower_bound, "row_base_y_um", counted)
+        caps = hpwl_caps(
+            circuit, placement, Technology(), channel_tracks=tracks
+        )
+        # The row base plus the chip height built on it, for any net count.
+        assert len(circuit.routable_nets) > 2
+        assert len(calls) == 2
+        model = CapacitanceDelayModel(Technology(), 1.0)
+        for net in circuit.routable_nets:
+            assert caps.get(net) == model.wire_cap_pf(
+                expected[net.name], net.width_pitches
+            )
+
     def test_lower_bound_below_routed_delay(self, library):
         from conftest import route_chain
         from repro.channelrouter import route_channels
