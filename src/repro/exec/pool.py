@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import shutil
 import tempfile
 import time
@@ -68,7 +69,7 @@ EventConsumer = Callable[[ProgressEvent], None]
 
 CHECKPOINT_SCHEMA = "repro-exec-sweep/1"
 
-#: Scheduler poll interval, seconds.
+#: Longest scheduler wait between passes, seconds.
 _POLL_S = 0.02
 #: Grace period before a terminated worker is SIGKILLed.
 _KILL_GRACE_S = 2.0
@@ -413,7 +414,12 @@ def _run_inline(sweep: _Sweep, pending: List[_Task]) -> None:
 
 def _mp_context():
     """Fork where the platform has it (cheap, inherits the loaded
-    package), spawn elsewhere."""
+    package), spawn elsewhere.
+
+    A forked worker also inherits every descriptor open in the parent
+    at fork time, sockets included: a server that forks workers must
+    half-close its connections, since closing its own copy sends no FIN
+    while a worker holds another (see ``repro.service.server``)."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
@@ -434,7 +440,13 @@ def _reap(running: _Running) -> None:
 
 
 def _run_pool(sweep: _Sweep, pending: List[_Task]) -> None:
-    """workers>=1: one subprocess per in-flight job."""
+    """workers>=1: one subprocess per in-flight job.
+
+    A pass that finds nothing to do blocks until a running worker sends
+    its result or exits.  ``_POLL_S`` bounds that wait, and with it how
+    often a traced job's spool is relayed and how late a deadline is
+    noticed.  Only while no worker runs (a retry waiting out its
+    backoff) does the scheduler sleep."""
     ctx = _mp_context()
     queue: List[_Task] = list(pending)
     running: Dict[int, _Running] = {}
@@ -570,7 +582,17 @@ def _run_pool(sweep: _Sweep, pending: List[_Task]) -> None:
                         queue.append(requeued)
 
             if not progressed:
-                time.sleep(_POLL_S)
+                if running:
+                    multiprocessing.connection.wait(
+                        [
+                            handle
+                            for run in running.values()
+                            for handle in (run.conn, run.process.sentinel)
+                        ],
+                        timeout=_POLL_S,
+                    )
+                else:
+                    time.sleep(_POLL_S)
     finally:
         # The sweep is being torn down (normal exit or KeyboardInterrupt):
         # never leave orphan workers behind.

@@ -254,6 +254,11 @@ class RoutingService:
             self._executor.shutdown(wait=drain)
         for task in list(self._handlers):
             task.cancel()
+        # Both point back at this service, through the server's protocol
+        # factory (the bound _handle_connection) and through a cancelled
+        # worker task's traceback: cycles only the collector would free.
+        self._server = None
+        self._workers = []
 
     def _checkpoint(self, queued: List[Job]) -> None:
         path = self.checkpoint_path
@@ -593,11 +598,7 @@ class RoutingService:
                 pass
         finally:
             self._handlers.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+            await _close_connection(writer)
 
     async def _handle_request(self, reader, writer) -> None:
         request_line = await reader.readline()
@@ -837,6 +838,31 @@ def _respond_text(writer, status: int, text: str) -> None:
         },
     )
     writer.write(body)
+
+
+async def _close_connection(writer) -> None:
+    """Half-close, then close.
+
+    Every pool worker is forked from this process and holds a copy of
+    each socket open at fork time, so ``close()`` alone sends no FIN
+    while any of them lives.  ``write_eof()`` is ``shutdown(SHUT_WR)``,
+    which sends it at once — but only from an empty write buffer: with
+    data still queued it is deferred, and a ``close()`` that follows
+    drops it.  So the buffer is flushed completely first.
+    """
+    try:
+        if writer.can_write_eof():
+            writer.transport.set_write_buffer_limits(0)
+            await writer.drain()
+            writer.write_eof()
+    except OSError:
+        pass  # the peer is gone: nothing left to flush or half-close
+    finally:
+        writer.close()
+    try:
+        await writer.wait_closed()
+    except OSError:
+        pass
 
 
 def _ndjson_line(payload: Dict[str, Any]) -> bytes:

@@ -17,6 +17,7 @@ import pytest
 from repro.bench.circuits import CircuitSpec, DatasetSpec
 from repro.bench.runner import RunRecord
 from repro.errors import ConfigError
+from repro.exec import pool as pool_module
 from repro.exec import (
     CHECKPOINT_SCHEMA,
     JobSpec,
@@ -203,6 +204,25 @@ class TestPoolFaultTolerance:
         outcome = sweep.outcomes[0]
         assert outcome.status == "ok"
         assert outcome.attempts == 2
+
+    def test_scheduler_wakes_on_results_without_sleeping(self, monkeypatch):
+        # A job's first poll usually finds no result yet; the scheduler
+        # must then block on the workers' pipes and sentinels, not sleep.
+        sleeps = []
+
+        class CountingTime:
+            def __getattr__(self, name):
+                return getattr(time, name)
+
+            def sleep(self, seconds):
+                sleeps.append(seconds)
+                time.sleep(seconds)
+
+        monkeypatch.setattr(pool_module, "time", CountingTime())
+        jobs = [job(f"s{i}") for i in range(5)]
+        sweep = run_batch(jobs, workers=1, runner=scripted_runner)
+        assert sweep.all_ok and sweep.n_ok == 5
+        assert sleeps == []
 
     def test_failed_job_reported_in_summary(self):
         sweep = run_batch(

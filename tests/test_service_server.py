@@ -7,11 +7,15 @@ trace-fidelity test routes the real ``S1P1`` dataset so the streamed
 NDJSON can be compared against an on-disk JSONL trace of the same run.
 """
 
+import asyncio
+import gc
 import http.client
 import json
 import os
+import socket
 import threading
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -29,6 +33,7 @@ from repro.service import (
     build_specs,
     known_datasets,
 )
+from repro.service.server import _close_connection
 
 
 def fake_record(spec: JobSpec, delay=250.0) -> RunRecord:
@@ -71,6 +76,13 @@ class FakeRunner:
         )
         tracer.emit("deletion_decision", deletion_index=0)
         return fake_record(spec)
+
+
+def paced_runner(spec, *, trace_sink=None, decision_sampling=None):
+    """About 0.5 s for S1P1 and 4 s for anything else (module-level so a
+    pool worker can run it)."""
+    time.sleep(0.5 if spec.dataset.name == "S1P1" else 4.0)
+    return fake_record(spec)
 
 
 def make_service(tmp_path=None, runner=None, **overrides) -> RoutingService:
@@ -397,6 +409,105 @@ class TestEventStreaming:
             client.wait(job["id"], timeout_s=30)
             assert list(client.events(job["id"])) == []
 
+    def test_stream_closes_while_another_worker_runs(self, tmp_path):
+        # Every pool worker is forked from the server and holds a copy of
+        # each socket open at fork time, so a stream must end with a
+        # half-close: a plain close() sends no FIN while the slow job's
+        # worker lives.
+        service = make_service(tmp_path, paced_runner, isolation=True)
+        with ServiceThread(service) as thread:
+            client = ServiceClient(thread.base_url)
+            fast = client.submit({"kind": "route", "dataset": "S1P1"})
+            ended = {}
+
+            def follow():
+                try:
+                    list(client.events(fast["id"]))
+                    ended["t"] = time.time()
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    ended["error"] = exc
+
+            follower = threading.Thread(target=follow)
+            follower.start()
+            deadline = time.monotonic() + 5.0
+            while (
+                not service.jobs[fast["id"]].subscribers
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+            assert service.jobs[fast["id"]].subscribers
+            # Forks its worker while the fast job's stream is open.
+            client.submit({"kind": "route", "dataset": "S2P1"})
+            follower.join(timeout=10.0)
+            assert not follower.is_alive()
+            assert "error" not in ended, ended.get("error")
+            finished_t = client.job(fast["id"])["finished_t"]
+            assert ended["t"] - finished_t < 2.0
+
+
+def read_to_eof(port: int, timeout_s: float = 5.0) -> int:
+    """Bytes read from a fresh loopback connection until EOF; raises
+    ``socket.timeout`` when no EOF comes within ``timeout_s``."""
+    with socket.socket() as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(timeout_s)
+        sock.connect(("127.0.0.1", port))
+        total = 0
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return total
+            total += len(chunk)
+
+
+def serve_once(handle) -> int:
+    """Run ``handle(reader, writer)`` for one connection; the bytes the
+    client read before EOF."""
+
+    async def main():
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            return await asyncio.to_thread(read_to_eof, port)
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    return asyncio.run(main())
+
+
+class TestConnectionClose:
+    """``_close_connection`` against a second holder of the socket, the
+    way every forked pool worker holds one."""
+
+    def test_full_write_buffer_is_flushed_then_half_closed(self):
+        payload = b"x" * (1 << 20)
+        held = []
+
+        async def handle(reader, writer):
+            sock = writer.get_extra_info("socket")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            held.append(os.dup(sock.fileno()))
+            writer.write(payload)  # far more than the socket takes
+            await _close_connection(writer)
+
+        try:
+            assert serve_once(handle) == len(payload)
+        finally:
+            for fd in held:
+                os.close(fd)
+
+    def test_gone_peer_still_closes_the_transport(self):
+        closed = []
+
+        async def handle(reader, writer):
+            writer.transport.abort()  # the connection is already lost
+            await _close_connection(writer)
+            closed.append(writer.transport.is_closing())
+
+        assert serve_once(handle) == 0
+        assert closed == [True]
+
 
 class TestGracefulShutdown:
     def test_drain_checkpoints_backlog_and_restart_resumes(
@@ -452,6 +563,31 @@ class TestGracefulShutdown:
             # compare runs two specs, route runs one.
             assert len(resumed.calls) == 3
             assert not checkpoint.is_file()  # consumed on restore
+
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_stopped_service_is_freed_without_the_cycle_collector(
+        self, tmp_path, drain
+    ):
+        gc.disable()
+        try:
+            service = make_service(tmp_path)
+            thread = ServiceThread(service).start()
+            try:
+                client = ServiceClient(thread.base_url)
+                for payload in (
+                    {"kind": "route", "dataset": "S1P1", "trace": True},
+                    {"kind": "route", "dataset": "S1P2"},
+                ):
+                    job = client.submit(payload)
+                    list(client.events(job["id"]))
+                    assert client.wait(job["id"])["status"] == "done"
+            finally:
+                thread.stop(drain=drain)
+            alive = weakref.ref(service)
+            del service, thread
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_submission_during_drain_is_503(self, tmp_path):
         service = make_service(tmp_path)
