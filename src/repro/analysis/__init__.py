@@ -18,8 +18,6 @@ from .heatmap import (
     snapshots_from_events,
 )
 from .run_diff import (
-    BENCH_SELECTION_SCHEMA,
-    BENCH_TREE_SCHEMA,
     DiffThresholds,
     RunDiff,
     classify_input,
@@ -46,8 +44,6 @@ from .timing_report import (
 from .wirestats import NetLengthStat, WireStats, wire_stats
 
 __all__ = [
-    "BENCH_SELECTION_SCHEMA",
-    "BENCH_TREE_SCHEMA",
     "ComparisonReport",
     "ConstraintAttribution",
     "DensityProfile",

@@ -8,10 +8,9 @@ the CLI exits non-zero — the CI regression gate.  Supported inputs:
   (critical delay, total length, deletions, violations), the
   ``router.peak_density_total`` gauge, and per-phase wall times
   (report-only by default — wall clocks are noisy in CI);
-* **bench snapshots** (``repro-bench-selection/3``, written by
-  ``benchmarks/bench_selection.py --json``): per-design key-evals per
-  deletion, vectorized-core batch counts, reclassification wall time
-  and local-recompute ratio, and wall time;
+* **negotiation bench snapshots** (``repro-bench-negotiation/1``,
+  written by ``benchmarks/bench_negotiation.py --json``): the negotiated
+  engine's per-design quality relative to edge-deletion;
 * optionally, two **traces** alongside the manifests: the first
   ``edge_deleted`` divergence point (report-only — two seeds *should*
   diverge) and per-channel ``C_M``/``C_m`` deltas from the final
@@ -25,8 +24,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..obs.manifest import MANIFEST_SCHEMA
 
-BENCH_SELECTION_SCHEMA = "repro-bench-selection/3"
-BENCH_TREE_SCHEMA = "repro-bench-tree/3"
 BENCH_NEGOTIATION_SCHEMA = "repro-bench-negotiation/1"
 
 
@@ -39,7 +36,6 @@ class DiffThresholds:
     max_peak_delta: Optional[float] = 8.0      # Σ C_M growth (tracks)
     max_violations_delta: Optional[int] = 0    # new timing violations
     max_wall_pct: Optional[float] = None       # per-phase wall growth
-    max_evals_pct: Optional[float] = 25.0      # bench: key-evals/deletion
     # Engine-comparison mode: False when diffing runs produced by
     # different routing engines, whose deletion counts/sequences
     # legitimately diverge — the deletion-stream comparison is skipped
@@ -83,7 +79,7 @@ def _fmt(value: Any) -> str:
 class RunDiff:
     """Full comparison outcome."""
 
-    kind: str                                  # "manifest" | "bench"
+    kind: str                        # "manifest" | "bench-negotiation"
     lines: List[DiffLine] = field(default_factory=list)
     failures: List[str] = field(default_factory=list)
     divergence: Optional[Dict[str, Any]] = None
@@ -135,20 +131,16 @@ class RunDiff:
 
 
 def classify_input(payload: Dict[str, Any]) -> str:
-    """``manifest`` or ``bench`` — by the document's schema marker."""
+    """``manifest`` or ``bench-negotiation`` — by the document's schema
+    marker."""
     schema = payload.get("schema")
     if schema == MANIFEST_SCHEMA:
         return "manifest"
-    if schema == BENCH_SELECTION_SCHEMA:
-        return "bench"
-    if schema == BENCH_TREE_SCHEMA:
-        return "bench-tree"
     if schema == BENCH_NEGOTIATION_SCHEMA:
         return "bench-negotiation"
     raise ValueError(
         f"unsupported input schema {schema!r} (expected "
-        f"{MANIFEST_SCHEMA!r}, {BENCH_SELECTION_SCHEMA!r}, "
-        f"{BENCH_TREE_SCHEMA!r} or {BENCH_NEGOTIATION_SCHEMA!r})"
+        f"{MANIFEST_SCHEMA!r} or {BENCH_NEGOTIATION_SCHEMA!r})"
     )
 
 
@@ -389,169 +381,6 @@ def diff_traces(
 # ----------------------------------------------------------------------
 # Bench snapshot diffing
 # ----------------------------------------------------------------------
-def diff_bench(
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    thresholds: DiffThresholds = DiffThresholds(),
-) -> RunDiff:
-    """Compare two ``BENCH_selection.json`` snapshots."""
-    diff = RunDiff(kind="bench")
-    old_designs = old.get("designs", {})
-    new_designs = new.get("designs", {})
-    for design in sorted(set(old_designs) & set(new_designs)):
-        old_row = old_designs[design]
-        new_row = new_designs[design]
-        _gate_pct(
-            diff,
-            f"{design}.key_evals_per_deletion_incremental",
-            old_row.get("key_evals_per_deletion_incremental"),
-            new_row.get("key_evals_per_deletion_incremental"),
-            thresholds.max_evals_pct,
-        )
-        # Vectorized-core batch counts are exact routing invariants
-        # (schema /3): growth means rows are being re-refreshed that the
-        # dirty-signature tracking used to skip — a perf regression even
-        # when wall clocks stay quiet, so gate like key-evals.
-        _gate_pct(
-            diff,
-            f"{design}.vectorized_rows_incremental",
-            old_row.get("vectorized_rows_incremental"),
-            new_row.get("vectorized_rows_incremental"),
-            thresholds.max_evals_pct,
-        )
-        _gate_pct(
-            diff,
-            f"{design}.vectorized_batches_incremental",
-            old_row.get("vectorized_batches_incremental"),
-            new_row.get("vectorized_batches_incremental"),
-            thresholds.max_evals_pct,
-        )
-        _gate_pct(
-            diff, f"{design}.wall_s_incremental",
-            old_row.get("wall_s_incremental"),
-            new_row.get("wall_s_incremental"),
-            thresholds.max_wall_pct,
-        )
-        _gate_pct(
-            diff, f"{design}.reclassify_wall_s",
-            old_row.get("reclassify_wall_s"),
-            new_row.get("reclassify_wall_s"),
-            thresholds.max_wall_pct,
-        )
-        _gate_local_ratio(diff, design, old_row, new_row)
-        _gate_delta(
-            diff, f"{design}.wall_speedup",
-            old_row.get("wall_speedup"), new_row.get("wall_speedup"),
-            None,
-        )
-        _gate_delta(
-            diff, f"{design}.deletions",
-            old_row.get("deletions"), new_row.get("deletions"),
-            None,
-        )
-    missing = sorted(set(old_designs) - set(new_designs))
-    if missing:
-        diff.failures.append(
-            f"designs missing from new snapshot: {', '.join(missing)}"
-        )
-    return diff
-
-
-def _gate_local_ratio(
-    diff: RunDiff,
-    design: str,
-    old_row: Dict[str, Any],
-    new_row: Dict[str, Any],
-) -> None:
-    """Gate the share of reclassifications answered locally.
-
-    Local/fallback counts are exact routing invariants (schema /3), so
-    the ratio must not drop below the snapshot (small slack absorbs the
-    snapshot's 4-decimal rounding): a drop means deletions are falling
-    back to the full-Tarjan path that the incremental maintenance
-    exists to avoid — a perf regression even when wall clocks stay
-    quiet.
-    """
-    old = old_row.get("local_recompute_ratio")
-    new = new_row.get("local_recompute_ratio")
-    if old is None or new is None:
-        return
-    old = float(old)
-    new = float(new)
-    line = DiffLine(
-        f"{design}.local_recompute_ratio", old, new, delta=new - old
-    )
-    if new < old - 0.01:
-        line.failed = True
-        diff.failures.append(
-            f"{design}.local_recompute_ratio dropped "
-            f"{old:.4f} -> {new:.4f}"
-        )
-    diff.lines.append(line)
-
-
-def diff_bench_tree(
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    thresholds: DiffThresholds = DiffThresholds(),
-) -> RunDiff:
-    """Compare two ``BENCH_tree.json`` snapshots.
-
-    Dijkstra-run counts are exact routing invariants (no noise), so any
-    growth of the incremental engine's runs beyond ``max_evals_pct`` is
-    gated; wall clocks are report-only unless ``max_wall_pct`` is set.
-    """
-    diff = RunDiff(kind="bench-tree")
-    old_designs = old.get("designs", {})
-    new_designs = new.get("designs", {})
-    for design in sorted(set(old_designs) & set(new_designs)):
-        old_row = old_designs[design]
-        new_row = new_designs[design]
-        _gate_pct(
-            diff,
-            f"{design}.dijkstra_runs_incremental",
-            old_row.get("dijkstra_runs_incremental"),
-            new_row.get("dijkstra_runs_incremental"),
-            thresholds.max_evals_pct,
-        )
-        _gate_pct(
-            diff,
-            f"{design}.repeat_runs_incremental",
-            old_row.get("repeat_runs_incremental"),
-            new_row.get("repeat_runs_incremental"),
-            thresholds.max_evals_pct,
-        )
-        _gate_pct(
-            diff, f"{design}.wall_s_incremental",
-            old_row.get("wall_s_incremental"),
-            new_row.get("wall_s_incremental"),
-            thresholds.max_wall_pct,
-        )
-        _gate_pct(
-            diff, f"{design}.reclassify_wall_s",
-            old_row.get("reclassify_wall_s"),
-            new_row.get("reclassify_wall_s"),
-            thresholds.max_wall_pct,
-        )
-        _gate_local_ratio(diff, design, old_row, new_row)
-        _gate_delta(
-            diff, f"{design}.wall_speedup",
-            old_row.get("wall_speedup"), new_row.get("wall_speedup"),
-            None,
-        )
-        _gate_delta(
-            diff, f"{design}.deletions",
-            old_row.get("deletions"), new_row.get("deletions"),
-            None,
-        )
-    missing = sorted(set(old_designs) - set(new_designs))
-    if missing:
-        diff.failures.append(
-            f"designs missing from new snapshot: {', '.join(missing)}"
-        )
-    return diff
-
-
 def _gate_ceiling(
     diff: RunDiff,
     name: str,
@@ -671,10 +500,6 @@ def diff_runs(
         raise ValueError(
             f"cannot compare a {kind_old} against a {kind_new}"
         )
-    if kind_old == "bench":
-        return diff_bench(old, new, thresholds)
-    if kind_old == "bench-tree":
-        return diff_bench_tree(old, new, thresholds)
     if kind_old == "bench-negotiation":
         return diff_bench_negotiation(old, new, thresholds)
     diff = diff_manifests(old, new, thresholds)

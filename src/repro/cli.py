@@ -281,11 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: report-only; wall clocks are noisy in CI)",
     )
     compare_runs.add_argument(
-        "--max-evals-pct", type=float, default=25.0,
-        help="bench snapshots: fail if key-evals per deletion grow "
-        "more than this percent",
-    )
-    compare_runs.add_argument(
         "--no-require-identical-deletions",
         action="store_true",
         help="engine-comparison mode: tolerate diverging deletion "
@@ -954,7 +949,6 @@ def _cmd_compare_runs(args) -> int:
         max_peak_delta=args.max_peak_delta,
         max_violations_delta=args.max_violations_delta,
         max_wall_pct=args.max_wall_pct,
-        max_evals_pct=args.max_evals_pct,
         require_identical_deletions=not args.no_require_identical_deletions,
     )
     old_events = new_events = None

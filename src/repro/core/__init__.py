@@ -1,7 +1,7 @@
 """The paper's primary contribution: the timing- and area-driven
 edge-deletion global router (Sections 3.1–3.5)."""
 
-from .candidates import CandidateEngine, RescanSelector
+from .candidates import CandidateEngine
 from .config import RouterConfig
 from .density import DensityEngine, ChannelStats, EdgeDensityParams
 from .criteria import (
@@ -29,7 +29,6 @@ __all__ = [
     "NetRoute",
     "NetTimingContext",
     "PhaseEvent",
-    "RescanSelector",
     "RouterConfig",
     "SelectionMode",
     "evaluate_delay_criteria",

@@ -1,12 +1,11 @@
 """Incremental candidate selection for the edge-deletion loop.
 
 The paper's loop (Fig. 2, lines 04–07) repeatedly picks the minimum of a
-lexicographic selection key over *all* nets' deletable edges.  The seed
-implementation rescans every candidate each iteration — an
-``O(deletions × candidates)`` Python loop.  :class:`CandidateEngine`
-replaces the rescan with an **array-backed incremental arg-min**: every
-candidate owns one row of a dense float64 key matrix whose columns are
-the lexicographic key positions, and
+lexicographic selection key over *all* nets' deletable edges.  Rescanning
+every candidate each iteration is an ``O(deletions × candidates)``
+Python loop; :class:`CandidateEngine` is instead an **array-backed
+incremental arg-min**: every candidate owns one row of a dense float64
+key matrix whose columns are the lexicographic key positions, and
 
 * the engine subscribes to :class:`~repro.core.density.DensityEngine`
   version bumps, so a deletion marks dirty exactly the channels whose
@@ -17,8 +16,7 @@ the lexicographic key positions, and
   per net through :func:`~repro.core.criteria.evaluate_delay_criteria_batch`
   and the tree engine's batched ``evaluate_many`` — rows dirtied only by
   density keep their delay columns, which are bit-identical at an
-  unchanged timing version (the heap-based predecessor recomputed them
-  redundantly to the same values);
+  unchanged timing version;
 * ``select()`` takes the lexicographic arg-min over live rows by
   successive column refinement (all column values are exactly
   representable in float64, so the comparison order equals tuple
@@ -26,17 +24,13 @@ the lexicographic key positions, and
   can die without any density event (branch/correspondence edges fire no
   listener) — and retries on a dead row, counting ``router.heap_stale``.
 
-Because every batched column update is elementwise-identical to the
-scalar ``selection_key`` path (see ``evaluate_delay_criteria_batch`` for
-the float-for-float argument), the matrix arg-min is the rescan's
-arg-min and the engine reproduces the seed router's deletion sequence
-exactly (asserted on the standard suite by
-``tests/test_selection_equivalence.py``).
-
-:class:`RescanSelector` wraps the seed's full scan behind the same
-two-method interface; ``RouterConfig.selection_engine`` picks between
-them, and ``benchmarks/bench_selection.py`` quantifies the difference in
-selection-key evaluations per deletion and wall time.
+Every batched column update is elementwise-identical to the scalar
+``selection_key`` of Section 3.4 (see ``evaluate_delay_criteria_batch``
+for the float-for-float argument), so the matrix arg-min is the minimum
+of the fresh scalar keys; ``tests/test_selection_property.py`` checks
+that after random deletion sequences, and
+``tests/test_edge_deletion_golden.py`` pins the resulting deletion
+sequences.
 """
 
 from __future__ import annotations
@@ -54,26 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 Handle = Tuple[str, int]
 """A candidate's identity: ``(net_name, edge_id)``."""
-
-
-class RescanSelector:
-    """Baseline selector: full scan of every candidate per pick."""
-
-    def __init__(
-        self,
-        router: "GlobalRouter",
-        states: Sequence["_NetState"],
-        mode: SelectionMode,
-    ):
-        self._router = router
-        self._states = list(states)
-        self._mode = mode
-
-    def select(self) -> Optional[Tuple["_NetState", int]]:
-        return self._router._best_candidate(self._states, self._mode)
-
-    def close(self) -> None:
-        pass
 
 
 # Key-matrix column of each named lexicographic condition, per mode.
@@ -124,13 +98,11 @@ class CandidateEngine:
         self._cols = _COLS[mode]
         self._m_pops = router.metrics.counter("router.heap_pops")
         self._m_stale = router.metrics.counter("router.heap_stale")
-        self._m_vec_rows = router.metrics.counter("router.vectorized_rows")
         self._m_vec_batches = router.metrics.counter(
             "router.vectorized_batches"
         )
 
-        # Settle the timing version before any key is computed, exactly
-        # as the rescan does at the top of its first scan.
+        # Settle the timing version before any key is computed.
         if router.config.timing_driven:
             router._ensure_timings()
         self._timing_seen = router._timing_version
@@ -214,8 +186,6 @@ class CandidateEngine:
             self._net_sig[name] = self._delay_sig(state)
         if n:
             router._m_key_evals.inc(n)
-            router._m_key_recomputes.inc(n)
-            self._m_vec_rows.inc(n)
             self._m_vec_batches.inc(
                 len(self._rows_by_channel) + len(self._rows_by_net)
             )
@@ -225,8 +195,8 @@ class CandidateEngine:
     # Selection
     # ------------------------------------------------------------------
     def select(self) -> Optional[Tuple["_NetState", int]]:
-        """The candidate a full rescan would pick, or ``None`` when the
-        loop has converged."""
+        """The candidate with the minimum selection key, or ``None``
+        when the loop has converged."""
         router = self._router
         self.refresh()
         while True:
@@ -320,8 +290,6 @@ class CandidateEngine:
             self._dirty_channels.clear()
         if refreshed:
             self._router._m_key_evals.inc(refreshed)
-            self._router._m_key_recomputes.inc(refreshed)
-            self._m_vec_rows.inc(refreshed)
             self._m_vec_batches.inc(batches)
 
     def _live_rows(self, rows: np.ndarray) -> np.ndarray:

@@ -15,12 +15,8 @@ Flow (line numbers refer to the paper's Algorithm Global_Router):
 
 Everything the criteria need is cached with version stamps: per-channel
 density versions, a global timing version, and per-net graph state, so
-the selection loop recomputes only keys invalidated by the last deletion.
-By default each loop runs on the incremental
-:class:`~repro.core.candidates.CandidateEngine` (a lazy-invalidation
-min-heap over those same version stamps); ``RouterConfig.selection_engine
-= "rescan"`` selects the original full-scan baseline, which produces the
-identical deletion sequence one full candidate sweep at a time.
+each loop's :class:`~repro.core.candidates.CandidateEngine` recomputes
+only the keys invalidated by the last deletion.
 
 Observability: the router emits structured trace events (``run_start``,
 ``phase_start/end``, ``edge_deleted`` with the winning criterion,
@@ -62,8 +58,8 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.profile import HeartbeatEmitter, PhaseProfiler
 from ..routegraph.build import build_routing_graph
 from ..routegraph.graph import EdgeKind, RouteEdge, RoutingGraph
-from ..routegraph.tentative_tree import ESTIMATORS, TentativeTree
-from ..routegraph.tree_engine import FullTreeEngine, make_tree_engine
+from ..routegraph.tentative_tree import TentativeTree
+from ..routegraph.tree_engine import TreeEngine
 from ..timing.constraint import (
     ConstraintGraph,
     PathConstraint,
@@ -77,9 +73,9 @@ from ..timing.sta import (
     WireCaps,
     net_criticality_order,
 )
-from .candidates import CandidateEngine, RescanSelector
+from .candidates import CandidateEngine
 from .config import RouterConfig
-from .criteria import DelayCriteria, NetTimingContext, evaluate_delay_criteria
+from .criteria import NetTimingContext
 from .density import DensityEngine
 from .result import (
     AttachSide,
@@ -89,7 +85,7 @@ from .result import (
     PhaseEvent,
     RoutedEdge,
 )
-from .selection import SelectionMode, selection_key, winning_criterion
+from .selection import SelectionMode, winning_criterion
 
 
 class _NetState:
@@ -105,20 +101,18 @@ class _NetState:
         "context",
         "pair",
         "follower_of",
-        "key_cache",
     )
 
     def __init__(self, net: Net, graph: RoutingGraph):
         self.net = net
         self.graph = graph
         self.tree: Optional[TentativeTree] = None
-        self.tree_engine: Optional[FullTreeEngine] = None
+        self.tree_engine: Optional[TreeEngine] = None
         # edge_id -> (cl_pf, tree-engine version at evaluation time).
         self.cl_if_deleted: Dict[int, Tuple[float, int]] = {}
         self.context: Optional[NetTimingContext] = None
         self.pair: Optional[PairCorrespondence] = None
         self.follower_of: Optional[str] = None
-        self.key_cache: Dict[int, Tuple[tuple, int, int]] = {}
 
     @property
     def is_follower(self) -> bool:
@@ -147,9 +141,6 @@ class GlobalRouter:
         self.delay_model = CapacitanceDelayModel(
             config.technology, config.width_cap_exponent
         )
-        # Validates the estimator name eagerly; the per-net tree engines
-        # (see _bind_tree_engine) own the actual evaluation.
-        self._estimate_tree = ESTIMATORS[config.tree_estimator]
 
         # Populated by route():
         self.gd: Optional[GlobalDelayGraph] = None
@@ -192,9 +183,6 @@ class GlobalRouter:
         self.heartbeat = HeartbeatEmitter(self.tracer, self.metrics)
         self._m_deletions = self.metrics.counter("router.deletions")
         self._m_key_evals = self.metrics.counter("router.key_evals")
-        self._m_key_recomputes = self.metrics.counter(
-            "router.key_recomputes"
-        )
         self._m_reroutes = self.metrics.counter("router.reroutes")
         self._m_reverted = self.metrics.counter("router.reroutes_reverted")
         self._m_timing = self.metrics.counter("router.timing_analyses")
@@ -225,7 +213,7 @@ class GlobalRouter:
             "graph.prune_frontier_vertices"
         )
         self._phase_stack: List[str] = []
-        # Decision explainability: both candidate engines record the
+        # Decision explainability: the candidate engine records the
         # outcome of each select() here (when tracing), and the deletion
         # that follows turns it into a sampled deletion_decision event.
         # Kept out of RouterConfig on purpose — sampling must not change
@@ -552,8 +540,7 @@ class GlobalRouter:
         rollback), and edge ids are only meaningful within one build, so
         the per-candidate cache must go whenever the engine is rebound.
         """
-        state.tree_engine = make_tree_engine(
-            self.config.tree_engine,
+        state.tree_engine = TreeEngine(
             state.graph,
             self.config.tree_estimator,
             evals=self._m_tree_evals,
@@ -564,14 +551,8 @@ class GlobalRouter:
             timer=partial(self.metrics.timer, "router.tree_eval_s"),
         )
         state.cl_if_deleted.clear()
-        # The selection-key cache is keyed by edge id too, so it is just
-        # as build-scoped: an entry computed for the old graph's edge N
-        # must not be offered for the new graph's unrelated edge N (its
-        # stale version stamps can collide with the new edge's current
-        # ones after a rebuild's unregister/register churn).
-        state.key_cache.clear()
 
-    def _tree_engine(self, state: _NetState) -> FullTreeEngine:
+    def _tree_engine(self, state: _NetState) -> TreeEngine:
         engine = state.tree_engine
         if engine is None or engine.graph is not state.graph:
             self._bind_tree_engine(state)
@@ -596,21 +577,7 @@ class GlobalRouter:
                 tree.total_length_um, state.net.width_pitches
             )
             self._set_wire_cap(state.net, state.cl_pf)
-        if engine.kind != "incremental":
-            # Seed behaviour: every candidate re-evaluates from scratch.
-            # The incremental engine instead keeps the entries — they are
-            # version-stamped and revalidate through the off-tree fast
-            # path on their next lookup.
-            state.cl_if_deleted.clear()
         if self.config.timing_driven and state.context.constrained:
-            # Constrained keys embed per-candidate cl_if_deleted values
-            # that may shift with any change to this net's graph (a
-            # candidate's detour can run through a removed edge even
-            # when the tree itself survived), so their cache must go.
-            # Unconstrained keys have a constant delay subkey and carry
-            # density/timing version stamps that already catch every
-            # other invalidation — keep them.
-            state.key_cache.clear()
             # Even when the tree object survived (off-tree deletion),
             # this net's candidate detours may have run through the
             # removed edge, shifting their cl_if_deleted values.  The
@@ -619,33 +586,19 @@ class GlobalRouter:
             # leaves stale heap keys behind current-looking stamps.
             self._timing_dirty = True
 
-    def _cl_if_deleted(self, state: _NetState, edge_id: int) -> float:
-        engine = self._tree_engine(state)
-        cached = state.cl_if_deleted.get(edge_id)
-        if cached is not None and cached[1] == engine.version:
-            return cached[0]
-        tree = engine.evaluate(edge_id)
-        if tree is None:
-            raise RoutingError(
-                f"net {state.net.name}: edge {edge_id} is essential but "
-                "was offered as a candidate"
-            )
-        cl = self.delay_model.wire_cap_pf(
-            tree.total_length_um, state.net.width_pitches
-        )
-        state.cl_if_deleted[edge_id] = (cl, engine.version)
-        return cl
-
     def _cl_if_deleted_many(
         self, state: _NetState, edge_ids
     ) -> np.ndarray:
-        """Batched :meth:`_cl_if_deleted` over one net's candidates.
+        """Tentative-tree capacitance of one net with each candidate in
+        ``edge_ids`` deleted: the ``cl_if_deleted_pf`` input of the
+        Section 3.2 delay criteria.
 
-        Cache hits fill directly; the misses go through the tree
-        engine's ``evaluate_many`` in one call, which resolves most of
-        them via the off-tree fast path without a Dijkstra.  Returns a
-        float64 array parallel to ``edge_ids`` with values identical to
-        the scalar method's.
+        Entries are cached per candidate, stamped with the tree-engine
+        version they were computed at.  Cache hits fill directly; the
+        misses go through the tree engine's ``evaluate_many`` in one
+        call, which resolves most of them via the off-tree fast path
+        without a Dijkstra.  Returns a float64 array parallel to
+        ``edge_ids``.
         """
         engine = self._tree_engine(state)
         version = engine.version
@@ -758,65 +711,6 @@ class GlobalRouter:
             if not self.states[name].is_follower
         ]
 
-    def _key_for(
-        self, state: _NetState, edge_id: int, mode: SelectionMode
-    ) -> tuple:
-        self._m_key_evals.inc()
-        edge = state.graph.edges[edge_id]
-        dens_version = self.engine.version[edge.channel]
-        cached = state.key_cache.get(edge_id)
-        if cached is not None:
-            key, cached_dens, cached_timing = cached
-            if cached_dens == dens_version and (
-                cached_timing == self._timing_version
-            ):
-                return key
-        self._m_key_recomputes.inc()
-        delay = DelayCriteria.ZERO
-        if self.config.timing_driven and state.context.constrained:
-            timings = self._ensure_timings()
-            delay = evaluate_delay_criteria(
-                state.context,
-                state.cl_pf,
-                self._cl_if_deleted(state, edge_id),
-                timings,
-            )
-        stats = self.engine.channel_stats(edge.channel)
-        params = self.engine.edge_params(edge)
-        key = selection_key(
-            edge, delay, stats, params, mode,
-            tie_break=(state.net.name, edge_id),
-        )
-        state.key_cache[edge_id] = (
-            key,
-            dens_version,
-            self._timing_version,
-        )
-        return key
-
-    def _best_candidate(
-        self, states: Sequence[_NetState], mode: SelectionMode
-    ) -> Optional[Tuple[_NetState, int]]:
-        if self.config.timing_driven:
-            self._ensure_timings()
-        track = self.tracer.enabled
-        best_key = None
-        runner_key = None
-        best: Optional[Tuple[_NetState, int]] = None
-        for state in states:
-            for edge_id in state.graph.deletable_edges():
-                key = self._key_for(state, edge_id, mode)
-                if best_key is None or key < best_key:
-                    if track:
-                        runner_key = best_key
-                    best_key = key
-                    best = (state, edge_id)
-                elif track and (runner_key is None or key < runner_key):
-                    runner_key = key
-        if track and best is not None:
-            self._record_selection(best_key, runner_key, mode)
-        return best
-
     def _record_selection(
         self,
         best_key: tuple,
@@ -824,7 +718,7 @@ class GlobalRouter:
         mode: SelectionMode,
     ) -> None:
         """Remember one select() outcome for the deletion that follows
-        (called by both candidate engines, only while tracing)."""
+        (called by the candidate engine, only while tracing)."""
         criterion, depth = winning_criterion(best_key, runner_key, mode)
         self._last_decision = SelectionOutcome(
             best_key, runner_key, criterion, depth, mode
@@ -833,12 +727,6 @@ class GlobalRouter:
     # ==================================================================
     # Deletion
     # ==================================================================
-    def _make_selector(self, states: Sequence[_NetState], mode: SelectionMode):
-        """The configured candidate selector for one deletion loop."""
-        if self.config.selection_engine == "incremental":
-            return CandidateEngine(self, states, mode)
-        return RescanSelector(self, states, mode)
-
     def _deletion_loop(
         self, states: Sequence[_NetState], mode: SelectionMode
     ) -> int:
@@ -847,7 +735,7 @@ class GlobalRouter:
         Returns the number of deletions performed.
         """
         count = 0
-        selector = self._make_selector(states, mode)
+        selector = CandidateEngine(self, states, mode)
         try:
             while True:
                 choice = selector.select()
@@ -1018,7 +906,6 @@ class GlobalRouter:
             # tree so the off-tree fast path works immediately.
             self._bind_tree_engine(member)
             member.tree_engine.tree = tree
-            member.key_cache.clear()
         if state.pair is not None:
             # The correspondence was rebuilt against the discarded graphs;
             # re-establish it on the restored ones.

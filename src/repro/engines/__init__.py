@@ -16,7 +16,7 @@ from ..obs.events import TraceSink
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import PhaseProfiler
 from ..timing.constraint import PathConstraint
-from .base import EngineCapabilities, RoutingEngine
+from .base import RoutingEngine
 from .edge_deletion import EdgeDeletionEngine
 from .negotiated import NegotiatedEngine
 
@@ -69,7 +69,6 @@ def make_engine(
 
 __all__ = [
     "ENGINES",
-    "EngineCapabilities",
     "RoutingEngine",
     "EdgeDeletionEngine",
     "NegotiatedEngine",

@@ -13,11 +13,6 @@ accounting, timing model, and sign-off.  Two engines ship today:
   negotiated congestion (iterative rip-up-and-reroute with present and
   history costs; legal but not bit-identical).
 
-Engines advertise :class:`EngineCapabilities` so downstream tooling
-(``compare-runs``, the trace differ) can decide which comparisons make
-sense: diffing deletion sequences across engines is meaningless when one
-of them never emits ``edge_deleted`` events.
-
 Every engine is constructed with the :class:`GlobalRouter` signature and
 exposes the attributes the CLI, the bench runner, and sign-off read off
 a router after routing (``gd``, ``assignment``, ``caps``, ``states``,
@@ -26,7 +21,6 @@ a router after routing (``gd``, ``assignment``, ``caps``, ``states``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..core.config import RouterConfig
@@ -40,27 +34,6 @@ from ..obs.profile import PhaseProfiler
 from ..timing.constraint import PathConstraint
 
 
-@dataclass(frozen=True)
-class EngineCapabilities:
-    """What a routing engine guarantees about its results.
-
-    Attributes:
-        deterministic: same inputs always give the same routing.
-        emits_edge_deleted: the trace carries the seed's per-deletion
-            ``edge_deleted`` events, so deletion-sequence diffs
-            (``compare-runs`` deletion divergence) are meaningful.
-        iterative: the engine converges over rip-up-and-reroute
-            iterations (emits ``negotiation_iteration`` events).
-        parallel_per_net: net routing is independent per net within an
-            iteration (a future multi-worker engine can shard nets).
-    """
-
-    deterministic: bool = True
-    emits_edge_deleted: bool = True
-    iterative: bool = False
-    parallel_per_net: bool = False
-
-
 class RoutingEngine:
     """Base class: owns an inner :class:`GlobalRouter` for shared state.
 
@@ -70,7 +43,6 @@ class RoutingEngine:
     """
 
     name: str = "abstract"
-    capabilities = EngineCapabilities()
 
     def __init__(
         self,

@@ -54,7 +54,7 @@ from ..core.result import GlobalRoutingResult
 from ..errors import RoutingError
 from ..routegraph.graph import EdgeKind, RoutingGraph
 from ..timing.sta import net_criticality_order
-from .base import EngineCapabilities, RoutingEngine
+from .base import RoutingEngine
 
 # How strongly a maximally critical constrained net discounts congestion
 # cost relative to an uncritical one (0 = ignore timing, 1 = critical
@@ -72,12 +72,6 @@ class NegotiatedEngine(RoutingEngine):
     """Iterative rip-up-and-reroute with present + history congestion."""
 
     name = "negotiated"
-    capabilities = EngineCapabilities(
-        deterministic=True,
-        emits_edge_deleted=False,
-        iterative=True,
-        parallel_per_net=True,
-    )
 
     def route(self) -> GlobalRoutingResult:
         router = self.router

@@ -34,10 +34,9 @@ DECISION_SAMPLING_DEFAULT = "nth:25"
 class SelectionOutcome(NamedTuple):
     """What one ``select()`` call saw: winner, runner-up, tie-breaker.
 
-    Both :class:`~repro.core.candidates.CandidateEngine` and the rescan
-    baseline store one of these on the router (via
-    ``GlobalRouter._record_selection``) whenever tracing is enabled, so
-    the deletion that follows can be explained.
+    :class:`~repro.core.candidates.CandidateEngine` stores one of these
+    on the router (via ``GlobalRouter._record_selection``) whenever
+    tracing is enabled, so the deletion that follows can be explained.
     """
 
     best_key: tuple

@@ -11,29 +11,19 @@ from .graph import (
 )
 from .build import build_routing_graph
 from .tentative_tree import TentativeTree, compute_tentative_tree
-from .tree_engine import (
-    FullTreeEngine,
-    IncrementalTreeEngine,
-    TREE_ENGINES,
-    dijkstra_to_terminals,
-    make_tree_engine,
-    tree_graph_labels,
-)
+from .tree_engine import TreeEngine, dijkstra_to_terminals, tree_graph_labels
 
 __all__ = [
     "DeletionResult",
     "EdgeKind",
-    "FullTreeEngine",
-    "IncrementalTreeEngine",
     "RouteEdge",
     "RouteVertex",
     "RoutingGraph",
-    "TREE_ENGINES",
     "TentativeTree",
+    "TreeEngine",
     "VertexKind",
     "build_routing_graph",
     "compute_tentative_tree",
     "dijkstra_to_terminals",
-    "make_tree_engine",
     "tree_graph_labels",
 ]

@@ -36,14 +36,12 @@ to, and prunes by walking a frontier out from the deletion site instead
 of rescanning every vertex.  Deletion can only *create* bridges (it
 never merges components), so flags outside the affected component are
 untouched.  The classic full pass — prune everything unreachable, strip
-pendant subtrees, fresh driver-rooted Tarjan — remains the reference
-path: :meth:`reclassify` runs it wholesale (that is also the contract
-for callers that flip ``alive`` flags directly, like the negotiated
-engine's finalizer — mutate, then ``reclassify()``), and ``delete``
-falls back to it whenever the local bookkeeping cannot vouch for the
-affected region.  Both paths produce bit-identical alive/essential
-state, pruned sets, and lengths; ``incremental_reclassify = False``
-pins a graph (or the class) to the reference path for A/B measurement.
+pendant subtrees, fresh driver-rooted Tarjan — is :meth:`reclassify`:
+graph construction runs it, callers that flip ``alive`` flags directly
+(like the negotiated engine's finalizer) mutate and then call it, and
+``delete`` falls back to it whenever the local bookkeeping cannot vouch
+for the affected region.  Both paths produce bit-identical
+alive/essential state, pruned sets, and lengths.
 """
 
 from __future__ import annotations
@@ -172,14 +170,6 @@ class DeletionResult:
 
 class RoutingGraph:
     """Mutable routing graph of one net with live classification."""
-
-    #: Class-wide switch for the incremental delete path.  ``False``
-    #: pins every deletion to the reference full reclassify (prune +
-    #: fresh Tarjan) — the pre-optimization behaviour — for A/B
-    #: benchmarks and property tests.  Deliberately *not* a
-    #: :class:`~repro.core.config.RouterConfig` knob: both paths are
-    #: bit-identical, so the choice must never enter batch cache keys.
-    incremental_reclassify: bool = True
 
     def __init__(
         self,
@@ -424,9 +414,9 @@ class RoutingGraph:
             raise RoutingGraphError(
                 f"edge {edge_id} is essential and cannot be deleted"
             )
-        if self._stranded or not self.incremental_reclassify:
-            # Reference mode, or the decomposition cannot vouch for the
-            # graph: classic full pass (prune + fresh Tarjan).
+        if self._stranded:
+            # The decomposition cannot vouch for the graph: classic
+            # full pass (prune + fresh Tarjan).
             self._m_fallbacks.inc()
             self.alive[edge_id] = False
             result = DeletionResult(deleted=edge_id, removed=[edge_id])

@@ -1,4 +1,4 @@
-"""Incremental tentative-tree evaluation (the PR 5 hot-path engine).
+"""Incremental tentative-tree evaluation.
 
 Every delay criterion of Section 3.2 is defined over the *tentative
 tree*, and evaluating a candidate deletion means recomputing that tree
@@ -36,8 +36,7 @@ order — the bit-identity guarantee is structural, not coincidental.
 
 The fast path is only sound for the ``"spt"`` estimator: a KMB Steiner
 tree's metric closure can route through off-tree edges, so the
-``"steiner"`` estimator always recomputes from scratch under either
-engine.
+``"steiner"`` estimator always recomputes from scratch.
 """
 
 from __future__ import annotations
@@ -105,16 +104,14 @@ def tree_graph_labels(
 def dijkstra_to_terminals(
     graph: RoutingGraph,
     skip_edge: Optional[int] = None,
-    exhaustive: bool = False,
 ) -> Optional[TentativeTree]:
     """Tentative tree via early-terminated Dijkstra on the CSR arrays.
 
     Identical output to
     :func:`~repro.routegraph.tentative_tree.compute_tentative_tree` —
     same relaxation order, same backtrace, same summation order — but
-    stops once every terminal vertex has been settled (pass
-    ``exhaustive=True`` to disable the cutoff, used by the regression
-    tests).  Returns ``None`` when some terminal is unreachable.
+    stops once every terminal vertex has been settled.  Returns ``None``
+    when some terminal is unreachable.
     """
     indptr, nbr_vertex, nbr_edge, nbr_length = graph.csr_lists()
     n = len(graph.vertices)
@@ -132,7 +129,7 @@ def dijkstra_to_terminals(
             continue
         if vertex in pending:
             pending.discard(vertex)
-            if not pending and not exhaustive:
+            if not pending:
                 break
         for i in range(indptr[vertex], indptr[vertex + 1]):
             edge_id = nbr_edge[i]
@@ -149,13 +146,27 @@ def dijkstra_to_terminals(
     return collect_union(graph, dist, parent_edge)
 
 
-class FullTreeEngine:
-    """Recompute-from-scratch evaluation: the seed behaviour behind the
-    engine interface.  Every :meth:`evaluate` runs the configured
-    estimator over the whole graph, exactly as ``_cl_if_deleted`` did
-    before the engine existed."""
+class TreeEngine:
+    """Tentative trees of one net's graph, per candidate deletion.
 
-    kind = "full"
+    ``evaluate`` first checks whether ``skip_edge`` lies on the current
+    tree; off-tree candidates — the common case — reuse the tree object
+    with zero graph work.  On-tree candidates run an early-terminated
+    Dijkstra over the CSR adjacency, and the resulting *alternate tree*
+    is memoised: excluding an alive edge and deleting it are the same
+    Dijkstra (a stranded fragment hangs off the graph only through the
+    deleted edge, so with that edge skipped its vertices are never
+    relaxed), which makes the alternate computed while *scoring* a
+    candidate exactly the tree needed when that candidate *wins* —
+    ``refresh`` after the deletion reuses it without touching the graph.
+    Memo entries survive later deletions too, as long as no removed edge
+    lies on them (the same off-union invariance, applied once per
+    removed edge).  The fast paths are deliberately untimed: wrapping a
+    set-membership check in a timer context would cost more than the
+    check itself.  Under the ``"spt"`` estimator every result equals
+    :func:`~repro.routegraph.tentative_tree.compute_tentative_tree` on
+    the current graph bit for bit.
+    """
 
     def __init__(
         self,
@@ -183,10 +194,11 @@ class FullTreeEngine:
         self._m_traversals = traversals
         self._timer = timer
         # Candidates already Dijkstra'd once on this graph build.  A
-        # second run for the same candidate is a *repeat* — the cost
-        # class the incremental engine exists to eliminate (the first
-        # scoring of each candidate is irreducible under any engine).
+        # second run for the same candidate is a *repeat*; the first
+        # scoring of each candidate is irreducible.
         self._evaluated: set = set()
+        # skip_edge -> its alternate tree, valid for the current graph.
+        self._alt: Dict[int, TentativeTree] = {}
 
     def _count_eval_run(self, skip_edge: int) -> None:
         self._m_dijkstra.inc()
@@ -198,71 +210,12 @@ class FullTreeEngine:
     def refresh(
         self, removed: Optional[Sequence[int]] = None
     ) -> Optional[TentativeTree]:
-        """Recompute the tree of the current graph and bump the version.
+        """The tree of the current graph; bumps the version.
 
-        ``removed`` optionally names the edges that just left the graph
-        (one deletion plus its pruned strands); the full engine ignores
-        the hint and recomputes unconditionally, exactly like the seed.
+        ``removed`` names the edges that just left the graph (one
+        deletion plus its pruned strands); without it the tree is
+        recomputed from scratch.
         """
-        self.version += 1
-        self._m_dijkstra.inc()
-        with self._timer():
-            self.tree = self._estimate(self.graph)
-        return self.tree
-
-    def evaluate(self, skip_edge: int) -> Optional[TentativeTree]:
-        """Tree of the current graph with ``skip_edge`` excluded."""
-        self._m_evals.inc()
-        self._count_eval_run(skip_edge)
-        with self._timer():
-            return self._estimate(self.graph, skip_edge)
-
-    def evaluate_many(
-        self, edge_ids: Sequence[int]
-    ) -> List[Optional[TentativeTree]]:
-        """Trees for a batch of candidate exclusions, in input order.
-
-        One exclusion per candidate means the batch cannot share a
-        Dijkstra frontier without changing relaxation outcomes, so the
-        base engine simply evaluates each candidate; the incremental
-        engine answers the whole off-union part of the batch with set
-        lookups against the current tree in one pass (see its
-        override).  Either way each entry equals the corresponding
-        :meth:`evaluate` result bit for bit.
-        """
-        return [self.evaluate(edge_id) for edge_id in edge_ids]
-
-
-class IncrementalTreeEngine(FullTreeEngine):
-    """Fast-path + early-termination engine (bit-identical to full).
-
-    ``evaluate`` first checks whether ``skip_edge`` lies on the current
-    tree; off-tree candidates — the common case — reuse the tree object
-    with zero graph work.  On-tree candidates run an early-terminated
-    Dijkstra over the CSR adjacency, and the resulting *alternate tree*
-    is memoised: excluding an alive edge and deleting it are the same
-    Dijkstra (a stranded fragment hangs off the graph only through the
-    deleted edge, so with that edge skipped its vertices are never
-    relaxed), which makes the alternate computed while *scoring* a
-    candidate exactly the tree needed when that candidate *wins* —
-    ``refresh`` after the deletion reuses it without touching the graph.
-    Memo entries survive later deletions too, as long as no removed edge
-    lies on them (the same off-union invariance, applied once per
-    removed edge).  The fast paths are deliberately untimed: wrapping a
-    set-membership check in a timer context would cost more than the
-    check itself.
-    """
-
-    kind = "incremental"
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # skip_edge -> its alternate tree, valid for the current graph.
-        self._alt: Dict[int, TentativeTree] = {}
-
-    def refresh(
-        self, removed: Optional[Sequence[int]] = None
-    ) -> Optional[TentativeTree]:
         self.version += 1
         if (
             removed is None
@@ -319,6 +272,7 @@ class IncrementalTreeEngine(FullTreeEngine):
         return self.tree
 
     def evaluate(self, skip_edge: int) -> Optional[TentativeTree]:
+        """Tree of the current graph with ``skip_edge`` excluded."""
         self._m_evals.inc()
         if self.estimator != "spt":
             self._count_eval_run(skip_edge)
@@ -352,7 +306,7 @@ class IncrementalTreeEngine(FullTreeEngine):
         alternate run their own early-terminated Dijkstra.
         """
         if self.estimator != "spt" or self.tree is None:
-            return super().evaluate_many(edge_ids)
+            return [self.evaluate(edge_id) for edge_id in edge_ids]
         on_union = self.tree.edge_ids
         out: List[Optional[TentativeTree]] = []
         fastpath = 0
@@ -377,26 +331,3 @@ class IncrementalTreeEngine(FullTreeEngine):
             self._m_fastpath.inc(fastpath)
         return out
 
-
-TREE_ENGINES = {
-    "full": FullTreeEngine,
-    "incremental": IncrementalTreeEngine,
-}
-"""Available tentative-tree engines by name."""
-
-
-def make_tree_engine(
-    kind: str,
-    graph: RoutingGraph,
-    estimator: str = "spt",
-    **counters,
-) -> FullTreeEngine:
-    """Instantiate the engine named ``kind`` bound to ``graph``."""
-    try:
-        cls = TREE_ENGINES[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown tree engine {kind!r}; expected one of "
-            f"{sorted(TREE_ENGINES)}"
-        ) from None
-    return cls(graph, estimator, **counters)

@@ -3,6 +3,8 @@ results reused across the test suite."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -21,6 +23,9 @@ from repro import (
     place_circuit,
     standard_ecl_library,
 )
+from repro.core.criteria import DelayCriteria, evaluate_delay_criteria
+from repro.core.selection import selection_key
+from repro.routegraph import compute_tentative_tree
 
 
 @pytest.fixture(scope="session")
@@ -161,3 +166,48 @@ def route_chain(library, constrained: bool = True):
 @pytest.fixture()
 def routed_chain(library):
     return route_chain(library)
+
+
+def routes_sha256(result) -> str:
+    """sha256 over every net's sorted ``(kind, channel, lo, hi)`` edges,
+    nets in name order (shared by the golden-output tests)."""
+    digest = hashlib.sha256()
+    for name in sorted(result.routes):
+        edges = sorted(
+            (e.kind.value, e.channel, e.interval.lo, e.interval.hi)
+            for e in result.routes[name].edges
+        )
+        digest.update(json.dumps([name, edges]).encode())
+    return digest.hexdigest()
+
+
+def fresh_selection_key(router, state, edge_id, mode):
+    """``selection_key`` of one candidate built from the scalar Section
+    3.2–3.4 definitions — the reference tentative tree, the scalar delay
+    criteria and the density engine's current channel statistics — with
+    no router or engine cache in the way (shared by the key-exactness
+    tests)."""
+
+    def wire_cap(tree):
+        return router.delay_model.wire_cap_pf(
+            tree.total_length_um, state.net.width_pitches
+        )
+
+    graph = state.graph
+    edge = graph.edges[edge_id]
+    delay = DelayCriteria.ZERO
+    if router.config.timing_driven and state.context.constrained:
+        delay = evaluate_delay_criteria(
+            state.context,
+            wire_cap(compute_tentative_tree(graph)),
+            wire_cap(compute_tentative_tree(graph, edge_id)),
+            router._ensure_timings(),
+        )
+    return selection_key(
+        edge,
+        delay,
+        router.engine.channel_stats(edge.channel),
+        router.engine.edge_params(edge),
+        mode,
+        tie_break=(state.net.name, edge_id),
+    )

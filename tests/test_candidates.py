@@ -1,8 +1,6 @@
-"""Unit tests for the candidate-selection engines (lifecycle, config,
-metrics) — the heavy equivalence guarantees live in
-``test_selection_equivalence.py`` / ``test_selection_property.py``."""
-
-import pytest
+"""Unit tests for the candidate-selection engine (lifecycle, metrics) —
+the key-exactness property lives in ``test_selection_property.py`` and
+the pinned deletion sequences in ``test_edge_deletion_golden.py``."""
 
 from conftest import build_chain_circuit
 from repro import (
@@ -13,12 +11,11 @@ from repro import (
     RouterConfig,
     place_circuit,
 )
-from repro.core.candidates import CandidateEngine, RescanSelector
+from repro.core.candidates import CandidateEngine
 from repro.core.selection import SelectionMode
-from repro.errors import ConfigError
 
 
-def make_router(library, engine="incremental"):
+def make_router(library):
     circuit = build_chain_circuit(library, n_gates=8)
     placement = place_circuit(
         circuit, PlacerConfig(n_rows=3, feed_fraction=0.4)
@@ -30,45 +27,16 @@ def make_router(library, engine="incremental"):
         frozenset([gd.vertex_of(circuit.cell("ff").terminal("D")).index]),
         2000.0,
     )
-    return GlobalRouter(
-        circuit,
-        placement,
-        [constraint],
-        RouterConfig(selection_engine=engine),
-    )
+    return GlobalRouter(circuit, placement, [constraint], RouterConfig())
 
 
-def prepared(library, engine="incremental"):
-    router = make_router(library, engine)
+def prepared(library):
+    router = make_router(library)
     router._build_timing()
     router._assign_pins_and_feedthroughs()
     router._build_routing_graphs()
     router._init_density_and_trees()
     return router
-
-
-class TestConfig:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError):
-            RouterConfig(selection_engine="quadratic")
-
-    def test_engine_survives_unconstrained(self):
-        config = RouterConfig(selection_engine="rescan").unconstrained()
-        assert config.selection_engine == "rescan"
-
-    def test_selector_factory_honours_config(self, library):
-        router = prepared(library, "incremental")
-        selector = router._make_selector(
-            router._lead_states(), SelectionMode.TIMING
-        )
-        assert isinstance(selector, CandidateEngine)
-        selector.close()
-        router = prepared(library, "rescan")
-        selector = router._make_selector(
-            router._lead_states(), SelectionMode.TIMING
-        )
-        assert isinstance(selector, RescanSelector)
-        selector.close()  # no-op
 
 
 class TestEngineLifecycle:
@@ -109,16 +77,8 @@ class TestEngineLifecycle:
 
 class TestMetrics:
     def test_heap_counters_populated(self, library):
-        router = make_router(library, "incremental")
+        router = make_router(library)
         router.route()
         flat = router.metrics.flat()
         assert flat["router.heap_pops"] > 0
         assert flat["router.heap_stale"] >= 0
-        assert flat["router.key_evals"] >= flat["router.key_recomputes"]
-
-    def test_rescan_has_no_heap_pops(self, library):
-        router = make_router(library, "rescan")
-        router.route()
-        flat = router.metrics.flat()
-        assert flat.get("router.heap_pops", 0) == 0
-        assert flat["router.key_evals"] > 0

@@ -1,10 +1,9 @@
 """Tests for the pluggable routing-engine layer.
 
-Covers the registry and capability flags, engine selection through the
-CLI (including the exit-2 contract on unknown names), the service API's
-``engine`` field (400 on unknown, cache-key participation), and a
-hypothesis property: both engines produce sign-off-legal routes on
-random small designs.
+Covers the registry, engine selection through the CLI (including the
+exit-2 contract on unknown names), the service API's ``engine`` field
+(400 on unknown, cache-key participation), and a hypothesis property:
+both engines produce sign-off-legal routes on random small designs.
 """
 
 import json
@@ -47,13 +46,6 @@ class TestRegistry:
     def test_unknown_engine_rejected_by_config(self):
         with pytest.raises(ConfigError):
             RouterConfig(routing_engine="simulated-annealing")
-
-    def test_capabilities(self):
-        edge = EdgeDeletionEngine.capabilities
-        neg = NegotiatedEngine.capabilities
-        assert edge.deterministic and neg.deterministic
-        assert edge.emits_edge_deleted and not neg.emits_edge_deleted
-        assert neg.iterative and not edge.iterative
 
     def test_make_engine_dispatches(self):
         spec = small_suite()[0]

@@ -85,6 +85,19 @@ class TestCacheKey:
         aside = dataclasses.replace(tiny_spec(), feed_style=FeedStyle.ASIDE)
         assert JobSpec(aside).cache_key() != base
 
+    def test_default_config_key_is_pinned(self):
+        # ``config=None`` serializes as ``null``, so the key of a default
+        # job (CLI batch, the service's default engine) does not depend
+        # on RouterConfig's field list: only dataset, mode, technology
+        # and CODE_VERSION_SALT move it.  Bump the salt, and this pin,
+        # only when routing results change.
+        from repro.bench.circuits import small_suite
+
+        s1p1 = next(s for s in small_suite() if s.name == "S1P1")
+        assert JobSpec(s1p1).cache_key() == (
+            "bf5fccd7770ab8206a9caaa0102edd8affbd5de5ed6324b01478724087b073bb"
+        )
+
     def test_code_version_salt_changes_key(self, monkeypatch):
         import repro.exec.jobs as jobs_module
 

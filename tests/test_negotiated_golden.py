@@ -12,7 +12,6 @@ A deliberate change of the engine's routes rewrites the golden with::
     PYTHONPATH=src python -m tests.test_negotiated_golden
 """
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -21,6 +20,7 @@ import pytest
 from repro.bench.circuits import congestion_suite, standard_suite
 from repro.bench.runner import run_dataset
 from repro.core.config import RouterConfig
+from tests.conftest import routes_sha256
 
 GOLDEN = (
     Path(__file__).resolve().parent.parent
@@ -45,19 +45,6 @@ def _spec(name):
 
 def case_id(name, constrained):
     return f"{name}.{'timing' if constrained else 'area'}"
-
-
-def routes_sha256(result):
-    """sha256 over every net's sorted ``(kind, channel, lo, hi)`` edges,
-    nets in name order."""
-    digest = hashlib.sha256()
-    for name in sorted(result.routes):
-        edges = sorted(
-            (e.kind.value, e.channel, e.interval.lo, e.interval.hi)
-            for e in result.routes[name].edges
-        )
-        digest.update(json.dumps([name, edges]).encode())
-    return digest.hexdigest()
 
 
 def fingerprint(name, constrained):

@@ -3,8 +3,7 @@
 The tentpole guarantee: with sampling ``all`` on a standard-suite
 design, *every* deletion carries a decision record whose winning key
 identifies exactly the edge that was deleted — the audit trail replays
-against the deletion sequence the equivalence tests treat as ground
-truth.
+against the deletion sequence ``test_edge_deletion_golden.py`` pins.
 """
 
 import math

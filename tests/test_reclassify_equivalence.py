@@ -5,118 +5,56 @@ pin the incremental bridge-maintenance path to the full-Tarjan reference
 on random graphs; these tests pin it on every standard-suite design
 through the complete Fig. 2 flow — TIMING-mode deletion loop,
 rip-up/reroute re-entry, improvement phases — and through a standalone
-AREA-mode loop.  The contract is bit-identity: same deletion sequence
-(net, edge, criterion, depth, phase, length), same result metrics, same
-reported total length, under either value of
-``RoutingGraph.incremental_reclassify``.
-
-Like the selection-engine equivalence suite, every design routes twice,
-so this file is slow; it is the acceptance gate for the incremental
-reclassify path and must not be skipped casually.
+TIMING-then-AREA loop.  The contract is bit-identity with the reference
+mode that ran a full reclassification per deletion: same deletion
+sequence (net, edge, criterion, depth, phase, length), same result
+metrics, same reported total length.  That mode is retired; its output
+is the golden of ``test_edge_deletion_golden.py``, recorded while both
+paths agreed on every design, and its number of full passes is pinned
+in :data:`REFERENCE_FULL_PASSES`.  These tests read the golden test's
+cached runs.
 """
 
 import pytest
 
-from repro.bench.circuits import make_dataset, standard_suite
-from repro.core import GlobalRouter, RouterConfig
-from repro.core.selection import SelectionMode
-from repro.obs import MemorySink
-from repro.routegraph.graph import RoutingGraph
+from repro.bench.circuits import standard_suite
+from tests.test_edge_deletion_golden import (
+    RouteMatchesGolden,
+    fingerprint,
+    golden,
+)
 
 DESIGNS = [spec.name for spec in standard_suite()]
-_SPECS = {spec.name: spec for spec in standard_suite()}
+
+#: Full reclassifications the reference mode ran on each design's
+#: constrained route (one per graph deletion, mirrors included),
+#: recorded before it was retired.
+REFERENCE_FULL_PASSES = {
+    "C1P1": 228,
+    "C1P2": 224,
+    "C2P1": 402,
+    "C2P2": 410,
+    "C3P1": 550,
+}
 
 
-def _deletion_events(sink):
-    return [
-        (
-            e.data["net"],
-            e.data["edge"],
-            e.data["criterion"],
-            e.data["depth"],
-            e.data["phase"],
-            e.data["length_um"],
+@pytest.mark.parametrize("design", DESIGNS)
+class TestFullRouteEquivalence(RouteMatchesGolden):
+    def test_incremental_path_actually_ran(self, design):
+        run = fingerprint(design, "timing")
+        local = run["graph.bridge_local_recomputes"]
+        assert local > 0, f"{design}: the local path never ran"
+        # Every graph deletion the reference made took exactly one of
+        # the two paths here.
+        assert (
+            local + run["graph.bridge_full_fallbacks"]
+            == REFERENCE_FULL_PASSES[design]
         )
-        for e in sink.of_kind("edge_deleted")
-    ]
-
-
-def _make_router(design, sink):
-    dataset = make_dataset(_SPECS[design])
-    return GlobalRouter(
-        dataset.circuit,
-        dataset.placement,
-        dataset.constraints,
-        RouterConfig(),
-        trace_sink=sink,
-    )
-
-
-def _route(design, incremental):
-    """Full route of one design under one reclassification path."""
-    prev = RoutingGraph.incremental_reclassify
-    RoutingGraph.incremental_reclassify = incremental
-    try:
-        sink = MemorySink()
-        router = _make_router(design, sink)
-        result = router.route()
-        return _deletion_events(sink), result, router.metrics.flat()
-    finally:
-        RoutingGraph.incremental_reclassify = prev
-
-
-def _area_loop(design, incremental):
-    """Standalone AREA-mode deletion loop over all lead states."""
-    prev = RoutingGraph.incremental_reclassify
-    RoutingGraph.incremental_reclassify = incremental
-    try:
-        sink = MemorySink()
-        router = _make_router(design, sink)
-        router._build_timing()
-        router._assign_pins_and_feedthroughs()
-        router._build_routing_graphs()
-        router._init_density_and_trees()
-        router._deletion_loop(router._lead_states(), SelectionMode.TIMING)
-        router._deletion_loop(router._lead_states(), SelectionMode.AREA)
-        return _deletion_events(sink)
-    finally:
-        RoutingGraph.incremental_reclassify = prev
-
-
-@pytest.fixture(scope="module", params=DESIGNS)
-def routed_pair(request):
-    """One design routed under both reclassification paths."""
-    design = request.param
-    return design, _route(design, False), _route(design, True)
-
-
-class TestFullRouteEquivalence:
-    def test_deletion_sequence_identical(self, routed_pair):
-        design, (seq_ref, _, _), (seq_inc, _, _) = routed_pair
-        assert seq_inc == seq_ref, (
-            f"{design}: incremental reclassify diverged from the full "
-            f"reference at index "
-            f"{next(i for i, (a, b) in enumerate(zip(seq_ref, seq_inc)) if a != b)}"
-        )
-
-    def test_results_identical(self, routed_pair):
-        design, (_, res_ref, _), (_, res_inc, _) = routed_pair
-        assert res_inc.deletions == res_ref.deletions
-        assert res_inc.reroutes == res_ref.reroutes
-        assert res_inc.total_length_um == res_ref.total_length_um
-        assert res_inc.critical_delay_ps == res_ref.critical_delay_ps
-        assert res_inc.channel_peak_density == res_ref.channel_peak_density
-        assert res_inc.constraint_margins == res_ref.constraint_margins
-
-    def test_incremental_path_actually_ran(self, routed_pair):
-        design, (_, _, m_ref), (_, _, m_inc) = routed_pair
-        assert m_inc.get("graph.bridge_local_recomputes", 0) > 0, (
-            f"{design}: incremental mode never took the local path"
-        )
-        assert m_ref.get("graph.bridge_local_recomputes", 0) == 0
-        assert m_ref.get("graph.bridge_full_fallbacks", 0) > 0
 
 
 @pytest.mark.parametrize("design", DESIGNS)
 def test_area_mode_sequence_identical(design):
-    assert _area_loop(design, True) == _area_loop(design, False)
+    assert (
+        fingerprint(design, "timing_area_loop")["stream_sha256"]
+        == golden(design, "timing_area_loop")["stream_sha256"]
+    )

@@ -1,14 +1,16 @@
 """Property tests: incremental reclassification ≡ full-Tarjan reference.
 
 The exactness contract of the incremental delete path
-(:attr:`RoutingGraph.incremental_reclassify`) is that after *every*
-deletion the graph is in exactly the state the reference path — a full
-Tarjan reclassification per deletion — would have produced: alive sets,
+(:meth:`RoutingGraph.delete`) is that after *every* deletion the graph
+is in exactly the state the reference path — a full Tarjan
+reclassification per deletion — would have produced: alive sets,
 essential flags, vertex liveness, reported ``DeletionResult`` contents
 and the alive-length ledger, bit for bit.  These tests drive random
 multi-terminal graphs through full deletion sequences with a reference
 twin in lockstep and compare everything at every step, under shrinkable
-hypothesis seeds.
+hypothesis seeds.  The twin deletes through :func:`reference_delete`,
+the documented contract for external mutation (flip ``alive``, then
+``reclassify()``), so it never touches the incremental bookkeeping.
 """
 
 import random
@@ -19,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.geometry import Interval
 from repro.netlist import Circuit, standard_ecl_library
 from repro.routegraph.graph import (
+    DeletionResult,
     EdgeKind,
     RouteEdge,
     RouteVertex,
@@ -97,7 +100,7 @@ def random_graph_spec(rng):
     return n_terminals, vertices, edges
 
 
-def materialize(library, spec, *, incremental, name="m"):
+def materialize(library, spec, *, name="m"):
     n_terminals, vertex_spec, edge_spec = spec
     net = make_multi_net(library, n_terminals - 1, name=name)
     vertices = [
@@ -114,9 +117,19 @@ def materialize(library, spec, *, incremental, name="m"):
         RouteEdge(idx, kind, u, v, channel, Interval(x_lo, x_hi), length)
         for idx, kind, u, v, channel, x_lo, x_hi, length in edge_spec
     ]
-    graph = RoutingGraph(net, vertices, edges, list(range(n_terminals)), 0)
-    graph.incremental_reclassify = incremental
-    return graph
+    return RoutingGraph(net, vertices, edges, list(range(n_terminals)), 0)
+
+
+def reference_delete(graph, edge_id):
+    """Delete ``edge_id`` the reference way: flip its ``alive`` flag and
+    run the full ``reclassify()`` (prune + fresh Tarjan)."""
+    graph.alive[edge_id] = False
+    pruned, newly_essential = graph.reclassify()
+    return DeletionResult(
+        deleted=edge_id,
+        removed=[edge_id, *pruned],
+        newly_essential=newly_essential,
+    )
 
 
 def snapshot(graph):
@@ -136,8 +149,8 @@ def test_incremental_matches_reference_at_every_step(seed):
     library = standard_ecl_library()
     rng = random.Random(seed)
     spec = random_graph_spec(rng)
-    inc = materialize(library, spec, incremental=True, name=f"i{seed}")
-    ref = materialize(library, spec, incremental=False, name=f"f{seed}")
+    inc = materialize(library, spec, name=f"i{seed}")
+    ref = materialize(library, spec, name=f"f{seed}")
     assert snapshot(inc) == snapshot(ref)
     steps = 0
     while True:
@@ -147,7 +160,7 @@ def test_incremental_matches_reference_at_every_step(seed):
             break
         edge_id = rng.choice(deletable)
         r_inc = inc.delete(edge_id)
-        r_ref = ref.delete(edge_id)
+        r_ref = reference_delete(ref, edge_id)
         # The deleted edge leads both removed lists; the prune tail is
         # order-unspecified but must cover the same edges.
         assert r_inc.removed[0] == r_ref.removed[0] == edge_id
@@ -169,7 +182,7 @@ def test_incremental_matches_fresh_full_tarjan(seed):
     library = standard_ecl_library()
     rng = random.Random(seed)
     spec = random_graph_spec(rng)
-    graph = materialize(library, spec, incremental=True, name=f"g{seed}")
+    graph = materialize(library, spec, name=f"g{seed}")
     while True:
         deletable = graph.deletable_edges()
         if not deletable:
@@ -191,9 +204,9 @@ class _CountingCounter:
 
 class TestFallbackPath:
     """The cascading-prune fallback: once the graph flags itself as
-    stranded, every subsequent delete must take the reference full
-    reclassification path (and count it as a fallback) while staying
-    bit-identical to an untouched reference twin."""
+    stranded, the next delete must take the full reclassification path
+    (and count it as a fallback) while staying bit-identical to a
+    reference twin."""
 
     def _ring_spec(self):
         # Deterministic spec with loops; seed chosen arbitrarily.
@@ -201,8 +214,8 @@ class TestFallbackPath:
 
     def test_stranded_forces_full_path(self, library):
         spec = self._ring_spec()
-        inc = materialize(library, spec, incremental=True, name="fb_i")
-        ref = materialize(library, spec, incremental=False, name="fb_r")
+        inc = materialize(library, spec, name="fb_i")
+        ref = materialize(library, spec, name="fb_r")
         local = _CountingCounter()
         fallbacks = _CountingCounter()
         inc.instrument(local_recomputes=local, full_fallbacks=fallbacks)
@@ -212,7 +225,7 @@ class TestFallbackPath:
         inc._stranded = True
         edge_id = inc.deletable_edges()[0]
         inc.delete(edge_id)
-        ref.delete(edge_id)
+        reference_delete(ref, edge_id)
         assert snapshot(inc) == snapshot(ref)
         # The stranded delete took the full path...
         assert fallbacks.value == 1
@@ -227,28 +240,13 @@ class TestFallbackPath:
                 break
             edge_id = rng.choice(deletable)
             inc.delete(edge_id)
-            ref.delete(edge_id)
+            reference_delete(ref, edge_id)
             assert snapshot(inc) == snapshot(ref)
         assert fallbacks.value == 1
 
-    def test_reference_mode_counts_fallbacks(self, library):
-        spec = self._ring_spec()
-        graph = materialize(library, spec, incremental=False, name="fb_m")
-        fallbacks = _CountingCounter()
-        graph.instrument(full_fallbacks=fallbacks)
-        rng = random.Random(13)
-        deletions = 0
-        while True:
-            deletable = graph.deletable_edges()
-            if not deletable:
-                break
-            graph.delete(rng.choice(deletable))
-            deletions += 1
-        assert fallbacks.value == deletions
-
     def test_incremental_mode_counts_local_recomputes(self, library):
         spec = self._ring_spec()
-        graph = materialize(library, spec, incremental=True, name="fb_l")
+        graph = materialize(library, spec, name="fb_l")
         local = _CountingCounter()
         fallbacks = _CountingCounter()
         graph.instrument(local_recomputes=local, full_fallbacks=fallbacks)
@@ -272,13 +270,12 @@ class TestExternalMutation:
 
     def test_external_kill_then_reclassify(self, library):
         spec = random_graph_spec(random.Random(23))
-        inc = materialize(library, spec, incremental=True, name="xm_i")
-        ref = materialize(library, spec, incremental=False, name="xm_r")
+        inc = materialize(library, spec, name="xm_i")
+        ref = materialize(library, spec, name="xm_r")
         # Kill one deletable edge behind the graph's back on both.
         edge_id = inc.deletable_edges()[0]
         for graph in (inc, ref):
-            graph.alive[edge_id] = False
-            graph.reclassify()
+            reference_delete(graph, edge_id)
         assert snapshot(inc) == snapshot(ref)
         # The incremental path must keep working after the rebuild.
         while True:
@@ -288,12 +285,12 @@ class TestExternalMutation:
                 break
             edge_id = deletable[0]
             inc.delete(edge_id)
-            ref.delete(edge_id)
+            reference_delete(ref, edge_id)
             assert snapshot(inc) == snapshot(ref)
 
     def test_noop_reclassify_keeps_csr_cache(self, library):
         spec = random_graph_spec(random.Random(29))
-        graph = materialize(library, spec, incremental=True, name="xm_c")
+        graph = materialize(library, spec, name="xm_c")
         first = graph.csr()
         graph.reclassify()
         assert graph.csr() is first

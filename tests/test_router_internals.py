@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from conftest import build_chain_circuit
+from conftest import build_chain_circuit, fresh_selection_key
 from repro import (
     GlobalDelayGraph,
     GlobalRouter,
@@ -14,6 +14,7 @@ from repro import (
     RouterConfig,
     place_circuit,
 )
+from repro.core.candidates import CandidateEngine
 from repro.core.selection import SelectionMode
 
 
@@ -36,8 +37,8 @@ def make_router(library, config=None, limit_ps=2000.0):
 
 class TestKeyCache:
     def test_cached_keys_match_fresh_keys(self, library):
-        """Mid-routing, every cached selection key must equal the key
-        computed from scratch (cache-invalidation correctness)."""
+        """Mid-routing, every key the candidate engine keeps must equal
+        the key computed from scratch (cache-invalidation correctness)."""
         router = make_router(library)
         router._build_timing()
         router._assign_pins_and_feedthroughs()
@@ -45,24 +46,25 @@ class TestKeyCache:
         router._init_density_and_trees()
 
         states = router._lead_states()
-        # Perform a handful of deletions, re-checking the cache each time.
-        for _ in range(6):
-            choice = router._best_candidate(states, SelectionMode.TIMING)
-            if choice is None:
-                break
-            state, edge_id = choice
-            router._delete_edge(state, edge_id)
-            for other in states:
-                for candidate in other.graph.deletable_edges():
-                    cached = router._key_for(
-                        other, candidate, SelectionMode.TIMING
-                    )
-                    other.key_cache.pop(candidate, None)
-                    other.cl_if_deleted.pop(candidate, None)
-                    fresh = router._key_for(
-                        other, candidate, SelectionMode.TIMING
-                    )
-                    assert cached == fresh
+        engine = CandidateEngine(router, states, SelectionMode.TIMING)
+        try:
+            # Perform a handful of deletions, re-checking the keys each time.
+            for _ in range(6):
+                choice = engine.select()
+                if choice is None:
+                    break
+                state, edge_id = choice
+                router._delete_edge(state, edge_id)
+                keys = engine.current_keys()
+                for other in states:
+                    for candidate in other.graph.deletable_edges():
+                        cached = keys[(other.net.name, candidate)]
+                        fresh = fresh_selection_key(
+                            router, other, candidate, SelectionMode.TIMING
+                        )
+                        assert cached == fresh
+        finally:
+            engine.close()
 
     def test_timing_version_advances_on_constrained_change(self, library):
         router = make_router(library)

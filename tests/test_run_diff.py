@@ -1,4 +1,4 @@
-"""Run-diff regression gates: manifest/trace/bench diffing and the
+"""Run-diff regression gates: manifest/trace diffing and the
 ``compare-runs`` CLI, including the two acceptance scenarios — seed
 divergence stays green, an injected density regression goes red."""
 
@@ -8,12 +8,9 @@ import json
 import pytest
 
 from repro.analysis.run_diff import (
-    BENCH_SELECTION_SCHEMA,
-    BENCH_TREE_SCHEMA,
-    DiffThresholds,
+    BENCH_NEGOTIATION_SCHEMA,
     classify_input,
     deletion_divergence,
-    diff_runs,
 )
 from repro.bench.circuits import make_dataset, small_suite
 from repro.cli import main
@@ -162,110 +159,6 @@ class TestInjectedRegression:
         )
 
 
-def _bench_snapshot(**overrides):
-    design = {
-        "deletions": 90,
-        "key_evals_per_deletion_rescan": 120.0,
-        "key_evals_per_deletion_incremental": 70.0,
-        "speedup": 1.7,
-        "wall_s_rescan": 0.2,
-        "wall_s_incremental": 0.18,
-    }
-    design.update(overrides)
-    return {
-        "schema": BENCH_SELECTION_SCHEMA,
-        "suite": "small",
-        "designs": {"S1P1": design},
-    }
-
-
-class TestBenchDiff:
-    def test_identical_snapshots_pass(self):
-        old = _bench_snapshot()
-        diff = diff_runs(old, _bench_snapshot(), DiffThresholds())
-        assert diff.kind == "bench"
-        assert diff.ok
-
-    def test_key_eval_regression_fails(self):
-        old = _bench_snapshot()
-        new = _bench_snapshot(key_evals_per_deletion_incremental=100.0)
-        diff = diff_runs(old, new, DiffThresholds(max_evals_pct=25.0))
-        assert not diff.ok
-
-    def test_wall_gate_off_by_default(self):
-        old = _bench_snapshot()
-        new = _bench_snapshot(wall_s_incremental=10.0)
-        diff = diff_runs(old, new, DiffThresholds())
-        assert diff.ok  # wall gates are opt-in: CI clocks are noisy
-
-    def test_missing_design_fails(self):
-        old = _bench_snapshot()
-        new = _bench_snapshot()
-        new["designs"] = {}
-        diff = diff_runs(old, new, DiffThresholds())
-        assert not diff.ok
-
-    def test_committed_snapshot_accepted_by_cli(self, tmp_path, capsys):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(_bench_snapshot()))
-        code = main(["compare-runs", str(path), str(path)])
-        assert code == 0
-        assert "compare-runs (bench)" in capsys.readouterr().out
-
-
-def _bench_tree_snapshot(**overrides):
-    design = {
-        "deletions": 90,
-        "dijkstra_runs_full": 913,
-        "dijkstra_runs_incremental": 402,
-        "repeat_runs_full": 345,
-        "repeat_runs_incremental": 113,
-        "repeat_speedup": 3.05,
-        "fastpath_hit_rate_incremental": 0.46,
-        "wall_s_full": 0.27,
-        "wall_s_incremental": 0.21,
-    }
-    design.update(overrides)
-    return {
-        "schema": BENCH_TREE_SCHEMA,
-        "suite": "small",
-        "designs": {"S1P1": design},
-    }
-
-
-class TestBenchTreeDiff:
-    def test_identical_snapshots_pass(self):
-        old = _bench_tree_snapshot()
-        diff = diff_runs(old, _bench_tree_snapshot(), DiffThresholds())
-        assert diff.kind == "bench-tree"
-        assert diff.ok
-
-    def test_dijkstra_run_regression_fails(self):
-        old = _bench_tree_snapshot()
-        new = _bench_tree_snapshot(dijkstra_runs_incremental=900)
-        diff = diff_runs(old, new, DiffThresholds(max_evals_pct=25.0))
-        assert not diff.ok
-
-    def test_repeat_run_regression_fails(self):
-        old = _bench_tree_snapshot()
-        new = _bench_tree_snapshot(repeat_runs_incremental=340)
-        diff = diff_runs(old, new, DiffThresholds(max_evals_pct=25.0))
-        assert not diff.ok
-
-    def test_wall_gate_off_by_default(self):
-        old = _bench_tree_snapshot()
-        new = _bench_tree_snapshot(wall_s_incremental=10.0)
-        diff = diff_runs(old, new, DiffThresholds())
-        assert diff.ok
-
-    def test_committed_snapshot_accepted_by_cli(self, tmp_path, capsys):
-        path = tmp_path / "bench_tree.json"
-        path.write_text(json.dumps(_bench_tree_snapshot()))
-        code = main(["compare-runs", str(path), str(path)])
-        assert code == 0
-        assert "compare-runs (bench-tree)" in capsys.readouterr().out
-
-
 class TestInputClassification:
     def test_classify_rejects_unknown_schema(self):
         with pytest.raises(ValueError):
@@ -274,7 +167,10 @@ class TestInputClassification:
     def test_kind_mismatch_is_an_input_error(self, seed_pair, tmp_path):
         manifest_path, _, _, _ = seed_pair["a"]
         bench_path = tmp_path / "bench.json"
-        bench_path.write_text(json.dumps(_bench_snapshot()))
+        bench_path.write_text(json.dumps({
+            "schema": BENCH_NEGOTIATION_SCHEMA,
+            "designs": {},
+        }))
         code = main([
             "compare-runs", str(manifest_path), str(bench_path),
         ])

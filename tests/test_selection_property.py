@@ -6,13 +6,16 @@ selection mode, and each victim) and checks the engine's core invariant
 after every deletion:
 
 * **completeness** — every surviving candidate (alive, non-essential,
-  deletable edge of a tracked net) has a fresh-stamped heap entry;
-* **exactness** — that entry's key equals a freshly computed
-  ``selection_key`` (cache bypassed).
+  deletable edge of a tracked net) has a live key row;
+* **exactness** — that row's key equals a ``selection_key`` built from
+  scratch out of the scalar Section 3.2–3.4 definitions: the reference
+  tentative tree (:func:`compute_tentative_tree`), the scalar
+  :func:`evaluate_delay_criteria` and the density engine's current
+  channel statistics — no router cache involved.
 
-Together these imply the heap minimum is the rescan minimum at every
-step, for arbitrary interleavings — not just the ones the router's own
-greedy loop happens to produce.
+Together these imply the engine's minimum is the minimum of the fresh
+keys at every step, for arbitrary interleavings — not just the ones the
+router's own greedy loop happens to produce.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -24,6 +27,7 @@ from repro.bench.circuits import (
     FeedStyle,
     make_dataset,
 )
+from conftest import fresh_selection_key
 from repro.core import GlobalRouter, RouterConfig
 from repro.core.candidates import CandidateEngine
 from repro.core.selection import SelectionMode
@@ -68,12 +72,6 @@ def _survivors(states):
     }
 
 
-def _fresh_key(router, state, edge_id, mode):
-    """``selection_key`` recomputed from scratch, cache bypassed."""
-    state.key_cache.pop(edge_id, None)
-    return router._key_for(state, edge_id, mode)
-
-
 @settings(
     max_examples=8,
     deadline=None,
@@ -94,15 +92,15 @@ def test_heap_keys_match_fresh_keys(circuit_seed, mode, data):
             survivors = _survivors(states)
             missing = survivors - set(keys)
             assert not missing, (
-                f"step {step}: candidates with no fresh heap entry: "
+                f"step {step}: candidates with no live key row: "
                 f"{sorted(missing)[:5]}"
             )
             for name, edge_id in survivors:
                 state = router.states[name]
-                fresh = _fresh_key(router, state, edge_id, mode)
+                fresh = fresh_selection_key(router, state, edge_id, mode)
                 assert keys[(name, edge_id)] == fresh, (
                     f"step {step}: stale key served for ({name}, "
-                    f"{edge_id}): heap={keys[(name, edge_id)]} "
+                    f"{edge_id}): engine={keys[(name, edge_id)]} "
                     f"fresh={fresh}"
                 )
             if not survivors:

@@ -1,4 +1,4 @@
-"""Tests for repro.routegraph.tentative_tree and the tree engines."""
+"""Tests for repro.routegraph.tentative_tree and the tree engine."""
 
 import math
 from itertools import islice
@@ -17,12 +17,10 @@ from repro.core import GlobalRouter, RouterConfig
 from repro.layout.placement import Placement
 from repro.netlist import Circuit
 from repro.routegraph import (
-    FullTreeEngine,
-    IncrementalTreeEngine,
+    TreeEngine,
     build_routing_graph,
     compute_tentative_tree,
     dijkstra_to_terminals,
-    make_tree_engine,
     tree_graph_labels,
 )
 from repro.routegraph.graph import EdgeKind
@@ -125,7 +123,7 @@ class TestTentativeTree:
 
 
 def _assert_same_tree(reference, candidate):
-    """Bit-exact agreement — no approx: the engines' contract."""
+    """Bit-exact agreement — no approx: the engine's contract."""
     assert (reference is None) == (candidate is None)
     if reference is None:
         return
@@ -136,19 +134,10 @@ def _assert_same_tree(reference, candidate):
 
 class TestEarlyTermination:
     """``dijkstra_to_terminals`` may stop at the last settled terminal;
-    the exhaustive run is the referee.  ``star_setup`` places a terminal
-    mid-graph (col 5, between driver col 3 and far sink col 9), so the
-    cutoff genuinely fires before the far reaches are settled."""
-
-    def test_matches_exhaustive_for_every_skip(self, library):
-        _, placement, net = star_setup(library)
-        graph = build_routing_graph(net, placement, {})
-        for skip in [None] + [e.index for e in graph.alive_edges()]:
-            early = dijkstra_to_terminals(graph, skip)
-            exhaustive = dijkstra_to_terminals(
-                graph, skip, exhaustive=True
-            )
-            _assert_same_tree(exhaustive, early)
+    the reference estimator, which never stops early, is the referee.
+    ``star_setup`` places a terminal mid-graph (col 5, between driver
+    col 3 and far sink col 9), so the cutoff genuinely fires before the
+    far reaches are settled."""
 
     def test_matches_reference_estimator(self, library):
         _, placement, net = star_setup(library)
@@ -183,17 +172,11 @@ class _Counter:
 
 
 class TestTreeEngines:
-    def test_make_tree_engine_rejects_unknown_kind(self, library):
-        _, placement, net = star_setup(library)
-        graph = build_routing_graph(net, placement, {})
-        with pytest.raises(ValueError):
-            make_tree_engine("nope", graph)
-
     def test_off_tree_candidate_is_fast_path(self, library):
         _, placement, net = star_setup(library)
         graph = build_routing_graph(net, placement, {})
         runs, fast = _Counter(), _Counter()
-        engine = IncrementalTreeEngine(
+        engine = TreeEngine(
             graph, dijkstra_runs=runs, fastpath_hits=fast
         )
         tree = engine.refresh()
@@ -213,7 +196,7 @@ class TestTreeEngines:
         _, placement, net = star_setup(library)
         graph = build_routing_graph(net, placement, {})
         runs = _Counter()
-        engine = IncrementalTreeEngine(graph, dijkstra_runs=runs)
+        engine = TreeEngine(graph, dijkstra_runs=runs)
         tree = engine.refresh()
         victim = next(
             e for e in graph.deletable_edges() if e in tree.edge_ids
@@ -230,7 +213,7 @@ class TestTreeEngines:
     def test_version_bumps_even_when_tree_unchanged(self, library):
         _, placement, net = star_setup(library)
         graph = build_routing_graph(net, placement, {})
-        engine = IncrementalTreeEngine(graph)
+        engine = TreeEngine(graph)
         tree = engine.refresh()
         off_tree = next(
             e
@@ -248,7 +231,7 @@ class TestTreeEngines:
         while graph.deletable_edges():
             graph.delete(graph.deletable_edges()[0])
         runs, traversals = _Counter(), _Counter()
-        engine = IncrementalTreeEngine(
+        engine = TreeEngine(
             graph, dijkstra_runs=runs, traversals=traversals
         )
         _assert_same_tree(compute_tentative_tree(graph), engine.refresh())
@@ -260,13 +243,10 @@ class TestTreeEngines:
         graph = build_routing_graph(net, placement, {})
         while graph.deletable_edges():
             graph.delete(graph.deletable_edges()[0])
-        full = FullTreeEngine(graph)
-        incremental = IncrementalTreeEngine(graph)
-        full.refresh()
-        incremental.refresh()
+        engine = TreeEngine(graph)
+        engine.refresh()
         essential = next(e.index for e in graph.alive_edges())
-        assert full.evaluate(essential) is None
-        assert incremental.evaluate(essential) is None
+        assert engine.evaluate(essential) is None
 
 
 def _prepared_router(circuit_seed: int) -> GlobalRouter:
@@ -305,7 +285,7 @@ def _prepared_router(circuit_seed: int) -> GlobalRouter:
 @given(circuit_seed=st.integers(min_value=0, max_value=9999), data=st.data())
 def test_engines_agree_on_random_graphs(circuit_seed, data):
     """Property: on randomly generated routing graphs, driven through a
-    random deletion walk, both engines agree bit-exactly with the
+    random deletion walk, the engine agrees bit-exactly with the
     reference estimator — for the refreshed tree and for *every* alive
     deletable skip edge at every step."""
     router = _prepared_router(circuit_seed)
@@ -313,18 +293,16 @@ def test_engines_agree_on_random_graphs(circuit_seed, data):
         state.graph for state in islice(router.states.values(), 10)
     ]
     for graph in graphs:
-        full = FullTreeEngine(graph)
-        incremental = IncrementalTreeEngine(graph)
-        _assert_same_tree(full.refresh(), incremental.refresh())
+        engine = TreeEngine(graph)
+        _assert_same_tree(compute_tentative_tree(graph), engine.refresh())
         for _ in range(4):
             candidates = graph.deletable_edges()
             if not candidates:
                 break
             for edge_id in candidates:
-                reference = compute_tentative_tree(graph, edge_id)
-                _assert_same_tree(reference, full.evaluate(edge_id))
                 _assert_same_tree(
-                    reference, incremental.evaluate(edge_id)
+                    compute_tentative_tree(graph, edge_id),
+                    engine.evaluate(edge_id),
                 )
             victim = candidates[
                 data.draw(
@@ -334,5 +312,5 @@ def test_engines_agree_on_random_graphs(circuit_seed, data):
             ]
             removed = graph.delete(victim).removed
             _assert_same_tree(
-                full.refresh(removed), incremental.refresh(removed)
+                compute_tentative_tree(graph), engine.refresh(removed)
             )

@@ -1,139 +1,64 @@
-"""Seed-equivalence of the incremental tree engine.
+"""Seed-equivalence of the tentative-tree engine on every standard-suite
+design.
 
-The :class:`IncrementalTreeEngine`'s contract is *bit-identical*
-reproduction of the full per-candidate Dijkstra: on every standard-suite
-design the two engines must produce the identical deletion sequence —
-same net, same edge id, same order, same winning criterion — and the
-identical final routing, through the complete Fig. 2 flow and through a
-standalone AREA-mode deletion loop.
-
-These tests route every design twice, so they are slow; they are the
-acceptance gate for ``RouterConfig.tree_engine`` and must not be
-skipped casually.
-
-Both engines here run under the default incremental graph
-reclassification; ``tests/test_reclassify_equivalence.py`` is the
-companion suite pinning that axis (incremental vs full-Tarjan
-reclassify) to the same bit-identity bar.
+The :class:`~repro.routegraph.tree_engine.TreeEngine`'s contract is
+*bit-identical* reproduction of the seed's full per-candidate Dijkstra:
+the identical deletion sequence — same net, same edge id, same order,
+same winning criterion — and the identical final routing, through the
+complete Fig. 2 flow and through a standalone AREA-mode deletion loop.
+The full tree engine is retired; its output is the golden of
+``test_edge_deletion_golden.py``, recorded while both engines agreed on
+every design, and its work is pinned in :data:`FULL_ENGINE_WORK`.
+These tests hold the one remaining engine to both, reading the golden
+test's cached runs.
 """
 
 import pytest
 
-from repro.bench.circuits import make_dataset, standard_suite
-from repro.core import GlobalRouter, RouterConfig
-from repro.core.selection import SelectionMode
-from repro.obs import MemorySink
+from repro.bench.circuits import standard_suite
+from tests.test_edge_deletion_golden import (
+    RouteMatchesGolden,
+    fingerprint,
+    golden,
+)
 
 DESIGNS = [spec.name for spec in standard_suite()]
-_SPECS = {spec.name: spec for spec in standard_suite()}
+
+#: Dijkstra work of the full tree engine (one search per candidate) on
+#: each design's constrained route, recorded before it was retired.
+FULL_ENGINE_WORK = {
+    "C1P1": {"tree_dijkstra_runs": 1831, "tree_dijkstra_repeats": 567},
+    "C1P2": {"tree_dijkstra_runs": 1795, "tree_dijkstra_repeats": 558},
+    "C2P1": {"tree_dijkstra_runs": 3385, "tree_dijkstra_repeats": 1208},
+    "C2P2": {"tree_dijkstra_runs": 3490, "tree_dijkstra_repeats": 1227},
+    "C3P1": {"tree_dijkstra_runs": 3052, "tree_dijkstra_repeats": 669},
+}
 
 
-def _deletion_events(sink):
-    return [
-        (
-            e.data["net"],
-            e.data["edge"],
-            e.data["criterion"],
-            e.data["depth"],
-            e.data["phase"],
-        )
-        for e in sink.of_kind("edge_deleted")
-    ]
-
-
-def _route(design, engine):
-    """Full route of one design under one tree engine."""
-    dataset = make_dataset(_SPECS[design])
-    sink = MemorySink()
-    router = GlobalRouter(
-        dataset.circuit,
-        dataset.placement,
-        dataset.constraints,
-        RouterConfig(tree_engine=engine),
-        trace_sink=sink,
-    )
-    result = router.route()
-    final_trees = {
-        name: (
-            state.cl_pf,
-            None
-            if state.tree is None
-            else (
-                state.tree.total_length_um,
-                frozenset(state.tree.edge_ids),
-            ),
-        )
-        for name, state in router.states.items()
-    }
-    return _deletion_events(sink), result, router.metrics.flat(), final_trees
-
-
-def _area_loop(design, engine):
-    """Standalone AREA-mode deletion loop over all lead states."""
-    dataset = make_dataset(_SPECS[design])
-    sink = MemorySink()
-    router = GlobalRouter(
-        dataset.circuit,
-        dataset.placement,
-        dataset.constraints,
-        RouterConfig(tree_engine=engine),
-        trace_sink=sink,
-    )
-    router._build_timing()
-    router._assign_pins_and_feedthroughs()
-    router._build_routing_graphs()
-    router._init_density_and_trees()
-    router._deletion_loop(router._lead_states(), SelectionMode.AREA)
-    return _deletion_events(sink)
-
-
-@pytest.fixture(scope="module", params=DESIGNS)
-def routed_pair(request):
-    """One design routed under both tree engines."""
-    design = request.param
-    return design, _route(design, "full"), _route(design, "incremental")
-
-
-class TestFullRouteEquivalence:
-    def test_deletion_sequence_identical(self, routed_pair):
-        design, (seq_full, _, _, _), (seq_inc, _, _, _) = routed_pair
-        assert seq_inc == seq_full, (
-            f"{design}: incremental tree engine diverged from the full "
-            f"baseline at index "
-            f"{next(i for i, (a, b) in enumerate(zip(seq_full, seq_inc)) if a != b)}"
-        )
-
-    def test_results_identical(self, routed_pair):
-        design, (_, res_full, _, _), (_, res_inc, _, _) = routed_pair
-        assert res_inc.deletions == res_full.deletions
-        assert res_inc.reroutes == res_full.reroutes
-        assert res_inc.total_length_um == res_full.total_length_um
-        assert res_inc.critical_delay_ps == res_full.critical_delay_ps
+@pytest.mark.parametrize("design", DESIGNS)
+class TestFullRouteEquivalence(RouteMatchesGolden):
+    def test_final_trees_bit_identical(self, design):
         assert (
-            res_inc.channel_peak_density == res_full.channel_peak_density
+            fingerprint(design, "timing")["trees_sha256"]
+            == golden(design, "timing")["trees_sha256"]
         )
-        assert res_inc.constraint_margins == res_full.constraint_margins
 
-    def test_final_trees_bit_identical(self, routed_pair):
-        design, (_, _, _, trees_full), (_, _, _, trees_inc) = routed_pair
-        assert trees_inc == trees_full
-
-    def test_incremental_never_runs_more_dijkstras(self, routed_pair):
-        design, (_, _, m_full, _), (_, _, m_inc, _) = routed_pair
+    def test_incremental_never_runs_more_dijkstras(self, design):
+        run = fingerprint(design, "timing")
+        full = FULL_ENGINE_WORK[design]
+        assert run["router.tree_dijkstra_runs"] <= full["tree_dijkstra_runs"]
         assert (
-            m_inc["router.tree_dijkstra_runs"]
-            <= m_full["router.tree_dijkstra_runs"]
-        )
-        assert (
-            m_inc["router.tree_dijkstra_repeats"]
-            <= m_full["router.tree_dijkstra_repeats"]
+            run["router.tree_dijkstra_repeats"]
+            <= full["tree_dijkstra_repeats"]
         )
 
-    def test_fast_path_actually_fires(self, routed_pair):
-        design, _, (_, _, m_inc, _) = routed_pair
-        assert m_inc["router.tree_fastpath_hits"] > 0
+    def test_fast_path_actually_fires(self, design):
+        assert fingerprint(design, "timing")["router.tree_fastpath_hits"] > 0
 
 
 @pytest.mark.parametrize("design", DESIGNS)
 def test_area_mode_sequence_identical(design):
-    assert _area_loop(design, "incremental") == _area_loop(design, "full")
+    assert (
+        fingerprint(design, "area_loop")["stream_sha256"]
+        == golden(design, "area_loop")["stream_sha256"]
+    )
