@@ -38,6 +38,17 @@ zero overuse (the relaxation count is reported as
 Differential pairs route in lock step: the lead's tree is mirrored onto
 the partner graph through the Section 4.1 edge correspondence, and both
 trees charge usage.
+
+Negotiation never changes a routing graph; only finalization prunes.
+So everything a reroute needs from a graph is derived once per net, in
+:class:`_NetGeometry`: base edge lengths, vertex columns, and each
+trunk's coverage as a flat index range into a channels × columns grid.
+The engine owns its congestion state outright: an int32 ``usage`` array
+of the chosen trees and a float64 ``history`` array over that grid, and
+an int32 ``cap`` budget per channel.  A reroute moves its tree's usage
+one trunk slice at a time and prices its net in one elementwise pass
+over the net's flat window.  The router's shared density maps are
+touched only by finalization, and only for the edges it changes.
 """
 
 from __future__ import annotations
@@ -49,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..bipolar.multipitch import density_weight
-from ..core.density import DensityEngine, coverage_columns
+from ..core.density import coverage_columns
 from ..core.result import GlobalRoutingResult
 from ..errors import RoutingError
 from ..routegraph.graph import EdgeKind, RoutingGraph
@@ -66,6 +77,62 @@ _TIMING_DISCOUNT = 0.5
 # before negotiation concludes the remaining overuse is infeasible and
 # relaxes the stuck channels' budgets.
 _STALL_LIMIT = 6
+
+
+class _NetGeometry:
+    """What pricing, A* and usage moves need from one net's graph.
+
+    ``spans[e]`` is trunk ``e``'s coverage as a half-open flat range
+    ``[a, b)`` into the row-major channels × columns grid (``None`` for
+    branch and correspondence edges).  ``window`` holds the flat columns
+    the net can pay for: per channel, every column from the lowest to
+    the highest one its trunks cover, with ``rows`` the channel of each
+    entry.  ``trunks`` lists ``(edge id, a, b)`` with ``[a, b)`` the
+    trunk's slice of ``window``.  The chip bounds are checked here,
+    once, for every trunk.
+    """
+
+    __slots__ = ("lengths", "xs", "weight", "spans", "window", "rows",
+                 "trunks")
+
+    def __init__(self, graph, weight: int, n_channels: int, width: int):
+        self.lengths: List[float] = [edge.length_um for edge in graph.edges]
+        self.xs: List[int] = [vertex.x for vertex in graph.vertices]
+        self.weight = weight
+        self.spans: List[Optional[Tuple[int, int]]] = [None] * len(
+            graph.edges
+        )
+        by_channel: Dict[int, List[Tuple[int, int, int]]] = {}
+        for edge in graph.edges:
+            if edge.kind is not EdgeKind.TRUNK:
+                continue
+            channel = edge.channel
+            if not 0 <= channel < n_channels:
+                raise RoutingError(f"channel {channel} out of range")
+            lo, hi = coverage_columns(edge)
+            if lo < 0 or hi >= width:
+                raise RoutingError(
+                    f"{edge.kind.value} edge covers columns {lo}..{hi} "
+                    f"beyond chip width {width}"
+                )
+            base = channel * width
+            self.spans[edge.index] = (base + lo, base + hi + 1)
+            by_channel.setdefault(channel, []).append((edge.index, lo, hi))
+        window: List[int] = []
+        rows: List[int] = []
+        self.trunks: List[Tuple[int, int, int]] = []
+        for channel in sorted(by_channel):
+            members = by_channel[channel]
+            first = min(lo for _, lo, _ in members)
+            stop = max(hi for _, _, hi in members) + 1
+            offset = len(window) - first
+            for index, lo, hi in members:
+                self.trunks.append((index, offset + lo, offset + hi + 1))
+            base = channel * width
+            window.extend(range(base + first, base + stop))
+            rows.extend([channel] * (stop - first))
+        self.window = np.array(window, dtype=np.intp)
+        self.rows = np.array(rows, dtype=np.intp)
 
 
 class NegotiatedEngine(RoutingEngine):
@@ -119,10 +186,15 @@ class NegotiatedEngine(RoutingEngine):
             ],
             dtype=np.int32,
         )
-        self._usage = DensityEngine(n_channels, width)
-        self._history = [
-            np.zeros(width, dtype=np.float64) for _ in range(n_channels)
-        ]
+        self._usage = np.zeros((n_channels, width), dtype=np.int32)
+        self._history = np.zeros((n_channels, width), dtype=np.float64)
+        # Flat views of the same memory, indexed by _NetGeometry.
+        self._usage_flat = self._usage.reshape(-1)
+        self._history_flat = self._history.reshape(-1)
+        self._geometry: Dict[str, _NetGeometry] = {
+            name: self._build_geometry(state)
+            for name, state in router.states.items()
+        }
         self._trees: Dict[str, Set[int]] = {}
         self._iterations = 0
         self._pitch = router.config.technology.pitch_um
@@ -131,6 +203,12 @@ class NegotiatedEngine(RoutingEngine):
         self._m_reroutes = metrics.counter("negotiate.reroutes")
         self._m_relaxations = metrics.counter("negotiate.cap_relaxations")
         self._m_pops = metrics.counter("negotiate.astar_pops")
+
+    def _build_geometry(self, state) -> _NetGeometry:
+        n_channels, width = self._usage.shape
+        return _NetGeometry(
+            state.graph, density_weight(state.net), n_channels, width
+        )
 
     def _lead_states(self) -> List:
         return [
@@ -232,45 +310,41 @@ class NegotiatedEngine(RoutingEngine):
         )
 
     def _accumulate_history(self) -> None:
-        for channel in range(self._usage.n_channels):
-            over = (
-                self._usage.d_max[channel].astype(np.float64)
-                - float(self._cap[channel])
-            )
-            np.clip(over, 0.0, None, out=over)
-            self._history[channel] += over
+        over = self._usage - self._cap[:, None]
+        np.maximum(over, 0, out=over)
+        self._history += over
 
     def _overuse(self) -> Tuple[int, List[str]]:
         """``(overused column count, lead nets touching one)``."""
-        masks = [
-            self._usage.d_max[c] > self._cap[c]
-            for c in range(self._usage.n_channels)
-        ]
-        total = sum(int(mask.sum()) for mask in masks)
-        if total == 0:
+        hot = np.flatnonzero(self._usage > self._cap[:, None]).tolist()
+        if not hot:
             return 0, []
         overused: List[str] = []
         for state in self._lead_states():
-            if self._tree_overused(state, masks):
+            if self._tree_overused(state, hot):
                 overused.append(state.net.name)
                 continue
             if state.pair is not None:
                 partner = self.router.states[state.pair.partner_net]
-                if self._tree_overused(partner, masks):
+                if self._tree_overused(partner, hot):
                     overused.append(state.net.name)
-        return total, overused
+        return len(hot), overused
 
-    def _tree_overused(self, state, masks) -> bool:
-        tree = self._trees.get(state.net.name)
+    def _tree_overused(self, state, hot: List[int]) -> bool:
+        """Whether a trunk of the state's tree covers a flat column in
+        the sorted list ``hot``."""
+        name = state.net.name
+        tree = self._trees.get(name)
         if not tree:
             return False
-        graph = state.graph
+        spans = self._geometry[name].spans
+        n_hot = len(hot)
         for edge_id in tree:
-            edge = graph.edges[edge_id]
-            if edge.kind is not EdgeKind.TRUNK:
+            span = spans[edge_id]
+            if span is None:
                 continue
-            lo, hi = coverage_columns(edge)
-            if masks[edge.channel][lo : hi + 1].any():
+            i = bisect_left(hot, span[0])
+            if i < n_hot and hot[i] < span[1]:
                 return True
         return False
 
@@ -281,13 +355,10 @@ class NegotiatedEngine(RoutingEngine):
         trees are legal by construction.  Returns how many channels had
         to be relaxed (``negotiate.cap_relaxations``).
         """
-        relaxed = 0
-        for channel in range(self._usage.n_channels):
-            peak = int(self._usage.d_max[channel].max())
-            if peak > self._cap[channel]:
-                self._cap[channel] = peak
-                relaxed += 1
-        return relaxed
+        peaks = self._usage.max(axis=1)
+        stuck = peaks > self._cap
+        self._cap[stuck] = peaks[stuck]
+        return int(np.count_nonzero(stuck))
 
     # ==================================================================
     # Per-net routing
@@ -298,12 +369,38 @@ class NegotiatedEngine(RoutingEngine):
             self._drop_tree(self.router.states[state.pair.partner_net])
 
     def _drop_tree(self, state) -> None:
-        tree = self._trees.pop(state.net.name, None)
+        """Take the state's tree out of ``usage``.
+
+        Each span is checked against the array as the removal has left
+        it so far, so trunks that share a column are checked together.
+        A removal that would drive a column negative — usage that was
+        never added — puts back the spans already taken out and raises,
+        leaving the array and the tree exactly as they were.
+        """
+        name = state.net.name
+        tree = self._trees.get(name)
         if not tree:
             return
-        weight = density_weight(state.net)
+        geo = self._geometry[name]
+        usage = self._usage_flat
+        weight = geo.weight
+        spans = geo.spans
+        taken: List[np.ndarray] = []
         for edge_id in tree:
-            self._usage.remove_edge(state.graph.edges[edge_id], weight)
+            span = spans[edge_id]
+            if span is None:
+                continue
+            window = usage[span[0] : span[1]]
+            if window.min() < weight:
+                for earlier in taken:
+                    earlier += weight
+                raise RoutingError(
+                    f"negative usage at flat columns {span[0]}.."
+                    f"{span[1] - 1} — unbalanced add/remove"
+                )
+            window -= weight
+            taken.append(window)
+        del self._trees[name]
 
     def _route_net(self, state, pn: float, criticality: float) -> None:
         router = self.router
@@ -314,21 +411,27 @@ class NegotiatedEngine(RoutingEngine):
             and state.context.constrained
         ):
             discount = 1.0 - _TIMING_DISCOUNT * criticality
-        cost = self._edge_costs(state, pn, discount)
-        tree = self._grow_tree(state.graph, cost)
+        geo = self._geometry[state.net.name]
+        cost = self._edge_costs(geo, pn, discount)
+        tree = self._grow_tree(state.graph, geo, cost)
         self._adopt_tree(state, tree)
         if state.pair is not None:
             self._mirror_tree(state, tree, pn)
 
     def _adopt_tree(self, state, tree: Set[int]) -> None:
-        self._trees[state.net.name] = tree
-        weight = density_weight(state.net)
-        graph = state.graph
+        name = state.net.name
+        self._trees[name] = tree
+        geo = self._geometry[name]
+        usage = self._usage_flat
+        weight = geo.weight
+        spans = geo.spans
+        lengths = geo.lengths
         length = 0.0
         for edge_id in tree:
-            edge = graph.edges[edge_id]
-            self._usage.add_edge(edge, weight)
-            length += edge.length_um
+            span = spans[edge_id]
+            if span is not None:
+                usage[span[0] : span[1]] += weight
+            length += lengths[edge_id]
         # Keep the timing view in step with the chosen trees so the next
         # iteration's criticality order reflects them.
         router = self.router
@@ -349,62 +452,50 @@ class NegotiatedEngine(RoutingEngine):
                 # The correspondence does not cover the chosen tree —
                 # give up lock-step and route the partner on its own.
                 self.router._break_pair(state)
-                cost = self._edge_costs(partner, pn, 1.0)
+                geo = self._geometry[partner.net.name]
+                cost = self._edge_costs(geo, pn, 1.0)
                 self._adopt_tree(
-                    partner, self._grow_tree(partner.graph, cost)
+                    partner, self._grow_tree(partner.graph, geo, cost)
                 )
                 return
             mirrored.add(partner_edge)
         self._adopt_tree(partner, mirrored)
 
     def _edge_costs(
-        self, state, pn: float, discount: float
+        self, geo: _NetGeometry, pn: float, discount: float
     ) -> List[float]:
-        """Negotiated cost per edge id of the state's graph.
+        """Negotiated cost per edge id of one net's graph.
 
-        The penalty is evaluated only where the net can pay it: per
-        channel, over the window from the lowest to the highest column
-        its trunk edges cover.  Each trunk sums its slice of that window,
-        the same values in the same order as a chip-wide penalty row, so
-        the costs do not depend on the window's extent.
+        The penalty is evaluated only where the net can pay it, over
+        its flat window, in one elementwise pass; each trunk then sums
+        its slice with the same ``.sum()`` a chip-wide penalty row would
+        use, so the costs do not depend on the window's extent.  Usage,
+        budgets and weight are integers, so ``over`` is exact in int32.
+        When the whole window prices to zero every trunk would add
+        ``0.0`` to its length, which changes nothing, so the base
+        lengths are returned as they are.
         """
-        graph = state.graph
-        costs = [0.0] * len(graph.edges)
-        spans: Dict[int, List[Tuple[int, int, int]]] = {}
-        for edge in graph.edges:
-            costs[edge.index] = edge.length_um
-            if edge.kind is EdgeKind.TRUNK:
-                lo, hi = coverage_columns(edge)
-                spans.setdefault(edge.channel, []).append(
-                    (edge.index, lo, hi)
-                )
-        usage = self._usage
-        weight = density_weight(state.net)
-        h_weight = self.router.config.neg_history_weight
-        scale = self._pitch * discount
-        for channel, trunks in spans.items():
-            first = min(lo for _, lo, _ in trunks)
-            stop = max(hi for _, _, hi in trunks) + 1
-            over = (
-                usage.d_max[channel][first:stop].astype(np.float64)
-                + float(weight)
-                - float(self._cap[channel])
-            )
-            np.clip(over, 0.0, None, out=over)
-            window = (
-                h_weight * self._history[channel][first:stop] + pn * over
-            ) * scale
-            for index, lo, hi in trunks:
-                costs[index] += float(
-                    window[lo - first : hi - first + 1].sum()
-                )
+        idx = geo.window
+        over = self._usage_flat[idx]
+        over -= self._cap[geo.rows]
+        over += geo.weight
+        np.maximum(over, 0, out=over)
+        window = self._history_flat[idx]
+        window *= self.router.config.neg_history_weight
+        window += pn * over
+        window *= self._pitch * discount
+        if not window.any():
+            return geo.lengths
+        costs = list(geo.lengths)
+        for index, a, b in geo.trunks:
+            costs[index] += float(window[a:b].sum())
         return costs
 
     # ==================================================================
     # Tree growth (multi-source goal-directed A*)
     # ==================================================================
     def _grow_tree(
-        self, graph: RoutingGraph, cost: Sequence[float]
+        self, graph: RoutingGraph, geo: _NetGeometry, cost: Sequence[float]
     ) -> Set[int]:
         """Minimum-negotiated-cost tree spanning the graph's terminals.
 
@@ -417,7 +508,7 @@ class NegotiatedEngine(RoutingEngine):
         tree_edges: Set[int] = set()
         remaining = set(graph.terminal_vertices) - in_tree
         while remaining:
-            path = self._astar(graph, cost, in_tree, remaining)
+            path = self._astar(graph, geo, cost, in_tree, remaining)
             for vertex, edge_id in path:
                 in_tree.add(vertex)
                 if edge_id >= 0:
@@ -428,6 +519,7 @@ class NegotiatedEngine(RoutingEngine):
     def _astar(
         self,
         graph: RoutingGraph,
+        geo: _NetGeometry,
         cost: Sequence[float],
         sources: Set[int],
         targets: Set[int],
@@ -440,78 +532,88 @@ class NegotiatedEngine(RoutingEngine):
         cost ``pitch`` per column plus non-negative penalties, while
         branch/correspondence edges never reduce the horizontal gap.
         Vertical distance is deliberately *not* counted: correspondence
-        edges cross rows at zero cost through cell terminals.
+        edges cross rows at zero cost through cell terminals.  It is
+        computed once per vertex per search, when the vertex is first
+        pushed; heap entries are ``(f, g, vertex)``.
         """
         pitch = self._pitch
-        vertices = graph.vertices
-        target_xs = sorted({vertices[t].x for t in targets})
+        xs = geo.xs
+        target_xs = sorted({xs[t] for t in targets})
+        n_targets = len(target_xs)
 
-        def h(vertex: int) -> float:
-            x = vertices[vertex].x
+        def heuristic(vertex: int) -> float:
+            x = xs[vertex]
             i = bisect_left(target_xs, x)
-            best = None
-            if i < len(target_xs):
-                best = target_xs[i] - x
-            if i > 0:
-                left = x - target_xs[i - 1]
-                if best is None or left < best:
-                    best = left
-            return best * pitch
+            if i == n_targets:
+                return (x - target_xs[-1]) * pitch
+            if i == 0:
+                return (target_xs[0] - x) * pitch
+            return min(target_xs[i] - x, x - target_xs[i - 1]) * pitch
 
         # The list mirror, not the numpy arrays: this A* relaxes edges
         # one at a time in Python, where list indexing avoids numpy
         # scalar boxing on every neighbour visit.
         indptr, nbr_vertex, nbr_edge, _ = graph.csr_lists()
-        dist: Dict[int, float] = {}
-        parent: Dict[int, Tuple[int, int]] = {}
+        n = len(xs)
+        dist = [float("inf")] * n
+        h = [-1.0] * n  # -1: not evaluated yet in this search
+        parent_vertex = [-1] * n
+        parent_edge = [-1] * n
         heap: List[Tuple[float, float, int]] = []
-        for source in sorted(sources):
-            dist[source] = 0.0
-            parent[source] = (-1, -1)
-            heapq.heappush(heap, (h(source), 0.0, source))
+        push = heapq.heappush
+        pop = heapq.heappop
+        for vertex in sorted(sources):
+            h[vertex] = hv = heuristic(vertex)
+            dist[vertex] = 0.0
+            push(heap, (hv, 0.0, vertex))
         pops = 0
         while heap:
-            f, g, vertex = heapq.heappop(heap)
-            if g > dist.get(vertex, float("inf")):
+            _, g, vertex = pop(heap)
+            if g > dist[vertex]:
                 continue
             pops += 1
             if vertex in targets:
                 self._m_pops.inc(pops)
-                return self._reconstruct(parent, vertex)
+                path: List[Tuple[int, int]] = []
+                while vertex >= 0:
+                    path.append((vertex, parent_edge[vertex]))
+                    vertex = parent_vertex[vertex]
+                path.reverse()
+                return path
             for slot in range(indptr[vertex], indptr[vertex + 1]):
                 other = nbr_vertex[slot]
                 ng = g + cost[nbr_edge[slot]]
-                if ng < dist.get(other, float("inf")):
+                if ng < dist[other]:
                     dist[other] = ng
-                    parent[other] = (vertex, nbr_edge[slot])
-                    heapq.heappush(heap, (ng + h(other), ng, other))
+                    parent_vertex[other] = vertex
+                    parent_edge[other] = nbr_edge[slot]
+                    hv = h[other]
+                    if hv < 0.0:
+                        h[other] = hv = heuristic(other)
+                    push(heap, (ng + hv, ng, other))
         raise RoutingError(
             f"net {graph.net.name}: negotiation found no path to "
             f"{len(targets)} terminal(s)"
         )
 
-    @staticmethod
-    def _reconstruct(
-        parent: Dict[int, Tuple[int, int]], vertex: int
-    ) -> List[Tuple[int, int]]:
-        path: List[Tuple[int, int]] = []
-        while True:
-            prev, edge_id = parent[vertex]
-            path.append((vertex, edge_id))
-            if edge_id < 0:
-                break
-            vertex = prev
-        path.reverse()
-        return path
-
     # ==================================================================
     # Finalization
     # ==================================================================
     def _finalize(self) -> None:
-        """Prune every graph down to its chosen tree and rebuild the
-        shared density profiles so the result/heatmaps reflect the final
-        wiring exactly as they do for edge deletion."""
+        """Prune every graph down to its chosen tree and bring the
+        shared density profiles along, so the result/heatmaps reflect
+        the final wiring exactly as they do for edge deletion.
+
+        Only what changes is applied to ``router.engine``: the edges
+        killed here and pruned by ``reclassify`` leave ``d_M``, and the
+        newly essential ones join ``d_m``.  None of the dead edges was
+        essential — an essential edge lies on every tree that connects
+        the terminals — and an alive essential edge stays essential
+        when other edges die, so this equals unregistering and
+        re-registering every net.
+        """
         router = self.router
+        engine = router.engine
         pruned_total = 0
         for name in sorted(router.states):
             state = router.states[name]
@@ -519,11 +621,15 @@ class NegotiatedEngine(RoutingEngine):
             if tree is None:
                 raise RoutingError(f"net {name}: no negotiated tree")
             graph = state.graph
-            router._unregister_density(state)
-            for edge in graph.edges:
-                if graph.alive[edge.index] and edge.index not in tree:
-                    graph.alive[edge.index] = False
-                    pruned_total += 1
+            alive = graph.alive
+            killed = [
+                edge_id
+                for edge_id in range(len(alive))
+                if alive[edge_id] and edge_id not in tree
+            ]
+            for edge_id in killed:
+                alive[edge_id] = False
+            pruned_total += len(killed)
             # Direct alive mutation bypasses the graph's incremental
             # bookkeeping on purpose: reclassify() detects the alive-set
             # change against its mirror and rebuilds the bridge
@@ -531,8 +637,13 @@ class NegotiatedEngine(RoutingEngine):
             # tree already equals its alive set (nothing pruned above),
             # the no-op reclassify keeps the CSR caches warm for the
             # _refresh_tree below.
-            graph.reclassify()
-            router._register_density(state)
+            pruned, newly_essential = graph.reclassify()
+            weight = density_weight(state.net)
+            edges = graph.edges
+            for edge_id in killed + pruned:
+                engine.remove_edge(edges[edge_id], weight)
+            for edge_id in newly_essential:
+                engine.add_bridge(edges[edge_id], weight)
             router._refresh_tree(state)
             if not graph.is_tree:
                 raise RoutingError(
@@ -543,3 +654,6 @@ class NegotiatedEngine(RoutingEngine):
         # Scope unknown (graphs were mutated wholesale, and _refresh_tree
         # recorded only changed-tree nets) — force a full re-analysis.
         router._caps_dirty = None
+        # The per-net geometry only served the negotiation; free it
+        # before the flow moves on to channel routing.
+        self._geometry = {}

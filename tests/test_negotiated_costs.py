@@ -1,7 +1,8 @@
 """The negotiated engine's windowed edge costs equal the chip-wide ones.
 
 ``NegotiatedEngine._edge_costs`` evaluates the congestion penalty only
-over the columns a net's trunks cover.  The oracle below is the
+over the flat window of columns a net's trunks cover, as laid out once
+per net by the engine's geometry constructor.  The oracle below is the
 chip-wide formulation it replaced: one penalty row per channel over
 every column, each trunk summing its slice.  One changed cost can flip
 an A* tie and change a route, so the two cost lists must be equal
@@ -32,9 +33,9 @@ def full_chip_edge_costs(engine, state, pn, discount):
     h_weight = engine.router.config.neg_history_weight
     scale = engine._pitch * discount
     penalty = []
-    for channel in range(usage.n_channels):
+    for channel in range(usage.shape[0]):
         over = (
-            usage.d_max[channel].astype(np.float64)
+            usage[channel].astype(np.float64)
             + float(weight)
             - float(engine._cap[channel])
         )
@@ -71,16 +72,21 @@ def engines():
     return [_engine(spec) for spec in small_suite()]
 
 
+def _costs(engine, state, pn, discount):
+    """Price one net the way a reroute does: through its geometry."""
+    return engine._edge_costs(engine._build_geometry(state), pn, discount)
+
+
 def _randomize(engine, rng, h_weight):
     """Random usage, history and capacity budgets on every channel."""
     usage = engine._usage
-    width = usage.width_columns
-    for channel in range(usage.n_channels):
-        usage.d_max[channel][:] = rng.integers(0, 12, width)
+    n_channels, width = usage.shape
+    for channel in range(n_channels):
+        usage[channel][:] = rng.integers(0, 12, width)
         history = rng.random(width) * 10.0 ** rng.integers(-3, 4)
         history[rng.random(width) < 0.4] = 0.0
         engine._history[channel][:] = history
-    engine._cap[:] = rng.integers(1, 12, usage.n_channels)
+    engine._cap[:] = rng.integers(1, 12, n_channels)
     engine.router.config = dataclasses.replace(
         engine.router.config, neg_history_weight=h_weight
     )
@@ -119,9 +125,9 @@ def test_windowed_costs_equal_chip_wide_costs(
     ]
     state = SimpleNamespace(
         net=SimpleNamespace(width_pitches=width),
-        graph=SimpleNamespace(edges=edges),
+        graph=SimpleNamespace(edges=edges, vertices=graph.vertices),
     )
-    assert engine._edge_costs(state, pn, discount) == full_chip_edge_costs(
+    assert _costs(engine, state, pn, discount) == full_chip_edge_costs(
         engine, state, pn, discount
     )
 
@@ -132,6 +138,20 @@ def test_every_small_suite_net_prices_identically(engines):
     for engine in engines:
         _randomize(engine, rng, 1.0)
         for _, state in sorted(engine.router.states.items()):
-            assert engine._edge_costs(
-                state, 3.7, 0.8
+            assert _costs(
+                engine, state, 3.7, 0.8
             ) == full_chip_edge_costs(engine, state, 3.7, 0.8)
+
+
+def test_all_zero_window_costs_are_the_lengths(engines):
+    """With ``pn = 0`` and no history every window prices to zero, and
+    the costs are the edge lengths exactly, whatever the usage."""
+    rng = np.random.default_rng(1)
+    for engine in engines:
+        _randomize(engine, rng, 1.0)
+        engine._history[:] = 0.0
+        for _, state in sorted(engine.router.states.items()):
+            lengths = [edge.length_um for edge in state.graph.edges]
+            costs = _costs(engine, state, 0.0, 1.0)
+            assert costs == lengths
+            assert costs == full_chip_edge_costs(engine, state, 0.0, 1.0)
