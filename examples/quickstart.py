@@ -6,8 +6,8 @@ Walks the full public API surface in ~80 lines:
 1. instantiate the ECL cell library and describe a netlist,
 2. place it into standard-cell rows (feed cells included),
 3. state one critical-path constraint,
-4. run the global router with an in-memory trace attached, then the
-   channel router,
+4. run the flow — global router, channel router, sign-off — with an
+   in-memory trace attached,
 5. print the signed-off delay / area / length report plus a peek at the
    router's decision trace.
 
@@ -19,7 +19,6 @@ from collections import Counter
 from repro import (
     Circuit,
     GlobalDelayGraph,
-    GlobalRouter,
     MemorySink,
     PathConstraint,
     PinSide,
@@ -28,8 +27,7 @@ from repro import (
     Technology,
     TerminalDirection,
     place_circuit,
-    route_channels,
-    sign_off,
+    run_flow,
     standard_ecl_library,
 )
 
@@ -100,12 +98,12 @@ def main() -> None:
     # Attach an in-memory trace sink to watch the router decide.  For a
     # file on disk use the CLI:  repro route ... --trace run.jsonl
     trace = MemorySink()
-    router = GlobalRouter(
+    flow = run_flow(
         circuit, placement, [constraint],
         RouterConfig(technology=technology),
         trace_sink=trace,
     )
-    global_result = router.route()
+    global_result = flow.global_result
     print()
     print(global_result.summary())
 
@@ -117,11 +115,7 @@ def main() -> None:
     for criterion, count in criteria.most_common():
         print(f"  {criterion:<14} {count}")
 
-    channel_result = route_channels(global_result, placement, technology)
-    report = sign_off(
-        circuit, placement, global_result, channel_result,
-        [constraint], technology,
-    )
+    report = flow.signoff
     print()
     print("after channel routing:")
     print(f"  critical delay : {report.critical_delay_ps:8.1f} ps")

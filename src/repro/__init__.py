@@ -13,14 +13,14 @@ Quickstart::
 
     from repro import (
         standard_ecl_library, Circuit, place_circuit, PlacerConfig,
-        GlobalRouter, RouterConfig,
+        RouterConfig, run_flow,
     )
 
     circuit = Circuit("demo", standard_ecl_library())
     ...                                   # build cells/nets
     placement = place_circuit(circuit, PlacerConfig())
-    result = GlobalRouter(circuit, placement, constraints=[]).route()
-    print(result.summary())
+    flow = run_flow(circuit, placement, [], RouterConfig())
+    print(flow.global_result.summary(), flow.signoff.critical_delay_ps)
 """
 
 from .errors import (
@@ -123,6 +123,7 @@ from .bench import (
     CircuitSpec,
     Dataset,
     DatasetSpec,
+    Flow,
     RunRecord,
     format_table1,
     format_table2,
@@ -131,6 +132,7 @@ from .bench import (
     generate_constraints,
     make_dataset,
     run_dataset,
+    run_flow,
     run_pair,
     run_suite,
     small_suite,
@@ -235,6 +237,7 @@ __all__ = [
     "CircuitSpec",
     "Dataset",
     "DatasetSpec",
+    "Flow",
     "RunRecord",
     "format_table1",
     "format_table2",
@@ -243,6 +246,7 @@ __all__ = [
     "generate_constraints",
     "make_dataset",
     "run_dataset",
+    "run_flow",
     "run_pair",
     "run_suite",
     "small_suite",

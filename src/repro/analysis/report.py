@@ -18,7 +18,7 @@ from ..tech import Technology
 from ..timing.constraint import PathConstraint, build_constraint_graph
 from ..timing.delay_graph import GlobalDelayGraph
 from ..timing.sta import StaticTimingAnalyzer, WireCaps
-from .signoff import SignoffReport, sign_off
+from .signoff import SignoffReport
 from .skew import clock_skew_table
 from .timing_report import format_timing_reports
 from .wirestats import wire_stats
@@ -41,18 +41,14 @@ def full_report(
     placement: Placement,
     global_result: GlobalRoutingResult,
     channel_result: ChannelRoutingResult,
+    signoff: SignoffReport,
     constraints: Sequence[PathConstraint] = (),
     technology: Technology = Technology(),
     timing_paths: int = 3,
     gd: Optional[GlobalDelayGraph] = None,
 ) -> FullReport:
-    """Assemble the complete post-route report."""
-    if gd is None:
-        gd = GlobalDelayGraph.build(circuit)
-    signoff = sign_off(
-        circuit, placement, global_result, channel_result,
-        constraints, technology, gd=gd,
-    )
+    """Assemble the complete post-route report around the run's
+    ``signoff`` (see :func:`repro.bench.runner.run_flow`)."""
     sections: List[str] = []
 
     # --- summary ------------------------------------------------------
@@ -118,6 +114,8 @@ def full_report(
 
     # --- timing paths ----------------------------------------------------
     if constraints and timing_paths > 0:
+        if gd is None:
+            gd = GlobalDelayGraph.build(circuit)
         analyzer = StaticTimingAnalyzer(
             gd,
             [build_constraint_graph(gd, c) for c in constraints],

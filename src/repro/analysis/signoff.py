@@ -75,7 +75,7 @@ def sign_off(
         net_length[name] = length
         total_um += length
         caps.set(
-            route_net(circuit, name),
+            circuit.net(name),
             model.wire_cap_pf(length, route.width_pitches),
         )
 
@@ -102,7 +102,3 @@ def sign_off(
         net_length_um=net_length,
     )
 
-
-def route_net(circuit: Circuit, name: str):
-    """Small helper: resolve a net by name (kept separate for reuse)."""
-    return circuit.net(name)

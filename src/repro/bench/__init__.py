@@ -18,13 +18,16 @@ from .archive import (
     run_suite_archive,
     write_archive,
 )
-from .runner import RunRecord, pair_records, run_dataset, run_pair, run_suite
+from .runner import (
+    Flow, RunRecord, pair_records, run_dataset, run_flow, run_pair, run_suite,
+)
 from .tables import format_table1, format_table2, format_table3
 
 __all__ = [
     "CircuitSpec",
     "Dataset",
     "DatasetSpec",
+    "Flow",
     "RunRecord",
     "SuiteArchive",
     "compare_archives",
@@ -39,6 +42,7 @@ __all__ = [
     "make_dataset",
     "pair_records",
     "run_dataset",
+    "run_flow",
     "run_pair",
     "run_suite",
     "small_suite",

@@ -1,25 +1,74 @@
 """End-to-end benchmark runs: dataset → global route → channel route →
-sign-off, with and without timing constraints (the two halves of the
-paper's Table 2) plus the HPWL lower bound (Table 3)."""
+sign-off (:func:`run_flow`), with and without timing constraints (the
+two halves of the paper's Table 2) plus the HPWL lower bound (Table 3)."""
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis.signoff import SignoffReport, sign_off
 from ..baselines.lower_bound import critical_path_lower_bound_ps
-from ..channelrouter.leftedge import route_channels
+from ..channelrouter.leftedge import ChannelRoutingResult, route_channels
 from ..core.config import RouterConfig
-from ..engines import make_engine
-from ..layout.floorplan import assign_external_pins
 from ..core.result import GlobalRoutingResult
+from ..engines import RoutingEngine, make_engine
+from ..layout.placement import Placement
+from ..netlist.circuit import Circuit
 from ..obs.events import TraceSink, Tracer
 from ..obs.metrics import MetricsRegistry, current_scoped_registry
 from ..obs.profile import PhaseProfiler
 from ..tech import Technology
+from ..timing.constraint import PathConstraint
 from .circuits import Dataset, DatasetSpec, make_dataset
+
+
+class Flow(NamedTuple):
+    """One routed design: the engine that routed it and each stage's
+    result."""
+
+    router: RoutingEngine
+    global_result: GlobalRoutingResult
+    channel_result: ChannelRoutingResult
+    signoff: SignoffReport
+
+
+def run_flow(
+    circuit: Circuit,
+    placement: Placement,
+    constraints: Sequence[PathConstraint],
+    config: RouterConfig,
+    *,
+    trace_sink: Optional[TraceSink] = None,
+    metrics: Optional[MetricsRegistry] = None,
+    profiler: Optional[PhaseProfiler] = None,
+    decision_sampling: Optional[str] = None,
+) -> Flow:
+    """Globally route, channel-route and sign off one design — the one
+    place the flow is wired; the ``route`` command and every bench,
+    batch and service run go through here.
+
+    Sign-off uses the router's technology, width-cap exponent and delay
+    graph ("the same delay model"); all stages share one tracer and the
+    engine's metrics registry.  Routing mutates ``placement``.
+    """
+    tracer = Tracer.of(trace_sink)
+    router = make_engine(
+        circuit, placement, constraints, config,
+        trace_sink=tracer, metrics=metrics, profiler=profiler,
+        decision_sampling=decision_sampling,
+    )
+    global_result = router.route()
+    channel_result = route_channels(
+        global_result, placement, config.technology,
+        metrics=router.metrics, tracer=tracer,
+    )
+    signoff = sign_off(
+        circuit, placement, global_result, channel_result, constraints,
+        config.technology, config.width_cap_exponent, gd=router.gd,
+    )
+    return Flow(router, global_result, channel_result, signoff)
 
 
 @dataclass
@@ -95,44 +144,29 @@ def run_dataset(
     ``profiler`` to share a phase profiler, and ``decision_sampling``
     (``all``/``off``/``nth:N``) to control deletion-decision records in
     the trace.
+
+    The Table 3 bound is computed once: on the routed chip (its channel
+    heights) for a constrained run, before routing for an unconstrained
+    one.
     """
     dataset = make_dataset(spec, technology)
     if config is None:
         config = RouterConfig(technology=technology)
     if not constrained:
         config = config.unconstrained()
-    constraints = dataset.constraints
-
-    scoped = current_scoped_registry()
-    metrics = scoped if scoped is not None else MetricsRegistry()
-    tracer = Tracer.of(trace_sink)
-
-    # Pins must have boundary columns before HPWL boxes can be measured;
-    # the router's own assignment pass is a no-op for assigned pins.
-    assign_external_pins(dataset.circuit, dataset.placement)
-    lower_bound = critical_path_lower_bound_ps(
-        dataset.circuit, dataset.placement, technology
+        lower_bound = critical_path_lower_bound_ps(
+            dataset.circuit, dataset.placement, technology
+        )
+    router, global_result, _, report = run_flow(
+        dataset.circuit, dataset.placement, dataset.constraints, config,
+        trace_sink=trace_sink, metrics=current_scoped_registry(),
+        profiler=profiler, decision_sampling=decision_sampling,
     )
-    router = make_engine(
-        dataset.circuit, dataset.placement, constraints, config,
-        trace_sink=tracer, metrics=metrics, profiler=profiler,
-        decision_sampling=decision_sampling,
-    )
-    global_result = router.route()
-    channel_result = route_channels(
-        global_result, dataset.placement, technology,
-        metrics=metrics, tracer=tracer,
-    )
-    report = sign_off(
-        dataset.circuit,
-        dataset.placement,
-        global_result,
-        channel_result,
-        constraints,
-        technology,
-        config.width_cap_exponent,
-        gd=router.gd,
-    )
+    if constrained:
+        lower_bound = critical_path_lower_bound_ps(
+            dataset.circuit, dataset.placement, technology,
+            channel_tracks=report.floorplan.channel_tracks,
+        )
     stats = dataset.stats()
     record = RunRecord(
         dataset=spec.name,
@@ -154,7 +188,7 @@ def run_dataset(
         feed_cells_inserted=global_result.feed_cells_inserted,
         deletions=global_result.deletions,
         reroutes=global_result.reroutes,
-        metrics=metrics.flat(),
+        metrics=router.metrics.flat(),
     )
     return record, global_result, report, dataset
 
@@ -164,11 +198,9 @@ def pair_records(
 ) -> Tuple[RunRecord, RunRecord]:
     """Stitch two independently produced records into a Table 2/3 pair.
 
-    The Table 3 lower bound of the constrained record was recomputed on
-    the *routed* chip geometry (see
-    :func:`repro.exec.jobs.execute_job`); the unconstrained record
-    adopts it so both rows share one per-dataset bound, exactly as the
-    historical serial path did.
+    The constrained record's Table 3 bound is measured on the routed
+    chip (see :func:`run_dataset`); the unconstrained record adopts it
+    so both rows share one per-dataset bound.
     """
     without_c.lower_bound_ps = with_c.lower_bound_ps
     return with_c, without_c
@@ -182,10 +214,8 @@ def run_pair(
     """Route one dataset with and without constraints (one Table 2 row
     pair).
 
-    The Table 3 lower bound is recomputed on the *routed* chip geometry
-    (the constrained run's channel heights), matching the paper's
-    "rectangle containing the net terminals" on the final layout; both
-    records share that single per-dataset bound.  Delegates to the batch
+    Both records share the constrained run's Table 3 bound, measured on
+    the routed chip (see :func:`pair_records`).  Delegates to the batch
     engine's job runner so serial and batch results are identical.
     """
     from ..exec.jobs import JobSpec, execute_job

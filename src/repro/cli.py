@@ -43,7 +43,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .analysis.signoff import sign_off
 from .bench.circuits import (
     CircuitSpec,
     generate_circuit,
@@ -51,11 +50,10 @@ from .bench.circuits import (
     small_suite,
     standard_suite,
 )
-from .bench.runner import run_suite
+from .bench.runner import run_flow, run_suite
 from .bench.tables import format_table1, format_table2, format_table3
-from .channelrouter.leftedge import route_channels
 from .core.config import RouterConfig
-from .engines import engine_names, make_engine
+from .engines import engine_names
 from .errors import ReproError
 from .io.json_report import (
     global_result_to_dict,
@@ -529,13 +527,11 @@ def _cmd_route(args) -> int:
     from .obs import (
         DecisionPolicy,
         JsonlTraceSink,
-        MetricsRegistry,
         PhaseProfiler,
         Tracer,
         build_run_manifest,
     )
 
-    metrics = MetricsRegistry()
     profiler = PhaseProfiler()
     try:
         DecisionPolicy.parse(args.decisions)
@@ -544,29 +540,20 @@ def _cmd_route(args) -> int:
     sink = JsonlTraceSink(args.trace) if args.trace is not None else None
     tracer = Tracer.of(sink)
     try:
-        router = make_engine(
+        router, global_result, channel_result, report = run_flow(
             circuit, placement, constraints, config,
-            trace_sink=tracer, metrics=metrics, profiler=profiler,
+            trace_sink=tracer, profiler=profiler,
             decision_sampling=args.decisions,
-        )
-        global_result = router.route()
-        channel_result = route_channels(
-            global_result, placement, technology,
-            metrics=metrics, tracer=tracer,
         )
     finally:
         tracer.close()
-    report = sign_off(
-        circuit, placement, global_result, channel_result,
-        constraints, technology, gd=router.gd,
-    )
     if args.report:
         from .analysis.report import full_report
 
         print(
             full_report(
                 circuit, placement, global_result, channel_result,
-                constraints, technology, gd=router.gd,
+                report, constraints, technology, gd=router.gd,
             ).format()
         )
         print()
@@ -595,7 +582,7 @@ def _cmd_route(args) -> int:
     if args.metrics:
         print()
         print("metrics:")
-        print(metrics.format())
+        print(router.metrics.format())
         print()
         print(profiler.format())
     if args.json is not None:
@@ -626,7 +613,7 @@ def _cmd_route(args) -> int:
                 "constraints": len(constraints),
             },
             result=global_result,
-            metrics=metrics,
+            metrics=router.metrics,
             profiler=profiler,
         )
         manifest.write(manifest_path)

@@ -1,8 +1,9 @@
 """Pluggable routing engines (see :mod:`repro.engines.base`).
 
 The registry maps ``RouterConfig.routing_engine`` values to engine
-classes; :func:`make_engine` is the single dispatch point used by the
-CLI, the bench runner, and therefore the batch/service layers.
+classes; :func:`make_engine` is the single dispatch point, called by
+:func:`repro.bench.runner.run_flow` for the CLI, the bench runner and
+the batch/service layers.
 """
 
 from __future__ import annotations

@@ -14,9 +14,10 @@ accounting, timing model, and sign-off.  Two engines ship today:
   history costs; legal but not bit-identical).
 
 Every engine is constructed with the :class:`GlobalRouter` signature and
-exposes the attributes the CLI, the bench runner, and sign-off read off
-a router after routing (``gd``, ``assignment``, ``caps``, ``states``,
-``margin_attribution``), so callers can swap engines without branching.
+exposes the attributes the flow reads off a router after routing
+(``gd``, ``assignment``, ``metrics``, ``margin_attribution``), so callers
+can swap engines without branching; anything else lives on the inner
+``router``.
 """
 
 from __future__ import annotations
@@ -67,11 +68,7 @@ class RoutingEngine:
             decision_sampling=decision_sampling,
         )
 
-    # -- the attributes sign-off / CLI / bench read after routing ------
-    @property
-    def config(self) -> RouterConfig:
-        return self.router.config
-
+    # -- the attributes the flow reads after routing -------------------
     @property
     def gd(self):
         return self.router.gd
@@ -79,14 +76,6 @@ class RoutingEngine:
     @property
     def assignment(self):
         return self.router.assignment
-
-    @property
-    def caps(self):
-        return self.router.caps
-
-    @property
-    def states(self):
-        return self.router.states
 
     @property
     def metrics(self) -> MetricsRegistry:

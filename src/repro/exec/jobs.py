@@ -26,7 +26,6 @@ from typing import Any, Dict, Optional
 
 from ..bench.circuits import DatasetSpec
 from ..bench.runner import RunRecord, run_dataset
-from ..baselines.lower_bound import critical_path_lower_bound_ps
 from ..core.config import RouterConfig
 from ..errors import ConfigError
 from ..tech import Technology
@@ -169,12 +168,10 @@ def execute_job(
 ) -> RunRecord:
     """Run one job to completion in the current process.
 
-    This is the engine's default job runner: it materializes the
-    dataset, routes it end to end, and — for constrained runs — replaces
-    the pre-route HPWL lower bound with the bound recomputed on the
-    routed chip geometry (the same fix-up
-    :func:`repro.bench.runner.run_pair` applies, so batch records match
-    serial ones bit for bit).
+    This is the engine's default job runner: the record of
+    :func:`~repro.bench.runner.run_dataset` on the job's resolved
+    dataset and config, so batch, service and serial records are one
+    and the same.
 
     ``trace_sink``/``decision_sampling`` are forwarded to
     :func:`~repro.bench.runner.run_dataset`, so a caller (the routing
@@ -182,20 +179,11 @@ def execute_job(
     observe the run without changing what it computes — neither is part
     of the cache key.
     """
-    dataset_spec = spec.resolved_dataset()
-    record, _result, report, dataset = run_dataset(
-        dataset_spec,
+    return run_dataset(
+        spec.resolved_dataset(),
         spec.constrained,
         spec.technology,
         spec.resolved_config(),
         trace_sink=trace_sink,
         decision_sampling=decision_sampling,
-    )
-    if spec.constrained:
-        record.lower_bound_ps = critical_path_lower_bound_ps(
-            dataset.circuit,
-            dataset.placement,
-            spec.technology,
-            channel_tracks=report.floorplan.channel_tracks,
-        )
-    return record
+    )[0]

@@ -163,16 +163,39 @@ class TestExecutionDeterminism:
         assert row_a == row_b
 
     def test_matches_serial_run_pair(self):
-        # Engine records must be interchangeable with the historical
-        # serial path (same fix-up of the routed lower bound).
-        from repro.bench.runner import run_pair
+        # One row per job, whichever entry point produced it: the batch
+        # runner, the serial pair and a direct run_dataset call agree in
+        # every field but the wall-clock cpu_s, the Table 3 bound
+        # included.
+        from repro.bench.runner import run_dataset, run_pair
 
         spec = tiny_spec()
         with_c, without_c = run_pair(spec)
-        engine_with = execute_job(JobSpec(spec, True))
-        row_serial = with_c.to_row()
-        row_engine = engine_with.to_row()
-        row_serial.pop("cpu_s")
-        row_engine.pop("cpu_s")
-        assert row_serial == row_engine
+        rows = [
+            with_c.to_row(),
+            execute_job(JobSpec(spec, True)).to_row(),
+            run_dataset(spec, True)[0].to_row(),
+        ]
+        for row in rows:
+            row.pop("cpu_s")
+        assert rows[1] == rows[0]
+        assert rows[2] == rows[0]
         assert without_c.lower_bound_ps == with_c.lower_bound_ps
+
+    def test_lower_bound_computed_once_per_job(self, monkeypatch):
+        # Constrained jobs measure the bound on the routed chip (channel
+        # tracks given), unconstrained ones before routing; either way
+        # exactly once.
+        import repro.bench.runner as runner
+
+        routed = []
+        bound = runner.critical_path_lower_bound_ps
+
+        def counted(*args, **kwargs):
+            routed.append("channel_tracks" in kwargs)
+            return bound(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "critical_path_lower_bound_ps", counted)
+        execute_job(JobSpec(tiny_spec(), True))
+        execute_job(JobSpec(tiny_spec(), False))
+        assert routed == [True, False]

@@ -3,18 +3,31 @@
 import pytest
 
 from conftest import route_chain
-from repro import Technology, route_channels
+from repro import Technology, route_channels, sign_off
 from repro.analysis.report import full_report
+
+
+def routed_report(library, constrained=True, **kwargs):
+    """``full_report`` of the chain circuit around its own sign-off."""
+    circuit, placement, constraints, result = route_chain(
+        library, constrained=constrained
+    )
+    if not constrained:
+        constraints = []
+    channel_result = route_channels(result, placement, Technology())
+    signoff = sign_off(
+        circuit, placement, result, channel_result, constraints,
+        Technology(),
+    )
+    return full_report(
+        circuit, placement, result, channel_result, signoff, constraints,
+        Technology(), **kwargs,
+    )
 
 
 @pytest.fixture()
 def report(library):
-    circuit, placement, constraints, result = route_chain(library)
-    channel_result = route_channels(result, placement, Technology())
-    return full_report(
-        circuit, placement, result, channel_result, constraints,
-        Technology(),
-    )
+    return routed_report(library)
 
 
 class TestFullReport:
@@ -37,23 +50,11 @@ class TestFullReport:
         )
 
     def test_timing_paths_limit(self, library):
-        circuit, placement, constraints, result = route_chain(library)
-        channel_result = route_channels(result, placement, Technology())
-        without_paths = full_report(
-            circuit, placement, result, channel_result, constraints,
-            Technology(), timing_paths=0,
-        )
+        without_paths = routed_report(library, timing_paths=0)
         assert "--- critical paths" not in without_paths.format()
 
     def test_no_constraints_variant(self, library):
-        circuit, placement, constraints, result = route_chain(
-            library, constrained=False
-        )
-        channel_result = route_channels(result, placement, Technology())
-        report = full_report(
-            circuit, placement, result, channel_result, [],
-            Technology(),
-        )
+        report = routed_report(library, constrained=False)
         text = report.format()
         assert "routing report" in text
         assert "--- critical paths" not in text
