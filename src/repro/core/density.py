@@ -105,14 +105,13 @@ def downsample_columns(
 
 
 class DensityEngine:
-    """Incremental ``d_M``/``d_m`` maps with per-channel version stamps.
+    """Incremental ``d_M``/``d_m`` maps with change notification.
 
-    The router caches selection keys per candidate edge; ``version[c]``
-    lets it detect exactly which cached density sub-keys went stale after
-    a deletion touched channel ``c``.  Listeners registered through
-    :meth:`subscribe` are called with the channel index on every version
-    bump — the incremental candidate engine uses this to re-key only the
-    candidates whose channel actually changed.
+    Listeners registered through :meth:`subscribe` are called with
+    ``(channel, lo, hi)`` — the inclusive column span whose profile just
+    changed — after every update.  The incremental candidate engine uses
+    the span to re-key only the candidates whose coverage window it
+    overlaps, unless the channel's stats moved too.
     """
 
     def __init__(self, n_channels: int, width_columns: int):
@@ -128,9 +127,8 @@ class DensityEngine:
             np.zeros(width_columns, dtype=np.int32)
             for _ in range(n_channels)
         ]
-        self.version = [0] * n_channels
         self._stats_cache: Dict[int, ChannelStats] = {}
-        self._listeners: List[Callable[[int], None]] = []
+        self._listeners: List[Callable[[int, int, int], None]] = []
         # Plain-int telemetry: profile updates vs. stats recomputes
         # without putting any instrument call on this hot path.  The
         # router copies these into its metrics registry at run end.
@@ -175,7 +173,7 @@ class DensityEngine:
         # Validate *before* mutating: the delta is uniform over the
         # window, so the post-update minimum is exactly
         # ``min(window) + delta`` — checking it first means a raised
-        # RoutingError leaves the profile, version stamps, stats cache
+        # RoutingError leaves the profile, update count, stats cache
         # and listeners all untouched (previously the array was already
         # corrupted when the error propagated).
         if delta < 0 and int(window.min()) + delta < 0:
@@ -184,12 +182,11 @@ class DensityEngine:
                 "add/remove"
             )
         window += delta
-        self.version[channel] += 1
         self.updates += 1
         self._stats_cache.pop(channel, None)
         if self._listeners:
             for listener in self._listeners:
-                listener(channel)
+                listener(channel, lo, hi)
 
     def _checked_coverage(self, edge: RouteEdge) -> Tuple[int, int]:
         """Coverage columns of ``edge``, bounds-checked against the chip.
@@ -210,11 +207,14 @@ class DensityEngine:
     # ------------------------------------------------------------------
     # Change notification
     # ------------------------------------------------------------------
-    def subscribe(self, listener: Callable[[int], None]) -> None:
-        """Call ``listener(channel)`` after every profile version bump."""
+    def subscribe(self, listener: Callable[[int, int, int], None]) -> None:
+        """Call ``listener(channel, lo, hi)`` after every profile update,
+        with the inclusive column span the update changed."""
         self._listeners.append(listener)
 
-    def unsubscribe(self, listener: Callable[[int], None]) -> None:
+    def unsubscribe(
+        self, listener: Callable[[int, int, int], None]
+    ) -> None:
         self._listeners.remove(listener)
 
     # ------------------------------------------------------------------

@@ -13,10 +13,10 @@ Flow (line numbers refer to the paper's Algorithm Global_Router):
 * 08–10 — three rip-up-and-reroute improvement phases (Section 3.5),
   driven by :mod:`repro.core.improve`.
 
-Everything the criteria need is cached with version stamps: per-channel
-density versions, a global timing version, and per-net graph state, so
-each loop's :class:`~repro.core.candidates.CandidateEngine` recomputes
-only the keys invalidated by the last deletion.
+Each loop's :class:`~repro.core.candidates.CandidateEngine` recomputes
+only the keys whose inputs the last deletion moved: the router reports
+every deletion and every constraint re-analysis to it, and the density
+engine every changed column span.
 
 Observability: the router emits structured trace events (``run_start``,
 ``phase_start/end``, ``edge_deleted`` with the winning criterion,
@@ -93,6 +93,7 @@ class _NetState:
 
     __slots__ = (
         "net",
+        "position",
         "graph",
         "tree",
         "tree_engine",
@@ -103,8 +104,11 @@ class _NetState:
         "follower_of",
     )
 
-    def __init__(self, net: Net, graph: RoutingGraph):
+    def __init__(self, net: Net, position: int, graph: RoutingGraph):
         self.net = net
+        # Index into ``GlobalRouter.states`` order (the alive-length
+        # ledger of ``_phase_metric``).
+        self.position = position
         self.graph = graph
         self.tree: Optional[TentativeTree] = None
         self.tree_engine: Optional[TreeEngine] = None
@@ -158,7 +162,6 @@ class GlobalRouter:
         self.phase_log: List[PhaseEvent] = []
         self._timings: Dict[str, ConstraintTiming] = {}
         self._timing_dirty = True
-        self._timing_version = 0
         # Net names whose wire caps changed since the last analysis;
         # None means "unknown — re-analyze everything".  Constraint
         # timings are pure functions of their member nets' caps, so
@@ -166,10 +169,15 @@ class GlobalRouter:
         # (bit-identical) results.
         self._caps_dirty: Optional[set] = None
         self._cgs_of_net: Dict[str, Tuple[str, ...]] = {}
-        # Per-constraint re-analysis counter: lets downstream caches
-        # (the selection engine's delay columns) tell exactly which
-        # constraint timings moved on a timing-version bump.
-        self._cg_epoch: Dict[str, int] = {}
+        # The open deletion loop's candidate engine(s), told of every
+        # deletion and constraint re-analysis so they re-key only what
+        # moved.
+        self._candidate_engines: List[CandidateEngine] = []
+        # Each net's alive length in ``states`` order, refreshed for the
+        # nets whose trees were refreshed since the last fold (see
+        # ``_phase_metric``).
+        self._alive_lengths = np.zeros(0)
+        self._stale_lengths: set = set()
         self._routed = False
 
         # Observability (all default to no-ops).
@@ -457,7 +465,7 @@ class GlobalRouter:
             self.circuit.routable_nets,
             self.constraint_graphs if self.config.timing_driven else [],
         )
-        for net in self.circuit.routable_nets:
+        for position, net in enumerate(self.circuit.routable_nets):
             graph = self._instrument_graph(
                 build_routing_graph(
                     net,
@@ -466,9 +474,10 @@ class GlobalRouter:
                     self.config.technology,
                 )
             )
-            state = _NetState(net, graph)
+            state = _NetState(net, position, graph)
             state.context = contexts[net.name]
             self.states[net.name] = state
+        self._alive_lengths = np.zeros(len(self.states))
         self._pair_up()
         self._log("setup", f"built {len(self.states)} routing graphs")
 
@@ -570,6 +579,7 @@ class GlobalRouter:
             raise RoutingError(
                 f"net {state.net.name}: terminals unreachable"
             )
+        self._stale_lengths.add(state)
         unchanged = tree is state.tree
         if not unchanged:
             state.tree = tree
@@ -578,12 +588,15 @@ class GlobalRouter:
             )
             self._set_wire_cap(state.net, state.cl_pf)
         if self.config.timing_driven and state.context.constrained:
-            # Even when the tree object survived (off-tree deletion),
-            # this net's candidate detours may have run through the
-            # removed edge, shifting their cl_if_deleted values.  The
-            # timing-version bump is what tells the selection engine to
-            # re-key this net's candidates everywhere — skipping it
-            # leaves stale heap keys behind current-looking stamps.
+            # Every constrained refresh schedules a timing update, even
+            # when the tree object survived (off-tree deletion) and no
+            # cap moved.  Such an update re-analyzes nothing; it keeps
+            # one timing update after every constrained deletion, which
+            # router.timing_analyses counts (perfbench's
+            # router.timing_update_calls).  The candidate engine does
+            # not rely on it: the deletion event re-keys this net's
+            # candidates, whose cl_if_deleted values the refresh
+            # restamped.
             self._timing_dirty = True
 
     def _cl_if_deleted_many(
@@ -638,7 +651,6 @@ class GlobalRouter:
                 with self.metrics.timer("router.timing_analysis_s"):
                     self._analyze_dirty()
             self._timing_dirty = False
-            self._timing_version += 1
             self._m_timing.inc()
             if self.tracer.enabled:
                 self._emit_violation_transitions()
@@ -653,26 +665,36 @@ class GlobalRouter:
         ``analyze_all`` would recompute for them.  A ``None`` dirty set
         (initial state, or an invalidation of unknown scope) falls back
         to the full analysis.
+
+        Each re-analyzed constraint goes to the open candidate engines
+        as an ``(old, new)`` timing pair, so they re-key only the nets
+        whose delay inputs moved; with no engine open, nothing is
+        compared.
         """
-        epoch = self._cg_epoch
-        if self._caps_dirty is None or not self._timings:
+        before = self._timings
+        if self._caps_dirty is None or not before:
             self._timings = self.analyzer.analyze_all(self.caps)
-            for cg in self.constraint_graphs:
-                epoch[cg.name] = epoch.get(cg.name, 0) + 1
+            reanalyzed = self.constraint_graphs
         else:
             affected: set = set()
             for name in self._caps_dirty:
                 affected.update(self._cgs_of_net.get(name, ()))
-            if affected:
-                timings = dict(self._timings)
-                for cg in self.constraint_graphs:
-                    if cg.name in affected:
-                        timings[cg.name] = self.analyzer.analyze_constraint(
-                            cg, self.caps
-                        )
-                        epoch[cg.name] = epoch.get(cg.name, 0) + 1
+            reanalyzed = [
+                cg for cg in self.constraint_graphs if cg.name in affected
+            ]
+            if reanalyzed:
+                timings = dict(before)
+                for cg in reanalyzed:
+                    timings[cg.name] = self.analyzer.analyze_constraint(
+                        cg, self.caps
+                    )
                 self._timings = timings
         self._caps_dirty = set()
+        for engine in self._candidate_engines:
+            for cg in reanalyzed:
+                engine.on_reanalyzed(
+                    before.get(cg.name), self._timings[cg.name]
+                )
 
     def _set_wire_cap(self, net: Net, cap_pf: float) -> None:
         """Update one net's wire cap, recording it for selective STA."""
@@ -795,6 +817,8 @@ class GlobalRouter:
         for essential in result.newly_essential:
             self.engine.add_bridge(state.graph.edges[essential], weight)
         self._refresh_tree(state, removed=result.removed)
+        for engine in self._candidate_engines:
+            engine.on_deletion(state, result)
 
     def _mirror_deletion(self, state: _NetState, edge_id: int) -> None:
         partner = self.states[state.pair.partner_net]
@@ -897,6 +921,7 @@ class GlobalRouter:
         for member, graph, tree, cl in snapshot:
             self._unregister_density(member)
             member.graph = graph
+            self._stale_lengths.add(member)
             self._register_density(member)
             member.tree = tree
             member.cl_pf = cl
@@ -983,7 +1008,15 @@ class GlobalRouter:
             self._restore_slots(members, snapshot)
 
     def _phase_metric(self, mode: SelectionMode) -> tuple:
-        """Comparable goodness metric (smaller is better) for reverts."""
+        """Comparable goodness metric (smaller is better) for reverts.
+
+        The total length folds the per-net alive-length ledger in
+        ``states`` order with ``np.add.accumulate`` — the same strictly
+        sequential additions as summing the nets one by one — after
+        refreshing only the entries of nets whose trees were refreshed
+        (a deletion, a reroute) or restored (a rollback) since the last
+        fold.
+        """
         from .criteria import penalty
 
         violation = 0.0
@@ -995,9 +1028,11 @@ class GlobalRouter:
                     timing.margin_ps, timing.graph.limit_ps
                 )
         peak = self.engine.total_peak()
-        length = sum(
-            s.graph.total_alive_length_um() for s in self.states.values()
-        )
+        lengths = self._alive_lengths
+        for state in self._stale_lengths:
+            lengths[state.position] = state.graph.total_alive_length_um()
+        self._stale_lengths.clear()
+        length = float(np.add.accumulate(lengths)[-1]) if lengths.size else 0.0
         if mode is SelectionMode.TIMING:
             return (
                 round(violation, 6),

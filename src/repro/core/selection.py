@@ -115,10 +115,12 @@ def density_subkey(
 ) -> Tuple:
     """Conditions 4–8 of the comparison (smaller is better).
 
-    This sub-key is a pure function of the candidate edge and its
-    channel's density profiles, so it goes stale exactly when
-    ``DensityEngine.version[edge.channel]`` bumps — the invariant the
-    incremental candidate engine's heap stamps rely on.
+    This sub-key is a pure function of the candidate edge, its channel's
+    ``(C_M, NC_M, C_m, NC_m)`` and the two density profiles over the
+    edge's own coverage window, so it can move only when the channel's
+    stats move or a density update touches a column of that window —
+    the two events on which the candidate engine re-keys a row's
+    density columns.
     """
     return (
         0 if edge.is_trunk else 1,       # condition 4: prefer trunks
@@ -132,10 +134,13 @@ def density_subkey(
 def delay_subkey(delay: DelayCriteria) -> Tuple:
     """Conditions 1–3 (``C_d``, ``Gl``, ``LD``; smaller is better).
 
-    A pure function of the net's delay criteria, which change only when
-    a timing analysis ran (the router's ``_timing_version``); for nets
-    without constraints it is the constant ``DelayCriteria.ZERO`` and
-    never goes stale at all.
+    A pure function of the net's delay criteria, which read only each
+    of the net's constraint margins, ``lp`` at the net's arc endpoints,
+    the net's ``cl_pf`` and the candidate's ``cl_if_deleted`` — the
+    candidate engine re-keys a net's delay columns when a re-analysis
+    moves one of the first two or a deletion refreshes the net's tree.
+    For nets without constraints it is the constant
+    ``DelayCriteria.ZERO`` and never goes stale at all.
     """
     return (
         delay.critical_count,

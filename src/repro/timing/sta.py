@@ -88,7 +88,7 @@ class ConstraintTiming:
 
     def lp_array(self) -> np.ndarray:
         """``lp`` as a float64 array (cached — the analysis result is
-        immutable), for the vectorized delay-criteria path."""
+        immutable), for the candidate engine's timing diff."""
         if self._lp_arr is None:
             self._lp_arr = np.asarray(self.lp, dtype=np.float64)
         return self._lp_arr

@@ -1,6 +1,9 @@
-"""Unit tests for the candidate-selection engine (lifecycle, metrics) —
-the key-exactness property lives in ``test_selection_property.py`` and
-the pinned deletion sequences in ``test_edge_deletion_golden.py``."""
+"""Unit tests for the candidate-selection engine (lifecycle, metrics,
+the timing diff) — the key-exactness property lives in
+``test_selection_property.py`` and the pinned deletion sequences in
+``test_edge_deletion_golden.py``."""
+
+import dataclasses
 
 from conftest import build_chain_circuit
 from repro import (
@@ -12,6 +15,7 @@ from repro import (
     place_circuit,
 )
 from repro.core.candidates import CandidateEngine
+from repro.core.criteria import ConstraintArcRows
 from repro.core.selection import SelectionMode
 
 
@@ -82,3 +86,75 @@ class TestMetrics:
         flat = router.metrics.flat()
         assert flat["router.heap_pops"] > 0
         assert flat["router.heap_stale"] >= 0
+
+
+class TestTimingDiff:
+    """``on_reanalyzed`` marks exactly the tracked nets whose delay
+    inputs one constraint's re-analysis moved."""
+
+    def _engine(self, library):
+        router = prepared(library)
+        engine = CandidateEngine(
+            router, router._lead_states(), SelectionMode.TIMING
+        )
+        timing = router._timings["p0"]
+        return engine, timing, set(engine._rows_by_net)
+
+    @staticmethod
+    def _reanalyzed(timing, **changes):
+        # A fresh result carries no cached lp array.
+        return dataclasses.replace(timing, _lp_arr=None, **changes)
+
+    @staticmethod
+    def _nets_touching(timing, tracked):
+        """Position -> tracked nets with an arc row whose tail or head
+        sits at that position."""
+        touching = {}
+        for net in timing.graph.nets():
+            if net.name not in tracked:
+                continue
+            for _, tail, head in ConstraintArcRows.build(
+                timing.graph, net
+            ).rows:
+                touching.setdefault(tail, set()).add(net.name)
+                touching.setdefault(head, set()).add(net.name)
+        return touching
+
+    def test_unmoved_result_marks_nothing(self, library):
+        engine, timing, _ = self._engine(library)
+        try:
+            engine.on_reanalyzed(timing, self._reanalyzed(timing))
+            assert engine._delay_dirty == set()
+        finally:
+            engine.close()
+
+    def test_moved_margin_marks_every_net_of_the_constraint(self, library):
+        engine, timing, tracked = self._engine(library)
+        try:
+            engine.on_reanalyzed(
+                timing,
+                self._reanalyzed(timing, margin_ps=timing.margin_ps - 1.0),
+            )
+            expected = {net.name for net in timing.graph.nets()} & tracked
+            assert len(expected) > 1
+            assert engine._delay_dirty == expected
+        finally:
+            engine.close()
+
+    def test_unmoved_margin_marks_only_nets_at_moved_lp(self, library):
+        engine, timing, tracked = self._engine(library)
+        try:
+            touching = self._nets_touching(timing, tracked)
+            every_net = set().union(*touching.values())
+            position = min(
+                p
+                for p, nets in touching.items()
+                if nets != every_net and timing.lp[p] != float("-inf")
+            )
+            lp = list(timing.lp)
+            lp[position] += 1.0
+            engine.on_reanalyzed(timing, self._reanalyzed(timing, lp=lp))
+            assert engine._delay_dirty == touching[position]
+            assert engine._delay_dirty < every_net
+        finally:
+            engine.close()

@@ -118,12 +118,17 @@ class TestEngine:
         assert params.nd_max == 1     # only column 3 is at C_M
         assert params.d_min == 0
 
-    def test_version_bumps_on_change(self):
+    def test_listener_receives_changed_span(self):
         engine = DensityEngine(2, 10)
-        v0 = engine.version[0]
+        calls = []
+        engine.subscribe(lambda *span: calls.append(span))
         engine.add_edge(trunk(0, 0, 0, 3))
-        assert engine.version[0] == v0 + 1
-        assert engine.version[1] == 0
+        engine.add_bridge(trunk(1, 1, 4, 9))
+        engine.add_edge(trunk(2, 1, 6, 6))
+        engine.add_edge(branch(3, 0, 5))
+        # (channel, lo, hi) of each update's inclusive coverage; a
+        # zero-span trunk covers its one column, a branch changes none.
+        assert calls == [(0, 0, 2), (1, 4, 8), (1, 6, 6)]
 
     def test_total_peak_and_max_channel(self):
         engine = DensityEngine(3, 10)
@@ -205,21 +210,19 @@ class TestApplyValidation:
             engine.remove_edge(trunk(1, 0, 0, 8), weight=2)
         assert np.array_equal(engine.profile(0)[0], before_max)
 
-    def test_failed_remove_leaves_version_and_stats(self):
+    def test_failed_remove_leaves_updates_and_stats(self):
         engine = self._engine_with_edge()
         stats_before = engine.channel_stats(0)
-        version_before = list(engine.version)
         updates_before = engine.updates
         with pytest.raises(RoutingError):
             engine.remove_edge(trunk(1, 0, 1, 9))
-        assert list(engine.version) == version_before
         assert engine.updates == updates_before
         assert engine.channel_stats(0) == stats_before
 
     def test_failed_remove_notifies_no_listener(self):
         engine = self._engine_with_edge()
         calls = []
-        engine.subscribe(calls.append)
+        engine.subscribe(lambda *span: calls.append(span))
         with pytest.raises(RoutingError):
             engine.remove_edge(trunk(1, 0, 0, 8), weight=2)
         assert calls == []

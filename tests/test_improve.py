@@ -13,6 +13,7 @@ from repro import (
     RouterConfig,
     place_circuit,
 )
+from repro.bench.circuits import make_dataset, standard_suite
 from repro.core.selection import SelectionMode
 
 
@@ -83,6 +84,31 @@ class TestRerouteNet:
             router.reroute_net(name, SelectionMode.TIMING)
         after = router._phase_metric(SelectionMode.TIMING)
         assert after <= before
+
+    def test_phase_metric_length_matches_a_fresh_sum(self):
+        """The metric's per-net length ledger, refreshed only for the
+        nets that deletions, reroutes and rollbacks touched, holds every
+        net's current alive length and folds to a plain sequential sum.
+        C1P1's improvement phases roll one reroute back."""
+        dataset = make_dataset(standard_suite()[0])
+        router = GlobalRouter(
+            dataset.circuit,
+            dataset.placement,
+            dataset.constraints,
+            RouterConfig(),
+        )
+        router.route()
+        assert router.metrics.flat()["router.reroutes_reverted"] > 0
+        metric = router._phase_metric(SelectionMode.TIMING)
+        fresh = [
+            state.graph.total_alive_length_um()
+            for state in router.states.values()
+        ]
+        assert router._alive_lengths.tolist() == fresh
+        total = 0.0
+        for length in fresh:
+            total += length
+        assert metric[3] == round(total, 3)
 
     def test_no_revert_mode_runs(self, library):
         circuit, router = self._routed(

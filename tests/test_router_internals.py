@@ -67,13 +67,15 @@ class TestKeyCache:
             engine.close()
 
     def test_timing_version_advances_on_constrained_change(self, library):
+        """One timing update, counted in ``router.timing_analyses``,
+        follows the deletion of a constrained net's edge."""
         router = make_router(library)
         router._build_timing()
         router._assign_pins_and_feedthroughs()
         router._build_routing_graphs()
         router._init_density_and_trees()
         router._ensure_timings()
-        version_before = router._timing_version
+        updates_before = router.metrics.flat()["router.timing_analyses"]
         # Delete an edge of a constrained net.
         constrained_states = [
             s
@@ -85,7 +87,10 @@ class TestKeyCache:
         state = constrained_states[0]
         router._delete_edge(state, state.graph.deletable_edges()[0])
         router._ensure_timings()
-        assert router._timing_version == version_before + 1
+        assert (
+            router.metrics.flat()["router.timing_analyses"]
+            == updates_before + 1
+        )
 
 
 class TestConfigMatrix:
