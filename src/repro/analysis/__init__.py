@@ -13,6 +13,7 @@ from .attribution import (
 from .density_profile import DensityProfile, profile_from_engine
 from .heatmap import (
     HeatmapSnapshot,
+    format_heatmap,
     format_snapshot,
     format_snapshot_table,
     snapshots_from_events,
@@ -58,6 +59,7 @@ __all__ = [
     "deletion_divergence",
     "diff_runs",
     "format_attribution",
+    "format_heatmap",
     "format_snapshot",
     "format_snapshot_table",
     "snapshots_from_events",

@@ -73,7 +73,8 @@ class HeatmapSnapshot:
                 return heat
         return None
 
-    def to_dict(self) -> Dict[str, Any]:
+    def to_dict(self, channel: Optional[int] = None) -> Dict[str, Any]:
+        """JSON form; with ``channel``, that channel's profiles only."""
         return {
             "label": self.label,
             "seq": self.seq,
@@ -89,6 +90,7 @@ class HeatmapSnapshot:
                     "d_min": list(h.d_min),
                 }
                 for h in self.channels
+                if channel is None or h.channel == channel
             ],
         }
 
@@ -153,8 +155,6 @@ def format_snapshot(
         )
         lines.append(f"    d_M |{_strip(heat.d_max, max_width)}|")
         lines.append(f"    d_m |{_strip(heat.d_min, max_width)}|")
-    if channel is not None and len(lines) == 1:
-        lines.append(f"  channel {channel}: not in this snapshot")
     return "\n".join(lines)
 
 
@@ -170,3 +170,14 @@ def format_snapshot_table(snapshots: List[HeatmapSnapshot]) -> str:
             f"  {snapshot.label:<18s} {total_max:>8d} {total_min:>8d}"
         )
     return "\n".join(lines)
+
+
+def format_heatmap(
+    snapshots: List[HeatmapSnapshot], channel: Optional[int] = None
+) -> str:
+    """What ``repro trace heatmap`` prints without ``--label``: the
+    per-label summary table, then the final snapshot."""
+    return "\n\n".join(
+        [format_snapshot_table(snapshots)]
+        + [format_snapshot(s, channel=channel) for s in snapshots[-1:]]
+    )

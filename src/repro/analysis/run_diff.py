@@ -1,20 +1,15 @@
 """Run-to-run regression diffing: the ``repro compare-runs`` engine.
 
-Two inputs of the same kind are compared line by line against
-configurable thresholds; any exceeded threshold becomes a *failure* and
-the CLI exits non-zero — the CI regression gate.  Supported inputs:
-
-* **run manifests** (``repro-run-manifest/1``): headline result deltas
-  (critical delay, total length, deletions, violations), the
-  ``router.peak_density_total`` gauge, and per-phase wall times
-  (report-only by default — wall clocks are noisy in CI);
-* **negotiation bench snapshots** (``repro-bench-negotiation/1``,
-  written by ``benchmarks/bench_negotiation.py --json``): the negotiated
-  engine's per-design quality relative to edge-deletion;
-* optionally, two **traces** alongside the manifests: the first
-  ``edge_deleted`` divergence point (report-only — two seeds *should*
-  diverge) and per-channel ``C_M``/``C_m`` deltas from the final
-  ``density_snapshot``, which *are* gated.
+Two run manifests (``repro-run-manifest/1``) are compared line by line
+against configurable thresholds; any exceeded threshold becomes a
+*failure* and the CLI exits non-zero.  Gated: headline result deltas
+(critical delay, total length, violations) and the
+``router.peak_density_total`` gauge.  Deletion counts and per-phase
+wall times are report-only (wall clocks differ between machines).
+Optionally, two **traces** alongside the manifests add the first
+``edge_deleted`` divergence point (report-only — two seeds *should*
+diverge) and per-channel ``C_M``/``C_m`` deltas from the final
+``density_snapshot``, which *are* gated.
 """
 
 from __future__ import annotations
@@ -23,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..obs.manifest import MANIFEST_SCHEMA
-
-BENCH_NEGOTIATION_SCHEMA = "repro-bench-negotiation/1"
 
 
 @dataclass(frozen=True)
@@ -35,12 +28,6 @@ class DiffThresholds:
     max_length_pct: Optional[float] = 5.0      # total_length_um growth
     max_peak_delta: Optional[float] = 8.0      # Σ C_M growth (tracks)
     max_violations_delta: Optional[int] = 0    # new timing violations
-    max_wall_pct: Optional[float] = None       # per-phase wall growth
-    # Engine-comparison mode: False when diffing runs produced by
-    # different routing engines, whose deletion counts/sequences
-    # legitimately diverge — the deletion-stream comparison is skipped
-    # and only quality deltas are judged.
-    require_identical_deletions: bool = True
 
 
 @dataclass
@@ -79,7 +66,7 @@ def _fmt(value: Any) -> str:
 class RunDiff:
     """Full comparison outcome."""
 
-    kind: str                        # "manifest" | "bench-negotiation"
+    kind: str
     lines: List[DiffLine] = field(default_factory=list)
     failures: List[str] = field(default_factory=list)
     divergence: Optional[Dict[str, Any]] = None
@@ -131,17 +118,15 @@ class RunDiff:
 
 
 def classify_input(payload: Dict[str, Any]) -> str:
-    """``manifest`` or ``bench-negotiation`` — by the document's schema
-    marker."""
+    """``manifest`` — the only input kind; any other schema marker is
+    rejected."""
     schema = payload.get("schema")
-    if schema == MANIFEST_SCHEMA:
-        return "manifest"
-    if schema == BENCH_NEGOTIATION_SCHEMA:
-        return "bench-negotiation"
-    raise ValueError(
-        f"unsupported input schema {schema!r} (expected "
-        f"{MANIFEST_SCHEMA!r} or {BENCH_NEGOTIATION_SCHEMA!r})"
-    )
+    if schema != MANIFEST_SCHEMA:
+        raise ValueError(
+            f"unsupported input schema {schema!r} (expected "
+            f"{MANIFEST_SCHEMA!r})"
+        )
+    return "manifest"
 
 
 def _pct(old: float, new: float) -> Optional[float]:
@@ -285,8 +270,7 @@ def diff_manifests(
     for path in sorted(set(old_walls) & set(new_walls)):
         _gate_pct(
             diff, f"phase.{path}.wall_s",
-            old_walls[path], new_walls[path],
-            thresholds.max_wall_pct,
+            old_walls[path], new_walls[path], None,
         )
     return diff
 
@@ -347,22 +331,8 @@ def diff_traces(
     new_events: Sequence,
     thresholds: DiffThresholds = DiffThresholds(),
 ) -> None:
-    """Fold trace-level comparisons into an existing manifest diff.
-
-    With ``thresholds.require_identical_deletions`` False (engine
-    comparison), the deletion-stream comparison is skipped entirely —
-    different engines legitimately delete different edges in a
-    different order — and only the per-channel density gates run.
-    """
-    if thresholds.require_identical_deletions:
-        diff.divergence = deletion_divergence(old_events, new_events)
-    else:
-        diff.lines.append(
-            DiffLine(
-                "deletion_sequence", "-", "-",
-                note="skipped: engine comparison",
-            )
-        )
+    """Fold trace-level comparisons into an existing manifest diff."""
+    diff.divergence = deletion_divergence(old_events, new_events)
     old_stats = _final_channel_stats(old_events)
     new_stats = _final_channel_stats(new_events)
     for channel in sorted(set(old_stats) & set(new_stats)):
@@ -378,114 +348,6 @@ def diff_traces(
         )
 
 
-# ----------------------------------------------------------------------
-# Bench snapshot diffing
-# ----------------------------------------------------------------------
-def _gate_ceiling(
-    diff: RunDiff,
-    name: str,
-    old: Optional[float],
-    new: Optional[float],
-    ceiling: Optional[float],
-) -> None:
-    """Add an absolute-ceiling-gated line (``new > ceiling`` fails).
-
-    Unlike :func:`_gate_pct` the *value itself* is the quantity under
-    test (already a percentage or count relative to a baseline), so the
-    gate is on its magnitude, not on its growth since the snapshot.
-    """
-    if new is None:
-        return
-    new = float(new)
-    line = DiffLine(
-        name,
-        float(old) if old is not None else None,
-        new,
-        delta=new - float(old) if old is not None else None,
-    )
-    if ceiling is not None and new > ceiling:
-        line.failed = True
-        diff.failures.append(
-            f"{name} is {new:+.3f} (ceiling {ceiling:+.3f})"
-        )
-    elif ceiling is None:
-        line.note = "report-only"
-    diff.lines.append(line)
-
-
-def diff_bench_negotiation(
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    thresholds: DiffThresholds = DiffThresholds(),
-) -> RunDiff:
-    """Compare two ``BENCH_negotiation.json`` snapshots.
-
-    Each row carries the negotiated engine's quality *relative to
-    edge-deletion on the same design* (percent deltas and violation
-    deltas), so the gates are ceilings on the fresh values, not growth
-    since the snapshot: routed delay and wire area must stay within
-    ``max_delay_pct``/``max_length_pct`` of edge-deletion, the engine
-    must not add more than ``max_violations_delta`` violations, and
-    every run must converge to zero overused columns.  Iteration counts
-    and wall clocks are report-only.
-    """
-    diff = RunDiff(kind="bench-negotiation")
-    old_designs = old.get("designs", {})
-    new_designs = new.get("designs", {})
-    for design in sorted(set(old_designs) & set(new_designs)):
-        old_row = old_designs[design]
-        new_row = new_designs[design]
-        _gate_ceiling(
-            diff, f"{design}.delay_pct_vs_edge",
-            old_row.get("delay_pct_vs_edge"),
-            new_row.get("delay_pct_vs_edge"),
-            thresholds.max_delay_pct,
-        )
-        _gate_ceiling(
-            diff, f"{design}.area_pct_vs_edge",
-            old_row.get("area_pct_vs_edge"),
-            new_row.get("area_pct_vs_edge"),
-            thresholds.max_length_pct,
-        )
-        _gate_ceiling(
-            diff, f"{design}.violations_delta",
-            old_row.get("violations_delta"),
-            new_row.get("violations_delta"),
-            (
-                float(new_row["violations_allowance"])
-                if new_row.get("violations_allowance") is not None
-                else (
-                    float(thresholds.max_violations_delta)
-                    if thresholds.max_violations_delta is not None
-                    else None
-                )
-            ),
-        )
-        _gate_ceiling(
-            diff, f"{design}.overused_columns",
-            old_row.get("overused_columns"),
-            new_row.get("overused_columns"),
-            0.0,
-        )
-        _gate_delta(
-            diff, f"{design}.iterations",
-            old_row.get("iterations"), new_row.get("iterations"),
-            None,
-        )
-        _gate_pct(
-            diff, f"{design}.wall_s_negotiated",
-            old_row.get("wall_s_negotiated"),
-            new_row.get("wall_s_negotiated"),
-            thresholds.max_wall_pct,
-        )
-    missing = sorted(set(old_designs) - set(new_designs))
-    if missing:
-        diff.failures.append(
-            f"designs missing from new snapshot: {', '.join(missing)}"
-        )
-    return diff
-
-
 def diff_runs(
     old: Dict[str, Any],
     new: Dict[str, Any],
@@ -493,15 +355,9 @@ def diff_runs(
     old_events: Optional[Sequence] = None,
     new_events: Optional[Sequence] = None,
 ) -> RunDiff:
-    """Dispatch on input kind; both documents must agree on it."""
-    kind_old = classify_input(old)
-    kind_new = classify_input(new)
-    if kind_old != kind_new:
-        raise ValueError(
-            f"cannot compare a {kind_old} against a {kind_new}"
-        )
-    if kind_old == "bench-negotiation":
-        return diff_bench_negotiation(old, new, thresholds)
+    """Diff two run manifests, plus their traces when both are given."""
+    classify_input(old)
+    classify_input(new)
     diff = diff_manifests(old, new, thresholds)
     if old_events is not None and new_events is not None:
         diff_traces(diff, old_events, new_events, thresholds)

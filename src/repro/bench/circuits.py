@@ -492,9 +492,10 @@ def congestion_suite() -> List[DatasetSpec]:
     engine's one-shot greedy deletions lock in early congestion
     mistakes, while the negotiated engine's iterative rip-up converges
     to measurably fewer timing violations at comparable area — the
-    committed evidence that negotiation pays off under congestion (see
-    ``tests/test_negotiated_convergence.py`` and
-    ``benchmarks/bench_negotiation.py``).
+    committed evidence that negotiation pays off under congestion (the
+    CGP1 rows of ``benchmarks/golden/flow.json``, held to at least one
+    violation fewer and area within 5% by
+    ``tests/test_negotiated_golden.py::test_negotiated_quality_bars``).
     """
     cg = CircuitSpec(
         "CG1", n_gates=160, n_flops=20, n_inputs=10, n_outputs=8,

@@ -245,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare_runs = sub.add_parser(
         "compare-runs",
-        help="diff two run manifests or bench snapshots against "
-        "regression thresholds",
+        help="diff two run manifests against regression thresholds",
     )
     compare_runs.add_argument("old", type=Path)
     compare_runs.add_argument("new", type=Path)
@@ -272,18 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare_runs.add_argument(
         "--max-violations-delta", type=int, default=0,
         help="fail if more constraints are violated than before",
-    )
-    compare_runs.add_argument(
-        "--max-wall-pct", type=float, default=None,
-        help="fail if a phase's wall time grows more than this percent "
-        "(default: report-only; wall clocks are noisy in CI)",
-    )
-    compare_runs.add_argument(
-        "--no-require-identical-deletions",
-        action="store_true",
-        help="engine-comparison mode: tolerate diverging deletion "
-        "counts/sequences and judge quality deltas only (for diffing "
-        "runs produced by different routing engines)",
     )
     compare_runs.add_argument(
         "--json", type=Path, default=None, metavar="PATH",
@@ -886,8 +873,8 @@ def _cmd_trace_heatmap(args) -> int:
     import json as json_module
 
     from .analysis import (
+        format_heatmap,
         format_snapshot,
-        format_snapshot_table,
         snapshots_from_events,
     )
 
@@ -905,17 +892,23 @@ def _cmd_trace_heatmap(args) -> int:
             return _input_error(
                 f"trace {args.path}: no snapshot labelled {args.label!r}"
             )
+    if args.channel is not None and any(
+        s.channel(args.channel) is None for s in snapshots
+    ):
+        return _input_error(
+            f"trace {args.path}: no channel {args.channel} in its "
+            "density snapshots"
+        )
     if args.json:
         print(json_module.dumps(
-            [s.to_dict() for s in snapshots], indent=2, sort_keys=True
+            [s.to_dict(channel=args.channel) for s in snapshots],
+            indent=2, sort_keys=True,
         ))
-        return 0
-    if args.label is None:
-        print(format_snapshot_table(snapshots))
-        print()
-        snapshots = snapshots[-1:]
-    for snapshot in snapshots:
-        print(format_snapshot(snapshot, channel=args.channel))
+    elif args.label is None:
+        print(format_heatmap(snapshots, channel=args.channel))
+    else:
+        for snapshot in snapshots:
+            print(format_snapshot(snapshot, channel=args.channel))
     return 0
 
 
@@ -935,8 +928,6 @@ def _cmd_compare_runs(args) -> int:
         max_length_pct=args.max_length_pct,
         max_peak_delta=args.max_peak_delta,
         max_violations_delta=args.max_violations_delta,
-        max_wall_pct=args.max_wall_pct,
-        require_identical_deletions=not args.no_require_identical_deletions,
     )
     old_events = new_events = None
     if args.trace is not None:

@@ -8,7 +8,9 @@ a number:
 
 * every field of ``execute_job(...).to_row()`` except the wall-clock
   ``cpu_s``, for each small-suite design, constrained and
-  unconstrained, under the default and the negotiated engine;
+  unconstrained, under the default and the negotiated engine, and for
+  the designs of the negotiated-quality bars (C1P1, C1P2, C3P1, CGP1),
+  constrained, under both engines;
 * four ``route --verify --json`` runs on a netlist and placement written
   by ``generate``: exit code 0, the ``verifier: clean`` line, and a
   sha256 over the canonical JSON payload with both ``cpu_seconds``
@@ -32,7 +34,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.circuits import small_suite
+from repro.bench.circuits import (
+    congestion_suite,
+    small_suite,
+    standard_suite,
+)
 from repro.cli import main
 from repro.core.config import RouterConfig
 from repro.exec import JobSpec, execute_job
@@ -47,12 +53,23 @@ ENGINES = {
     "negotiated": RouterConfig(routing_engine="negotiated"),
 }
 
+_SPECS = {
+    spec.name: spec
+    for spec in small_suite() + standard_suite() + congestion_suite()
+}
+
+#: Designs whose constrained jobs under both engines carry the
+#: negotiated-quality bars (``test_negotiated_quality_bars``).
+BAR_DESIGNS = ("C1P1", "C1P2", "C3P1", "CGP1")
+
 #: ``(design, constrained, engine)`` jobs pinned by the golden.
 JOBS = tuple(
     (spec.name, constrained, engine)
     for spec in small_suite()
     for constrained in (True, False)
     for engine in ENGINES
+) + tuple(
+    (name, True, engine) for name in BAR_DESIGNS for engine in ENGINES
 )
 
 #: ``route`` runs pinned by the golden: name -> extra CLI arguments.
@@ -78,9 +95,8 @@ def job_id(name, constrained, engine):
 
 def job_row(name, constrained, engine):
     """One job's record row without the wall-clock ``cpu_s``."""
-    spec = next(s for s in small_suite() if s.name == name)
     row = execute_job(
-        JobSpec(spec, constrained, config=ENGINES[engine])
+        JobSpec(_SPECS[name], constrained, config=ENGINES[engine])
     ).to_row()
     row.pop("cpu_s")
     return row

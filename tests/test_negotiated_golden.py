@@ -3,9 +3,14 @@
 The convergence tests only require zero overuse and a clean verifier, so
 a change that reroutes nets differently but still legally would pass
 them.  This test pins what the engine actually chose: total length,
-deletion count, the negotiation work counters and a digest of every
-net's route edges, for three designs at their committed seeds.  Every
-value must match ``benchmarks/golden/negotiated.json`` exactly.
+deletion count, critical delay, channel peak densities, constraint
+margins, the negotiation work counters and a digest of every net's
+route edges, for four cases at their committed seeds.  Every value must
+match ``benchmarks/golden/negotiated.json`` exactly.
+
+:func:`test_negotiated_quality_bars` holds the engine's quality against
+edge-deletion's, reading golden values only, so a re-record that
+breaks a bar fails tier-1.
 
 A deliberate change of the engine's routes rewrites the golden with::
 
@@ -21,6 +26,8 @@ from repro.bench.circuits import congestion_suite, standard_suite
 from repro.bench.runner import run_dataset
 from repro.core.config import RouterConfig
 from tests.conftest import routes_sha256
+from tests.test_edge_deletion_golden import golden as edge_golden
+from tests.test_flow_golden import golden as flow_golden
 
 GOLDEN = (
     Path(__file__).resolve().parent.parent
@@ -28,7 +35,9 @@ GOLDEN = (
 )
 
 #: ``(design, constrained)`` pairs pinned by the golden.
-CASES = (("CGP1", True), ("C1P1", True), ("C1P1", False))
+CASES = (
+    ("CGP1", True), ("C1P1", True), ("C1P1", False), ("C3P1", True),
+)
 
 _COUNTERS = (
     "negotiate.iterations",
@@ -57,6 +66,12 @@ def fingerprint(name, constrained):
         "total_length_um": result.total_length_um,
         "deletions": result.deletions,
         "routes_sha256": routes_sha256(result),
+        "critical_delay_ps": result.critical_delay_ps,
+        "channel_peak_density": [
+            result.channel_peak_density[channel]
+            for channel in sorted(result.channel_peak_density)
+        ],
+        "constraint_margins": dict(result.constraint_margins),
     }
     for counter in _COUNTERS:
         values[counter] = int(record.metrics.get(counter, 0))
@@ -69,6 +84,51 @@ def fingerprint(name, constrained):
 def test_negotiated_output_matches_golden(name, constrained):
     golden = json.loads(GOLDEN.read_text())
     assert fingerprint(name, constrained) == golden[case_id(name, constrained)]
+
+
+#: Signed-off timing violations the negotiated engine may add over
+#: edge-deletion's on each constrained design.  On CGP1, the
+#: congestion-adversarial design, negotiation must end with at least
+#: one fewer; C1P2 carries a known, accepted +1.
+VIOLATION_ALLOWANCE = {"C1P1": 0, "C1P2": 1, "C3P1": 0, "CGP1": -1}
+
+#: Negotiated delay, area and length may exceed edge-deletion's by 5%.
+MAX_RATIO = 1.05
+
+#: Negotiated Σ C_M may exceed edge-deletion's by this many tracks.
+MAX_PEAK_DELTA = 8
+
+
+def test_negotiated_quality_bars():
+    """The negotiated engine against edge-deletion, from golden values.
+
+    Per design, the signed-off delay and area of the constrained
+    ``execute_job`` rows in ``flow.json`` stay within 5% and the
+    violations within the allowance.  On C3P1's global result
+    (``negotiated.json`` against ``edge_deletion.json``), delay and
+    length stay within 5%, no more constraints end negative, and
+    Σ C_M grows by at most :data:`MAX_PEAK_DELTA` tracks.
+    """
+    for design, allowance in VIOLATION_ALLOWANCE.items():
+        edge = flow_golden()[f"job.{design}.timing.default"]
+        neg = flow_golden()[f"job.{design}.timing.negotiated"]
+        assert neg["delay_ps"] <= MAX_RATIO * edge["delay_ps"], design
+        assert neg["area_mm2"] <= MAX_RATIO * edge["area_mm2"], design
+        assert neg["violations"] - edge["violations"] <= allowance, design
+
+    edge = edge_golden("C3P1", "timing")
+    neg = json.loads(GOLDEN.read_text())["C3P1.timing"]
+    for field in ("critical_delay_ps", "total_length_um"):
+        assert neg[field] <= MAX_RATIO * edge[field], field
+
+    def negative(case):
+        return sum(m < 0 for m in case["constraint_margins"].values())
+
+    assert negative(neg) <= negative(edge)
+    assert (
+        sum(neg["channel_peak_density"])
+        <= sum(edge["channel_peak_density"]) + MAX_PEAK_DELTA
+    )
 
 
 if __name__ == "__main__":

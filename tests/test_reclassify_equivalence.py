@@ -20,8 +20,8 @@ import pytest
 from repro.bench.circuits import standard_suite
 from tests.test_edge_deletion_golden import (
     RouteMatchesGolden,
+    assert_stream_matches,
     fingerprint,
-    golden,
 )
 
 DESIGNS = [spec.name for spec in standard_suite()]
@@ -53,8 +53,5 @@ class TestFullRouteEquivalence(RouteMatchesGolden):
 
 
 @pytest.mark.parametrize("design", DESIGNS)
-def test_area_mode_sequence_identical(design):
-    assert (
-        fingerprint(design, "timing_area_loop")["stream_sha256"]
-        == golden(design, "timing_area_loop")["stream_sha256"]
-    )
+def test_area_mode_sequence_identical(design, tmp_path_factory):
+    assert_stream_matches(design, "timing_area_loop", tmp_path_factory)

@@ -1,17 +1,14 @@
 """Run-diff regression gates: manifest/trace diffing and the
 ``compare-runs`` CLI, including the two acceptance scenarios — seed
-divergence stays green, an injected density regression goes red."""
+divergence stays green, an injected density regression goes red — and
+the rejection of any input that is not a run manifest."""
 
 import dataclasses
 import json
 
 import pytest
 
-from repro.analysis.run_diff import (
-    BENCH_NEGOTIATION_SCHEMA,
-    classify_input,
-    deletion_divergence,
-)
+from repro.analysis.run_diff import classify_input, deletion_divergence
 from repro.bench.circuits import make_dataset, small_suite
 from repro.cli import main
 from repro.core import GlobalRouter, RouterConfig
@@ -167,8 +164,10 @@ class TestInputClassification:
     def test_kind_mismatch_is_an_input_error(self, seed_pair, tmp_path):
         manifest_path, _, _, _ = seed_pair["a"]
         bench_path = tmp_path / "bench.json"
+        # A retired bench-snapshot schema: compare-runs diffs manifests
+        # only.
         bench_path.write_text(json.dumps({
-            "schema": BENCH_NEGOTIATION_SCHEMA,
+            "schema": "repro-bench-selection/3",
             "designs": {},
         }))
         code = main([

@@ -16,6 +16,7 @@ import pytest
 from repro.bench.circuits import standard_suite
 from tests.test_edge_deletion_golden import (
     RouteMatchesGolden,
+    assert_stream_matches,
     fingerprint,
     golden,
 )
@@ -54,11 +55,8 @@ class TestFullRouteEquivalence(RouteMatchesGolden):
 
 
 @pytest.mark.parametrize("design", DESIGNS)
-def test_area_mode_sequence_identical(design):
-    assert (
-        fingerprint(design, "area_loop")["stream_sha256"]
-        == golden(design, "area_loop")["stream_sha256"]
-    )
+def test_area_mode_sequence_identical(design, tmp_path_factory):
+    assert_stream_matches(design, "area_loop", tmp_path_factory)
 
 
 def test_largest_design_key_eval_reduction():
