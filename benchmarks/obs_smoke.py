@@ -7,7 +7,10 @@ crash isolation ON, so traced jobs exercise the telemetry relay):
 2. submit a **traced** route job; assert its event stream carries
    ``progress_heartbeat`` events and full relay context
    (``run_id``/``job_id``/``worker``) on every event, with the worker a
-   real subprocess;
+   real subprocess, and that ``PhaseProfiler.from_events`` rebuilds a
+   balanced phase tree from it: roots ``route``, ``build_result``,
+   ``route_channels``, ``sign_off``, with ``route`` holding ``setup``,
+   ``initial`` and ``finalize``;
 3. assert ``GET /jobs/{id}/metrics`` returns the live/heartbeat/final
    triple with real router counters;
 4. fetch ``GET /metrics`` and validate the Prometheus text exposition
@@ -34,12 +37,14 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(
     0, str(Path(__file__).resolve().parent.parent / "src")
 )
 
+from repro.obs import PhaseProfiler, TraceEvent  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 
 
@@ -158,6 +163,28 @@ def main() -> int:
         check(
             all(isinstance(w, int) and w != server.pid for w in workers),
             f"events produced by worker subprocess(es) {sorted(workers)}",
+        )
+
+        print("relayed phase tree ...")
+        starts, ends = (
+            Counter(e["phase"] for e in events if e["kind"] == kind)
+            for kind in ("phase_start", "phase_end")
+        )
+        check(bool(starts) and starts == ends,
+              f"phase events balanced ({sum(starts.values())} phases)")
+        phases = PhaseProfiler.from_events(
+            TraceEvent.from_dict(e) for e in events
+        )
+        roots = list(phases.root.children)
+        check(
+            roots == ["route", "build_result", "route_channels",
+                      "sign_off"],
+            f"phase tree roots in order: {roots}",
+        )
+        check(
+            {"setup", "initial", "finalize"}
+            <= set(phases.node("route").children),
+            "route holds setup, initial and finalize",
         )
 
         print("per-job metrics ...")

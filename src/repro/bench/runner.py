@@ -50,24 +50,31 @@ def run_flow(
     batch and service run go through here.
 
     Sign-off uses the router's technology, width-cap exponent and delay
-    graph ("the same delay model"); all stages share one tracer and the
-    engine's metrics registry.  Routing mutates ``placement``.
+    graph ("the same delay model"); all stages share one tracer, the
+    engine's metrics registry and one profiler, whose root phases are
+    ``route``, ``build_result``, ``route_channels`` and ``sign_off``.
+    Routing mutates ``placement``.
     """
     tracer = Tracer.of(trace_sink)
+    if profiler is None:
+        profiler = PhaseProfiler()
     router = make_engine(
         circuit, placement, constraints, config,
         trace_sink=tracer, metrics=metrics, profiler=profiler,
         decision_sampling=decision_sampling,
     )
     global_result = router.route()
-    channel_result = route_channels(
-        global_result, placement, config.technology,
-        metrics=router.metrics, tracer=tracer,
-    )
-    signoff = sign_off(
-        circuit, placement, global_result, channel_result, constraints,
-        config.technology, config.width_cap_exponent, gd=router.gd,
-    )
+    with profiler.phase("route_channels"):
+        channel_result = route_channels(
+            global_result, placement, config.technology,
+            metrics=router.metrics, tracer=tracer,
+        )
+    with profiler.phase("sign_off"):
+        signoff = sign_off(
+            circuit, placement, global_result, channel_result,
+            constraints, config.technology, config.width_cap_exponent,
+            gd=router.gd,
+        )
     return Flow(router, global_result, channel_result, signoff)
 
 
@@ -141,7 +148,8 @@ def run_dataset(
     ``metrics_snapshot`` records can see the counters mid-run.  Either
     way the flattened snapshot rides along on ``RunRecord.metrics``.
     Pass ``trace_sink`` to capture the run's structured event stream,
-    ``profiler`` to share a phase profiler, and ``decision_sampling``
+    ``profiler`` to share a phase profiler (each record still reports
+    its own route time), and ``decision_sampling``
     (``all``/``off``/``nth:N``) to control deletion-decision records in
     the trace.
 

@@ -19,20 +19,21 @@ every deletion and every constraint re-analysis to it, and the density
 engine every changed column span.
 
 Observability: the router emits structured trace events (``run_start``,
-``phase_start/end``, ``edge_deleted`` with the winning criterion,
-``reroute``, ``violation_found/cleared``, ``feed_cell_inserted``) through
-a :class:`~repro.obs.events.Tracer`, counts into a
+``edge_deleted`` with the winning criterion, ``reroute``,
+``violation_found/cleared``, ``feed_cell_inserted``) through a
+:class:`~repro.obs.events.Tracer`, counts into a
 :class:`~repro.obs.metrics.MetricsRegistry`, and times every Fig. 2 phase
-with a :class:`~repro.obs.profile.PhaseProfiler`.  All three default to
-no-ops (``NULL_SINK`` tracing is one attribute check), so an
-uninstrumented route costs what it always did.
+with a :class:`~repro.obs.profile.PhaseProfiler` bound to both, whose
+scopes are the run's one clock: they emit ``phase_start/end`` and fill
+the timing histograms.  All three default to no-ops (``NULL_SINK``
+tracing is one attribute check), so an uninstrumented route costs what
+it always did.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import partial
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,11 +185,12 @@ class GlobalRouter:
         self.tracer = Tracer.of(trace_sink)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.profiler = profiler if profiler is not None else PhaseProfiler()
-        # Liveness pulses for long routes: one forced beat per phase
-        # entry, plus a work-count-throttled beat per deletion (see
-        # phase_scope/_delete_edge).  Count-based, so traces stay
-        # deterministic per job.
+        # Liveness pulses for long routes: one forced beat per traced
+        # phase entry, plus a work-count-throttled beat per deletion
+        # (see _delete_edge).  Count-based, so traces stay deterministic
+        # per job.
         self.heartbeat = HeartbeatEmitter(self.tracer, self.metrics)
+        self.profiler.bind(self.tracer, self.metrics, self.heartbeat)
         self._m_deletions = self.metrics.counter("router.deletions")
         self._m_key_evals = self.metrics.counter("router.key_evals")
         self._m_reroutes = self.metrics.counter("router.reroutes")
@@ -220,7 +222,6 @@ class GlobalRouter:
         self._m_graph_frontier = self.metrics.counter(
             "graph.prune_frontier_vertices"
         )
-        self._phase_stack: List[str] = []
         # Decision explainability: the candidate engine records the
         # outcome of each select() here (when tracing), and the deletion
         # that follows turns it into a sampled deletion_decision event.
@@ -234,8 +235,41 @@ class GlobalRouter:
     # ==================================================================
     # Top level
     # ==================================================================
-    def begin_route(self) -> None:
-        """Mark the run started and emit ``run_start`` (once only)."""
+    def prepare(self) -> None:
+        """Run the Fig. 2 setup stages (lines 01–03): validation, the
+        delay graphs, pin/feedthrough assignment, per-net routing graphs,
+        and the density profiles + tentative trees.
+
+        :meth:`route` runs it before any engine's loop, so every engine
+        shares the exact same nets, constraints, densities, and
+        differential-pair correspondences; public for tests that stop
+        after setup.
+        """
+        phase = self.profiler.phase
+        with phase("setup"):
+            validate_circuit(self.circuit)
+            self._log("setup", "validated netlist")
+            with phase("timing"):
+                self._build_timing()
+            with phase("assignment"):
+                self._assign_pins_and_feedthroughs()
+            with phase("graphs"):
+                self._build_routing_graphs()
+            with phase("density"):
+                self._init_density_and_trees()
+        self._snapshot_density("initial")
+
+    def route(
+        self, converge: Optional[Callable[[], None]] = None
+    ) -> GlobalRoutingResult:
+        """Run the full Fig. 2 flow and return the routing result.
+
+        ``converge`` turns the prepared graphs into trees; the default
+        is the paper's deletion loop plus the Section 3.5 phases.  An
+        alternative engine passes its own loop and shares the rest of
+        the run's frame: ``run_start``, the ``route`` phase, the
+        ``build_result`` phase and ``run_end``.
+        """
         if self._routed:
             raise RoutingError("route() may only be called once")
         self._routed = True
@@ -252,68 +286,13 @@ class GlobalRouter:
                 decision_sampling=self.decisions.spec(),
                 engine=self.config.routing_engine,
             )
-
-    def prepare(self) -> None:
-        """Run the Fig. 2 setup stages (lines 01–03): validation, the
-        delay graphs, pin/feedthrough assignment, per-net routing graphs,
-        and the density profiles + tentative trees.
-
-        Public so alternative engines (see :mod:`repro.engines`) can
-        share the exact same nets, constraints, densities, and
-        differential-pair correspondences before running their own loop
-        in place of the deletion loop.
-        """
-        with self.phase_scope("setup"):
-            validate_circuit(self.circuit)
-            self._log("setup", "validated netlist")
-            with self.phase_scope("timing"):
-                self._build_timing()
-            with self.phase_scope("assignment"):
-                self._assign_pins_and_feedthroughs()
-            with self.phase_scope("graphs"):
-                self._build_routing_graphs()
-            with self.phase_scope("density"):
-                self._init_density_and_trees()
-        self._snapshot_density("initial")
-
-    def route(self) -> GlobalRoutingResult:
-        """Run the full Fig. 2 flow and return the routing result."""
-        self.begin_route()
-        tracer = self.tracer
-        with self.profiler.phase("route"):
+        with self.profiler.phase("route") as route:
             self.prepare()
-
-            self._log("initial", "edge-deletion loop starts")
-            with self.phase_scope("initial"):
-                self._deletion_loop(
-                    list(self._lead_states()), SelectionMode.TIMING
-                )
-            self._log("initial", "loop done", float(self.deletions))
-            self._snapshot_density("post_deletion")
-
-            from .improve import (  # local import avoids a module cycle
-                improve_area,
-                improve_delay,
-                recover_violations,
-            )
-
-            timing = self.config.timing_driven
-            if timing and self.config.run_violation_recovery:
-                with self.phase_scope("recover_violate"):
-                    recover_violations(self)
-                self._snapshot_density("post_recovery")
-            if timing and self.config.run_delay_improvement:
-                with self.phase_scope("improve_delay"):
-                    improve_delay(self)
-            if self.config.run_area_improvement:
-                with self.phase_scope("improve_area"):
-                    improve_area(self)
-
-            with self.phase_scope("finalize"):
-                self._finalize_trees()
-            self._snapshot_density("post_improvement")
-        elapsed = self.profiler.wall_s("route")
-        result = self.build_result(elapsed)
+            (converge or self._delete_and_improve)()
+        # This run's own route time, also when the profiler is shared.
+        elapsed = route.wall_s
+        with self.profiler.phase("build_result"):
+            result = self._build_result(elapsed)
         if tracer.enabled:
             tracer.emit(
                 "run_end",
@@ -324,40 +303,45 @@ class GlobalRouter:
             )
         return result
 
-    @contextmanager
-    def phase_scope(self, name: str) -> Iterator[None]:
-        """Trace + profile one named routing phase (nestable).
-
-        Public so alternative engines group their own loop phases into
-        the same trace/profile structure the edge-deletion flow uses.
-        """
-        tracer = self.tracer
-        self._phase_stack.append(name)
-        if tracer.enabled:
-            tracer.emit(
-                "phase_start", phase=name, depth=len(self._phase_stack)
+    def _delete_and_improve(self) -> None:
+        """Fig. 2 lines 04–10: the initial deletion loop, then the
+        improvement phases and finalization."""
+        phase = self.profiler.phase
+        self._log("initial", "edge-deletion loop starts")
+        with phase("initial"):
+            self._deletion_loop(
+                list(self._lead_states()), SelectionMode.TIMING
             )
-            self.heartbeat.beat(name, force=True)
-        try:
-            with self.profiler.phase(name) as node:
-                wall_before = node.wall_s
-                cpu_before = node.cpu_s
-                yield
-        finally:
-            depth = len(self._phase_stack)
-            self._phase_stack.pop()
-            if tracer.enabled:
-                tracer.emit(
-                    "phase_end",
-                    phase=name,
-                    depth=depth,
-                    wall_s=round(node.wall_s - wall_before, 6),
-                    cpu_s=round(node.cpu_s - cpu_before, 6),
-                )
+        self._log("initial", "loop done", float(self.deletions))
+        self._snapshot_density("post_deletion")
+
+        from .improve import (  # local import avoids a module cycle
+            improve_area,
+            improve_delay,
+            recover_violations,
+        )
+
+        timing = self.config.timing_driven
+        if timing and self.config.run_violation_recovery:
+            with phase("recover_violate"):
+                recover_violations(self)
+            self._snapshot_density("post_recovery")
+        if timing and self.config.run_delay_improvement:
+            with phase("improve_delay"):
+                improve_delay(self)
+        if self.config.run_area_improvement:
+            with phase("improve_area"):
+                improve_area(self)
+
+        with phase("finalize"):
+            self._finalize_trees()
+        self._snapshot_density("post_improvement")
 
     @property
     def _current_phase(self) -> str:
-        return self._phase_stack[-1] if self._phase_stack else ""
+        """The innermost open phase (no per-call scope ever encloses a
+        deletion, a reroute or a heartbeat)."""
+        return self.profiler.current.name
 
     # ==================================================================
     # Setup stages
@@ -451,12 +435,15 @@ class GlobalRouter:
         raise RoutingError(f"unknown assignment order {order!r}")
 
     def _instrument_graph(self, graph: RoutingGraph) -> RoutingGraph:
-        """Attach this router's reclassify counters/timer to a graph."""
+        """Attach this router's reclassify counters and scope to a
+        graph."""
         graph.instrument(
             local_recomputes=self._m_graph_local,
             full_fallbacks=self._m_graph_fallbacks,
             frontier_vertices=self._m_graph_frontier,
-            timer=partial(self.metrics.timer, "graph.reclassify_s"),
+            timer=partial(
+                self.profiler.phase, "reclassify", "graph.reclassify_s"
+            ),
         )
         return graph
 
@@ -557,7 +544,9 @@ class GlobalRouter:
             dijkstra_runs=self._m_tree_dijkstra,
             dijkstra_repeats=self._m_tree_repeats,
             traversals=self._m_tree_traversals,
-            timer=partial(self.metrics.timer, "router.tree_eval_s"),
+            timer=partial(
+                self.profiler.phase, "tree_eval", "router.tree_eval_s"
+            ),
         )
         state.cl_if_deleted.clear()
 
@@ -647,9 +636,10 @@ class GlobalRouter:
     # ==================================================================
     def _ensure_timings(self) -> Dict[str, ConstraintTiming]:
         if self._timing_dirty:
-            with self.profiler.phase("timing_update"):
-                with self.metrics.timer("router.timing_analysis_s"):
-                    self._analyze_dirty()
+            with self.profiler.phase(
+                "timing_update", "router.timing_analysis_s"
+            ):
+                self._analyze_dirty()
             self._timing_dirty = False
             self._m_timing.inc()
             if self.tracer.enabled:
@@ -1082,9 +1072,9 @@ class GlobalRouter:
         }
         return attribute_margins(timings, self.caps, net_lengths=lengths)
 
-    def build_result(self, elapsed: float) -> GlobalRoutingResult:
+    def _build_result(self, elapsed: float) -> GlobalRoutingResult:
         """Materialize the :class:`GlobalRoutingResult` from converged
-        per-net trees (public for alternative engines)."""
+        per-net trees."""
         routes: Dict[str, NetRoute] = {}
         total_length = 0.0
         for name in sorted(self.states):

@@ -40,7 +40,8 @@ class RoutingEngine:
 
     The inner router performs the common setup (pins, feedthroughs,
     routing graphs, density profiles, timing) and materializes the final
-    result; subclasses decide how the per-net graphs converge to trees.
+    result; subclasses decide how the per-net graphs converge to trees,
+    as the body :meth:`GlobalRouter.route` runs inside its frame.
     """
 
     name: str = "abstract"

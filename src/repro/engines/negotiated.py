@@ -141,31 +141,18 @@ class NegotiatedEngine(RoutingEngine):
     name = "negotiated"
 
     def route(self) -> GlobalRoutingResult:
+        return self.router.route(self._negotiate_and_finalize)
+
+    def _negotiate_and_finalize(self) -> None:
         router = self.router
-        router.begin_route()
-        with router.profiler.phase("route"):
-            router.prepare()
-            self._init_negotiation()
-            router._log("negotiate", "negotiation loop starts")
-            with router.phase_scope("negotiate"):
-                self._negotiate()
-            router._log(
-                "negotiate", "loop done", float(self._iterations)
-            )
-            with router.phase_scope("finalize"):
-                self._finalize()
-            router._snapshot_density("post_improvement")
-        elapsed = router.profiler.wall_s("route")
-        result = router.build_result(elapsed)
-        if router.tracer.enabled:
-            router.tracer.emit(
-                "run_end",
-                deletions=router.deletions,
-                reroutes=router.reroutes,
-                violations=len(result.violations),
-                wall_s=round(elapsed, 6),
-            )
-        return result
+        self._init_negotiation()
+        router._log("negotiate", "negotiation loop starts")
+        with router.profiler.phase("negotiate"):
+            self._negotiate()
+        router._log("negotiate", "loop done", float(self._iterations))
+        with router.profiler.phase("finalize"):
+            self._finalize()
+        router._snapshot_density("post_improvement")
 
     # ==================================================================
     # Negotiation state

@@ -6,8 +6,11 @@ The subsystem the router's per-iteration telemetry flows through:
   ring buffer, null), and the :class:`Tracer` front-end;
 * :mod:`~repro.obs.metrics` — counters/gauges/histograms (with
   p50/p90/p99), Prometheus text exposition, fleet-merge helpers;
-* :mod:`~repro.obs.profile` — hierarchical per-phase wall/CPU profiling
-  and the :class:`HeartbeatEmitter` behind ``progress_heartbeat``;
+* :mod:`~repro.obs.profile` — :class:`PhaseProfiler`, the run's one
+  clock: each scope feeds the wall/CPU phase tree, the
+  ``phase_start``/``phase_end`` events and the timing histograms, and
+  announces phases through the :class:`HeartbeatEmitter` behind
+  ``progress_heartbeat``;
 * :mod:`~repro.obs.relay` — cross-process NDJSON spools, tailers, and
   context stamping (how pool workers' events reach the parent);
 * :mod:`~repro.obs.manifest` — machine-readable run manifests;

@@ -23,8 +23,10 @@ schema):
 ``run_end``
     ``deletions``, ``reroutes``, ``violations``, ``wall_s``.
 ``phase_start`` / ``phase_end``
-    ``phase``, ``depth`` (nesting level); ``phase_end`` adds ``wall_s``
-    and ``cpu_s``.
+    ``phase``, ``depth`` (nesting level, ``route`` = 1); ``phase_end``
+    adds this activation's ``wall_s`` and ``cpu_s``.  Emitted by every
+    traced :meth:`~repro.obs.profile.PhaseProfiler.phase` that is not a
+    per-call scope.
 ``edge_deleted``
     ``net``, ``edge``, ``channel``, ``edge_kind``, ``length_um``,
     ``criterion`` (the Section 3.4 condition that decided the selection),
@@ -66,7 +68,7 @@ schema):
     (channels whose capacity budget was lifted; non-zero only on the
     final round).
 ``progress_heartbeat``
-    Periodic liveness pulse during long routes (at least one per phase,
+    Periodic liveness pulse during long routes (one per phase entry,
     then every N deletions / every negotiation iteration): ``phase``,
     ``deletions``, ``key_evals``, ``reroutes``, ``peak_density``, plus
     loop-specific extras (``iteration``, ``overused_columns``, ``pn``
@@ -122,12 +124,10 @@ EVENT_KINDS = (
     "metrics_snapshot",
 )
 
-TRACE_SCHEMA_VERSION = 6
+TRACE_SCHEMA_VERSION = 7
 """Bumped whenever the event vocabulary grows or a payload changes
-shape (v6: ``progress_heartbeat`` + ``metrics_snapshot`` kinds and the
-relay context fields ``run_id``/``job_id``/``worker`` on events that
-crossed a process boundary; v5: ``density_snapshot`` profiles are
-downsampled past 512 columns and carry a ``column_stride`` field).
+shape (v7: the flow's root phases, ``depth`` from the root; v6:
+heartbeats, metrics snapshots, relay context; see ``docs/FORMATS.md``).
 Readers warn-and-skip unknown kinds rather than fail, so older tools
 keep working on newer traces."""
 

@@ -1,4 +1,4 @@
-"""Process-local metrics registry: counters, gauges, histograms, timers.
+"""Process-local metrics registry: counters, gauges, histograms.
 
 One :class:`MetricsRegistry` is created per router run (the bench runner
 attaches its snapshot to the :class:`~repro.bench.runner.RunRecord`), and
@@ -11,11 +11,9 @@ one attribute add, so instruments can live on hot paths.
 
 from __future__ import annotations
 
-import functools
 import math
-import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 
 class Counter:
@@ -155,32 +153,6 @@ class MetricsRegistry:
             )
 
     # ------------------------------------------------------------------
-    # Timing sugar
-    # ------------------------------------------------------------------
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Record the elapsed wall seconds of a block into a histogram."""
-        histogram = self.histogram(name)
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            histogram.record(time.perf_counter() - start)
-
-    def timed(self, name: str) -> Callable:
-        """Decorator form of :meth:`timer`."""
-
-        def decorate(func: Callable) -> Callable:
-            @functools.wraps(func)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                with self.timer(name):
-                    return func(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
-
-    # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
@@ -205,11 +177,6 @@ class MetricsRegistry:
             else:
                 payload[name] = float(value)
         return payload
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
 
     def format(self) -> str:
         """Sorted ``name value`` lines for terminal output."""

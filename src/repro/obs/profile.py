@@ -1,7 +1,8 @@
-"""Phase-scoped wall/CPU profiling with a hierarchical report.
+"""One clock per run: phase scopes that feed the profile tree, the trace
+and the timing histograms.
 
-The router wraps each Fig. 2 stage in :meth:`PhaseProfiler.phase`; nested
-scopes (e.g. every incremental ``timing_update`` inside the initial loop)
+Every scope of a run is a :meth:`PhaseProfiler.phase`.  Nested scopes
+(e.g. every incremental ``timing_update`` inside the initial loop)
 become children of the enclosing phase, so the report answers directly
 where a run spent its time::
 
@@ -11,29 +12,43 @@ where a run spent its time::
       initial                 0.800s ...
         timing_update         0.350s ...  (41 calls)
       improve_area            0.200s ...
+    build_result              0.010s ...
 
-Wall time comes from ``time.perf_counter``, CPU time from
-``time.process_time``.  Scopes are cheap (two clock reads each side), so
-per-phase profiling is always on; nothing here belongs inside the
-per-candidate hot loop.
+Each activation reads ``time.perf_counter`` and ``time.process_time``
+once on entry and once on exit.  That one pair feeds the tree node and,
+once :meth:`PhaseProfiler.bind` has attached a run's tracer, metrics
+registry and heartbeat emitter, either
+
+* a **per-call scope** (``histogram=`` given): the same wall delta goes
+  into that histogram and no trace event is emitted (these open tens of
+  thousands of times per run), or
+* a **phase**: with tracing on, ``phase_start`` plus one forced
+  heartbeat on entry and ``phase_end`` with this activation's wall and
+  CPU time on exit, also when the body raises.
+
+:meth:`PhaseProfiler.from_events` rebuilds the tree of phases from a
+trace, so ``trace summarize`` prints the table ``route --metrics`` does.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
+from .events import TraceEvent
 from .metrics import MetricsRegistry
 
 
 class PhaseNode:
     """Accumulated timings of one phase (and its children)."""
 
-    __slots__ = ("name", "wall_s", "cpu_s", "calls", "children")
+    __slots__ = ("name", "parent", "depth", "wall_s", "cpu_s", "calls",
+                 "children")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, parent: Optional["PhaseNode"] = None):
         self.name = name
+        self.parent = parent
+        self.depth = 0 if parent is None else parent.depth + 1
         self.wall_s = 0.0
         self.cpu_s = 0.0
         self.calls = 0
@@ -42,12 +57,8 @@ class PhaseNode:
     def child(self, name: str) -> "PhaseNode":
         node = self.children.get(name)
         if node is None:
-            node = self.children[name] = PhaseNode(name)
+            node = self.children[name] = PhaseNode(name, self)
         return node
-
-    def self_wall_s(self) -> float:
-        """Wall time not attributed to any child scope."""
-        return self.wall_s - sum(c.wall_s for c in self.children.values())
 
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -63,31 +74,107 @@ class PhaseNode:
         return payload
 
 
+class _Scope:
+    """One activation of :meth:`PhaseProfiler.phase`; after exit,
+    ``wall_s``/``cpu_s`` hold this activation's time."""
+
+    __slots__ = ("profiler", "name", "histogram", "wall_s", "cpu_s",
+                 "_wall0", "_cpu0")
+
+    def __init__(self, profiler: "PhaseProfiler", name: str,
+                 histogram: Optional[str]):
+        self.profiler = profiler
+        self.name = name
+        self.histogram = histogram
+
+    def __enter__(self) -> "_Scope":
+        profiler = self.profiler
+        node = profiler.current = profiler.current.child(self.name)
+        tracer = profiler._tracer
+        if tracer is not None and self.histogram is None:
+            tracer.emit("phase_start", phase=self.name, depth=node.depth)
+            if profiler._heartbeat is not None:
+                profiler._heartbeat.beat(self.name, force=True)
+        # The wall reads nest inside the (slower) CPU reads, so a
+        # per-call scope's wall time excludes the CPU clock's cost.
+        self._cpu0 = time.process_time()
+        self._wall0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        wall = self.wall_s = time.perf_counter() - self._wall0
+        cpu = self.cpu_s = time.process_time() - self._cpu0
+        profiler = self.profiler
+        node = profiler.current  # scopes close innermost first
+        node.wall_s += wall
+        node.cpu_s += cpu
+        node.calls += 1
+        profiler.current = node.parent
+        if self.histogram is not None:
+            profiler._metrics.histogram(self.histogram).record(wall)
+        elif profiler._tracer is not None:
+            profiler._tracer.emit(
+                "phase_end", phase=self.name, depth=node.depth,
+                wall_s=round(wall, 6), cpu_s=round(cpu, 6),
+            )
+
+
 class PhaseProfiler:
-    """Stack of nested :class:`PhaseNode` scopes."""
+    """Tree of :class:`PhaseNode` scopes; ``current`` is the innermost
+    open one (``root`` when none is open)."""
 
     def __init__(self):
         self.root = PhaseNode("")
-        self._stack: List[PhaseNode] = [self.root]
+        self.current = self.root
+        # Unbound: no trace, and histograms nobody reads.
+        self.bind(None, MetricsRegistry())
 
-    @property
-    def depth(self) -> int:
-        """Current nesting depth (0 = no open phase)."""
-        return len(self._stack) - 1
+    def bind(self, tracer: Any, metrics: MetricsRegistry,
+             heartbeat: Optional["HeartbeatEmitter"] = None) -> None:
+        """Route this profiler's scopes into a run's tracer (when it is
+        enabled), metrics registry and heartbeat emitter.  A router
+        binds its profiler at construction; binding again (a profiler
+        shared across runs) replaces the previous run's targets."""
+        self._tracer = tracer if getattr(tracer, "enabled", False) else None
+        self._metrics = metrics
+        self._heartbeat = heartbeat
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[PhaseNode]:
-        node = self._stack[-1].child(name)
-        self._stack.append(node)
-        wall_start = time.perf_counter()
-        cpu_start = time.process_time()
-        try:
-            yield node
-        finally:
-            node.wall_s += time.perf_counter() - wall_start
-            node.cpu_s += time.process_time() - cpu_start
-            node.calls += 1
-            self._stack.pop()
+    def phase(self, name: str, histogram: Optional[str] = None) -> _Scope:
+        """Time one activation of ``name`` under the innermost open scope.
+
+        With ``histogram``, a per-call scope: its wall time is also
+        recorded in that histogram of the bound registry, and it emits
+        no trace event.  Without, a phase: traced as
+        ``phase_start``/``phase_end`` and announced by a heartbeat.
+        """
+        return _Scope(self, name, histogram)
+
+    @classmethod
+    def from_events(cls, events: Iterable[TraceEvent]) -> "PhaseProfiler":
+        """The tree of phases a trace's ``phase_start``/``phase_end``
+        events describe.
+
+        Per-call scopes emit no events, so they are absent.  A phase
+        that never closed (a truncated trace) appears with no calls, and
+        an end that matches no open phase is skipped.  Events relayed
+        from several jobs nest per ``job_id`` and add up in one tree.
+        """
+        profiler = cls()
+        root = profiler.root
+        open_nodes: Dict[Any, PhaseNode] = {}  # job_id -> innermost
+        for event in events:
+            data = event.data
+            job, name = data.get("job_id"), data.get("phase", "?")
+            node = open_nodes.get(job, root)
+            if event.kind == "phase_start":
+                open_nodes[job] = node.child(name)
+            elif (event.kind == "phase_end" and node is not root
+                  and node.name == name):
+                node.wall_s += float(data.get("wall_s", 0.0))
+                node.cpu_s += float(data.get("cpu_s", 0.0))
+                node.calls += 1
+                open_nodes[job] = node.parent
+        return profiler
 
     # ------------------------------------------------------------------
     # Queries / export
@@ -104,10 +191,6 @@ class PhaseProfiler:
     def wall_s(self, *path: str) -> float:
         node = self.node(*path)
         return node.wall_s if node is not None else 0.0
-
-    def cpu_s(self, *path: str) -> float:
-        node = self.node(*path)
-        return node.cpu_s if node is not None else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -138,10 +221,12 @@ class PhaseProfiler:
 class HeartbeatEmitter:
     """Emits ``progress_heartbeat`` events during long routing phases.
 
-    A silent two-minute X2 route becomes a readable stream: the router
-    forces one beat at every phase entry (so even instant phases appear)
-    and asks for one per deletion / negotiation iteration, which the
-    emitter throttles to every ``every_deletions`` units of work.
+    A silent two-minute X2 route becomes a readable stream: every traced
+    phase entry forces one beat (:meth:`PhaseProfiler.phase`, once the
+    router has bound its profiler to this emitter), so even instant
+    phases appear, and the router asks for one per deletion /
+    negotiation iteration, which the emitter throttles to every
+    ``every_deletions`` units of work.
 
     Throttling is keyed on the ``router.deletions`` counter — a
     deterministic work count, never wall time — so two runs of the same
@@ -150,7 +235,7 @@ class HeartbeatEmitter:
     """
 
     __slots__ = ("tracer", "metrics", "every_deletions", "enabled",
-                 "beats", "peak_density_fn", "_next_at", "_m_deletions",
+                 "peak_density_fn", "_next_at", "_m_deletions",
                  "_m_key_evals", "_m_reroutes")
 
     def __init__(
@@ -164,7 +249,6 @@ class HeartbeatEmitter:
         self.metrics = metrics
         self.every_deletions = max(1, every_deletions)
         self.enabled = bool(getattr(tracer, "enabled", False))
-        self.beats = 0
         #: Optional zero-arg callable returning the current chip-wide
         #: peak density; only invoked when a beat actually fires.
         self.peak_density_fn: Optional[Any] = None
@@ -187,7 +271,6 @@ class HeartbeatEmitter:
         if not force and deletions < self._next_at:
             return
         self._next_at = deletions + self.every_deletions
-        self.beats += 1
         if self.peak_density_fn is not None and "peak_density" not in extra:
             try:
                 extra["peak_density"] = int(self.peak_density_fn())

@@ -1,17 +1,19 @@
 """Trace-file analysis: the ``trace summarize`` CLI subcommand's engine.
 
-Reconstructs per-phase timing from ``phase_start``/``phase_end`` pairs
-and breaks the ``edge_deleted`` stream down by winning criterion and by
-phase — the per-iteration telemetry view the Section 3.4 heuristics are
-tuned with.
+Rebuilds the phase tree from ``phase_start``/``phase_end`` events
+(:meth:`~repro.obs.profile.PhaseProfiler.from_events`, printed as the
+same table ``route --metrics`` shows) and breaks the ``edge_deleted``
+stream down by winning criterion and by phase — the per-iteration
+telemetry view the Section 3.4 heuristics are tuned with.
 """
 
 from __future__ import annotations
 
 from collections import Counter as TallyCounter
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .events import EVENT_KINDS, TraceEvent
+from .profile import PhaseProfiler
 
 
 def partition_events(
@@ -44,7 +46,9 @@ def summarize_trace(events: Sequence[TraceEvent]) -> str:
         return "empty trace"
     lines: List[str] = []
     lines.extend(_header_lines(events))
-    lines.extend(_phase_lines(events))
+    profile = PhaseProfiler.from_events(events)
+    if profile.root.children:
+        lines.extend(["", "phases:", profile.format()])
     lines.extend(_criterion_lines(events))
     lines.extend(_decision_lines(events))
     lines.extend(_density_lines(events))
@@ -74,46 +78,6 @@ def _header_lines(events: Sequence[TraceEvent]) -> List[str]:
             f"{data.get('violations', 0)} violations left"
         )
     lines.append(f"{len(events)} events")
-    return lines
-
-
-def _phase_lines(events: Sequence[TraceEvent]) -> List[str]:
-    """Phases in start order, indented by their recorded nesting depth."""
-    rows: List[Dict[str, Any]] = []
-    open_rows: List[Dict[str, Any]] = []
-    for event in events:
-        if event.kind == "phase_start":
-            row = {
-                "phase": event.data.get("phase", "?"),
-                "depth": int(event.data.get("depth", 1)),
-                "wall_s": None,
-                "cpu_s": None,
-            }
-            rows.append(row)
-            open_rows.append(row)
-        elif event.kind == "phase_end":
-            name = event.data.get("phase", "?")
-            for row in reversed(open_rows):
-                if row["phase"] == name:
-                    row["wall_s"] = event.data.get("wall_s")
-                    row["cpu_s"] = event.data.get("cpu_s")
-                    open_rows.remove(row)
-                    break
-    if not rows:
-        return []
-    lines = ["", "phases:",
-             f"  {'phase':<28s} {'wall_s':>10s} {'cpu_s':>10s}"]
-    for row in rows:
-        indent = "  " * max(0, row["depth"] - 1)
-        wall = (
-            f"{row['wall_s']:>10.4f}" if row["wall_s"] is not None
-            else f"{'?':>10s}"
-        )
-        cpu = (
-            f"{row['cpu_s']:>10.4f}" if row["cpu_s"] is not None
-            else f"{'?':>10s}"
-        )
-        lines.append(f"  {indent + row['phase']:<28s} {wall} {cpu}")
     return lines
 
 

@@ -17,8 +17,9 @@ because the point is the serving semantics, not a web framework:
   result payload (``202`` while pending, ``500`` for a failed job).
 * ``GET /jobs/{id}/events`` — the run's obs trace as NDJSON: buffered
   events replayed first, then live events until the job finishes.  The
-  lines are exactly the JSONL trace format ``--trace`` writes (schema 6:
-  each event carries ``run_id``/``job_id``/``worker`` relay context).
+  lines are exactly the JSONL trace format ``--trace`` writes (since
+  schema 6 each event carries ``run_id``/``job_id``/``worker`` relay
+  context).
 * ``GET /jobs/{id}/metrics`` — the job's live metrics snapshot (relayed
   out of the worker mid-run), last heartbeat, and final record metrics.
 * ``GET /healthz``, ``GET /stats`` — liveness and the service metrics

@@ -208,6 +208,43 @@ class TestCliTrace:
         assert "by winning criterion" in out
         assert "phases:" in out
 
+    def test_summarize_prints_the_metrics_phase_table(
+        self, generated, tmp_path, capsys
+    ):
+        """``trace summarize`` rebuilds the ``--metrics`` phase table:
+        the same paths and call counts, minus the per-call scopes,
+        which emit no events."""
+
+        def rows(text):
+            lines = text.splitlines()
+            start = max(
+                i for i, line in enumerate(lines)
+                if line.startswith("phase ") and line.endswith("calls")
+            )
+            table = []
+            for line in lines[start + 1:]:
+                if not line.strip():
+                    break
+                table.append((line[:34].rstrip(), int(line.split()[-1])))
+            return table
+
+        netlist, placement = generated
+        trace = tmp_path / "out.jsonl"
+        assert main([
+            "route", str(netlist), "--placement", str(placement),
+            "--constraints", "2", "--trace", str(trace), "--metrics",
+        ]) == 0
+        profiled = rows(capsys.readouterr().out)
+        assert main(["trace", "summarize", str(trace)]) == 0
+        summarized = rows(capsys.readouterr().out)
+        per_call = {"tree_eval", "reclassify", "timing_update"}
+        assert summarized == [
+            row for row in profiled if row[0].strip() not in per_call
+        ]
+        assert [name for name, _ in summarized if name == name.strip()] == [
+            "route", "build_result", "route_channels", "sign_off",
+        ]
+
     def test_summarize_missing_file_errors(self, tmp_path, capsys):
         code = main(["trace", "summarize", str(tmp_path / "nope.jsonl")])
         assert code == 2  # unusable input

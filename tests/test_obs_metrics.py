@@ -51,35 +51,6 @@ class TestInstruments:
             registry.gauge("x")
 
 
-class TestTimers:
-    def test_timer_records_into_histogram(self):
-        registry = MetricsRegistry()
-        with registry.timer("t"):
-            pass
-        with registry.timer("t"):
-            pass
-        summary = registry.histogram("t").summary()
-        assert summary["count"] == 2
-        assert summary["total"] >= 0.0
-
-    def test_timed_decorator(self):
-        registry = MetricsRegistry()
-
-        @registry.timed("f")
-        def add(a, b):
-            return a + b
-
-        assert add(2, 3) == 5
-        assert registry.histogram("f").count == 1
-
-    def test_timer_records_on_exception(self):
-        registry = MetricsRegistry()
-        with pytest.raises(RuntimeError):
-            with registry.timer("t"):
-                raise RuntimeError("boom")
-        assert registry.histogram("t").count == 1
-
-
 class TestExport:
     def test_snapshot_shapes(self):
         registry = MetricsRegistry()
@@ -99,12 +70,6 @@ class TestExport:
         assert flat["c"] == 1.0
         assert flat["h.count"] == 1.0
         assert flat["h.total"] == 2.0
-
-    def test_reset(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.reset()
-        assert registry.snapshot() == {}
 
     def test_format_lists_sorted_names(self):
         registry = MetricsRegistry()

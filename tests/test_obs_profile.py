@@ -1,16 +1,30 @@
-"""Tests for the phase profiler and the run manifest."""
+"""Tests for the phase profiler (the run's one clock) and the run
+manifest."""
 
 import json
 
 import pytest
 
+from repro.obs.events import MemorySink, TraceEvent, Tracer
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     build_run_manifest,
     describe_source,
     read_manifest,
 )
-from repro.obs.profile import PhaseProfiler
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import HeartbeatEmitter, PhaseProfiler
+
+
+def bound_profiler():
+    """A profiler bound to a recording tracer, a registry and a
+    heartbeat emitter, as a router binds its own."""
+    sink = MemorySink()
+    tracer = Tracer(sink)
+    metrics = MetricsRegistry()
+    profiler = PhaseProfiler()
+    profiler.bind(tracer, metrics, HeartbeatEmitter(tracer, metrics))
+    return profiler, sink, metrics
 
 
 class TestPhaseProfiler:
@@ -46,7 +60,6 @@ class TestPhaseProfiler:
         parent = profiler.node("parent")
         child = profiler.node("parent", "child")
         assert parent.wall_s >= child.wall_s
-        assert parent.self_wall_s() >= 0.0
 
     def test_wall_s_missing_path_is_zero(self):
         assert PhaseProfiler().wall_s("nope") == 0.0
@@ -57,7 +70,7 @@ class TestPhaseProfiler:
             with profiler.phase("p"):
                 raise RuntimeError("boom")
         assert profiler.node("p").calls == 1
-        assert profiler.depth == 0
+        assert profiler.current is profiler.root
 
     def test_reentered_nested_phase_aggregates_in_one_node(self):
         profiler = PhaseProfiler()
@@ -94,7 +107,7 @@ class TestPhaseProfiler:
             with profiler.phase("outer"):
                 with profiler.phase("inner"):
                     raise RuntimeError("boom")
-        assert profiler.depth == 0
+        assert profiler.current is profiler.root
         assert profiler.node("outer").calls == 1
         assert profiler.node("outer", "inner").calls == 1
         # The profiler must stay usable after the unwind: a new scope
@@ -112,6 +125,115 @@ class TestPhaseProfiler:
             pass
         text = profiler.format()
         assert text.index("alpha") < text.index("beta")
+
+
+class TestOneScope:
+    def test_phase_emits_start_heartbeat_and_end(self):
+        profiler, sink, metrics = bound_profiler()
+        with profiler.phase("route") as route:
+            with profiler.phase("setup"):
+                pass
+        kinds = [(e.kind, e.data.get("phase")) for e in sink.events]
+        assert kinds == [
+            ("phase_start", "route"), ("progress_heartbeat", "route"),
+            ("phase_start", "setup"), ("progress_heartbeat", "setup"),
+            ("phase_end", "setup"), ("phase_end", "route"),
+        ]
+        depths = [e.data["depth"] for e in sink.of_kind("phase_start")]
+        assert depths == [1, 2]
+        end = sink.of_kind("phase_end")[-1].data
+        assert end["wall_s"] == round(route.wall_s, 6)
+        assert end["cpu_s"] == round(route.cpu_s, 6)
+        assert profiler.node("route").wall_s == route.wall_s
+        # A phase records no histogram.
+        assert not any(
+            isinstance(value, dict) for value in metrics.snapshot().values()
+        )
+
+    def test_per_call_scope_feeds_histogram_not_trace(self):
+        profiler, sink, metrics = bound_profiler()
+        with profiler.phase("initial"):
+            for _ in range(2):
+                with profiler.phase("tree_eval", "router.tree_eval_s"):
+                    sum(range(1000))
+        histogram = metrics.histogram("router.tree_eval_s")
+        node = profiler.node("initial", "tree_eval")
+        assert histogram.count == node.calls == 2
+        assert histogram.total == node.wall_s > 0.0
+        assert [e.data["phase"] for e in sink.of_kind("phase_start")] == [
+            "initial"
+        ]
+
+    def test_raising_bodies_still_close_their_scopes(self):
+        profiler, sink, metrics = bound_profiler()
+        with pytest.raises(RuntimeError):
+            with profiler.phase("route"):
+                with profiler.phase("timing_update",
+                                    "router.timing_analysis_s"):
+                    raise RuntimeError("boom")
+        assert metrics.histogram("router.timing_analysis_s").count == 1
+        assert [e.data["phase"] for e in sink.of_kind("phase_end")] == [
+            "route"
+        ]
+        assert profiler.node("route", "timing_update").calls == 1
+        assert profiler.current is profiler.root
+
+    def test_unbound_profiler_only_builds_its_tree(self):
+        profiler = PhaseProfiler()
+        with profiler.phase("route"):
+            with profiler.phase("tree_eval", "router.tree_eval_s"):
+                pass
+        assert profiler.node("route", "tree_eval").calls == 1
+
+    def test_from_events_rebuilds_the_phases(self):
+        profiler, sink, _ = bound_profiler()
+        for _ in range(2):
+            with profiler.phase("route"):
+                with profiler.phase("setup"):
+                    with profiler.phase("reclassify", "graph.reclassify_s"):
+                        pass
+        with profiler.phase("build_result"):
+            pass
+        rebuilt = PhaseProfiler.from_events(sink.events)
+        assert list(rebuilt.to_dict()) == ["route", "build_result"]
+        assert rebuilt.node("route", "setup").calls == 2
+        assert rebuilt.node("route", "setup").children == {}
+        assert rebuilt.wall_s("route") == pytest.approx(
+            profiler.wall_s("route"), abs=2e-6
+        )
+
+    def test_from_events_tolerates_a_truncated_trace(self):
+        events = [
+            TraceEvent(1, 0.0, "phase_start", {"phase": "route"}),
+            TraceEvent(2, 0.1, "phase_start", {"phase": "setup"}),
+            TraceEvent(3, 0.2, "phase_end", {"phase": "setup",
+                                             "wall_s": 0.1}),
+            TraceEvent(4, 0.3, "phase_start", {"phase": "initial"}),
+        ]
+        rebuilt = PhaseProfiler.from_events(events)
+        assert rebuilt.node("route", "setup").wall_s == 0.1
+        assert rebuilt.node("route").calls == 0
+        assert rebuilt.node("route", "initial").calls == 0
+        assert "initial" in rebuilt.format()
+
+    def test_from_events_nests_each_relayed_job_apart(self):
+        def event(seq, kind, phase, job):
+            return TraceEvent(seq, 0.0, kind, {
+                "phase": phase, "job_id": job, "wall_s": 1.0,
+            })
+
+        events = [
+            event(1, "phase_start", "route", "a"),
+            event(1, "phase_start", "route", "b"),
+            event(2, "phase_start", "setup", "a"),
+            event(2, "phase_end", "route", "b"),
+            event(3, "phase_end", "setup", "a"),
+            event(4, "phase_end", "route", "a"),
+        ]
+        rebuilt = PhaseProfiler.from_events(events)
+        assert rebuilt.node("route").calls == 2
+        assert rebuilt.node("route", "setup").calls == 1
+        assert list(rebuilt.node("route").children) == ["setup"]
 
 
 class TestManifest:
