@@ -178,7 +178,7 @@ def main() -> int:
         roots = list(phases.root.children)
         check(
             roots == ["route", "build_result", "route_channels",
-                      "sign_off"],
+                      "sign_off", "lower_bound"],
             f"phase tree roots in order: {roots}",
         )
         check(

@@ -2,9 +2,9 @@
 """File-based workflow: generate → save → reload → route → report.
 
 Shows the on-disk interchange a team would actually use: the ``.rnl``
-netlist and ``.rpl`` placement formats, the JSON result report, and the
-timing/skew/comparison analyses — the same flow as the ``repro-router``
-CLI, but scripted.
+netlist and ``.rpl`` placement formats, the JSON result report, the
+paper's Table 2 for both routing modes and a timing report — the same
+flow as the ``repro-router`` CLI, but scripted.
 
 Run:  python examples/file_workflow.py [workdir]
 """
@@ -13,20 +13,17 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import (
-    GlobalRouter,
-    RouterConfig,
-    Technology,
-    WireCaps,
-    standard_ecl_library,
+from repro import RouterConfig, Technology, standard_ecl_library
+from repro.analysis import format_timing_reports, render_routed_chip
+from repro.bench import (
+    CircuitSpec,
+    RunRecord,
+    format_table2,
+    generate_circuit,
+    generate_constraints,
+    pair_records,
+    run_flow,
 )
-from repro.analysis import (
-    compare_results,
-    format_timing_reports,
-    render_routed_chip,
-)
-from repro.bench.circuits import CircuitSpec, generate_circuit, \
-    generate_constraints
 from repro.io import (
     global_result_to_dict,
     read_circuit,
@@ -68,26 +65,25 @@ def main() -> None:
         circuit, 5, 1.3, placement=placement, technology=technology
     )
 
-    # 3. Route both modes and compare.
+    # 3. Route both modes and print them as the paper's Table 2.
     config = RouterConfig(technology=technology)
-    constrained = GlobalRouter(
-        circuit, placement, constraints, config
-    ).route()
+    flow = run_flow(circuit, placement, constraints, config)
+    constrained = flow.global_result
     circuit_b = read_circuit(workdir / "chip.rnl", library)
     placement_b = read_placement(workdir / "chip.rpl", circuit_b)
     assign_external_pins(circuit_b, placement_b)
     constraints_b = generate_constraints(
         circuit_b, 5, 1.3, placement=placement_b, technology=technology
     )
-    unconstrained = GlobalRouter(
+    flow_b = run_flow(
         circuit_b, placement_b, constraints_b, config.unconstrained()
-    ).route()
-
-    report = compare_results(
-        unconstrained, constrained, "area-only", "timing-driven"
+    )
+    pair = pair_records(
+        RunRecord.from_flow(flow, spec.name),
+        RunRecord.from_flow(flow_b, spec.name),
     )
     print()
-    print(report.summary())
+    print(format_table2([pair]))
 
     # 4. Timing report of the constrained run.
     from repro.timing import GlobalDelayGraph

@@ -13,6 +13,10 @@ Usage:
     python examples/reproduce_paper.py                 # standard suite
     python examples/reproduce_paper.py --suite small   # fast miniature
     python examples/reproduce_paper.py --table 2       # one table only
+
+To diff two code versions' results, run ``repro-router batch --no-cache
+--out before.json`` and ``--out after.json``, then ``repro-router
+compare-runs before.json after.json``.
 """
 
 import argparse
@@ -45,13 +49,6 @@ def main(argv=None) -> int:
         choices=(1, 2, 3),
         default=None,
         help="print only one table (default: all three)",
-    )
-    parser.add_argument(
-        "--archive",
-        default=None,
-        help="also write a JSON suite archive (tables + raw records) "
-        "to this path — diffable across code changes via "
-        "repro.bench.compare_archives",
     )
     args = parser.parse_args(argv)
 
@@ -89,13 +86,6 @@ def main(argv=None) -> int:
         print()
     if 3 in wanted:
         print(format_table3(pairs))
-    if args.archive:
-        from repro.bench.archive import SuiteArchive, write_archive
-
-        datasets = [make_dataset(spec) for spec in specs]
-        archive = SuiteArchive(args.suite, pairs, datasets)
-        write_archive(archive, args.archive)
-        print(f"\nwrote archive to {args.archive}", file=sys.stderr)
     return 0
 
 

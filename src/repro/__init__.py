@@ -98,7 +98,6 @@ from .baselines import (
 from .analysis import (
     DensityProfile,
     SignoffReport,
-    compare_results,
     full_report,
     net_skew,
     profile_from_engine,
@@ -221,7 +220,6 @@ __all__ = [
     "ChannelRoutingResult",
     "DensityProfile",
     "SignoffReport",
-    "compare_results",
     "critical_path_lower_bound_ps",
     "full_report",
     "net_skew",

@@ -31,7 +31,6 @@ from .rc_signoff import (
     compute_elmore_wire_delays,
     rc_sign_off,
 )
-from .compare import ComparisonReport, NetDelta, compare_results
 from .render import render_placement, render_routed_chip
 from .report import FullReport, full_report
 from .signoff import SignoffReport, sign_off
@@ -45,7 +44,6 @@ from .timing_report import (
 from .wirestats import NetLengthStat, WireStats, wire_stats
 
 __all__ = [
-    "ComparisonReport",
     "ConstraintAttribution",
     "DensityProfile",
     "DiffThresholds",
@@ -65,7 +63,6 @@ __all__ = [
     "snapshots_from_events",
     "FullReport",
     "full_report",
-    "NetDelta",
     "NetLengthStat",
     "PathReport",
     "PathStage",
@@ -73,7 +70,6 @@ __all__ = [
     "critical_path_report",
     "format_timing_reports",
     "wire_stats",
-    "compare_results",
     "render_placement",
     "render_routed_chip",
     "ElmoreWireDelays",

@@ -1,31 +1,47 @@
 """Run-to-run regression diffing: the ``repro compare-runs`` engine.
 
-Two run manifests (``repro-run-manifest/1``) are compared line by line
-against configurable thresholds; any exceeded threshold becomes a
-*failure* and the CLI exits non-zero.  Gated: headline result deltas
-(critical delay, total length, violations) and the
-``router.peak_density_total`` gauge.  Deletion counts and per-phase
-wall times are report-only (wall clocks differ between machines).
-Optionally, two **traces** alongside the manifests add the first
-``edge_deleted`` divergence point (report-only — two seeds *should*
-diverge) and per-channel ``C_M``/``C_m`` deltas from the final
-``density_snapshot``, which *are* gated.
+Both inputs are ``repro-run-manifest/2`` documents: two run manifests,
+whose ``results`` hold one :class:`~repro.bench.runner.RunRecord` row
+each (a row of the paper's Tables 2 and 3), or two sweep rollups, whose
+``results.jobs`` carry one such row per finished job.  Every row is
+diffed the same way against configurable thresholds, and any exceeded
+threshold becomes a *failure* (the CLI exits 1):
+
+* gated: ``delay_ps`` and ``length_mm`` growth in percent,
+  ``violations`` and the ``router.peak_density_total`` metric in
+  absolute terms — a gated field missing from either side is an input
+  error naming the field and the file (the CLI exits 2);
+* report-only: ``area_mm2``, ``deletions`` and per-phase wall times
+  (wall clocks differ between machines).
+
+A sweep diff runs the row diff once per job id and prefixes each line
+with it; a job that finished in OLD but failed or is absent in NEW is a
+failure, a job only NEW has is a report line.  Optionally, two
+**traces** beside two run manifests add the first ``edge_deleted``
+divergence point (report-only — two seeds *should* diverge) and
+per-channel ``C_M``/``C_m`` deltas from the final ``density_snapshot``,
+which *are* gated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..obs.manifest import MANIFEST_SCHEMA
+
+#: Job statuses of a sweep rollup that carry a record.
+_FINISHED = ("ok", "cached")
+#: The gated metric of every row.
+_PEAK = "router.peak_density_total"
 
 
 @dataclass(frozen=True)
 class DiffThresholds:
     """Gate limits; ``None`` disables a gate (report-only)."""
 
-    max_delay_pct: Optional[float] = 5.0       # critical_delay_ps growth
-    max_length_pct: Optional[float] = 5.0      # total_length_um growth
+    max_delay_pct: Optional[float] = 5.0       # delay_ps growth
+    max_length_pct: Optional[float] = 5.0      # length_mm growth
     max_peak_delta: Optional[float] = 8.0      # Σ C_M growth (tracks)
     max_violations_delta: Optional[int] = 0    # new timing violations
 
@@ -117,16 +133,18 @@ class RunDiff:
         return "\n".join(out)
 
 
-def classify_input(payload: Dict[str, Any]) -> str:
-    """``manifest`` — the only input kind; any other schema marker is
-    rejected."""
+def classify_input(payload: Dict[str, Any], source: str = "input") -> str:
+    """``run`` for a run manifest, ``sweep`` for a sweep rollup; any
+    other schema marker (a ``/1`` manifest included) is rejected."""
     schema = payload.get("schema")
     if schema != MANIFEST_SCHEMA:
         raise ValueError(
-            f"unsupported input schema {schema!r} (expected "
+            f"{source}: unsupported input schema {schema!r} (expected "
             f"{MANIFEST_SCHEMA!r})"
         )
-    return "manifest"
+    if payload.get("dataset", {}).get("kind") == "sweep":
+        return "sweep"
+    return "run"
 
 
 def _pct(old: float, new: float) -> Optional[float]:
@@ -138,13 +156,11 @@ def _pct(old: float, new: float) -> Optional[float]:
 def _gate_pct(
     diff: RunDiff,
     name: str,
-    old: Optional[float],
-    new: Optional[float],
+    old: float,
+    new: float,
     limit_pct: Optional[float],
 ) -> None:
     """Add a percent-gated line (growth beyond ``limit_pct`` fails)."""
-    if old is None or new is None:
-        return
     old = float(old)
     new = float(new)
     pct = _pct(old, new)
@@ -162,13 +178,11 @@ def _gate_pct(
 def _gate_delta(
     diff: RunDiff,
     name: str,
-    old: Optional[float],
-    new: Optional[float],
+    old: float,
+    new: float,
     limit_delta: Optional[float],
 ) -> None:
     """Add an absolute-delta-gated line."""
-    if old is None or new is None:
-        return
     old = float(old)
     new = float(new)
     delta = new - old
@@ -184,8 +198,65 @@ def _gate_delta(
 
 
 # ----------------------------------------------------------------------
-# Manifest diffing
+# Row diffing
 # ----------------------------------------------------------------------
+class _Row(NamedTuple):
+    """One side of a row diff: a record row and its flat metrics, plus
+    the file and key paths they came from (named by input errors)."""
+
+    row: Dict[str, Any]
+    metrics: Dict[str, Any]
+    source: str
+    row_path: str
+    metrics_path: str
+
+    def gated(self, name: str, metric: bool = False) -> float:
+        values, path = (
+            (self.metrics, self.metrics_path) if metric
+            else (self.row, self.row_path)
+        )
+        value = values.get(name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{self.source}: {path}.{name} is missing")
+        return float(value)
+
+
+def _diff_row(
+    diff: RunDiff,
+    old: _Row,
+    new: _Row,
+    thresholds: DiffThresholds,
+    prefix: str = "",
+) -> None:
+    """Gate one pair of record rows (see the module docstring)."""
+    if old.row.get("dataset") != new.row.get("dataset"):
+        diff.lines.append(DiffLine(
+            prefix + "dataset", old.row.get("dataset"),
+            new.row.get("dataset"), note="different designs",
+        ))
+    for name, limit in (
+        ("delay_ps", thresholds.max_delay_pct),
+        ("length_mm", thresholds.max_length_pct),
+    ):
+        _gate_pct(diff, prefix + name, old.gated(name), new.gated(name),
+                  limit)
+    violations = thresholds.max_violations_delta
+    _gate_delta(
+        diff, prefix + "violations",
+        old.gated("violations"), new.gated("violations"),
+        float(violations) if violations is not None else None,
+    )
+    _gate_delta(
+        diff, prefix + _PEAK,
+        old.gated(_PEAK, metric=True), new.gated(_PEAK, metric=True),
+        thresholds.max_peak_delta,
+    )
+    for name in ("area_mm2", "deletions"):
+        if old.row.get(name) is not None and new.row.get(name) is not None:
+            _gate_pct(diff, prefix + name, old.row[name], new.row[name],
+                      None)
+
+
 def _phase_walls(results: Dict[str, Any]) -> Dict[str, float]:
     """Flattened ``phase.path -> wall_s`` from ``results["phases"]``."""
     walls: Dict[str, float] = {}
@@ -206,65 +277,20 @@ def diff_manifests(
     old: Dict[str, Any],
     new: Dict[str, Any],
     thresholds: DiffThresholds = DiffThresholds(),
+    sources: Tuple[str, str] = ("OLD", "NEW"),
 ) -> RunDiff:
-    """Compare two run manifests."""
-    diff = RunDiff(kind="manifest")
+    """Compare two run manifests: their record rows, then phase walls."""
+    diff = RunDiff(kind="run")
     old_results = old.get("results", {})
     new_results = new.get("results", {})
-
-    circuit_old = old_results.get("circuit")
-    circuit_new = new_results.get("circuit")
-    if circuit_old is not None or circuit_new is not None:
-        line = DiffLine("circuit", circuit_old, circuit_new)
-        if circuit_old != circuit_new:
-            line.note = "different designs"
-        diff.lines.append(line)
-
-    _gate_pct(
-        diff, "results.critical_delay_ps",
-        old_results.get("critical_delay_ps"),
-        new_results.get("critical_delay_ps"),
-        thresholds.max_delay_pct,
+    _diff_row(
+        diff,
+        _Row(old_results, old.get("metrics", {}), sources[0],
+             "results", "metrics"),
+        _Row(new_results, new.get("metrics", {}), sources[1],
+             "results", "metrics"),
+        thresholds,
     )
-    _gate_pct(
-        diff, "results.total_length_um",
-        old_results.get("total_length_um"),
-        new_results.get("total_length_um"),
-        thresholds.max_length_pct,
-    )
-    _gate_delta(
-        diff, "results.violations",
-        old_results.get("violations"),
-        new_results.get("violations"),
-        (
-            float(thresholds.max_violations_delta)
-            if thresholds.max_violations_delta is not None
-            else None
-        ),
-    )
-    if (
-        old_results.get("deletions") is not None
-        and new_results.get("deletions") is not None
-    ):
-        deletions_old = float(old_results["deletions"])
-        deletions_new = float(new_results["deletions"])
-        diff.lines.append(
-            DiffLine(
-                "results.deletions",
-                int(deletions_old),
-                int(deletions_new),
-                delta=deletions_new - deletions_old,
-                pct=_pct(deletions_old, deletions_new),
-                note="report-only",
-            )
-        )
-    _gate_delta(
-        diff, "metrics.router.peak_density_total",
-        old.get("metrics", {}).get("router.peak_density_total"),
-        new.get("metrics", {}).get("router.peak_density_total"),
-        thresholds.max_peak_delta,
-    )
-
     old_walls = _phase_walls(old_results)
     new_walls = _phase_walls(new_results)
     for path in sorted(set(old_walls) & set(new_walls)):
@@ -272,6 +298,55 @@ def diff_manifests(
             diff, f"phase.{path}.wall_s",
             old_walls[path], new_walls[path], None,
         )
+    return diff
+
+
+def _job_row(job: Dict[str, Any], job_id: str, source: str) -> _Row:
+    path = f"results.jobs.{job_id}.record"
+    record = job.get("record")
+    if not isinstance(record, dict):
+        raise ValueError(f"{source}: {path} is missing")
+    return _Row(record, record.get("metrics", {}), source, path,
+                path + ".metrics")
+
+
+def diff_sweeps(
+    old: Dict[str, Any],
+    new: Dict[str, Any],
+    thresholds: DiffThresholds = DiffThresholds(),
+    sources: Tuple[str, str] = ("OLD", "NEW"),
+) -> RunDiff:
+    """Compare two sweep rollups job by job."""
+    diff = RunDiff(kind="sweep")
+    old_jobs = old.get("results", {}).get("jobs", {})
+    new_jobs = new.get("results", {}).get("jobs", {})
+    for job_id, old_job in old_jobs.items():
+        prefix = f"{job_id}: "
+        old_status = old_job.get("status")
+        new_status = new_jobs.get(job_id, {}).get("status", "absent")
+        if old_status not in _FINISHED or new_status not in _FINISHED:
+            line = DiffLine(prefix + "status", old_status, new_status)
+            if old_status in _FINISHED:
+                line.failed = True
+                diff.failures.append(
+                    f"{job_id} {old_status} in OLD, {new_status} in NEW"
+                )
+            else:
+                line.note = "report-only"
+            diff.lines.append(line)
+            continue
+        _diff_row(
+            diff,
+            _job_row(old_job, job_id, sources[0]),
+            _job_row(new_jobs[job_id], job_id, sources[1]),
+            thresholds, prefix,
+        )
+    for job_id, new_job in new_jobs.items():
+        if job_id not in old_jobs:
+            diff.lines.append(DiffLine(
+                f"{job_id}: status", "absent", new_job.get("status"),
+                note="new job",
+            ))
     return diff
 
 
@@ -354,11 +429,22 @@ def diff_runs(
     thresholds: DiffThresholds = DiffThresholds(),
     old_events: Optional[Sequence] = None,
     new_events: Optional[Sequence] = None,
+    sources: Tuple[str, str] = ("OLD", "NEW"),
 ) -> RunDiff:
-    """Diff two run manifests, plus their traces when both are given."""
-    classify_input(old)
-    classify_input(new)
-    diff = diff_manifests(old, new, thresholds)
+    """Diff two run manifests (plus their traces when both are given)
+    or two sweep rollups; ``sources`` name the inputs in errors."""
+    kinds = (classify_input(old, sources[0]),
+             classify_input(new, sources[1]))
+    if kinds[0] != kinds[1]:
+        raise ValueError(
+            f"cannot diff {sources[0]} ({kinds[0]}) against {sources[1]} "
+            f"({kinds[1]}): pass two run manifests or two sweep rollups"
+        )
+    if kinds[0] == "sweep":
+        if old_events is not None or new_events is not None:
+            raise ValueError("--trace diffs run manifests, not sweeps")
+        return diff_sweeps(old, new, thresholds, sources)
+    diff = diff_manifests(old, new, thresholds, sources)
     if old_events is not None and new_events is not None:
         diff_traces(diff, old_events, new_events, thresholds)
     return diff

@@ -11,13 +11,6 @@ from .circuits import (
     standard_suite,
     small_suite,
 )
-from .archive import (
-    SuiteArchive,
-    compare_archives,
-    load_archive_dict,
-    run_suite_archive,
-    write_archive,
-)
 from .runner import (
     Flow, RunRecord, pair_records, run_dataset, run_flow, run_pair, run_suite,
 )
@@ -29,11 +22,6 @@ __all__ = [
     "DatasetSpec",
     "Flow",
     "RunRecord",
-    "SuiteArchive",
-    "compare_archives",
-    "load_archive_dict",
-    "run_suite_archive",
-    "write_archive",
     "format_table1",
     "format_table2",
     "format_table3",

@@ -1,6 +1,7 @@
 """End-to-end benchmark runs: dataset → global route → channel route →
-sign-off (:func:`run_flow`), with and without timing constraints (the
-two halves of the paper's Table 2) plus the HPWL lower bound (Table 3)."""
+sign-off → HPWL lower bound (:func:`run_flow`), with and without timing
+constraints (the two halves of the paper's Table 2), each summed up as
+one :class:`RunRecord` (a row of Tables 2 and 3)."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from ..channelrouter.leftedge import ChannelRoutingResult, route_channels
 from ..core.config import RouterConfig
 from ..core.result import GlobalRoutingResult
 from ..engines import RoutingEngine, make_engine
+from ..layout.floorplan import assign_external_pins
 from ..layout.placement import Placement
 from ..netlist.circuit import Circuit
 from ..obs.events import TraceSink, Tracer
@@ -25,13 +27,14 @@ from .circuits import Dataset, DatasetSpec, make_dataset
 
 
 class Flow(NamedTuple):
-    """One routed design: the engine that routed it and each stage's
-    result."""
+    """One routed design: the engine that routed it, each stage's result
+    and the Table 3 bound."""
 
     router: RoutingEngine
     global_result: GlobalRoutingResult
     channel_result: ChannelRoutingResult
     signoff: SignoffReport
+    lower_bound_ps: float
 
 
 def run_flow(
@@ -45,15 +48,18 @@ def run_flow(
     profiler: Optional[PhaseProfiler] = None,
     decision_sampling: Optional[str] = None,
 ) -> Flow:
-    """Globally route, channel-route and sign off one design — the one
-    place the flow is wired; the ``route`` command and every bench,
-    batch and service run go through here.
+    """Globally route, channel-route, sign off and bound one design —
+    the one place the flow is wired; the ``route`` command and every
+    bench, batch and service run go through here.
 
     Sign-off uses the router's technology, width-cap exponent and delay
     graph ("the same delay model"); all stages share one tracer, the
     engine's metrics registry and one profiler, whose root phases are
-    ``route``, ``build_result``, ``route_channels`` and ``sign_off``.
-    Routing mutates ``placement``.
+    ``route``, ``build_result``, ``route_channels``, ``sign_off`` and
+    ``lower_bound``.  The Table 3 bound is taken on the routed chip (the
+    signed-off channel heights) for a timing-driven run, and before
+    routing for the unconstrained baseline, so its ``lower_bound``
+    phase comes first.  Routing mutates ``placement``.
     """
     tracer = Tracer.of(trace_sink)
     if profiler is None:
@@ -63,19 +69,33 @@ def run_flow(
         trace_sink=tracer, metrics=metrics, profiler=profiler,
         decision_sampling=decision_sampling,
     )
+    technology = config.technology
+    if not config.timing_driven:
+        with profiler.phase("lower_bound"):
+            # The router assigns the same pins; only unassigned ones move.
+            assign_external_pins(circuit, placement)
+            lower_bound = critical_path_lower_bound_ps(
+                circuit, placement, technology
+            )
     global_result = router.route()
     with profiler.phase("route_channels"):
         channel_result = route_channels(
-            global_result, placement, config.technology,
+            global_result, placement, technology,
             metrics=router.metrics, tracer=tracer,
         )
     with profiler.phase("sign_off"):
         signoff = sign_off(
             circuit, placement, global_result, channel_result,
-            constraints, config.technology, config.width_cap_exponent,
+            constraints, technology, config.width_cap_exponent,
             gd=router.gd,
         )
-    return Flow(router, global_result, channel_result, signoff)
+    if config.timing_driven:
+        with profiler.phase("lower_bound"):
+            lower_bound = critical_path_lower_bound_ps(
+                circuit, placement, technology,
+                channel_tracks=signoff.floorplan.channel_tracks,
+            )
+    return Flow(router, global_result, channel_result, signoff, lower_bound)
 
 
 @dataclass
@@ -127,6 +147,36 @@ class RunRecord:
         """Scalar columns as an ordered dict, following :meth:`fields`."""
         return {name: getattr(self, name) for name in self.fields()}
 
+    @classmethod
+    def from_flow(cls, flow: Flow, dataset: str) -> "RunRecord":
+        """The record of one routed flow (the one place a record is
+        built): the signed-off delay, area and length, the flow's Table 3
+        bound, the routed design's Table 1 sizes and the engine's flat
+        metrics snapshot."""
+        engine, global_result, _, report, lower_bound = flow
+        router = engine.router  # the engine's shared GlobalRouter state
+        margins = report.constraint_margins
+        return cls(
+            dataset=dataset,
+            constrained=router.config.timing_driven,
+            delay_ps=report.critical_delay_ps,
+            area_mm2=report.area_mm2,
+            length_mm=report.total_length_mm,
+            cpu_s=report.cpu_seconds,
+            lower_bound_ps=lower_bound,
+            violations=len(report.violations),
+            worst_margin_ps=(
+                min(margins.values()) if margins else float("inf")
+            ),
+            cells=len(router.circuit.logic_cells),
+            nets=len(router.circuit.routable_nets),
+            n_constraints=len(router.constraints),
+            feed_cells_inserted=global_result.feed_cells_inserted,
+            deletions=global_result.deletions,
+            reroutes=global_result.reroutes,
+            metrics=engine.metrics.flat(),
+        )
+
 
 def run_dataset(
     spec: DatasetSpec,
@@ -152,53 +202,19 @@ def run_dataset(
     its own route time), and ``decision_sampling``
     (``all``/``off``/``nth:N``) to control deletion-decision records in
     the trace.
-
-    The Table 3 bound is computed once: on the routed chip (its channel
-    heights) for a constrained run, before routing for an unconstrained
-    one.
     """
     dataset = make_dataset(spec, technology)
     if config is None:
         config = RouterConfig(technology=technology)
     if not constrained:
         config = config.unconstrained()
-        lower_bound = critical_path_lower_bound_ps(
-            dataset.circuit, dataset.placement, technology
-        )
-    router, global_result, _, report = run_flow(
+    flow = run_flow(
         dataset.circuit, dataset.placement, dataset.constraints, config,
         trace_sink=trace_sink, metrics=current_scoped_registry(),
         profiler=profiler, decision_sampling=decision_sampling,
     )
-    if constrained:
-        lower_bound = critical_path_lower_bound_ps(
-            dataset.circuit, dataset.placement, technology,
-            channel_tracks=report.floorplan.channel_tracks,
-        )
-    stats = dataset.stats()
-    record = RunRecord(
-        dataset=spec.name,
-        constrained=constrained,
-        delay_ps=report.critical_delay_ps,
-        area_mm2=report.area_mm2,
-        length_mm=report.total_length_mm,
-        cpu_s=report.cpu_seconds,
-        lower_bound_ps=lower_bound,
-        violations=len(report.violations),
-        worst_margin_ps=(
-            min(report.constraint_margins.values())
-            if report.constraint_margins
-            else float("inf")
-        ),
-        cells=stats["cells"],
-        nets=stats["nets"],
-        n_constraints=stats["constraints"],
-        feed_cells_inserted=global_result.feed_cells_inserted,
-        deletions=global_result.deletions,
-        reroutes=global_result.reroutes,
-        metrics=router.metrics.flat(),
-    )
-    return record, global_result, report, dataset
+    record = RunRecord.from_flow(flow, spec.name)
+    return record, flow.global_result, flow.signoff, dataset
 
 
 def pair_records(
@@ -207,7 +223,7 @@ def pair_records(
     """Stitch two independently produced records into a Table 2/3 pair.
 
     The constrained record's Table 3 bound is measured on the routed
-    chip (see :func:`run_dataset`); the unconstrained record adopts it
+    chip (see :func:`run_flow`); the unconstrained record adopts it
     so both rows share one per-dataset bound.
     """
     without_c.lower_bound_ps = with_c.lower_bound_ps

@@ -12,6 +12,9 @@ Installed as ``repro-router``.  Subcommands:
 ``trace``
     Inspect a JSONL run trace (``trace summarize out.jsonl`` prints the
     per-phase time and winning-criterion breakdown).
+``compare-runs``
+    Diff two run manifests, or two sweep rollups job by job, against
+    regression thresholds.
 ``batch``
     Run an experiment sweep on the parallel batch engine
     (:mod:`repro.exec`): N worker processes, per-job timeout, bounded
@@ -50,7 +53,7 @@ from .bench.circuits import (
     small_suite,
     standard_suite,
 )
-from .bench.runner import run_flow, run_suite
+from .bench.runner import RunRecord, run_flow, run_suite
 from .bench.tables import format_table1, format_table2, format_table3
 from .core.config import RouterConfig
 from .engines import engine_names
@@ -153,8 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument(
         "--manifest", type=Path, default=None, metavar="PATH",
         help="write a machine-readable run manifest (config, dataset, "
-        "source revision, final metrics); with --json, a manifest is "
-        "written alongside the report automatically",
+        "source revision, the signed-off result row, final metrics); "
+        "with --json, a manifest is written alongside the report "
+        "automatically",
     )
 
     generate = sub.add_parser(
@@ -170,12 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--out", type=Path, required=True)
     generate.add_argument("--placement-out", type=Path, default=None)
     generate.add_argument("--rows", type=int, default=None)
-
-    compare = sub.add_parser(
-        "compare", help="diff two suite archives (regression check)"
-    )
-    compare.add_argument("old", type=Path)
-    compare.add_argument("new", type=Path)
 
     trace = sub.add_parser("trace", help="inspect a JSONL run trace")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
@@ -245,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare_runs = sub.add_parser(
         "compare-runs",
-        help="diff two run manifests against regression thresholds",
+        help="diff two run manifests, or two sweep rollups job by job, "
+        "against regression thresholds",
     )
     compare_runs.add_argument("old", type=Path)
     compare_runs.add_argument("new", type=Path)
@@ -253,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", nargs=2, type=Path, default=None,
         metavar=("OLD", "NEW"),
         help="also diff two JSONL traces (deletion-sequence divergence, "
-        "per-channel C_M/C_m deltas)",
+        "per-channel C_M/C_m deltas); run manifests only",
     )
     compare_runs.add_argument(
         "--max-delay-pct", type=float, default=5.0,
@@ -329,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--out", type=Path, default=None, metavar="PATH",
-        help="write the sweep rollup manifest JSON here",
+        help="write the sweep rollup manifest here (compare-runs diffs "
+        "two of them job by job)",
     )
     _add_cache_cap_args(batch)
     batch.add_argument(
@@ -414,8 +414,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_route(args)
         if args.command == "generate":
             return _cmd_generate(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
         if args.command == "trace":
             return _cmd_trace(args)
         if args.command == "compare-runs":
@@ -527,13 +525,14 @@ def _cmd_route(args) -> int:
     sink = JsonlTraceSink(args.trace) if args.trace is not None else None
     tracer = Tracer.of(sink)
     try:
-        router, global_result, channel_result, report = run_flow(
+        flow = run_flow(
             circuit, placement, constraints, config,
             trace_sink=tracer, profiler=profiler,
             decision_sampling=args.decisions,
         )
     finally:
         tracer.close()
+    router, global_result, channel_result, report, _ = flow
     if args.report:
         from .analysis.report import full_report
 
@@ -599,8 +598,7 @@ def _cmd_route(args) -> int:
                 "nets": len(circuit.routable_nets),
                 "constraints": len(constraints),
             },
-            result=global_result,
-            metrics=router.metrics,
+            record=RunRecord.from_flow(flow, circuit.name),
             profiler=profiler,
         )
         manifest.write(manifest_path)
@@ -941,6 +939,7 @@ def _cmd_compare_runs(args) -> int:
         diff = diff_runs(
             documents[0], documents[1], thresholds,
             old_events=old_events, new_events=new_events,
+            sources=(str(args.old), str(args.new)),
         )
     except ValueError as exc:
         return _input_error(str(exc))
@@ -953,36 +952,10 @@ def _cmd_compare_runs(args) -> int:
     return 0 if diff.ok else 1
 
 
-def _cmd_compare(args) -> int:
-    from .bench.archive import compare_archives, load_archive_dict
-
-    archives = []
-    for path in (args.old, args.new):
-        try:
-            archives.append(load_archive_dict(path))
-        except (OSError, ValueError, KeyError) as exc:
-            return _input_error(f"cannot read archive {path}: {exc}")
-    notes = compare_archives(*archives)
-    if not notes:
-        print("no changes beyond 0.5%")
-        return 0
-    for note in notes:
-        print(note)
-    return 2
-
-
 def _cmd_batch(args) -> int:
     import os
 
-    from .exec import (
-        JobSpec,
-        ProgressPrinter,
-        ResultCache,
-        SweepReporter,
-        run_batch,
-        sweep_id_of,
-        tee,
-    )
+    from .exec import JobSpec, ProgressPrinter, run_batch, sweep_id_of
 
     if args.resume and args.no_cache:
         return _input_error(
@@ -1024,14 +997,13 @@ def _cmd_batch(args) -> int:
         else:
             print("no prior checkpoint for this sweep; running all jobs")
 
-    reporter = SweepReporter()
     sweep = run_batch(
         jobs,
         workers=workers,
         timeout_s=args.timeout,
         retries=args.retries,
         cache=cache,
-        on_event=tee(ProgressPrinter(), reporter),
+        on_event=ProgressPrinter(),
         manifest_dir=args.manifests,
     )
 
@@ -1056,7 +1028,7 @@ def _cmd_batch(args) -> int:
         else:
             print(_format_cache_stats(cache.stats()))
     if args.out is not None:
-        reporter.rollup_manifest(sweep).write(args.out)
+        sweep.rollup.write(args.out)
         print(f"wrote sweep rollup {args.out}")
     return 0 if sweep.all_ok else 1
 

@@ -13,7 +13,7 @@ from .criteria import (
     penalty,
 )
 from .selection import SelectionMode, selection_key
-from .result import GlobalRoutingResult, NetRoute, PhaseEvent
+from .result import GlobalRoutingResult, NetRoute
 from .router import GlobalRouter
 from .verify import verify_routing
 
@@ -28,7 +28,6 @@ __all__ = [
     "GlobalRoutingResult",
     "NetRoute",
     "NetTimingContext",
-    "PhaseEvent",
     "RouterConfig",
     "SelectionMode",
     "evaluate_delay_criteria",

@@ -64,11 +64,6 @@ def recover_violations(router: "GlobalRouter") -> int:
     router.metrics.gauge("improve.violations_remaining").set(
         float(remaining)
     )
-    router._log(
-        "recover_violate",
-        f"{attempts} reroutes, {remaining} violations remain",
-        float(remaining),
-    )
     return attempts
 
 
@@ -129,7 +124,6 @@ def improve_delay(router: "GlobalRouter") -> int:
             break
     router.metrics.counter("improve.delay_attempts").inc(attempts)
     router.metrics.counter("improve.delay_passes").inc(passes)
-    router._log("improve_delay", f"{attempts} reroutes", float(attempts))
     return attempts
 
 
@@ -144,7 +138,6 @@ def improve_area(router: "GlobalRouter") -> int:
             attempts += 1
             router.reroute_net(net_name, SelectionMode.AREA)
     router.metrics.counter("improve.area_attempts").inc(attempts)
-    router._log("improve_area", f"{attempts} reroutes", float(attempts))
     return attempts
 
 

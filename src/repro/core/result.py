@@ -93,15 +93,6 @@ def merge_intervals(spans: List[Interval]) -> List[Interval]:
     return merged
 
 
-@dataclass(frozen=True)
-class PhaseEvent:
-    """One line of the router's phase trace (Fig. 2 flow)."""
-
-    phase: str
-    detail: str
-    value: float = 0.0
-
-
 @dataclass
 class GlobalRoutingResult:
     """Everything the global router produced."""
@@ -117,7 +108,6 @@ class GlobalRoutingResult:
     cpu_seconds: float
     deletions: int
     reroutes: int
-    phase_log: List[PhaseEvent] = field(default_factory=list)
     feed_cells_inserted: int = 0
     chip_widened_columns: int = 0
 

@@ -83,7 +83,6 @@ from .result import (
     ChannelAttachment,
     GlobalRoutingResult,
     NetRoute,
-    PhaseEvent,
     RoutedEdge,
 )
 from .selection import SelectionMode, winning_criterion
@@ -160,7 +159,6 @@ class GlobalRouter:
 
         self.deletions = 0
         self.reroutes = 0
-        self.phase_log: List[PhaseEvent] = []
         self._timings: Dict[str, ConstraintTiming] = {}
         self._timing_dirty = True
         # Net names whose wire caps changed since the last analysis;
@@ -248,7 +246,6 @@ class GlobalRouter:
         phase = self.profiler.phase
         with phase("setup"):
             validate_circuit(self.circuit)
-            self._log("setup", "validated netlist")
             with phase("timing"):
                 self._build_timing()
             with phase("assignment"):
@@ -307,12 +304,10 @@ class GlobalRouter:
         """Fig. 2 lines 04–10: the initial deletion loop, then the
         improvement phases and finalization."""
         phase = self.profiler.phase
-        self._log("initial", "edge-deletion loop starts")
         with phase("initial"):
             self._deletion_loop(
                 list(self._lead_states()), SelectionMode.TIMING
             )
-        self._log("initial", "loop done", float(self.deletions))
         self._snapshot_density("post_deletion")
 
         from .improve import (  # local import avoids a module cycle
@@ -365,12 +360,6 @@ class GlobalRouter:
         self._cgs_of_net = {
             name: tuple(names) for name, names in cgs_of_net.items()
         }
-        self._log(
-            "setup",
-            f"G_D: {len(self.gd.vertices)} vertices, "
-            f"{len(self.gd.arcs)} arcs, "
-            f"{len(self.constraint_graphs)} constraints",
-        )
 
     def _assign_pins_and_feedthroughs(self) -> None:
         assign_external_pins(self.circuit, self.placement)
@@ -390,14 +379,6 @@ class GlobalRouter:
                     cells=self.insertion_report.inserted_cells,
                     widened_columns=self.insertion_report.widening_columns,
                 )
-            self._log(
-                "assignment",
-                f"feed-cell insertion added "
-                f"{self.insertion_report.inserted_cells} cells, widened "
-                f"chip by {self.insertion_report.widening_columns} columns",
-            )
-        else:
-            self._log("assignment", "first-pass feedthrough assignment ok")
 
     def _assignment_order(self) -> List[Net]:
         """Net order for feedthrough assignment (Section 3.1).
@@ -466,7 +447,6 @@ class GlobalRouter:
             self.states[net.name] = state
         self._alive_lengths = np.zeros(len(self.states))
         self._pair_up()
-        self._log("setup", f"built {len(self.states)} routing graphs")
 
     def _pair_up(self) -> None:
         """Establish Section 4.1 correspondences for differential pairs."""
@@ -477,19 +457,9 @@ class GlobalRouter:
                 continue
             pair = establish_correspondence(lead.graph, partner.graph)
             if pair is None:
-                self._log(
-                    "pairs",
-                    f"{lead_net.name}/{partner_net.name}: graphs not "
-                    "homogeneous — routing independently",
-                )
                 continue
             lead.pair = pair
             partner.follower_of = lead_net.name
-            self._log(
-                "pairs",
-                f"{lead_net.name}/{partner_net.name}: correspondence "
-                f"established over {len(pair.edge_map)} edges",
-            )
 
     def _init_density_and_trees(self) -> None:
         self.engine = DensityEngine(
@@ -827,11 +797,6 @@ class GlobalRouter:
     def _break_pair(self, state: _NetState) -> None:
         """Give up on lock-step routing for a diverged pair."""
         partner = self.states[state.pair.partner_net]
-        self._log(
-            "pairs",
-            f"{state.net.name}/{partner.net.name}: correspondence broken — "
-            "finishing independently",
-        )
         self.metrics.counter("router.pair_breaks").inc()
         if self.tracer.enabled:
             self.tracer.emit(
@@ -1121,7 +1086,6 @@ class GlobalRouter:
             cpu_seconds=elapsed,
             deletions=self.deletions,
             reroutes=self.reroutes,
-            phase_log=list(self.phase_log),
             feed_cells_inserted=self.insertion_report.inserted_cells,
             chip_widened_columns=self.insertion_report.widening_columns,
         )
@@ -1143,10 +1107,6 @@ class GlobalRouter:
             elmore_segments=segments,
             sink_pin_names=sink_names,
         )
-
-    # ==================================================================
-    def _log(self, phase: str, detail: str, value: float = 0.0) -> None:
-        self.phase_log.append(PhaseEvent(phase, detail, value))
 
 
 def _elmore_tree_of(graph: RoutingGraph):

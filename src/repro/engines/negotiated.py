@@ -146,10 +146,8 @@ class NegotiatedEngine(RoutingEngine):
     def _negotiate_and_finalize(self) -> None:
         router = self.router
         self._init_negotiation()
-        router._log("negotiate", "negotiation loop starts")
         with router.profiler.phase("negotiate"):
             self._negotiate()
-        router._log("negotiate", "loop done", float(self._iterations))
         with router.profiler.phase("finalize"):
             self._finalize()
         router._snapshot_density("post_improvement")

@@ -16,7 +16,9 @@ sweep), with:
 * a **sweep checkpoint** (when a cache is attached) recording every
   job's status, rewritten atomically as the sweep progresses;
 * **progress events** for every state change (see
-  :mod:`~repro.exec.progress`) and optional per-job + rollup manifests.
+  :mod:`~repro.exec.progress`), counted live into the sweep's one
+  rollup manifest (:attr:`SweepResult.rollup`), and optional per-job
+  run manifests.
 
 ``workers=0`` runs jobs inline in the calling process — same cache,
 retry and reporting semantics, no subprocesses (and therefore no crash
@@ -35,6 +37,7 @@ forwards directly.  Cache hits produce no events (nothing ran).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -49,9 +52,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 from ..bench.runner import RunRecord
 from ..errors import ConfigError
 from ..io.fsutil import atomic_write_text
+from ..io.json_report import run_record_to_dict
 from ..obs.events import TraceSink
-from ..obs.manifest import build_run_manifest
-from ..obs.metrics import get_registry, scoped_registry
+from ..obs.manifest import RunManifest, build_run_manifest
+from ..obs.metrics import MetricsRegistry, get_registry, scoped_registry
 from ..obs.relay import (
     SPOOL_SUFFIX,
     SpoolSink,
@@ -61,7 +65,7 @@ from ..obs.relay import (
 )
 from .cache import ResultCache
 from .jobs import JobSpec, execute_job
-from .progress import ProgressEvent, SweepReporter
+from .progress import ProgressEvent, SweepReporter, tee
 
 PathLike = Union[str, Path]
 Runner = Callable[[JobSpec], RunRecord]
@@ -95,12 +99,14 @@ class JobOutcome:
 
 @dataclass
 class SweepResult:
-    """Everything one ``run_batch`` call produced."""
+    """Everything one ``run_batch`` call produced; ``metrics`` holds the
+    ``sweep.*`` counters its :class:`SweepReporter` counted live."""
 
     outcomes: List[JobOutcome]
     wall_s: float
     sweep_id: str = ""
     checkpoint_path: Optional[Path] = None
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     @property
     def n_ok(self) -> int:
@@ -139,6 +145,33 @@ class SweepResult:
                 f"after {outcome.attempts} attempt(s): {outcome.error}"
             )
         return "\n".join(lines)
+
+    @functools.cached_property
+    def rollup(self) -> RunManifest:
+        """The sweep's one rollup manifest: per-job statuses, each
+        finished job's record (what ``compare-runs`` diffs job by job)
+        and the live ``sweep.*`` metrics."""
+        jobs: Dict[str, Any] = {}
+        for outcome in self.outcomes:
+            job = jobs[outcome.spec.job_id] = {
+                "status": outcome.status,
+                "attempts": outcome.attempts,
+                "duration_s": round(outcome.duration_s, 4),
+                "error": outcome.error,
+            }
+            if outcome.record is not None:
+                job["record"] = run_record_to_dict(outcome.record)
+        return RunManifest(
+            dataset={"kind": "sweep", "jobs": len(self.outcomes)},
+            results={
+                "ok": self.n_ok,
+                "cached": self.n_cached,
+                "failed": self.n_failed,
+                "wall_s": round(self.wall_s, 4),
+                "jobs": jobs,
+            },
+            metrics=self.metrics.snapshot(),
+        )
 
 
 def sweep_id_of(jobs: Sequence[JobSpec]) -> str:
@@ -359,8 +392,7 @@ class _Sweep:
         manifest = build_run_manifest(
             config=spec.resolved_config(),
             dataset=spec.describe(),
-            result=record.to_row(),
-            metrics=record.metrics,
+            record=record,
         )
         name = f"{spec.job_id}-{spec.cache_key()[:10]}.manifest.json"
         manifest.write(Path(self.manifest_dir) / name)
@@ -646,10 +678,11 @@ def run_batch(
             ``trace_sink`` set it is called as ``runner(spec,
             trace_sink=..., decision_sampling=...)`` like
             :func:`~repro.exec.jobs.execute_job`.
-        on_event: progress callback (see :mod:`~repro.exec.progress`).
+        on_event: progress callback (see :mod:`~repro.exec.progress`);
+            the sweep's own :class:`SweepReporter` sees the same events.
         manifest_dir: when given, every successful job writes a run
-            manifest there and the sweep writes a ``sweep-<id>``
-            rollup manifest.
+            manifest there and the sweep writes its
+            :attr:`SweepResult.rollup` as ``sweep-<id>.manifest.json``.
         trace_sink: receives every job's trace events, stamped with
             ``run_id``/``job_id``/``worker`` context.  With
             ``workers >= 1`` the events are relayed live out of the
@@ -678,6 +711,7 @@ def run_batch(
             spool_dir = Path(tempfile.mkdtemp(prefix="repro-spools-"))
             spool_dir_is_temp = True
 
+    reporter = SweepReporter()
     sweep = _Sweep(
         jobs,
         workers=workers,
@@ -686,7 +720,7 @@ def run_batch(
         backoff_s=backoff_s,
         cache=cache,
         runner=runner,
-        on_event=on_event,
+        on_event=tee(reporter, on_event),
         manifest_dir=Path(manifest_dir) if manifest_dir else None,
         trace_sink=trace_sink,
         spool_dir=spool_dir,
@@ -730,23 +764,10 @@ def run_batch(
         wall_s=wall,
         sweep_id=sweep.sweep_id,
         checkpoint_path=sweep.checkpoint_path,
+        metrics=reporter.metrics,
     )
     if sweep.manifest_dir is not None:
-        reporter = SweepReporter()
-        for outcome in result.outcomes:
-            kind = outcome.status if outcome.status != "ok" else "ok"
-            reporter(
-                ProgressEvent(
-                    kind=kind,
-                    job_id=outcome.spec.job_id,
-                    index=outcome.index,
-                    total=len(result.outcomes),
-                    attempt=max(outcome.attempts, 1),
-                    duration_s=outcome.duration_s,
-                    error=outcome.error,
-                )
-            )
-        reporter.rollup_manifest(result).write(
+        result.rollup.write(
             sweep.manifest_dir / f"sweep-{sweep.sweep_id}.manifest.json"
         )
     return result

@@ -6,17 +6,16 @@ callable can consume them.  Two consumers ship here:
 * :class:`ProgressPrinter` — one human-readable line per event, suitable
   for a terminal (the ``repro-router batch`` command uses it);
 * :class:`SweepReporter` — aggregates events into a
-  :class:`~repro.obs.metrics.MetricsRegistry` and builds the sweep's
-  rollup :class:`~repro.obs.manifest.RunManifest`, so a batch run plugs
-  into exactly the same observability machinery as a single run.
+  :class:`~repro.obs.metrics.MetricsRegistry`; every ``run_batch``
+  sweep counts its own events with one, live, into the ``metrics`` of
+  its rollup manifest (:attr:`~repro.exec.pool.SweepResult.rollup`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, TextIO
+from typing import Any, Optional, TextIO
 
-from ..obs.manifest import RunManifest, build_run_manifest
 from ..obs.metrics import MetricsRegistry
 
 #: Event kinds, in lifecycle order.
@@ -78,16 +77,12 @@ class ProgressPrinter:
 
 
 class SweepReporter:
-    """Aggregates progress events into sweep-level metrics.
+    """Aggregates progress events into sweep-level metrics: counters
+    and the job-duration histogram land in a :class:`MetricsRegistry`
+    under the ``sweep.`` prefix."""
 
-    Counters land in a :class:`MetricsRegistry` under the ``sweep.``
-    prefix; :meth:`rollup_manifest` bundles them — together with the
-    per-job statuses of a finished :class:`~repro.exec.pool.SweepResult`
-    — into one machine-readable manifest.
-    """
-
-    def __init__(self, metrics: Optional[MetricsRegistry] = None):
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
 
     def __call__(self, event: ProgressEvent) -> None:
         if event.kind == "started" and event.attempt == 1:
@@ -103,29 +98,6 @@ class SweepReporter:
             self.metrics.counter("sweep.job_retries").inc()
         elif event.kind == "failed":
             self.metrics.counter("sweep.jobs_failed").inc()
-
-    def rollup_manifest(self, sweep: Any) -> RunManifest:
-        """The sweep's rollup manifest (``sweep`` is a
-        :class:`~repro.exec.pool.SweepResult`)."""
-        jobs: Dict[str, Any] = {}
-        for outcome in sweep.outcomes:
-            jobs[outcome.spec.job_id] = {
-                "status": outcome.status,
-                "attempts": outcome.attempts,
-                "duration_s": round(outcome.duration_s, 4),
-                "error": outcome.error,
-            }
-        return build_run_manifest(
-            dataset={"kind": "sweep", "jobs": len(sweep.outcomes)},
-            result={
-                "ok": sweep.n_ok,
-                "cached": sweep.n_cached,
-                "failed": sweep.n_failed,
-                "wall_s": round(sweep.wall_s, 4),
-                "jobs": jobs,
-            },
-            metrics=self.metrics,
-        )
 
 
 def tee(*consumers) -> Any:

@@ -1,12 +1,12 @@
 """Filesystem helpers shared by every module that persists results.
 
 The one rule: a reader must never observe a half-written file.  All
-persistent artifacts (suite archives, run manifests, cache entries,
+persistent artifacts (run manifests, sweep rollups, cache entries,
 sweep checkpoints) go through :func:`atomic_write_text`, which writes to
 a temporary file in the destination directory and publishes it with
 ``os.replace`` — atomic on POSIX and Windows alike.  Concurrent batch
-jobs sharing an archive or cache directory therefore race only on *which*
-complete file wins, never on file contents.
+jobs sharing a manifest or cache directory therefore race only on
+*which* complete file wins, never on file contents.
 
 Append-only streams (the telemetry relay's NDJSON spools) use
 :func:`open_append` instead: ``O_APPEND`` + one line-buffered write per

@@ -38,10 +38,6 @@ def global_result_to_dict(
             str(channel): peak
             for channel, peak in result.channel_peak_density.items()
         },
-        "phase_log": [
-            {"phase": e.phase, "detail": e.detail, "value": e.value}
-            for e in result.phase_log
-        ],
     }
     if include_routes:
         payload["routes"] = {

@@ -2,9 +2,12 @@
 
 A manifest pins down everything needed to interpret (or re-run) one
 routing result: the configuration, the dataset identity, the source
-revision the tool was built from, and the final metrics snapshot.  The
-CLI writes one alongside every ``--json`` report; the bench runner can
-attach one per :class:`~repro.bench.runner.RunRecord`.
+revision the tool was built from, the run's
+:class:`~repro.bench.runner.RunRecord` row and its flat metrics
+snapshot.  ``route --manifest`` (or ``--json``) and every
+``batch --manifests`` job write one; a sweep's rollup is a manifest
+whose ``results.jobs`` carry one record per finished job.
+``compare-runs`` diffs either kind.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Any, Dict, Optional, Union
 
 PathLike = Union[str, Path]
 
-MANIFEST_SCHEMA = "repro-run-manifest/1"
+MANIFEST_SCHEMA = "repro-run-manifest/2"
 
 
 def tool_version() -> str:
@@ -123,48 +126,29 @@ class RunManifest:
 def build_run_manifest(
     config: Any = None,
     dataset: Optional[Dict[str, Any]] = None,
-    result: Any = None,
-    metrics: Any = None,
+    record: Any = None,
     profiler: Any = None,
 ) -> RunManifest:
-    """Assemble a manifest from the usual run artifacts.
+    """Assemble one run's manifest.
 
-    ``result`` may be a :class:`~repro.core.result.GlobalRoutingResult`
-    (its headline numbers are extracted) or a plain dict; ``metrics`` a
-    :class:`~repro.obs.metrics.MetricsRegistry` or a dict; ``profiler`` a
-    :class:`~repro.obs.profile.PhaseProfiler` (its tree lands under
-    ``results["phases"]``).
+    ``results`` is ``record.to_row()`` (a
+    :class:`~repro.bench.runner.RunRecord`: the signed-off Table 2/3
+    row), plus the :class:`~repro.obs.profile.PhaseProfiler` tree under
+    ``results["phases"]`` when ``profiler`` is given; ``metrics`` is the
+    record's flat metrics snapshot.
     """
     results: Dict[str, Any] = {}
-    if result is not None:
-        if isinstance(result, dict):
-            results.update(result)
-        else:
-            results.update(
-                {
-                    "circuit": result.circuit_name,
-                    "critical_delay_ps": result.critical_delay_ps,
-                    "total_length_um": result.total_length_um,
-                    "cpu_seconds": result.cpu_seconds,
-                    "deletions": result.deletions,
-                    "reroutes": result.reroutes,
-                    "violations": len(result.violations),
-                    "feed_cells_inserted": result.feed_cells_inserted,
-                }
-            )
+    metrics: Dict[str, Any] = {}
+    if record is not None:
+        results.update(record.to_row())
+        metrics.update(record.metrics)
     if profiler is not None:
         results["phases"] = profiler.to_dict()
-    if metrics is None:
-        metrics_payload: Dict[str, Any] = {}
-    elif isinstance(metrics, dict):
-        metrics_payload = dict(metrics)
-    else:
-        metrics_payload = metrics.snapshot()
     return RunManifest(
         config=_jsonable_config(config) if config is not None else {},
         dataset=dict(dataset or {}),
         results=results,
-        metrics=metrics_payload,
+        metrics=metrics,
     )
 
 

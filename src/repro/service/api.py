@@ -12,8 +12,9 @@ standard suite, ``S1P1`` … from the small suite):
     adds the per-constraint margin attribution and decision counts.
 ``compare``
     Route the dataset in both modes (each half independently cacheable)
-    and return both records plus their deltas — the serving twin of the
-    ``compare-runs`` CLI.
+    and return both records plus their constrained-minus-unconstrained
+    deltas: one dataset's Table 2 row pair, not a diff of two runs (that
+    is the ``compare-runs`` CLI).
 
 Optional fields: ``constrained`` (bool, default true; ``route``/
 ``explain`` only), ``engine`` (routing-engine name from

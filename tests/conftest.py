@@ -140,9 +140,10 @@ def fanout_placed(fanout_circuit):
     return fanout_circuit, placement
 
 
-def route_chain(library, constrained: bool = True):
+def route_chain(library, constrained: bool = True, profiler=None):
     """Route the chain circuit end to end; returns (circuit, placement,
-    constraints, result)."""
+    constraints, result).  Pass a ``PhaseProfiler`` to read the run's
+    phase tree."""
     circuit = build_chain_circuit(library)
     placement = place_circuit(
         circuit, PlacerConfig(n_rows=3, feed_fraction=0.4)
@@ -159,7 +160,9 @@ def route_chain(library, constrained: bool = True):
     config = RouterConfig()
     if not constrained:
         config = config.unconstrained()
-    router = GlobalRouter(circuit, placement, [constraint], config)
+    router = GlobalRouter(
+        circuit, placement, [constraint], config, profiler=profiler
+    )
     return circuit, placement, [constraint], router.route()
 
 

@@ -123,48 +123,6 @@ class TestTables:
 
 
 class TestCompare:
-    def _write_archive(self, tmp_path, name):
-        import json
-
-        from repro.bench.archive import (
-            run_suite_archive,
-            write_archive,
-        )
-        from repro.bench.circuits import CircuitSpec, DatasetSpec
-        from repro.layout.placer import FeedStyle
-
-        spec = DatasetSpec(
-            "CMP",
-            CircuitSpec(
-                "C", n_gates=20, n_flops=3, n_inputs=3, n_outputs=2,
-                n_diff_pairs=0, seed=1,
-            ),
-            FeedStyle.EVEN,
-            n_constraints=2,
-        )
-        archive = run_suite_archive([spec], suite_name="cmp")
-        path = tmp_path / name
-        write_archive(archive, path)
-        return path
-
-    def test_identical_archives_quiet(self, tmp_path, capsys):
-        path = self._write_archive(tmp_path, "a.json")
-        code = main(["compare", str(path), str(path)])
-        assert code == 0
-        assert "no changes" in capsys.readouterr().out
-
-    def test_changed_archives_flagged(self, tmp_path, capsys):
-        import json
-
-        path = self._write_archive(tmp_path, "a.json")
-        payload = json.loads(path.read_text())
-        payload["records"][0]["with_constraints"]["delay_ps"] *= 1.2
-        changed = tmp_path / "b.json"
-        changed.write_text(json.dumps(payload))
-        code = main(["compare", str(path), str(changed)])
-        assert code == 2
-        assert "delay_ps" in capsys.readouterr().out
-
     def test_route_anneal_and_verify_flags(self, tmp_path, capsys):
         netlist = tmp_path / "a.rnl"
         main([

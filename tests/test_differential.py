@@ -158,11 +158,11 @@ class TestPairedRouting:
         circuit, placement, p, n = diff_circuit(library, rows=3)
         router = GlobalRouter(circuit, placement, [], RouterConfig())
         router.route()
-        pair_events = [
-            e for e in router.phase_log if e.phase == "pairs"
-        ]
-        assert pair_events
-        assert any("correspondence" in e.detail for e in pair_events)
+        (lead,) = [s for s in router.states.values() if s.pair is not None]
+        assert {lead.net.name, lead.pair.partner_net} == {"dp", "dn"}
+        assert lead.pair.edge_map
+        partner = router.states[lead.pair.partner_net]
+        assert partner.follower_of == lead.net.name
 
     def test_both_nets_are_trees(self, library):
         circuit, placement, p, n = diff_circuit(library, rows=3)

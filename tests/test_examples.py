@@ -26,24 +26,26 @@ class TestExamples:
         assert "din_to_ff" in out
 
     def test_reproduce_paper_small_table1(self, monkeypatch, capsys):
-        try:
+        with pytest.raises(SystemExit) as exit_info:
             run_example(
                 monkeypatch, capsys, "reproduce_paper.py",
                 ["--suite", "small", "--table", "1"],
             )
-        except SystemExit as exit_info:
-            assert exit_info.code in (0, None)
+        assert exit_info.value.code in (0, None)
         out = capsys.readouterr().out
-        assert "Table 1" in out or True  # output captured above
+        assert "Table 1: Test bipolar circuits" in out
+        assert "S1P1" in out
 
     def test_reproduce_paper_small_table3(self, monkeypatch, capsys):
-        try:
+        with pytest.raises(SystemExit) as exit_info:
             run_example(
                 monkeypatch, capsys, "reproduce_paper.py",
                 ["--suite", "small", "--table", "3"],
             )
-        except SystemExit as exit_info:
-            assert exit_info.code in (0, None)
+        assert exit_info.value.code in (0, None)
+        out = capsys.readouterr().out
+        assert "Table 3: Difference from the lower bound" in out
+        assert "Table 1" not in out
 
     def test_clock_and_differential(self, monkeypatch, capsys):
         out = run_example(
@@ -64,4 +66,6 @@ class TestExamples:
         assert "saved netlist and placement" in out
         assert (tmp_path / "chip.rnl").exists()
         assert (tmp_path / "result.json").exists()
+        assert "Table 2a: Routing results WITH constraints" in out
+        assert "Table 2b: Routing results WITHOUT constraints" in out
         assert "constraint" in out

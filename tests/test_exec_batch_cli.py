@@ -167,18 +167,18 @@ class TestCliErrorHardening:
         assert code == 2
         assert "no recognized events" in captured.err.splitlines()[-1]
 
-    def test_compare_missing_archive(self, tmp_path, capsys):
+    def test_compare_runs_missing_manifest(self, tmp_path, capsys):
         missing = tmp_path / "gone.json"
-        code = main(["compare", str(missing), str(missing)])
+        code = main(["compare-runs", str(missing), str(missing)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "gone.json" in err
 
-    def test_compare_malformed_archive(self, tmp_path, capsys):
+    def test_compare_runs_malformed_manifest(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        code = main(["compare", str(bad), str(bad)])
+        code = main(["compare-runs", str(bad), str(bad)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 

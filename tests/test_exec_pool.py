@@ -8,6 +8,7 @@ functions because worker subprocesses must be able to pickle/import
 them.
 """
 
+import json
 import os
 import time
 from pathlib import Path
@@ -17,6 +18,7 @@ import pytest
 from repro.bench.circuits import CircuitSpec, DatasetSpec
 from repro.bench.runner import RunRecord
 from repro.errors import ConfigError
+from repro.io.json_report import run_record_to_dict
 from repro.exec import pool as pool_module
 from repro.exec import (
     CHECKPOINT_SCHEMA,
@@ -384,3 +386,30 @@ class TestProgressAndManifests:
         assert jobs_payload["raise.c.s1"]["status"] == "failed"
         assert rollup["results"]["failed"] == 1
         assert sweep.sweep_id in rollups[0]
+
+    def test_one_rollup_per_sweep(self, tmp_path):
+        """The rollup written next to the job manifests is the sweep's
+        own live-counted rollup, the document ``batch --out`` writes."""
+        attempts = []
+
+        def fails_once(spec):
+            attempts.append(spec.job_id)
+            if len(attempts) == 1:
+                raise RuntimeError("first attempt fails")
+            return make_record(spec.dataset.name)
+
+        manifest_dir = tmp_path / "manifests"
+        sweep = run_batch(
+            [job("a")], workers=0, retries=1, backoff_s=0.0,
+            runner=fails_once, manifest_dir=manifest_dir,
+        )
+        (path,) = manifest_dir.glob("sweep-*.manifest.json")
+        written = read_manifest(path)
+        assert written == json.loads(
+            json.dumps(sweep.rollup.to_dict(), default=str)
+        )
+        assert written["metrics"]["sweep.jobs_started"] == 1
+        assert written["metrics"]["sweep.job_retries"] == 1
+        job_payload = written["results"]["jobs"]["a.c.s1"]
+        assert job_payload["attempts"] == 2
+        assert job_payload["record"] == run_record_to_dict(make_record("a"))

@@ -62,9 +62,6 @@ class _ScriptedRouter:
         self.rerouted.append(net_name)
         return True
 
-    def _log(self, *args, **kwargs):
-        pass
-
 
 def prepared_router(library, limit_ps=2000.0):
     circuit = build_chain_circuit(library, n_gates=8)

@@ -18,6 +18,7 @@ from repro.bench.runner import RunRecord, run_dataset
 from repro.cli import main
 from repro.layout.placer import FeedStyle
 from repro.obs import (
+    MANIFEST_SCHEMA,
     MemorySink,
     MetricsRegistry,
     PhaseProfiler,
@@ -199,7 +200,7 @@ class TestCliTrace:
         manifest = json.loads(
             (tmp_path / "out.manifest.json").read_text()
         )
-        assert manifest["schema"] == "repro-run-manifest/1"
+        assert manifest["schema"] == MANIFEST_SCHEMA
         assert manifest["results"]["deletions"] == len(deleted)
 
         code = main(["trace", "summarize", str(trace)])
@@ -243,6 +244,7 @@ class TestCliTrace:
         ]
         assert [name for name, _ in summarized if name == name.strip()] == [
             "route", "build_result", "route_channels", "sign_off",
+            "lower_bound",
         ]
 
     def test_summarize_missing_file_errors(self, tmp_path, capsys):
@@ -251,8 +253,8 @@ class TestCliTrace:
         assert "cannot read trace" in capsys.readouterr().err
 
 
-class TestPhaseLogStillWorks:
-    def test_legacy_phase_log_unchanged(self, library):
-        _, _, _, result = route_chain(library)
-        phases = {e.phase for e in result.phase_log}
-        assert {"setup", "initial"} <= phases
+class TestPhaseTree:
+    def test_route_opens_setup_and_initial(self, library):
+        profiler = PhaseProfiler()
+        route_chain(library, profiler=profiler)
+        assert {"setup", "initial"} <= set(profiler.node("route").children)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.bench.runner import RunRecord
 from repro.obs.events import MemorySink, TraceEvent, Tracer
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
@@ -241,20 +242,27 @@ class TestManifest:
         profiler = PhaseProfiler()
         with profiler.phase("route"):
             pass
+        record = RunRecord(
+            dataset="demo", constrained=True, delay_ps=100.0,
+            area_mm2=1.0, length_mm=2.0, cpu_s=0.1, lower_bound_ps=90.0,
+            violations=0, worst_margin_ps=5.0, cells=4, nets=5,
+            n_constraints=1, feed_cells_inserted=0, deletions=12,
+            reroutes=0, metrics={"router.deletions": 12.0},
+        )
         manifest = build_run_manifest(
             config={"timing_driven": True},
             dataset={"circuit": "demo"},
-            result={"deletions": 12},
-            metrics={"router.deletions": 12},
+            record=record,
             profiler=profiler,
         )
         path = manifest.write(tmp_path / "run.manifest.json")
         payload = read_manifest(path)
         assert payload["schema"] == MANIFEST_SCHEMA
         assert payload["dataset"]["circuit"] == "demo"
-        assert payload["results"]["deletions"] == 12
-        assert "route" in payload["results"]["phases"]
-        assert payload["metrics"]["router.deletions"] == 12
+        phases = payload["results"].pop("phases")
+        assert "route" in phases
+        assert payload["results"] == record.to_row()
+        assert payload["metrics"] == {"router.deletions": 12.0}
 
     def test_read_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "x.json"

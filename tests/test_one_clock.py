@@ -8,7 +8,7 @@ histograms.  So, for a flow routed through ``run_flow`` into a trace:
 * the tree rebuilt from the trace is the in-process tree without its
   per-call scopes;
 * each timing histogram is the sum of its per-call scope's nodes;
-* the roots are the flow's four phases, and the trace carries exactly
+* the roots are the flow's five phases, and the trace carries exactly
   one start, one end and one heartbeat for each of them;
 * a run's ``cpu_seconds``, ``run_end`` and ``phase_end(route)`` are
   that run's own route time, also when a profiler is shared.
@@ -37,9 +37,12 @@ PER_CALL = {
     "timing_update": "router.timing_analysis_s",
 }
 
-ROOTS = ["route", "build_result", "route_channels", "sign_off"]
+#: Roots of a timing-driven flow (the bound is taken on the routed chip).
+ROOTS = [
+    "route", "build_result", "route_channels", "sign_off", "lower_bound",
+]
 
-#: (design, engine) -> trace length without the four root phases'
+#: (design, engine) -> trace length without the five root phases'
 #: start, end and heartbeat events.
 CASES = {
     ("C1P1", "edge-deletion"): 365,
@@ -120,7 +123,7 @@ def test_root_phases_add_one_start_end_and_heartbeat_each(flow):
         for kind in ("phase_start", "phase_end", "progress_heartbeat")
         for phase in ROOTS
     })
-    assert len(events) == CASES[case] + 12
+    assert len(events) == CASES[case] + 3 * len(ROOTS)
     depths = {
         e.data["phase"]: e.data["depth"]
         for e in events if e.kind == "phase_start"

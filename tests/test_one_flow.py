@@ -1,8 +1,9 @@
 """The flow is wired in one place.
 
-Route → channel route → sign-off has a single implementation,
-:func:`repro.bench.runner.run_flow`; the ``route`` command, the bench
-runner and the batch/service job runner all go through it.  This test
+Route → channel route → sign-off → Table 3 bound has a single
+implementation, :func:`repro.bench.runner.run_flow`; the ``route``
+command, the bench runner and the batch/service job runner all go
+through it.  This test
 parses every module under ``src/repro`` and fails if any other function
 calls one of the flow's stages directly, so a second copy of the flow
 cannot grow back unnoticed.
@@ -13,7 +14,10 @@ from pathlib import Path
 
 import repro
 
-STAGES = frozenset({"make_engine", "route_channels", "sign_off"})
+STAGES = frozenset({
+    "make_engine", "route_channels", "sign_off",
+    "critical_path_lower_bound_ps",
+})
 FLOW = "run_flow"
 PACKAGE = Path(repro.__file__).resolve().parent
 

@@ -13,6 +13,8 @@ from repro import (
     place_circuit,
 )
 from repro.core.result import AttachSide
+from repro.errors import ConfigError
+from repro.obs import PhaseProfiler
 from repro.routegraph.graph import EdgeKind
 
 
@@ -63,11 +65,15 @@ class TestRouteBasics:
                 route.wire_cap_pf
             )
 
-    def test_phase_log_has_all_phases(self, routed_chain):
-        _, _, _, result = routed_chain
-        phases = {event.phase for event in result.phase_log}
-        assert {"setup", "assignment", "initial"} <= phases
-        assert {"recover_violate", "improve_delay", "improve_area"} <= phases
+    def test_profile_has_all_phases(self, library):
+        profiler = PhaseProfiler()
+        route_chain(library, profiler=profiler)
+        route = profiler.node("route")
+        assert "assignment" in route.children["setup"].children
+        assert {"setup", "initial"} <= set(route.children)
+        assert {"recover_violate", "improve_delay", "improve_area"} <= set(
+            route.children
+        )
 
     def test_channel_peak_density_nonnegative(self, routed_chain):
         _, placement, _, result = routed_chain
@@ -83,10 +89,9 @@ class TestRouteBasics:
 
 class TestUnconstrainedMode:
     def test_unconstrained_runs_without_recovery(self, library):
-        circuit, placement, constraints, result = route_chain(
-            library, constrained=False
-        )
-        phases = {e.phase for e in result.phase_log}
+        profiler = PhaseProfiler()
+        route_chain(library, constrained=False, profiler=profiler)
+        phases = set(profiler.node("route").children)
         assert "recover_violate" not in phases
         assert "improve_delay" not in phases
         assert "improve_area" in phases
@@ -186,3 +191,35 @@ class TestDeterminism:
                 )
             )
         assert results[0] == results[1]
+
+
+class TestRouterConfigCopies:
+    def test_unconstrained_preserves_all_other_fields(self):
+        custom = RouterConfig(
+            max_recovery_passes=7,
+            area_nets_per_pass=3,
+            width_cap_exponent=0.7,
+            pad_tf_ps_per_pf=55.0,
+            tree_estimator="steiner",
+            assignment_order="fanout",
+            revert_worse_reroutes=False,
+        )
+        baseline = custom.unconstrained()
+        assert not baseline.timing_driven
+        assert not baseline.run_violation_recovery
+        assert not baseline.run_delay_improvement
+        assert baseline.max_recovery_passes == 7
+        assert baseline.area_nets_per_pass == 3
+        assert baseline.width_cap_exponent == 0.7
+        assert baseline.pad_tf_ps_per_pf == 55.0
+        assert baseline.tree_estimator == "steiner"
+        assert baseline.assignment_order == "fanout"
+        assert baseline.revert_worse_reroutes is False
+
+    def test_bad_assignment_order_rejected(self):
+        with pytest.raises(ConfigError):
+            RouterConfig(assignment_order="alphabetical")
+
+    def test_negative_pass_counts_rejected(self):
+        with pytest.raises(ConfigError):
+            RouterConfig(max_area_passes=-1)
