@@ -38,7 +38,7 @@ over the single column the edge occupies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -151,7 +151,7 @@ class DensityEngine:
 
         Fed from ``DeletionResult.newly_essential`` after each deletion.
         Both reclassification paths (incremental bridge maintenance and
-        the full-Tarjan reference) report the same *set* of newly
+        the full pass) report the same *set* of newly
         essential edges, and ``_apply`` is a commutative per-column add,
         so the ``d_m`` profile is independent of reporting order.
         """
@@ -160,6 +160,76 @@ class DensityEngine:
     def remove_bridge(self, edge: RouteEdge, weight: int = 1) -> None:
         """Remove an essential trunk edge from ``d_m`` (rip-up only)."""
         self._apply(edge, -weight, self.d_min)
+
+    def add_bulk(
+        self, entries: Iterable[Tuple[RouteEdge, int, bool]]
+    ) -> None:
+        """Count many edges at once: the router's setup registration.
+
+        Each ``(edge, weight, essential)`` entry, with ``weight >= 0``,
+        does what :meth:`add_edge` and, when ``essential``,
+        :meth:`add_bridge` would do — same profiles, same ``updates``
+        count, same bounds checks — but each profile takes one
+        difference-array pass instead of one window add per edge.
+        Every entry is checked before any profile changes, so an
+        out-of-range trunk raises :class:`RoutingError` with the engine
+        untouched.  It runs before anything subscribes: bulk updates
+        notify no listener.
+        """
+        if self._listeners:
+            raise RoutingError("add_bulk runs before any listener subscribes")
+        trunks: List[RouteEdge] = []
+        channels: List[int] = []
+        los: List[int] = []
+        his: List[int] = []
+        weights: List[int] = []
+        flags: List[bool] = []
+        for edge, weight, essential in entries:
+            if edge.kind is EdgeKind.TRUNK and weight:
+                lo, hi = coverage_columns(edge)
+                trunks.append(edge)
+                channels.append(edge.channel)
+                los.append(lo)
+                his.append(hi)
+                weights.append(weight)
+                flags.append(essential)
+        if not trunks:
+            return
+        channel, lo, hi, weight = (
+            np.array(column, dtype=np.int64)
+            for column in (channels, los, his, weights)
+        )
+        essential = np.array(flags, dtype=bool)
+        bad = (
+            (channel < 0)
+            | (channel >= self.n_channels)
+            | (lo < 0)
+            | (hi >= self.width_columns)
+        )
+        if bad.any():
+            # The first offending entry fails exactly as it would alone.
+            edge = trunks[int(bad.argmax())]
+            self._check_channel(edge.channel)
+            self._checked_coverage(edge)
+        stride = self.width_columns + 1
+        starts = channel * stride + lo
+        ends = channel * stride + hi + 1
+        touched = set(channels)
+        for maps, rows in (
+            (self.d_max, slice(None)),
+            (self.d_min, essential),
+        ):
+            diff = np.zeros(self.n_channels * stride, dtype=np.int64)
+            np.add.at(diff, starts[rows], weight[rows])
+            np.add.at(diff, ends[rows], -weight[rows])
+            counts = np.cumsum(
+                diff.reshape(self.n_channels, stride)[:, :-1], axis=1
+            )
+            for c in touched:
+                maps[c] += counts[c].astype(np.int32)
+        self.updates += len(trunks) + int(np.count_nonzero(essential))
+        for c in touched:
+            self._stats_cache.pop(c, None)
 
     def _apply(
         self, edge: RouteEdge, delta: int, maps: List[np.ndarray]

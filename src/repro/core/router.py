@@ -466,8 +466,17 @@ class GlobalRouter:
             self.placement.n_channels, max(1, self.placement.width_columns)
         )
         self.heartbeat.peak_density_fn = self.engine.total_peak
+        # One bulk call for what _register_density adds net by net.
+        self.engine.add_bulk(
+            (
+                edge,
+                density_weight(state.net),
+                state.graph.essential[edge.index],
+            )
+            for state in self.states.values()
+            for edge in state.graph.alive_edges()
+        )
         for state in self.states.values():
-            self._register_density(state)
             self._refresh_tree(state)
         self._timing_dirty = True
 

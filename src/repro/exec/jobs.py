@@ -111,6 +111,13 @@ class JobSpec:
         mode = "c" if self.constrained else "u"
         return f"{self.dataset.name}.{mode}.s{self.effective_seed}"
 
+    @property
+    def unique_id(self) -> str:
+        """:attr:`job_id` plus a short :meth:`cache_key` prefix: distinct
+        for jobs that differ only in config (per-job manifest names, and
+        rollup keys where job ids collide)."""
+        return f"{self.job_id}-{self.cache_key()[:10]}"
+
     def resolved_dataset(self) -> DatasetSpec:
         """The dataset spec with any seed override applied."""
         if self.seed is None or self.seed == self.dataset.circuit.seed:

@@ -45,6 +45,7 @@ import multiprocessing.connection
 import shutil
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
@@ -150,10 +151,18 @@ class SweepResult:
     def rollup(self) -> RunManifest:
         """The sweep's one rollup manifest: per-job statuses, each
         finished job's record (what ``compare-runs`` diffs job by job)
-        and the live ``sweep.*`` metrics."""
+        and the live ``sweep.*`` metrics.
+
+        Jobs are keyed by :attr:`JobSpec.job_id`; ids shared by jobs
+        that differ in config (one design under two engines) take the
+        :attr:`JobSpec.unique_id` form instead, so no record is lost.
+        """
+        ids = Counter(outcome.spec.job_id for outcome in self.outcomes)
         jobs: Dict[str, Any] = {}
         for outcome in self.outcomes:
-            job = jobs[outcome.spec.job_id] = {
+            spec = outcome.spec
+            key = spec.job_id if ids[spec.job_id] == 1 else spec.unique_id
+            job = jobs[key] = {
                 "status": outcome.status,
                 "attempts": outcome.attempts,
                 "duration_s": round(outcome.duration_s, 4),
@@ -394,7 +403,7 @@ class _Sweep:
             dataset=spec.describe(),
             record=record,
         )
-        name = f"{spec.job_id}-{spec.cache_key()[:10]}.manifest.json"
+        name = f"{spec.unique_id}.manifest.json"
         manifest.write(Path(self.manifest_dir) / name)
 
 

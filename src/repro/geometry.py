@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
 
+_set = object.__setattr__  # how a frozen dataclass sets its fields
+
 
 @dataclass(frozen=True, order=True)
 class Interval:
@@ -25,9 +27,15 @@ class Interval:
     lo: int
     hi: int
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"Interval lo={self.lo} > hi={self.hi}")
+    def __init__(self, lo: int, hi: int) -> None:
+        # Written out rather than generated: the frozen dataclass
+        # ``__init__`` plus a ``__post_init__`` check costs about a
+        # quarter more, and routing-graph construction makes one per
+        # trunk.
+        if lo > hi:
+            raise ValueError(f"Interval lo={lo} > hi={hi}")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     @staticmethod
     def spanning(columns: Iterable[int]) -> "Interval":

@@ -154,6 +154,15 @@ class Placement:
             return (row, row + 1)
         return (self.pin_channel(pin),)
 
+    def pin_access(self, pin: NetPin) -> Tuple[int, Tuple[int, ...]]:
+        """``(column, adjacent channels)`` of a pin from one cell lookup:
+        the column of :meth:`pin_position` and the ascending channels of
+        :meth:`pin_adjacent_channels`."""
+        if isinstance(pin, Terminal):
+            row, x = self.location_of(pin.cell)
+            return x + pin.defn.offset, (row, row + 1)
+        return self.pin_column(pin), (self.pin_channel(pin),)
+
     def net_center_column(self, net: Net) -> int:
         """Median column of a net's pins — the paper's feedthrough search
         starts "from the center of the x coordinates of the terminals"."""

@@ -16,6 +16,11 @@ The redundancy (and hence the router's freedom) comes from terminals being
 reachable from two channels: closed loops appear wherever two pins share a
 pair of channels, and the edge-deletion process picks which channel each
 horizontal span actually uses.
+
+Construction makes one pass per net: one placement lookup per pin, the
+adjacency lists and the length column filled in as each edge is made,
+and one single-column :class:`Interval` per column shared by every
+correspondence and branch edge of the net standing on it.
 """
 
 from __future__ import annotations
@@ -26,9 +31,19 @@ from ..errors import RoutingGraphError
 from ..geometry import Interval
 from ..layout.feedthrough import AssignedSlot
 from ..layout.placement import Placement
-from ..netlist.circuit import Net, NetPin
+from ..netlist.circuit import Net
 from ..tech import Technology
 from .graph import EdgeKind, RouteEdge, RouteVertex, RoutingGraph, VertexKind
+
+_TERMINAL = VertexKind.TERMINAL
+_POSITION = VertexKind.POSITION
+_CORRESPONDENCE = EdgeKind.CORRESPONDENCE
+_BRANCH = EdgeKind.BRANCH
+_TRUNK = EdgeKind.TRUNK
+# ``tuple.__new__(RouteEdge, fields)`` builds the same value as
+# ``RouteEdge(*fields)`` without the NamedTuple constructor's Python
+# frame; fields go in declaration order, ``pin`` included.
+_new = tuple.__new__
 
 
 def build_routing_graph(
@@ -49,74 +64,67 @@ def build_routing_graph(
     if len(net.pins) < 2:
         raise RoutingGraphError(f"net {net.name} has fewer than 2 pins")
 
-    span_lo, span_hi = _channel_span(net, placement)
     vertices: List[RouteVertex] = []
     edges: List[RouteEdge] = []
+    adjacency: List[List[int]] = []
+    lengths: List[float] = []
     position_index: Dict[Tuple[int, int], int] = {}
-    by_channel: Dict[int, List[int]] = {}
+    points: Dict[int, Interval] = {}
 
     def position_vertex(channel: int, x: int) -> int:
-        key = (channel, x)
-        if key in position_index:
-            return position_index[key]
-        index = len(vertices)
-        vertices.append(
-            RouteVertex(index, VertexKind.POSITION, channel, x)
-        )
-        position_index[key] = index
-        by_channel.setdefault(channel, []).append(index)
+        index = position_index.get((channel, x))
+        if index is None:
+            index = position_index[channel, x] = len(vertices)
+            vertices.append(
+                _new(RouteVertex, (index, _POSITION, channel, x, None))
+            )
+            adjacency.append([])
         return index
 
-    def add_edge(
-        kind: EdgeKind,
-        u: int,
-        v: int,
-        channel: int,
-        interval: Interval,
-        length_um: float,
-    ) -> None:
-        edges.append(
-            RouteEdge(len(edges), kind, u, v, channel, interval, length_um)
-        )
+    def point(x: int) -> Interval:
+        interval = points.get(x)
+        if interval is None:
+            interval = points[x] = Interval(x, x)
+        return interval
+
+    # Each edge is appended to ``edges``, ``lengths`` and both endpoint
+    # adjacency lists as it is made, so edge ids ascend in every list.
 
     # --- terminal vertices and correspondence edges -------------------
     terminal_vertices: List[int] = []
     driver_vertex: Optional[int] = None
     source = net.source
     for pin in net.pins:
-        column, _ = placement.pin_position(pin)
-        access = [
-            c
-            for c in placement.pin_adjacent_channels(pin)
-            if span_lo <= c <= span_hi
-        ]
-        if not access:
-            raise RoutingGraphError(
-                f"net {net.name}: pin {pin.full_name} outside channel span"
-            )
-        anchor = min(access)
-        term_index = len(vertices)
+        column, channels = placement.pin_access(pin)
+        term = len(vertices)
         vertices.append(
-            RouteVertex(term_index, VertexKind.TERMINAL, anchor, column, pin)
+            _new(RouteVertex, (term, _TERMINAL, channels[0], column, pin))
         )
-        terminal_vertices.append(term_index)
+        term_edges: List[int] = []
+        adjacency.append(term_edges)
+        terminal_vertices.append(term)
         if pin is source:
-            driver_vertex = term_index
-        for channel in access:
+            driver_vertex = term
+        interval = point(column)
+        for channel in channels:
             pos = position_vertex(channel, column)
-            add_edge(
-                EdgeKind.CORRESPONDENCE,
-                term_index,
-                pos,
-                channel,
-                Interval(column, column),
-                0.0,
+            index = len(edges)
+            edges.append(
+                _new(
+                    RouteEdge,
+                    (index, _CORRESPONDENCE, term, pos, channel, interval,
+                     0.0),
+                )
             )
+            lengths.append(0.0)
+            term_edges.append(index)
+            adjacency[pos].append(index)
 
     if driver_vertex is None:
         raise RoutingGraphError(f"net {net.name}: driver pin not found")
 
     # --- feedthrough branch edges --------------------------------------
+    row_height = technology.row_height_um
     for row, slot in sorted(slots.items()):
         if slot.net.name != net.name:
             raise RoutingGraphError(
@@ -124,40 +132,44 @@ def build_routing_graph(
             )
         below = position_vertex(row, slot.x)
         above = position_vertex(row + 1, slot.x)
-        add_edge(
-            EdgeKind.BRANCH,
-            below,
-            above,
-            row,
-            Interval(slot.x, slot.x),
-            technology.row_height_um,
+        index = len(edges)
+        edges.append(
+            _new(
+                RouteEdge,
+                (index, _BRANCH, below, above, row, point(slot.x), row_height),
+            )
         )
+        lengths.append(row_height)
+        adjacency[below].append(index)
+        adjacency[above].append(index)
 
     # --- trunk edges ----------------------------------------------------
-    for channel, members in sorted(by_channel.items()):
-        ordered = sorted(members, key=lambda i: vertices[i].x)
-        for left, right in zip(ordered, ordered[1:]):
-            x_lo, x_hi = vertices[left].x, vertices[right].x
-            if x_lo == x_hi:
-                continue  # same point — already one shared vertex
-            add_edge(
-                EdgeKind.TRUNK,
-                left,
-                right,
-                channel,
-                Interval(x_lo, x_hi),
-                technology.columns_to_um(x_hi - x_lo),
+    # Positions are unique per (channel, column), so one sort of the keys
+    # lists each channel's positions left to right.
+    last_channel: Optional[int] = None
+    left = left_x = 0
+    for (channel, x), pos in sorted(position_index.items()):
+        if channel == last_channel:
+            index = len(edges)
+            length = technology.columns_to_um(x - left_x)
+            edges.append(
+                _new(
+                    RouteEdge,
+                    (index, _TRUNK, left, pos, channel, Interval(left_x, x),
+                     length),
+                )
             )
+            lengths.append(length)
+            adjacency[left].append(index)
+            adjacency[pos].append(index)
+        last_channel, left, left_x = channel, pos, x
 
-    return RoutingGraph(net, vertices, edges, terminal_vertices, driver_vertex)
-
-
-def _channel_span(net: Net, placement: Placement) -> Tuple[int, int]:
-    """Channels the net may legally use: hull of its pins' access."""
-    lows: List[int] = []
-    highs: List[int] = []
-    for pin in net.pins:
-        access = placement.pin_adjacent_channels(pin)
-        lows.append(min(access))
-        highs.append(max(access))
-    return min(lows), max(highs)
+    return RoutingGraph(
+        net,
+        vertices,
+        edges,
+        terminal_vertices,
+        driver_vertex,
+        adjacency=adjacency,
+        lengths=lengths,
+    )

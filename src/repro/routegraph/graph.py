@@ -35,13 +35,17 @@ re-searches bridges inside the one component the deleted edge belonged
 to, and prunes by walking a frontier out from the deletion site instead
 of rescanning every vertex.  Deletion can only *create* bridges (it
 never merges components), so flags outside the affected component are
-untouched.  The classic full pass — prune everything unreachable, strip
-pendant subtrees, fresh driver-rooted Tarjan — is :meth:`reclassify`:
-graph construction runs it, callers that flip ``alive`` flags directly
-(like the negotiated engine's finalizer) mutate and then call it, and
-``delete`` falls back to it whenever the local bookkeeping cannot vouch
-for the affected region.  Both paths produce bit-identical
-alive/essential state, pruned sets, and lengths.
+untouched.  The full pass is :meth:`reclassify`, one fused sweep: strip
+pendant terminal-free vertices, run one driver-rooted Tarjan DFS that
+finds the bridges, the terminal counts and the 2ECC labels together,
+then prune what the DFS never reached.  Graph construction runs it,
+callers that flip ``alive`` flags directly (like the negotiated
+engine's finalizer) mutate and then call it, and ``delete`` falls back
+to it whenever the local bookkeeping cannot vouch for the affected
+region.  Both paths produce bit-identical alive/essential state, pruned
+sets, and lengths; the tests check both against the four-pass
+classifier this pass replaced (prune unreachable, strip pendants,
+Tarjan, decomposition DFS), kept there as the reference.
 """
 
 from __future__ import annotations
@@ -55,11 +59,11 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -97,9 +101,8 @@ def _null_timer() -> ContextManager[None]:
     return nullcontext()
 
 
-@dataclass(frozen=True)
-class RouteVertex:
-    """A vertex of ``G_r(n)``.
+class RouteVertex(NamedTuple):
+    """A vertex of ``G_r(n)`` (an immutable value, compared by fields).
 
     Terminal vertices carry the netlist ``pin``; position vertices carry
     their physical ``(channel, x)`` point.  For uniform geometry queries a
@@ -117,9 +120,8 @@ class RouteVertex:
         return self.kind is VertexKind.TERMINAL
 
 
-@dataclass(frozen=True)
-class RouteEdge:
-    """An edge of ``G_r(n)``.
+class RouteEdge(NamedTuple):
+    """An edge of ``G_r(n)`` (an immutable value, compared by fields).
 
     ``channel`` and ``interval`` define where the edge shows up in the
     channel-density profiles; for branch and correspondence edges the
@@ -178,7 +180,14 @@ class RoutingGraph:
         edges: Sequence[RouteEdge],
         terminal_vertices: Sequence[int],
         driver_vertex: int,
+        *,
+        adjacency: Optional[List[List[int]]] = None,
+        lengths: Optional[List[float]] = None,
     ):
+        """``adjacency`` (ascending edge ids per vertex) and ``lengths``
+        (``length_um`` per edge) may be passed in by the caller that made
+        the edges (:func:`build_routing_graph` fills both as it goes);
+        otherwise they are derived here."""
         self.net = net
         self.vertices: List[RouteVertex] = list(vertices)
         self.edges: List[RouteEdge] = list(edges)
@@ -187,10 +196,12 @@ class RoutingGraph:
         self.alive: List[bool] = [True] * len(self.edges)
         self.essential: List[bool] = [False] * len(self.edges)
         self.vertex_alive: List[bool] = [True] * len(self.vertices)
-        self._adjacency: List[List[int]] = [[] for _ in self.vertices]
-        for edge in self.edges:
-            self._adjacency[edge.u].append(edge.index)
-            self._adjacency[edge.v].append(edge.index)
+        if adjacency is None:
+            adjacency = [[] for _ in self.vertices]
+            for edge in self.edges:
+                adjacency[edge.u].append(edge.index)
+                adjacency[edge.v].append(edge.index)
+        self._adjacency: List[List[int]] = adjacency
         self._csr: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = None
@@ -204,17 +215,13 @@ class RoutingGraph:
         # Fixed-order length ledger: the per-edge lengths never change,
         # so the alive sum is a masked fold over this array (see
         # total_alive_length_um).
-        self._lengths: np.ndarray = np.fromiter(
-            (e.length_um for e in self.edges),
-            dtype=np.float64,
-            count=len(self.edges),
-        )
+        if lengths is None:
+            lengths = [e.length_um for e in self.edges]
+        self._lengths: np.ndarray = np.array(lengths, dtype=np.float64)
         # Alive flags as of the last reclassification — lets
         # reclassify() detect both its own pruning and direct external
         # mutation, and skip cache invalidation when nothing changed.
-        self._alive_mirror: np.ndarray = np.ones(
-            len(self.edges), dtype=bool
-        )
+        self._alive_mirror: List[bool] = self.alive[:]
         # 2ECC decomposition (rebuilt by every full reclassify, patched
         # by the incremental delete path):
         #   _degree[v]        alive degree of vertex v
@@ -237,7 +244,7 @@ class RoutingGraph:
         # Defensive only: set when the decomposition cannot vouch for
         # the graph (it never fires in practice — pendant pruning
         # preserves connectivity — but if it does, every delete falls
-        # back to the reference full pass until a reclassify clears it).
+        # back to the full pass until a reclassify clears it).
         self._stranded = False
         # Observability (router-attached; no-ops by default).
         self._m_local = _NULL_COUNTER
@@ -247,7 +254,7 @@ class RoutingGraph:
         self._check_initial()
         # Initial cleanup: prune fragments that can never serve the net
         # (e.g. the unused side of a single-point channel) and classify.
-        self.reclassify()
+        self._reclassify_full()
 
     # ------------------------------------------------------------------
     def _check_initial(self) -> None:
@@ -276,7 +283,7 @@ class RoutingGraph:
         """Attach router-owned counters/timer to the reclassify paths.
 
         ``local_recomputes`` counts deletions handled by the localized
-        path, ``full_fallbacks`` deletions that ran the reference full
+        path, ``full_fallbacks`` deletions that ran the full
         reclassify, ``frontier_vertices`` vertices visited by localized
         prune walks, and ``timer`` wraps every reclassification (both
         paths) — the ``graph.reclassify_s`` histogram.
@@ -415,8 +422,8 @@ class RoutingGraph:
                 f"edge {edge_id} is essential and cannot be deleted"
             )
         if self._stranded:
-            # The decomposition cannot vouch for the graph: classic
-            # full pass (prune + fresh Tarjan).
+            # The decomposition cannot vouch for the graph: the full
+            # pass (strip, fresh Tarjan, prune).
             self._m_fallbacks.inc()
             self.alive[edge_id] = False
             result = DeletionResult(deleted=edge_id, removed=[edge_id])
@@ -436,8 +443,8 @@ class RoutingGraph:
         them (multi-vertex 2ECCs have internal degree ≥ 2, so the
         cascade stops at their boundary), and new bridges can only
         appear inside it.  Deleting a non-essential *bridge* detaches a
-        terminal-free fragment — exactly what the reference
-        ``_prune_unreachable`` would discover with its full scan — and
+        terminal-free fragment — exactly what the full pass's prune
+        of unreachable vertices would discover with its scan — and
         changes no flags at all.  Either way the rest of the graph is
         provably untouched, so flags, component labels and hang counts
         elsewhere stay as they are.
@@ -464,7 +471,7 @@ class RoutingGraph:
                 far = edge.v
             else:
                 # Bookkeeping cannot name the far side — repair with
-                # the reference full pass (counted as a fallback).
+                # the full pass (counted as a fallback).
                 self._m_fallbacks.inc()
                 pruned, newly = self._reclassify_full()
                 removed.extend(pruned)
@@ -481,7 +488,7 @@ class RoutingGraph:
             # A fragment survived losing its bridge to the driver.
             # Unreachable by construction (pendant pruning preserves
             # connectivity), but if bookkeeping ever disagrees, route
-            # every later delete through the reference path, which
+            # every later delete through the full pass, which
             # prunes it the way a fresh reclassify would.
             self._stranded = True
         if (
@@ -514,9 +521,8 @@ class RoutingGraph:
         """Kill everything reachable from ``far`` (the detached side of
         a deleted bridge); returns the number of vertices visited.
 
-        Ascending-vertex kill order matches the reference
-        ``_prune_unreachable`` scan, so the pruned edge order is
-        identical too.
+        Vertices die in ascending order, as in a full scan of the
+        unreachable ones.
         """
         adjacency = self._adjacency
         alive = self.alive
@@ -550,7 +556,7 @@ class RoutingGraph:
     ) -> Tuple[Set[int], int]:
         """Strip pendant non-terminal vertices outward from ``seeds``.
 
-        The localized form of ``_prune_terminal_free_subtrees``: only
+        The localized form of the full pass's pendant strip: only
         the deletion site can have created new pendants, so the walk
         starts there instead of scanning every vertex.  Iterated leaf
         removal is confluent, so the pruned set is identical to the
@@ -615,7 +621,7 @@ class RoutingGraph:
         split the component; the far pieces get fresh ids with the
         bridge as entry, and the near endpoint inherits the far side's
         terminal weight in its hang count.  Returns newly essential
-        edge ids in ascending order (the reference scan's order).
+        edge ids in ascending order (the full pass's order).
         """
         anchor = self._comp_anchor[comp_id]
         if not self.vertex_alive[anchor]:
@@ -711,224 +717,202 @@ class RoutingGraph:
         return newly
 
     def reclassify(self) -> Tuple[List[int], List[int]]:
-        """Prune unreachable fragments and refresh essential flags.
+        """Prune fragments that cannot serve the net and refresh the
+        essential flags and the incremental decomposition.
 
-        The reference full pass: global reach from the driver, pendant
-        strip, fresh Tarjan — and a rebuild of the incremental
-        decomposition from the result.  Callers that flip ``alive``
-        flags directly (the negotiated engine's finalizer) must call
-        this afterwards; the alive-set change is detected against the
-        mirror kept from the last classification, and the CSR/length
-        caches are only invalidated when the alive set actually
-        changed.
+        Runs the one full classification pass (see
+        :meth:`_reclassify_full`).  Callers that flip ``alive`` flags
+        directly (the negotiated engine's finalizer) must call this
+        afterwards; the alive-set change is detected against the mirror
+        kept from the last classification, and the CSR/length caches
+        are only invalidated when the alive set actually changed.
 
-        Returns ``(pruned_edge_ids, newly_essential_edge_ids)``.
+        Returns ``(pruned_edge_ids, newly_essential_edge_ids)``, the
+        latter in ascending edge order.
         """
         with self._timer():
             return self._reclassify_full()
 
     def _reclassify_full(self) -> Tuple[List[int], List[int]]:
-        n_edges = len(self.edges)
-        entry_mask = np.fromiter(self.alive, dtype=bool, count=n_edges)
-        externally_changed = not np.array_equal(
-            entry_mask, self._alive_mirror
+        """The full classification, fused into one pass over the graph.
+
+        1. Strip pendant non-terminal vertices (iterated leaf removal,
+           which can neither disconnect nor merge anything else).
+        2. One driver-rooted Tarjan DFS over what is left finds the
+           reach, the bridges and per-subtree terminal counts — a bridge
+           is essential iff terminals hang below it — and labels each
+           2-edge-connected component from its vertex stack when the
+           component's root finishes.  That root is the component's
+           anchor and its DFS parent edge the entry bridge.
+        3. Alive vertices the DFS never reached are pruned with their
+           edges.
+
+        Stripping first prunes the same set as pruning the unreachable
+        first: leaf removal is confluent and local to each connected
+        piece.  A disconnected terminal raises
+        :class:`RoutingGraphError` with the graph left as it was.
+        """
+        alive = self.alive
+        vertex_alive = self.vertex_alive
+        adjacency = self._adjacency
+        # The far endpoint of edge e seen from its endpoint w is
+        # ``uv_xor[e] ^ w``.
+        uv_xor = [edge.u ^ edge.v for edge in self.edges]
+        terminal_set = self._terminal_set
+        n = len(vertex_alive)
+        externally_changed = alive != self._alive_mirror
+
+        # --- 1. pendant strip ---------------------------------------
+        if False in alive:
+            is_alive = alive.__getitem__
+            degree = [sum(map(is_alive, edge_ids)) for edge_ids in adjacency]
+        else:
+            degree = list(map(len, adjacency))
+        queue = [
+            v
+            for v, d in enumerate(degree)
+            if d <= 1 and vertex_alive[v] and v not in terminal_set
+        ]
+        pruned: List[int] = []
+        stripped: List[int] = []
+        while queue:
+            v = queue.pop()
+            if not vertex_alive[v]:
+                continue
+            vertex_alive[v] = False
+            stripped.append(v)
+            for edge_id in adjacency[v]:
+                if not alive[edge_id]:
+                    continue
+                alive[edge_id] = False
+                pruned.append(edge_id)
+                w = uv_xor[edge_id] ^ v
+                degree[w] -= 1
+                if degree[w] <= 1 and w not in terminal_set:
+                    queue.append(w)
+            degree[v] = 0
+
+        # --- 2. Tarjan + 2ECC labels ----------------------------------
+        driver = self.driver_vertex
+        disc = [-1] * n
+        low = [0] * n
+        tcount = [0] * n
+        comp = [-1] * n
+        comp_size: Dict[int, int] = {}
+        comp_anchor: Dict[int, int] = {}
+        comp_entry: Dict[int, int] = {}
+        hang: Dict[int, int] = {}
+        essential_bridges: List[int] = []
+        root = self._next_comp
+        next_comp = root + 1
+        disc[driver] = 0
+        tcount[driver] = 1  # a terminal, as _check_initial ensured
+        timer = 1
+        # Tarjan's vertex stack; each DFS frame records where its own
+        # vertex sits on it, so a finished component is one slice.
+        members = [driver]
+        stack: List[Tuple[int, int, Iterator[int], int]] = [
+            (driver, -1, iter(adjacency[driver]), 0)
+        ]
+        while stack:
+            vertex, parent_edge, it, base = stack[-1]
+            for edge_id in it:
+                if edge_id == parent_edge or not alive[edge_id]:
+                    continue
+                w = uv_xor[edge_id] ^ vertex
+                dw = disc[w]
+                if dw < 0:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    if w in terminal_set:
+                        tcount[w] = 1
+                    stack.append(
+                        (w, edge_id, iter(adjacency[w]), len(members))
+                    )
+                    members.append(w)
+                    break
+                if dw < low[vertex]:
+                    low[vertex] = dw
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                parent = stack[-1][0]
+                lv = low[vertex]
+                if lv < low[parent]:
+                    low[parent] = lv
+                t = tcount[vertex]
+                tcount[parent] += t
+                if lv > disc[parent]:
+                    # parent_edge is a bridge: the vertex roots a 2ECC
+                    # whose members are the stack slice above it.
+                    c = next_comp
+                    next_comp += 1
+                    if base == len(members) - 1:  # a lone vertex
+                        members.pop()
+                        comp[vertex] = c
+                        comp_size[c] = 1
+                    else:
+                        block = members[base:]
+                        del members[base:]
+                        for x in block:
+                            comp[x] = c
+                        comp_size[c] = len(block)
+                    comp_anchor[c] = vertex
+                    comp_entry[c] = parent_edge
+                    if t:
+                        essential_bridges.append(parent_edge)
+                        hang[parent] = hang.get(parent, 0) + t
+        if tcount[driver] != len(self.terminal_vertices):
+            # Undo the strip so a failed pass leaves the graph as it
+            # found it, then name the first unreachable terminal.
+            for v in stripped:
+                vertex_alive[v] = True
+            for edge_id in pruned:
+                alive[edge_id] = True
+            missing = next(t for t in self.terminal_vertices if disc[t] < 0)
+            raise RoutingGraphError(
+                f"net {self.net.name}: terminal vertex {missing} disconnected"
+            )
+        for x in members:
+            comp[x] = root
+        comp_size[root] = len(members)
+        comp_anchor[root] = driver
+        comp_entry[root] = -1
+
+        # --- 3. prune what the DFS never reached --------------------
+        if timer != vertex_alive.count(True):
+            for v in range(n):
+                if vertex_alive[v] and disc[v] < 0:
+                    vertex_alive[v] = False
+                    degree[v] = 0
+                    for edge_id in adjacency[v]:
+                        if alive[edge_id]:
+                            alive[edge_id] = False
+                            pruned.append(edge_id)
+
+        essential = [False] * len(alive)
+        for edge_id in essential_bridges:
+            essential[edge_id] = True
+        previous = self.essential
+        newly_essential = sorted(
+            e for e in essential_bridges if not previous[e]
         )
-        pruned = self._prune_unreachable()
-        pruned.extend(self._prune_terminal_free_subtrees())
-        newly_essential = self._refresh_essential()
+        previous[:] = essential
+        self._degree = degree
+        self._comp = comp
+        self._comp_size = comp_size
+        self._comp_anchor = comp_anchor
+        self._comp_entry = comp_entry
+        self._hang_tcount = hang
+        self._next_comp = next_comp
+        self._stranded = False
         if externally_changed or pruned:
             self._csr = None
             self._csr_lists = None
             self._alive_length = None
-            self._alive_mirror = np.fromiter(
-                self.alive, dtype=bool, count=n_edges
-            )
+            self._alive_mirror = alive[:]
         return pruned, newly_essential
-
-    def _prune_unreachable(self) -> List[int]:
-        """Kill vertices/edges not reachable from the driver."""
-        seen = self._reach(self.driver_vertex)
-        for t in self.terminal_vertices:
-            if t not in seen:
-                raise RoutingGraphError(
-                    f"net {self.net.name}: terminal vertex {t} disconnected"
-                )
-        removed: List[int] = []
-        for vertex in range(len(self.vertices)):
-            if self.vertex_alive[vertex] and vertex not in seen:
-                self.vertex_alive[vertex] = False
-                for edge_id in self._adjacency[vertex]:
-                    if self.alive[edge_id]:
-                        self.alive[edge_id] = False
-                        removed.append(edge_id)
-        return removed
-
-    def _prune_terminal_free_subtrees(self) -> List[int]:
-        """Iteratively strip pendant non-terminal vertices.
-
-        A degree-1 position vertex can never help connect two terminals;
-        removing it (and recursing) erases terminal-free bridge-hanging
-        subtrees so they stop polluting the density profiles.
-        """
-        removed: List[int] = []
-        terminal_set = self._terminal_set
-        degrees = [0] * len(self.vertices)
-        for edge in self.alive_edges():
-            degrees[edge.u] += 1
-            degrees[edge.v] += 1
-        queue = [
-            v
-            for v in range(len(self.vertices))
-            if self.vertex_alive[v]
-            and degrees[v] <= 1
-            and v not in terminal_set
-        ]
-        while queue:
-            v = queue.pop()
-            if not self.vertex_alive[v]:
-                continue
-            self.vertex_alive[v] = False
-            for edge_id in self._adjacency[v]:
-                if not self.alive[edge_id]:
-                    continue
-                self.alive[edge_id] = False
-                removed.append(edge_id)
-                w = self.edges[edge_id].other(v)
-                degrees[w] -= 1
-                if degrees[w] <= 1 and w not in terminal_set:
-                    queue.append(w)
-            degrees[v] = 0
-        return removed
-
-    def _refresh_essential(self) -> List[int]:
-        """Recompute essential flags via an iterative bridge search.
-
-        An alive edge is essential iff it is a graph bridge whose removal
-        separates two terminals.  After pruning, every bridge has at least
-        one terminal on each side *unless* it hangs a terminal-free cycle
-        component — rare, but handled by counting terminals per subtree.
-        The same pass collects *every* bridge (terminal-separating or
-        not) plus per-subtree terminal counts, which seed the rebuild of
-        the incremental 2ECC decomposition.
-        """
-        n = len(self.vertices)
-        disc = [-1] * n
-        low = [0] * n
-        tcount = [0] * n
-        terminal_set = self._terminal_set
-        bridges: List[int] = []
-        all_bridges: List[Tuple[int, int]] = []  # (edge_id, far vertex)
-        timer = 0
-
-        start = self.driver_vertex
-        # Iterative Tarjan with explicit stack; parent edge tracked to
-        # ignore the tree edge when computing low-links.
-        stack: List[Tuple[int, int, Iterator[int]]] = [
-            (start, -1, iter(self._adjacency[start]))
-        ]
-        disc[start] = low[start] = timer
-        timer += 1
-        tcount[start] = 1 if start in terminal_set else 0
-
-        while stack:
-            vertex, parent_edge, it = stack[-1]
-            advanced = False
-            for edge_id in it:
-                if not self.alive[edge_id] or edge_id == parent_edge:
-                    continue
-                w = self.edges[edge_id].other(vertex)
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    tcount[w] = 1 if w in terminal_set else 0
-                    stack.append((w, edge_id, iter(self._adjacency[w])))
-                    advanced = True
-                    break
-                low[vertex] = min(low[vertex], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pvertex, _, _ = stack[-1]
-                low[pvertex] = min(low[pvertex], low[vertex])
-                tcount[pvertex] += tcount[vertex]
-                if low[vertex] > disc[pvertex]:
-                    all_bridges.append((parent_edge, vertex))
-                    if tcount[vertex] > 0:
-                        bridges.append(parent_edge)
-
-        newly_essential: List[int] = []
-        bridge_set = set(bridges)
-        for edge in self.edges:
-            if not self.alive[edge.index]:
-                self.essential[edge.index] = False
-                continue
-            now = edge.index in bridge_set
-            if now and not self.essential[edge.index]:
-                newly_essential.append(edge.index)
-            self.essential[edge.index] = now
-        self._rebuild_decomposition(tcount, all_bridges)
-        return newly_essential
-
-    def _rebuild_decomposition(
-        self, tcount: List[int], all_bridges: List[Tuple[int, int]]
-    ) -> None:
-        """Derive degrees, 2ECC labels, the bridge forest and hang
-        counts from a completed full Tarjan pass."""
-        n = len(self.vertices)
-        alive = self.alive
-        degree = [0] * n
-        for edge in self.edges:
-            if alive[edge.index]:
-                degree[edge.u] += 1
-                degree[edge.v] += 1
-        self._degree = degree
-        comp = [-1] * n
-        self._comp = comp
-        self._comp_size = {}
-        self._comp_anchor = {}
-        self._comp_entry = {}
-        hang: Dict[int, int] = {}
-        for edge_id, child in all_bridges:
-            t = tcount[child]
-            if t > 0:
-                parent = self.edges[edge_id].other(child)
-                hang[parent] = hang.get(parent, 0) + t
-        self._hang_tcount = hang
-        bridge_ids = {edge_id for edge_id, _ in all_bridges}
-        start = self.driver_vertex
-        root = self._next_comp
-        self._next_comp += 1
-        comp[start] = root
-        self._comp_anchor[root] = start
-        self._comp_entry[root] = -1
-        self._comp_size[root] = 1
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for edge_id in self._adjacency[v]:
-                if not alive[edge_id]:
-                    continue
-                w = self.edges[edge_id].other(v)
-                if comp[w] != -1:
-                    continue
-                if edge_id in bridge_ids:
-                    c = self._next_comp
-                    self._next_comp += 1
-                    self._comp_anchor[c] = w
-                    self._comp_entry[c] = edge_id
-                    self._comp_size[c] = 1
-                else:
-                    c = comp[v]
-                    self._comp_size[c] += 1
-                comp[w] = c
-                stack.append(w)
-        # Anything alive the driver cannot reach means the graph was
-        # mutated in a way the full pass should have pruned — never the
-        # case today, but stay safe rather than mislabel.
-        self._stranded = any(
-            self.vertex_alive[v] and comp[v] == -1 for v in range(n)
-        )
 
     # ------------------------------------------------------------------
     def final_wiring(self) -> List[RouteEdge]:

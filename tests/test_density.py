@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.circuits import standard_suite
+from repro.bipolar.multipitch import density_weight
 from repro.core.density import DensityEngine, coverage_columns
 from repro.errors import RoutingError
 from repro.geometry import Interval
 from repro.routegraph.graph import EdgeKind, RouteEdge
+from tests.test_routegraph_build import assigned_router
 
 
 def trunk(index, channel, lo, hi):
@@ -376,3 +379,115 @@ class TestDownsample:
         snap = engine.snapshot(max_columns=512)
         assert snap["column_stride"] == 1
         assert len(snap["channels"][0]["d_max"]) == 100
+
+
+# ----------------------------------------------------------------------
+# Bulk registration (router setup) ≡ per-edge add_edge/add_bridge
+# ----------------------------------------------------------------------
+def per_edge(engine, entries):
+    for edge, weight, essential in entries:
+        engine.add_edge(edge, weight)
+        if essential:
+            engine.add_bridge(edge, weight)
+
+
+def engine_state(engine):
+    return (
+        [a.tolist() for a in engine.d_max],
+        [a.tolist() for a in engine.d_min],
+        engine.updates,
+    )
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["trunk", "branch"]),
+            st.integers(0, 2),      # channel
+            st.integers(0, 18),     # lo
+            st.integers(0, 10),     # span (0: zero-span trunk)
+            st.integers(0, 3),      # weight (0: no update)
+            st.booleans(),          # essential
+        ),
+        max_size=25,
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_add_bulk_matches_per_edge(spec):
+    width = 30
+    entries = []
+    for i, (kind, channel, lo, span, weight, essential) in enumerate(spec):
+        hi = min(width - 1, lo + span)
+        edge = (
+            trunk(i, channel, lo, hi) if kind == "trunk"
+            else branch(i, channel, lo)
+        )
+        entries.append((edge, weight, essential))
+    bulk, single = DensityEngine(3, width), DensityEngine(3, width)
+    # A profile that already holds something, as after a rip-up.
+    for engine in (bulk, single):
+        engine.add_edge(trunk(99, 1, 4, 9), 2)
+        engine.channel_stats(1)
+    bulk.add_bulk(entries)
+    per_edge(single, entries)
+    assert engine_state(bulk) == engine_state(single)
+    for channel in range(3):
+        assert bulk.channel_stats(channel) == single.channel_stats(channel)
+
+
+class TestAddBulk:
+    def test_refuses_while_listeners_subscribe(self):
+        engine = DensityEngine(1, 12)
+        engine.subscribe(lambda *span: None)
+        with pytest.raises(RoutingError, match="before any listener"):
+            engine.add_bulk([(trunk(0, 0, 3, 6), 1, True)])
+        assert engine_state(engine) == ([[0] * 12], [[0] * 12], 0)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (trunk(7, 5, 1, 3), "channel 5 out of range"),
+            (trunk(7, 0, 6, 14), "beyond chip width 10"),
+        ],
+    )
+    def test_out_of_range_trunk_changes_nothing(self, bad, message):
+        engine = DensityEngine(2, 10)
+        engine.add_edge(trunk(0, 0, 2, 6))
+        engine.channel_stats(0)
+        before = engine_state(engine)
+        stats = dict(engine._stats_cache)
+        with pytest.raises(RoutingError, match=message) as bulk_error:
+            engine.add_bulk(
+                [(trunk(1, 0, 0, 4), 1, True), (bad, 1, True)]
+            )
+        assert engine_state(engine) == before
+        assert engine._stats_cache == stats
+        # The same error the per-edge path raises for that edge.
+        with pytest.raises(RoutingError) as single_error:
+            DensityEngine(2, 10).add_edge(bad)
+        assert str(bulk_error.value) == str(single_error.value)
+
+
+@pytest.mark.parametrize(
+    "design", [spec.name for spec in standard_suite()] + ["CGP1"]
+)
+def test_setup_registration_matches_per_edge(design):
+    """The router's one bulk call at setup leaves the same ``d_M``,
+    ``d_m`` and ``updates`` as registering every net edge by edge."""
+    router = assigned_router(design)
+    router._build_routing_graphs()
+    router._init_density_and_trees()
+    single = DensityEngine(
+        router.placement.n_channels, max(1, router.placement.width_columns)
+    )
+    for state in router.states.values():
+        weight = density_weight(state.net)
+        per_edge(
+            single,
+            [
+                (edge, weight, state.graph.essential[edge.index])
+                for edge in state.graph.alive_edges()
+            ],
+        )
+    assert single.updates > 0
+    assert engine_state(router.engine) == engine_state(single)

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.circuits import CircuitSpec, DatasetSpec
+from repro.bench.circuits import CircuitSpec, DatasetSpec, small_suite
 from repro.bench.runner import RunRecord
+from repro.core.config import RouterConfig
 from repro.errors import ConfigError
 from repro.io.json_report import run_record_to_dict
 from repro.exec import pool as pool_module
@@ -386,6 +387,26 @@ class TestProgressAndManifests:
         assert jobs_payload["raise.c.s1"]["status"] == "failed"
         assert rollup["results"]["failed"] == 1
         assert sweep.sweep_id in rollups[0]
+
+    def test_rollup_keeps_every_job_when_ids_collide(self):
+        """One design under both engines shares a job id; the rollup
+        keys those jobs apart instead of keeping one record."""
+        (spec,) = [s for s in small_suite() if s.name == "S1P1"]
+        engines = [
+            JobSpec(spec, config=RouterConfig(routing_engine=engine))
+            for engine in ("edge-deletion", "negotiated")
+        ]
+        assert engines[0].job_id == engines[1].job_id
+        sweep = run_batch(
+            engines + [job("a")], workers=0, runner=scripted_runner
+        )
+        payload = sweep.rollup.to_dict()
+        jobs = payload["results"]["jobs"]
+        assert len(jobs) == payload["dataset"]["jobs"] == 3
+        assert set(jobs) == {
+            engines[0].unique_id, engines[1].unique_id, "a.c.s1"
+        }
+        assert all(entry["status"] == "ok" for entry in jobs.values())
 
     def test_one_rollup_per_sweep(self, tmp_path):
         """The rollup written next to the job manifests is the sweep's

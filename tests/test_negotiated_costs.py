@@ -95,7 +95,7 @@ def _randomize(engine, rng, h_weight):
 def _collapse(edge, at_hi):
     """The trunk shrunk to zero span at one of its ends."""
     column = edge.interval.hi if at_hi else edge.interval.lo
-    return dataclasses.replace(edge, interval=Interval(column, column))
+    return edge._replace(interval=Interval(column, column))
 
 
 @settings(max_examples=150, deadline=None)

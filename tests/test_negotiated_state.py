@@ -13,7 +13,6 @@ and pin the safety checks that moved into the engine: the chip bounds
 check of the per-net geometry, and the unbalanced-removal check.
 """
 
-import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -152,7 +151,7 @@ class TestGeometryBounds:
         state = _trunk_state(engine)
         edges = list(state.graph.edges)
         trunk = next(e for e in edges if e.kind is EdgeKind.TRUNK)
-        edges[trunk.index] = dataclasses.replace(trunk, **changes)
+        edges[trunk.index] = trunk._replace(**changes)
         return SimpleNamespace(
             net=state.net,
             graph=SimpleNamespace(

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import GlobalRouter, RouterConfig
+from repro.bench.circuits import congestion_suite, make_dataset, standard_suite
 from repro.errors import RoutingGraphError
 from repro.layout.feedthrough import FeedthroughPlanner
 from repro.layout.placement import Placement
@@ -9,6 +11,7 @@ from repro.netlist import Circuit, PinSide, TerminalDirection
 from repro.routegraph import build_routing_graph
 from repro.routegraph.graph import EdgeKind, VertexKind
 from repro.tech import Technology
+from tests.routegraph_reference import reference_build_routing_graph
 
 
 def same_row_pair(library):
@@ -184,3 +187,52 @@ class TestDegenerate:
         while graph.deletable_edges():
             graph.delete(graph.deletable_edges()[0])
         assert graph.is_tree
+
+
+# ----------------------------------------------------------------------
+# build_routing_graph vs the reference construction on real designs
+# ----------------------------------------------------------------------
+def assigned_router(design):
+    """A router for a suite design, set up through pin and feedthrough
+    assignment (the inputs of graph construction)."""
+    specs = {s.name: s for s in standard_suite() + congestion_suite()}
+    dataset = make_dataset(specs[design])
+    router = GlobalRouter(
+        dataset.circuit, dataset.placement, dataset.constraints,
+        RouterConfig(),
+    )
+    router._build_timing()
+    router._assign_pins_and_feedthroughs()
+    return router
+
+
+@pytest.mark.parametrize("design", ["C1P1", "C3P1", "CGP1"])
+def test_construction_matches_reference_on_every_net(design):
+    """Vertices, edges, per-vertex adjacency order (which drives CSR and
+    Dijkstra tie-breaking), terminals and driver are identical to the
+    reference construction's for every net of the design."""
+    router = assigned_router(design)
+    technology = router.config.technology
+    nets = router.circuit.routable_nets
+    assert nets
+    for net in nets:
+        slots = router.assignment.of_net(net)
+        graph = build_routing_graph(net, router.placement, slots, technology)
+        ref = reference_build_routing_graph(
+            net, router.placement, slots, technology
+        )
+        where = f"{design} net {net.name}"
+        # Value equality covers every field: kind, u, v, channel,
+        # interval and length for edges, pin included for vertices.
+        assert graph.vertices == ref.vertices, where
+        assert graph.edges == ref.edges, where
+        # Bit-identical lengths, not just equal floats.
+        assert [e.length_um.hex() for e in graph.edges] == [
+            e.length_um.hex() for e in ref.edges
+        ], where
+        assert graph._adjacency == ref._adjacency, where
+        assert graph._lengths.tolist() == ref._lengths.tolist(), where
+        assert graph.terminal_vertices == ref.terminal_vertices, where
+        assert graph.driver_vertex == ref.driver_vertex, where
+        assert graph.alive == ref.alive, where
+        assert graph.essential == ref.essential, where

@@ -8,9 +8,10 @@ essential flags, vertex liveness, reported ``DeletionResult`` contents
 and the alive-length ledger, bit for bit.  These tests drive random
 multi-terminal graphs through full deletion sequences with a reference
 twin in lockstep and compare everything at every step, under shrinkable
-hypothesis seeds.  The twin deletes through :func:`reference_delete`,
-the documented contract for external mutation (flip ``alive``, then
-``reclassify()``), so it never touches the incremental bookkeeping.
+hypothesis seeds.  The twin deletes through :func:`reference_delete`:
+it flips ``alive`` and runs the four-pass reference classifier kept in
+``tests/routegraph_reference.py``, an algorithm independent of both
+production paths, so it never touches the incremental bookkeeping.
 """
 
 import random
@@ -21,13 +22,13 @@ from hypothesis import given, settings, strategies as st
 from repro.geometry import Interval
 from repro.netlist import Circuit, standard_ecl_library
 from repro.routegraph.graph import (
-    DeletionResult,
     EdgeKind,
     RouteEdge,
     RouteVertex,
     RoutingGraph,
     VertexKind,
 )
+from tests.routegraph_reference import reference_delete
 
 
 def make_multi_net(library, n_sinks, name="m"):
@@ -118,18 +119,6 @@ def materialize(library, spec, *, name="m"):
         for idx, kind, u, v, channel, x_lo, x_hi, length in edge_spec
     ]
     return RoutingGraph(net, vertices, edges, list(range(n_terminals)), 0)
-
-
-def reference_delete(graph, edge_id):
-    """Delete ``edge_id`` the reference way: flip its ``alive`` flag and
-    run the full ``reclassify()`` (prune + fresh Tarjan)."""
-    graph.alive[edge_id] = False
-    pruned, newly_essential = graph.reclassify()
-    return DeletionResult(
-        deleted=edge_id,
-        removed=[edge_id, *pruned],
-        newly_essential=newly_essential,
-    )
 
 
 def snapshot(graph):
@@ -272,10 +261,12 @@ class TestExternalMutation:
         spec = random_graph_spec(random.Random(23))
         inc = materialize(library, spec, name="xm_i")
         ref = materialize(library, spec, name="xm_r")
-        # Kill one deletable edge behind the graph's back on both.
+        # Kill one deletable edge behind the graph's back on both: the
+        # production reclassify() on one, the reference on the other.
         edge_id = inc.deletable_edges()[0]
-        for graph in (inc, ref):
-            reference_delete(graph, edge_id)
+        inc.alive[edge_id] = False
+        inc.reclassify()
+        reference_delete(ref, edge_id)
         assert snapshot(inc) == snapshot(ref)
         # The incremental path must keep working after the rebuild.
         while True:
