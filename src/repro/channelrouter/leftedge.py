@@ -7,12 +7,17 @@ left-edge algorithm extended with vertical constraints:
 * at any column where net ``A`` enters from the channel's top and net
   ``B`` from its bottom, ``A``'s track must lie above ``B``'s;
 * tracks are filled top to bottom, each track greedily packed left to
-  right with spans whose vertical-constraint ancestors are already placed;
-* a vertical-constraint *cycle* (requiring a dogleg in a full router) is
-  broken by relaxing the constraints of one involved span — the break is
-  counted and reported;
+  right with spans whose vertical-constraint ancestors are already placed
+  — one sorted sweep per channel over a ready list, bisected past each
+  track's last end;
+* a vertical-constraint *cycle* is broken by a dogleg of the first stuck
+  span at an internal pin column, or, when it has none, by relaxing that
+  span's constraints — doglegs and breaks are counted and reported;
 * a ``w``-pitch span occupies ``w`` tracks: it is expanded into ``w``
   chained unit spans that land on distinct tracks.
+
+``docs/ALGORITHM.md`` (Channel routing) gives the sweep, its cost and
+its exactness contract.
 
 From the track assignment the router derives (a) each channel's final
 track count — hence the chip height and area of Table 2 — and (b) each
@@ -22,10 +27,25 @@ estimate to produce the paper's "after channel routing" delays.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from ..core.result import AttachSide, GlobalRoutingResult, NetRoute
+from ..core.result import (
+    AttachSide,
+    ChannelAttachment,
+    GlobalRoutingResult,
+    NetRoute,
+)
 from ..errors import ChannelRoutingError
 from ..geometry import Interval
 from ..layout.floorplan import Floorplan
@@ -87,6 +107,14 @@ class ChannelRoutingResult:
 # ----------------------------------------------------------------------
 # Single channel
 # ----------------------------------------------------------------------
+#: ``predecessors[i]``: the segments that must lie above segment ``i``
+#: (the vertical-constraint graph, by segment index).
+Predecessors = Dict[int, Set[int]]
+
+_PAST = float("inf")
+_TOP = AttachSide.TOP
+
+
 def route_channel(
     channel: int,
     segments: Sequence[ChannelSegment],
@@ -97,94 +125,155 @@ def route_channel(
 
     Args:
         channel: channel index (for reporting).
-        segments: unit-width spans (already expanded for multipitch).
+        segments: unit-width spans (already expanded for multipitch),
+            at most one per ``ChannelSegment.key``; each gets its
+            ``track`` set in place.
         throughs: per net, columns crossed purely vertically.
         allow_doglegs: break vertical-constraint cycles by splitting the
             stuck span at an internal pin column (the classic dogleg)
             before resorting to constraint relaxation.  The dogleg's own
             short vertical jog is not charged to the net length.
     """
-    ordered = sorted(segments, key=lambda s: (s.interval.lo, s.interval.hi))
-    predecessors, pin_conflicts = _vertical_constraints(ordered)
+    return _route_channel(channel, segments, throughs, allow_doglegs)[0]
 
-    unplaced: List[ChannelSegment] = list(ordered)
-    placed: List[ChannelSegment] = []
-    placed_keys: Set[Tuple] = set()
-    track = 0
-    breaks = 0
-    doglegs = 0
+
+def _route_channel(
+    channel: int,
+    segments: Sequence[ChannelSegment],
+    throughs: Mapping[str, List[int]],
+    allow_doglegs: bool = True,
+) -> Tuple[ChannelResult, List[List[int]]]:
+    """:func:`route_channel`, plus the final vertical-constraint graph by
+    position in ``ChannelResult.segments`` (what the track-order pass
+    reads).
+
+    A sorted sweep.  Segment ``i`` is ordered by ``key[i] = (lo, hi,
+    rank, i)``: ``rank`` keeps the input order among equal spans, and a
+    dogleg's halves rank ahead of every older segment with their span.
+    ``pending[i]`` counts the unplaced segments that must lie above
+    ``i``; the segments with none form ``ready``, sorted by key.  Each
+    track takes the first ready segment, then repeatedly the first one
+    starting right of the last end, found by bisection.  Segments made
+    ready by a track's placements join ``ready`` after that track.  The
+    VCG is built once, and again after each dogleg.
+    """
+    segs: List[ChannelSegment] = sorted(segments, key=_span)
+    keys = [(s.interval.lo, s.interval.hi, i, i) for i, s in enumerate(segs)]
+    predecessors, successors, pin_conflicts = _vertical_constraints(
+        segs, range(len(segs))
+    )
+    pending = [0] * len(segs)
+    for i, above in predecessors.items():
+        pending[i] = len(above)
+    ready = [key for key in keys if not pending[key[3]]]
+    unplaced = set(range(len(segs)))
+    placed = [False] * len(segs)
+    order: List[int] = []
+    track = breaks = doglegs = 0
     while unplaced:
-        track += 1
-        eligible = [
-            s
-            for s in unplaced
-            if all(p in placed_keys for p in predecessors.get(s.key, ()))
-        ]
-        if not eligible:
+        if not ready:
             # Vertical-constraint cycle.  Preferred fix: dogleg — split
-            # the leftmost stuck span at an internal pin column, which
+            # the first stuck span at an internal pin column, which
             # breaks the cycle without ignoring any constraint.  When no
-            # split point exists, fall back to relaxing the constraints
-            # of that span.
-            victim = unplaced[0]
-            if allow_doglegs and _split_segment(victim, unplaced):
-                doglegs += 1
-                unplaced.sort(key=lambda s: (s.interval.lo, s.interval.hi))
-                predecessors, _ = _vertical_constraints(
-                    placed + unplaced
-                )
-            else:
-                predecessors[victim.key] = set()
+            # split point exists, relax that span's constraints: it
+            # becomes ready, and the first, so the next track takes it.
+            victim = min(unplaced, key=keys.__getitem__)
+            halves = _split_segment(segs[victim]) if allow_doglegs else None
+            if halves is None:
+                pending[victim] = 0
+                ready.append(keys[victim])
                 breaks += 1
-            track -= 1
+                continue
+            doglegs += 1
+            unplaced.discard(victim)
+            for half in halves:
+                index = len(segs)
+                segs.append(half)
+                keys.append(
+                    (half.interval.lo, half.interval.hi, -doglegs, index)
+                )
+                placed.append(False)
+                pending.append(0)
+                unplaced.add(index)
+            predecessors, successors, _ = _vertical_constraints(
+                segs, [*order, *unplaced]
+            )
+            for i in unplaced:
+                pending[i] = sum(
+                    1 for p in predecessors.get(i, ()) if not placed[p]
+                )
+            ready = sorted(keys[i] for i in unplaced if not pending[i])
             continue
-        last_end = None
-        chosen: List[ChannelSegment] = []
-        for segment in eligible:
-            if last_end is None or segment.interval.lo > last_end:
-                chosen.append(segment)
-                last_end = segment.interval.hi
-        for segment in chosen:
-            segment.track = track
-            placed_keys.add(segment.key)
-            placed.append(segment)
-            unplaced.remove(segment)
+        track += 1
+        taken = []
+        position = 0
+        while position < len(ready):
+            taken.append(position)
+            position = bisect_right(
+                ready, (ready[position][1], _PAST), position + 1
+            )
+        chosen = [ready[p][3] for p in taken]
+        for p in reversed(taken):
+            del ready[p]
+        freed = []
+        for i in chosen:
+            segs[i].track = track
+            placed[i] = True
+            unplaced.discard(i)
+            order.append(i)
+            for below in successors.get(i, ()):
+                pending[below] -= 1
+                if not pending[below] and not placed[below]:
+                    freed.append(below)
+        for i in freed:
+            insort(ready, keys[i])
 
+    position_of = {i: position for position, i in enumerate(order)}
+    constraints = [
+        [position_of[p] for p in predecessors.get(i, ())] for i in order
+    ]
     through_counts = {
         net: len(columns) for net, columns in throughs.items() if columns
     }
-    return ChannelResult(
+    result = ChannelResult(
         channel=channel,
         tracks=track,
-        segments=list(placed),
+        segments=[segs[i] for i in order],
         through_columns=through_counts,
         constraint_breaks=breaks,
         pin_conflicts=pin_conflicts,
         dogleg_splits=doglegs,
     )
+    return result, constraints
+
+
+def _span(segment: ChannelSegment) -> Tuple[int, int]:
+    return segment.interval.lo, segment.interval.hi
 
 
 def _split_segment(
-    victim: ChannelSegment, unplaced: List[ChannelSegment]
-) -> bool:
-    """Dogleg ``victim`` at an internal attachment column, in place.
+    victim: ChannelSegment,
+) -> Optional[Tuple[ChannelSegment, ChannelSegment]]:
+    """The two halves of a dogleg of ``victim`` at its middle internal
+    attachment column, or ``None`` when it has no internal pin to split
+    at.
 
-    The two halves share the split column (the dogleg's vertical jog
-    connects them there) and divide the remaining attachments by side of
-    the split.  Returns ``False`` when the span has no internal pin to
-    split at.
+    The halves share the split column (the dogleg's vertical jog
+    connects them there) and divide the attachments by side of the
+    split.
     """
+    lo, hi = victim.interval.lo, victim.interval.hi
     internal = sorted(
         column
         for column in set(victim.attach_top) | set(victim.attach_bottom)
-        if victim.interval.lo < column < victim.interval.hi
+        if lo < column < hi
     )
     if not internal:
-        return False
+        return None
     split = internal[len(internal) // 2]
     left = ChannelSegment(
         net_name=victim.net_name,
-        interval=Interval(victim.interval.lo, split),
+        interval=Interval(lo, split),
         part=victim.part,
         parts=victim.parts,
         attach_top=[c for c in victim.attach_top if c <= split],
@@ -192,49 +281,59 @@ def _split_segment(
     )
     right = ChannelSegment(
         net_name=victim.net_name,
-        interval=Interval(split, victim.interval.hi),
+        interval=Interval(split, hi),
         part=victim.part,
         parts=victim.parts,
         attach_top=[c for c in victim.attach_top if c > split],
         attach_bottom=[c for c in victim.attach_bottom if c > split],
     )
-    index = unplaced.index(victim)
-    unplaced[index : index + 1] = [left, right]
-    return True
+    return left, right
 
 
 def _vertical_constraints(
     segments: Sequence[ChannelSegment],
-) -> Tuple[Dict[Tuple, Set[Tuple]], int]:
-    """Build the VCG: ``predecessors[s]`` must be placed above ``s``.
+    indices: Iterable[int],
+) -> Tuple[Predecessors, Dict[int, List[int]], int]:
+    """The VCG over ``segments[i]`` for ``i`` in ``indices``.
 
-    Also counts pin conflicts (two different nets entering from the same
-    side at the same column — a full router would need a jog there).
+    At a column where segment ``t`` attaches from the top and segment
+    ``b`` of another net from the bottom, ``t`` must lie above ``b``.
+    Returns ``(predecessors, successors, pin_conflicts)``:
+    ``successors[t]`` lists each ``b`` with ``t`` in
+    ``predecessors[b]`` once, and ``pin_conflicts`` counts columns where
+    two different nets enter from the same side (a full router would
+    need a jog there).
     """
-    top_at: Dict[int, List[ChannelSegment]] = {}
-    bottom_at: Dict[int, List[ChannelSegment]] = {}
-    for segment in segments:
+    top_at: Dict[int, List[int]] = {}
+    bottom_at: Dict[int, List[int]] = {}
+    for i in indices:
+        segment = segments[i]
         for column in segment.attach_top:
-            top_at.setdefault(column, []).append(segment)
+            top_at.setdefault(column, []).append(i)
         for column in segment.attach_bottom:
-            bottom_at.setdefault(column, []).append(segment)
+            bottom_at.setdefault(column, []).append(i)
 
-    predecessors: Dict[Tuple, Set[Tuple]] = {}
     conflicts = 0
     for columns_map in (top_at, bottom_at):
-        for column, members in columns_map.items():
-            nets = {m.net_name for m in members}
-            if len(nets) > 1:
+        for members in columns_map.values():
+            net = segments[members[0]].net_name
+            if any(segments[m].net_name != net for m in members):
                 conflicts += 1
+    predecessors: Predecessors = {}
     for column, tops in top_at.items():
-        for bottom_segment in bottom_at.get(column, ()):  # noqa: B007
-            for top_segment in tops:
-                if top_segment.net_name == bottom_segment.net_name:
-                    continue
-                predecessors.setdefault(
-                    bottom_segment.key, set()
-                ).add(top_segment.key)
-    return predecessors, conflicts
+        bottoms = bottom_at.get(column)
+        if bottoms is None:
+            continue
+        for b in bottoms:
+            net = segments[b].net_name
+            for t in tops:
+                if segments[t].net_name != net:
+                    predecessors.setdefault(b, set()).add(t)
+    successors: Dict[int, List[int]] = {}
+    for b, above in predecessors.items():
+        for t in above:
+            successors.setdefault(t, []).append(b)
+    return predecessors, successors, conflicts
 
 
 # ----------------------------------------------------------------------
@@ -260,6 +359,8 @@ def route_channels(
     observability hooks: per-channel ``channel_routed`` events and
     chip-wide track/break counters.
     """
+    from .trackorder import optimize_track_order
+
     per_channel_segments: Dict[int, List[ChannelSegment]] = {}
     per_channel_throughs: Dict[int, Dict[str, List[int]]] = {}
 
@@ -273,12 +374,10 @@ def route_channels(
     for channel in range(placement.n_channels):
         segments = per_channel_segments.get(channel, [])
         throughs = per_channel_throughs.get(channel, {})
-        channels[channel] = route_channel(channel, segments, throughs)
-
-    if optimize_tracks:
-        from .trackorder import optimize_all_channels
-
-        optimize_all_channels(channels)
+        routed, constraints = _route_channel(channel, segments, throughs)
+        if optimize_tracks:
+            optimize_track_order(routed, constraints)
+        channels[channel] = routed
 
     if metrics is not None:
         metrics.counter("channel.tracks_total").inc(
@@ -320,51 +419,61 @@ def _collect_net(
     segments_out: Dict[int, List[ChannelSegment]],
     throughs_out: Dict[int, Dict[str, List[int]]],
 ) -> None:
-    """Split one net into per-channel spans / throughs with attachments."""
-    spans = route.trunk_intervals()
-    attach_by_channel: Dict[int, List] = {}
+    """Split one net into per-channel spans / throughs with attachments.
+
+    One pass over the net's attachments per channel assigns each to the
+    merged span that contains it, keeping their order within each
+    span's top and bottom lists.  A channel's merged spans are disjoint
+    and sorted, so that span is the last one starting at or left of the
+    column (bisection; a lone span is tested directly).  Attachments
+    outside every span are pure vertical crossings.
+    """
+    attach_by_channel: Dict[int, List[ChannelAttachment]] = {}
     for attachment in route.attachments:
         attach_by_channel.setdefault(attachment.channel, []).append(
             attachment
         )
-
-    touched = set(spans) | set(attach_by_channel)
-    for channel in touched:
-        channel_spans = spans.get(channel, [])
-        attachments = attach_by_channel.get(channel, [])
-        leftover = list(attachments)
-        for interval in channel_spans:
-            top = [
-                a.column
-                for a in attachments
-                if a.side is AttachSide.TOP and interval.contains(a.column)
-            ]
-            bottom = [
-                a.column
-                for a in attachments
-                if a.side is AttachSide.BOTTOM
-                and interval.contains(a.column)
-            ]
-            leftover = [
-                a for a in leftover if not interval.contains(a.column)
-            ]
-            for part in range(route.width_pitches):
-                segments_out.setdefault(channel, []).append(
+    name = route.net_name
+    width = route.width_pitches
+    for channel, spans in route.trunk_intervals().items():
+        attachments = attach_by_channel.pop(channel, ())
+        through = set()
+        if len(spans) == 1:
+            lo, hi = spans[0].lo, spans[0].hi
+            top: List[int] = []
+            bottom: List[int] = []
+            for _, column, side in attachments:
+                if lo <= column <= hi:
+                    (top if side is _TOP else bottom).append(column)
+                else:
+                    through.add(column)
+            assigned = ((spans[0], top, bottom),)
+        else:
+            starts = [span.lo for span in spans]
+            tops: List[List[int]] = [[] for _ in spans]
+            bottoms: List[List[int]] = [[] for _ in spans]
+            for _, column, side in attachments:
+                k = bisect_right(starts, column) - 1
+                if k >= 0 and column <= spans[k].hi:
+                    (tops if side is _TOP else bottoms)[k].append(column)
+                else:
+                    through.add(column)
+            assigned = zip(spans, tops, bottoms)
+        out = segments_out.setdefault(channel, [])
+        for interval, top, bottom in assigned:
+            for part in range(width):
+                out.append(
                     ChannelSegment(
-                        net_name=route.net_name,
-                        interval=interval,
-                        part=part,
-                        parts=route.width_pitches,
-                        attach_top=list(top),
-                        attach_bottom=list(bottom),
+                        name, interval, part, width, list(top), list(bottom)
                     )
                 )
-        # Attachments with no horizontal span: pure vertical crossings.
-        through_cols = sorted({a.column for a in leftover})
-        if through_cols:
-            throughs_out.setdefault(channel, {}).setdefault(
-                route.net_name, []
-            ).extend(through_cols)
+        if through:
+            throughs_out.setdefault(channel, {})[name] = sorted(through)
+    # Channels the net enters but runs no span in: pure crossings.
+    for channel, attachments in attach_by_channel.items():
+        throughs_out.setdefault(channel, {})[name] = sorted(
+            {attachment.column for attachment in attachments}
+        )
 
 
 def _vertical_lengths(

@@ -11,13 +11,16 @@ wirelength.
 This pass reorders whole tracks by a priority-list topological sort:
 tracks with more top attachments float up, tracks with more bottom
 attachments sink down, and every original vertical constraint is
-re-checked afterwards.
+re-checked afterwards.  It reads the vertical-constraint graph the
+left-edge router last built for the channel, and takes each next track
+from a heap of the tracks whose tracks-above are all placed.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ChannelRoutingError
 from .leftedge import ChannelResult, ChannelSegment, _vertical_constraints
@@ -33,37 +36,45 @@ class TrackOrderStats:
     """Reduction of Σ (track_position × top_pins + inverse × bottom)."""
 
 
-def optimize_track_order(result: ChannelResult) -> TrackOrderStats:
+def optimize_track_order(
+    result: ChannelResult,
+    predecessors: Optional[Sequence[Sequence[int]]] = None,
+) -> TrackOrderStats:
     """Reorder ``result``'s tracks in place to shorten vertical stubs.
 
-    Preserves: segment→track-mates grouping, track count, and every
-    vertical constraint.  Returns the improvement statistics.
+    ``predecessors[j]`` lists the positions in ``result.segments`` of
+    the segments that must lie above segment ``j`` (the channel's VCG,
+    as left-edge hands it over); without it the VCG is built from
+    ``result.segments``.  Preserves: segment→track-mates grouping, track
+    count, and every vertical constraint the incoming assignment
+    honours.  Returns the improvement statistics.
     """
     tracks = result.tracks
     if tracks <= 1:
         return TrackOrderStats(result.channel, 0, 0.0)
 
+    segments = result.segments
     members: Dict[int, List[ChannelSegment]] = {}
-    for segment in result.segments:
+    for segment in segments:
         if segment.track is None:
             raise ChannelRoutingError("unplaced segment in result")
         members.setdefault(segment.track, []).append(segment)
 
-    predecessors, _ = _vertical_constraints(result.segments)
-    track_of = {
-        segment.key: segment.track for segment in result.segments
-    }
+    if predecessors is None:
+        graph, _, _ = _vertical_constraints(segments, range(len(segments)))
+        predecessors = [graph.get(j, ()) for j in range(len(segments))]
     # Preserve exactly the constraints the incoming assignment honours
     # (left-edge may have deliberately relaxed some on a VCG cycle;
     # those stay relaxed).
     above: Dict[int, Set[int]] = {t: set() for t in members}
-    honoured: List[Tuple[Tuple, Tuple]] = []
-    for segment in result.segments:
-        for pred_key in predecessors.get(segment.key, ()):  # pred above
-            pred_track = track_of[pred_key]
-            if pred_track < segment.track:
-                above[segment.track].add(pred_track)
-                honoured.append((pred_key, segment.key))
+    honoured: List[Tuple[int, int]] = []
+    for j, preds in enumerate(predecessors):
+        track = segments[j].track
+        for p in preds:
+            pred_track = segments[p].track
+            if pred_track < track:
+                above[track].add(pred_track)
+                honoured.append((p, j))
 
     # Pull: positive = wants to move toward the top (many top pins).
     pull: Dict[int, int] = {}
@@ -75,25 +86,29 @@ def optimize_track_order(result: ChannelResult) -> TrackOrderStats:
     old_cost = _vertical_cost(members, tracks)
 
     # Priority topological order: among tracks whose "above" sets are
-    # satisfied, emit the strongest upward pull first.
-    remaining = set(members)
+    # emitted, emit the strongest upward pull first.  ``waiting[t]``
+    # counts t's tracks-above not yet emitted; the heap holds the ready
+    # tracks keyed by ``(-pull, track)``.
+    waiting = {t: len(ups) for t, ups in above.items()}
+    below: Dict[int, List[int]] = {t: [] for t in members}
+    for track, ups in above.items():
+        for up in ups:
+            below[up].append(track)
+    heap = [(-pull[t], t) for t, count in waiting.items() if not count]
+    heapq.heapify(heap)
     emitted: List[int] = []
-    emitted_set: Set[int] = set()
-    while remaining:
-        ready = [
-            t for t in remaining if above[t] <= emitted_set
-        ]
-        if not ready:
-            # The honoured-constraint graph is acyclic by construction
-            # (it embeds in the current track order), so this is
-            # unreachable; guard defensively anyway.
-            emitted.extend(sorted(remaining))
-            break
-        ready.sort(key=lambda t: (-pull[t], t))
-        chosen = ready[0]
+    while heap:
+        _, chosen = heapq.heappop(heap)
         emitted.append(chosen)
-        emitted_set.add(chosen)
-        remaining.discard(chosen)
+        for track in below[chosen]:
+            waiting[track] -= 1
+            if not waiting[track]:
+                heapq.heappush(heap, (-pull[track], track))
+    if len(emitted) < len(members):
+        # The honoured-constraint graph is acyclic by construction (it
+        # embeds in the current track order), so this is unreachable;
+        # guard defensively anyway.
+        emitted.extend(sorted(set(members).difference(emitted)))
 
     mapping = {
         old_track: new_position + 1
@@ -102,7 +117,7 @@ def optimize_track_order(result: ChannelResult) -> TrackOrderStats:
     moved = sum(
         1 for old, new in mapping.items() if old != new
     )
-    for segment in result.segments:
+    for segment in segments:
         segment.track = mapping[segment.track]
 
     new_members = {
@@ -112,11 +127,11 @@ def optimize_track_order(result: ChannelResult) -> TrackOrderStats:
     if new_cost > old_cost + 1e-9:
         # Greedy made it worse — roll back.
         inverse = {new: old for old, new in mapping.items()}
-        for segment in result.segments:
+        for segment in segments:
             segment.track = inverse[segment.track]
         return TrackOrderStats(result.channel, 0, 0.0)
 
-    _check_constraints(result.segments, honoured)
+    _check_constraints(segments, honoured)
     return TrackOrderStats(
         result.channel, moved, old_cost - new_cost
     )
@@ -136,12 +151,11 @@ def _vertical_cost(
 
 def _check_constraints(
     segments: Sequence[ChannelSegment],
-    honoured: Sequence[Tuple[Tuple, Tuple]],
+    honoured: Sequence[Tuple[int, int]],
 ) -> None:
     """Assert every previously honoured constraint still holds."""
-    track_of = {segment.key: segment.track for segment in segments}
-    for pred_key, succ_key in honoured:
-        if track_of[pred_key] >= track_of[succ_key]:
+    for above, below in honoured:
+        if segments[above].track >= segments[below].track:
             raise ChannelRoutingError(
                 "track reordering violated a vertical constraint"
             )

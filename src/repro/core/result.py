@@ -5,13 +5,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..geometry import Interval
 from ..layout.floorplan import Floorplan
-from ..routegraph.graph import EdgeKind, RouteEdge
+from ..routegraph.graph import EdgeKind, RouteEdge, RouteVertex, VertexKind
 from ..timing.delay_model import WireSegment
 from ..timing.sta import WireCaps
+
+_TRUNK = EdgeKind.TRUNK
+_bounds = attrgetter("lo", "hi")  # the order Interval compares in
 
 
 class AttachSide(enum.Enum):
@@ -21,24 +25,35 @@ class AttachSide(enum.Enum):
     TOP = "top"
 
 
-@dataclass(frozen=True)
-class ChannelAttachment:
+class ChannelAttachment(NamedTuple):
     """A point where a net enters a channel: a terminal stub, external
-    pin, or feedthrough end."""
+    pin, or feedthrough end (an immutable value, compared by fields)."""
 
     channel: int
     column: int
     side: AttachSide
 
 
-@dataclass(frozen=True)
-class RoutedEdge:
-    """An immutable snapshot of one final-wiring edge."""
+class RoutedEdge(NamedTuple):
+    """An immutable snapshot of one final-wiring edge (compared by
+    fields).  ``build_result`` makes one per tree edge of every net, so
+    it is a tuple: about half the construction cost of a frozen
+    dataclass."""
 
     kind: EdgeKind
     channel: int
     interval: Interval
     length_um: float
+
+
+class ConvergedTree(NamedTuple):
+    """A net's converged routing tree, as :class:`NetRoute` keeps it to
+    build the Elmore segments on read: the routing graph's vertices,
+    its alive edges in ascending index order, and the driver vertex."""
+
+    vertices: Sequence[RouteVertex]
+    edges: Sequence[RouteEdge]
+    driver: int
 
 
 @dataclass
@@ -48,7 +63,10 @@ class NetRoute:
     ``elmore_segments`` encode the routed tree as driver-rooted wire
     segments (the :class:`~repro.timing.delay_model.ElmoreDelayModel`
     input); ``sink_pin_names[i]`` names the net pin hanging at the
-    segment whose ``sink_index == i``.
+    segment whose ``sink_index == i``.  Only the RC analyses read them,
+    so both are built from ``tree`` on first read (by
+    :func:`elmore_tree`) and kept; a route never read builds neither,
+    and a route without a ``tree`` has neither.
     """
 
     net_name: str
@@ -57,19 +75,86 @@ class NetRoute:
     attachments: List[ChannelAttachment]
     total_length_um: float
     wire_cap_pf: float
-    elmore_segments: List[WireSegment] = field(default_factory=list)
-    sink_pin_names: List[str] = field(default_factory=list)
+    tree: Optional[ConvergedTree] = field(
+        default=None, repr=False, compare=False
+    )
+    _elmore: Optional[Tuple[List[WireSegment], List[str]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def elmore_segments(self) -> List[WireSegment]:
+        return self._elmore_tree()[0]
+
+    @property
+    def sink_pin_names(self) -> List[str]:
+        return self._elmore_tree()[1]
+
+    def _elmore_tree(self) -> Tuple[List[WireSegment], List[str]]:
+        if self._elmore is None:
+            self._elmore = (
+                ([], []) if self.tree is None
+                else elmore_tree(self.tree, self.width_pitches)
+            )
+        return self._elmore
 
     def trunk_intervals(self) -> Dict[int, List[Interval]]:
         """Per channel, the net's merged horizontal spans."""
         by_channel: Dict[int, List[Interval]] = {}
-        for edge in self.edges:
-            if edge.kind is EdgeKind.TRUNK:
-                by_channel.setdefault(edge.channel, []).append(edge.interval)
+        for kind, channel, interval, _ in self.edges:
+            if kind is _TRUNK:
+                by_channel.setdefault(channel, []).append(interval)
         return {
             channel: merge_intervals(spans)
             for channel, spans in by_channel.items()
         }
+
+
+def elmore_tree(
+    tree: ConvergedTree, width_pitches: int
+) -> Tuple[List[WireSegment], List[str]]:
+    """Driver-rooted wire segments of a converged net, for the RC model.
+
+    Returns ``(segments, sink_pin_names)`` where segments follow the
+    :class:`~repro.timing.delay_model.WireSegment` convention: each tree
+    edge becomes one segment whose parent is the segment through which
+    the driver reaches it; a segment ending on a (non-driver) terminal
+    vertex records that pin's sink index.  A breadth-first walk from the
+    driver over an index-based queue, visiting each vertex's edges in
+    ascending edge index — the routing graph's CSR neighbour order.
+    """
+    neighbours: Dict[int, List[RouteEdge]] = {}
+    for edge in tree.edges:
+        neighbours.setdefault(edge.u, []).append(edge)
+        neighbours.setdefault(edge.v, []).append(edge)
+    vertices = tree.vertices
+    driver = tree.driver
+    segments: List[WireSegment] = []
+    sink_names: List[str] = []
+    segment_of_vertex = {driver: -1}
+    queue = [driver]
+    head = 0
+    while head < len(queue):
+        vertex = queue[head]
+        head += 1
+        parent_segment = segment_of_vertex[vertex]
+        for edge in neighbours.get(vertex, ()):
+            other = edge.v if edge.u == vertex else edge.u
+            if other in segment_of_vertex:
+                continue
+            other_vertex = vertices[other]
+            sink_index = -1
+            if other_vertex.kind is VertexKind.TERMINAL and other != driver:
+                sink_index = len(sink_names)
+                sink_names.append(other_vertex.pin.full_name)
+            segment_of_vertex[other] = len(segments)
+            segments.append(
+                WireSegment(
+                    parent_segment, edge.length_um, width_pitches, sink_index
+                )
+            )
+            queue.append(other)
+    return segments, sink_names
 
 
 def merge_intervals(spans: List[Interval]) -> List[Interval]:
@@ -84,8 +169,10 @@ def merge_intervals(spans: List[Interval]) -> List[Interval]:
     channel router lays extra wire and the verifier's recomputed
     density over-counts columns no trunk covers.
     """
+    if len(spans) < 2:
+        return list(spans)
     merged: List[Interval] = []
-    for span in sorted(spans):
+    for span in sorted(spans, key=_bounds):
         if merged and merged[-1].hi >= span.lo:
             merged[-1] = merged[-1].union_hull(span)
         else:

@@ -33,6 +33,7 @@ it always did.
 from __future__ import annotations
 
 from functools import partial
+from itertools import compress
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +43,7 @@ from ..bipolar.differential import (
     establish_correspondence,
 )
 from ..bipolar.multipitch import density_weight
-from ..errors import RoutingError
+from ..errors import RoutingError, RoutingGraphError
 from ..layout.feedcell import FeedCellInserter, InsertionReport
 from ..layout.feedthrough import FeedthroughAssignment, FeedthroughPlanner
 from ..layout.floorplan import Floorplan, assign_external_pins
@@ -81,6 +82,7 @@ from .density import DensityEngine
 from .result import (
     AttachSide,
     ChannelAttachment,
+    ConvergedTree,
     GlobalRoutingResult,
     NetRoute,
     RoutedEdge,
@@ -1100,100 +1102,63 @@ class GlobalRouter:
         )
 
     def _net_route(self, state: _NetState) -> NetRoute:
-        edges = [
-            RoutedEdge(e.kind, e.channel, e.interval, e.length_um)
-            for e in state.graph.final_wiring()
-        ]
-        attachments = _attachments_of(state.graph)
-        segments, sink_names = _elmore_tree_of(state.graph)
+        """The route of one converged net.  The tree check (every alive
+        edge essential) runs once, then one walk over the alive edges
+        yields the route's edges, its channel attachments and the tree
+        its Elmore segments are built from on read."""
+        graph = state.graph
+        if not all(compress(graph.essential, graph.alive)):
+            raise RoutingGraphError(
+                f"net {graph.net.name}: routing graph is not a tree yet"
+            )
+        vertices = graph.vertices
+        tree_edges = list(compress(graph.edges, graph.alive))
+        edges: List[RoutedEdge] = []
+        attachments: List[ChannelAttachment] = []
+        for edge in tree_edges:
+            kind = edge.kind
+            edges.append(
+                RoutedEdge(kind, edge.channel, edge.interval, edge.length_um)
+            )
+            if kind is EdgeKind.CORRESPONDENCE:
+                terminal = vertices[edge.u]
+                position = vertices[edge.v]
+                if not terminal.is_terminal:
+                    terminal, position = position, terminal
+                channel = position.channel
+                if isinstance(terminal.pin, Terminal):
+                    # Row r touches channel r from above and channel
+                    # r+1 from below; terminal.channel stores the pin's
+                    # lower access channel, which equals its row index
+                    # for cell terminals.
+                    side = (
+                        AttachSide.TOP
+                        if channel == terminal.channel
+                        else AttachSide.BOTTOM
+                    )
+                else:
+                    side = (
+                        AttachSide.BOTTOM if channel == 0 else AttachSide.TOP
+                    )
+                attachments.append(
+                    ChannelAttachment(channel, position.x, side)
+                )
+            elif kind is EdgeKind.BRANCH:
+                column = edge.interval.lo
+                attachments.append(
+                    ChannelAttachment(edge.channel, column, AttachSide.TOP)
+                )
+                attachments.append(
+                    ChannelAttachment(
+                        edge.channel + 1, column, AttachSide.BOTTOM
+                    )
+                )
         return NetRoute(
             net_name=state.net.name,
             width_pitches=state.net.width_pitches,
             edges=edges,
             attachments=attachments,
-            total_length_um=state.graph.total_alive_length_um(),
+            total_length_um=graph.total_alive_length_um(),
             wire_cap_pf=state.cl_pf,
-            elmore_segments=segments,
-            sink_pin_names=sink_names,
+            tree=ConvergedTree(vertices, tree_edges, graph.driver_vertex),
         )
-
-
-def _elmore_tree_of(graph: RoutingGraph):
-    """Driver-rooted wire segments of a converged net, for the RC model.
-
-    Returns ``(segments, sink_pin_names)`` where segments follow the
-    :class:`~repro.timing.delay_model.WireSegment` convention: each final
-    wiring edge becomes one segment whose parent is the segment through
-    which the driver reaches it; a segment ending on a (non-driver)
-    terminal vertex records that pin's sink index.
-    """
-    from ..timing.delay_model import WireSegment
-
-    width = graph.net.width_pitches
-    segments: List[WireSegment] = []
-    sink_names: List[str] = []
-    segment_of_vertex = {graph.driver_vertex: -1}
-    queue = [graph.driver_vertex]
-    while queue:
-        vertex = queue.pop(0)
-        parent_segment = segment_of_vertex[vertex]
-        for edge, other in graph.neighbours(vertex):
-            if other in segment_of_vertex:
-                continue
-            other_vertex = graph.vertices[other]
-            sink_index = -1
-            if other_vertex.is_terminal and other != graph.driver_vertex:
-                sink_index = len(sink_names)
-                sink_names.append(other_vertex.pin.full_name)
-            segments.append(
-                WireSegment(
-                    parent=parent_segment,
-                    length_um=edge.length_um,
-                    width_pitches=width,
-                    sink_index=sink_index,
-                )
-            )
-            segment_of_vertex[other] = len(segments) - 1
-            queue.append(other)
-    return segments, sink_names
-
-
-def _attachments_of(graph: RoutingGraph) -> List[ChannelAttachment]:
-    """Channel entry points of a net's final wiring (for channel routing)."""
-    attachments: List[ChannelAttachment] = []
-    for edge in graph.alive_edges():
-        if edge.kind is EdgeKind.CORRESPONDENCE:
-            terminal = graph.vertices[edge.u]
-            position = graph.vertices[edge.v]
-            if not terminal.is_terminal:
-                terminal, position = position, terminal
-            pin = terminal.pin
-            channel = position.channel
-            if isinstance(pin, Terminal):
-                # Row r touches channel r from above and channel r+1 from
-                # below.
-                side = (
-                    AttachSide.TOP
-                    if channel == terminal.channel
-                    else AttachSide.BOTTOM
-                )
-                # terminal.channel stores the pin's lower access channel,
-                # which equals its row index for cell terminals.
-            else:
-                side = (
-                    AttachSide.BOTTOM if channel == 0 else AttachSide.TOP
-                )
-            attachments.append(
-                ChannelAttachment(channel, position.x, side)
-            )
-        elif edge.kind is EdgeKind.BRANCH:
-            lower = min(edge.channel, edge.channel + 1)
-            attachments.append(
-                ChannelAttachment(lower, edge.interval.lo, AttachSide.TOP)
-            )
-            attachments.append(
-                ChannelAttachment(
-                    lower + 1, edge.interval.lo, AttachSide.BOTTOM
-                )
-            )
-    return attachments

@@ -29,18 +29,22 @@ wire length or shrinking the floorplan — while still passing checks
 Cost, for a net with ``e`` route edges, ``a`` attachments, ``p`` pins
 and ``s`` granted slot columns, on a chip ``W`` columns wide with ``C``
 channels — every check but density is per net, so a call costs the sum
-over nets plus the density pass:
+over nets plus the density pass.  The chip width and channel count are
+read once per call (``Placement.width_columns`` re-sums every placed
+cell), and one pass over each net's edges does checks 3, 4 (the
+per-branch half), 6 and 7 and collects the net's trunks and branches:
 
 1. completeness — one set difference over the net names;
-2. tree legality — ``O(e log e)``: each channel's wires are sorted once
-   and swept, plus ``O(a·e)`` at worst for the through-cell merges;
-3. geometry — ``O(e)``; the chip width is read once per call, because
-   ``Placement.width_columns`` re-sums every placed cell;
+2. tree legality — ``O(e log e)``: the merged trunk spans and the
+   branches of each channel are sorted once and swept, plus ``O(a·e)``
+   at worst for the through-cell merges;
+3. geometry, 6. length accounting and 7. wire uniqueness — ``O(e)``
+   together, in the one pass;
 4. slot exclusivity — ``O(e + s)``;
 5. terminal coverage — ``O(a + p)``;
-6. length accounting and 7. wire uniqueness — ``O(e)`` each;
 8. density accounting — ``O(e log e)`` per net to merge its trunks,
-   then ``O(W)`` per channel that holds a trunk, ``O(C·W)`` at most.
+   once, for both the tree check and this one; then ``O(W)`` per
+   channel that holds a trunk, ``O(C·W)`` at most.
 
 Violations come back as a list of human-readable strings (empty = clean),
 so the checker slots directly into tests, CI, and post-run sanity checks.
@@ -48,13 +52,17 @@ so the checker slots directly into tests, CI, and post-run sanity checks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import accumulate
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
+from ..geometry import Interval
 from ..layout.feedthrough import FeedthroughAssignment
 from ..layout.placement import Placement
-from ..netlist.circuit import Circuit, Terminal
+from ..netlist.circuit import Circuit
 from ..routegraph.graph import EdgeKind
-from .result import GlobalRoutingResult, NetRoute
+from .result import GlobalRoutingResult, NetRoute, RoutedEdge, merge_intervals
+
+_TRUNK, _BRANCH = EdgeKind.TRUNK, EdgeKind.BRANCH
 
 
 def verify_routing(
@@ -75,50 +83,111 @@ def verify_routing(
 
     # Placement.width_columns re-sums every placed cell on each read.
     width = placement.width_columns
+    n_channels = placement.n_channels
     slot_owner: Dict[Tuple[int, int], str] = {}
+    merged: Dict[str, Dict[int, List[Interval]]] = {}
     for name in sorted(result.routes):
         if name not in routable:
             continue
         route = result.routes[name]
         net = circuit.net(name)
-        violations.extend(_check_geometry(route, placement, width))
-        violations.extend(_check_tree(route))
+        scan = _scan_edges(route, n_channels, width)
+        merged[name] = scan.trunk_spans
+        violations.extend(scan.geometry)
+        violations.extend(
+            _check_tree(route, scan.trunk_spans, scan.branches)
+        )
         violations.extend(_check_terminals(route, net, placement))
-        violations.extend(_check_length(route))
-        violations.extend(_check_duplicates(route))
+        if abs(scan.total_length_um - route.total_length_um) > 1e-6:
+            violations.append(
+                f"net {route.net_name}: reported length "
+                f"{route.total_length_um} != edge sum "
+                f"{scan.total_length_um}"
+            )
+        violations.extend(scan.duplicates)
         if assignment is not None:
             violations.extend(
-                _check_slots(route, net, assignment, slot_owner)
+                _check_slots(
+                    route, net, scan.branches, assignment, slot_owner
+                )
             )
-    violations.extend(_check_density(result, placement, width))
+    violations.extend(_check_density(result, n_channels, width, merged))
     return violations
 
 
 # ----------------------------------------------------------------------
-def _check_geometry(
-    route: NetRoute, placement: Placement, width: int
-) -> List[str]:
-    problems = []
+class _EdgeScan(NamedTuple):
+    """What one pass over a route's edges finds (see :func:`_scan_edges`)."""
+
+    geometry: List[str]
+    duplicates: List[str]
+    total_length_um: float
+    trunk_spans: Dict[int, List[Interval]]
+    branches: List[RoutedEdge]
+
+
+def _scan_edges(route: NetRoute, n_channels: int, width: int) -> _EdgeScan:
+    """One pass over ``route.edges``: the geometry problems (channel,
+    columns, length sign; check 3), the edge-length sum (check 6) and
+    repeated physical wires (check 7), plus the net's merged trunk spans
+    per channel and its branches, which the tree, slot and density
+    checks read.
+
+    Only TRUNK and BRANCH wires are physical metal.  A duplicated wire
+    passes the connectivity and length checks (the reported total
+    *includes* the duplicate) while silently inflating wire length,
+    capacitance, and density; correspondence edges are zero-length
+    bookkeeping hops, and several may legitimately share one column
+    footprint.
+    """
+    name = route.net_name
+    limit = max(1, width)
+    geometry: List[str] = []
+    duplicates: List[str] = []
+    lengths: List[float] = []
+    trunks: Dict[int, List[Interval]] = {}
+    branches: List[RoutedEdge] = []
+    seen: Set[Tuple[int, int, int, bool]] = set()
     for edge in route.edges:
-        if not (0 <= edge.channel < placement.n_channels):
-            problems.append(
-                f"net {route.net_name}: edge in illegal channel "
-                f"{edge.channel}"
+        kind, channel, interval, length_um = edge
+        lo, hi = interval.lo, interval.hi
+        if not 0 <= channel < n_channels:
+            geometry.append(
+                f"net {name}: edge in illegal channel {channel}"
             )
-        if edge.interval.lo < 0 or edge.interval.hi >= max(1, width):
-            problems.append(
-                f"net {route.net_name}: edge spans columns "
-                f"{edge.interval.lo}..{edge.interval.hi} outside chip "
+        if lo < 0 or hi >= limit:
+            geometry.append(
+                f"net {name}: edge spans columns {lo}..{hi} outside chip "
                 f"width {width}"
             )
-        if edge.length_um < 0:
-            problems.append(
-                f"net {route.net_name}: negative edge length"
+        if length_um < 0:
+            geometry.append(f"net {name}: negative edge length")
+        lengths.append(length_um)
+        if kind is _TRUNK:
+            trunks.setdefault(channel, []).append(interval)
+        elif kind is _BRANCH:
+            branches.append(edge)
+        else:
+            continue
+        count = len(seen)
+        seen.add((channel, lo, hi, kind is _BRANCH))
+        if len(seen) == count:
+            duplicates.append(
+                f"net {name}: duplicate {kind.name} wire in channel "
+                f"{channel} at columns {lo}..{hi}"
             )
-    return problems
+    spans = {
+        channel: merge_intervals(intervals)
+        for channel, intervals in trunks.items()
+    }
+    return _EdgeScan(geometry, duplicates, sum(lengths), spans, branches)
 
 
-def _check_tree(route: NetRoute) -> List[str]:
+def _check_tree(
+    route: NetRoute,
+    trunk_spans: Optional[Dict[int, List[Interval]]] = None,
+    branches: Optional[List[RoutedEdge]] = None,
+) -> List[str]:
     """The trunks and branches must form one connected structure.
 
     The snapshot stores geometry, not graph endpoints, so connectivity is
@@ -129,66 +198,92 @@ def _check_tree(route: NetRoute) -> List[str]:
     connecting segments *through a cell* (a terminal reachable from both
     adjacent channels) also merge the wires at that pin's column.
 
-    Each channel's wires are swept in order of ``lo``: a wire joins the
-    running group while its ``lo`` is at most the largest ``hi`` seen so
-    far, which finds the same groups as testing every pair of wires.
+    Trunks of one channel that share a column are one merged span
+    (``trunk_spans``, :meth:`NetRoute.trunk_intervals`), so the wires
+    are the merged spans plus the branches; merging only joins wires
+    that are connected anyway, so the count of pieces is the same as
+    over single trunks.  Each channel's wires are swept in order of
+    ``lo``: a wire joins the running group while its ``lo`` is at most
+    the largest ``hi`` seen so far, which finds the same groups as
+    testing every pair of wires.
     """
-    trunks = [e for e in route.edges if e.kind is EdgeKind.TRUNK]
-    branches = [e for e in route.edges if e.kind is EdgeKind.BRANCH]
-    wires = trunks + branches
-    if len(wires) <= 1:
+    if trunk_spans is None:
+        trunk_spans = route.trunk_intervals()
+    if branches is None:
+        branches = [e for e in route.edges if e.kind is _BRANCH]
+    # Each channel's wires as (lo, hi, wire): its merged trunk spans,
+    # and every branch, which crosses a row and so joins the lists of
+    # both channels beside it.
+    by_channel: Dict[int, List[Tuple[int, int, int]]] = {}
+    wires = 0
+    for channel, spans in trunk_spans.items():
+        by_channel[channel] = [
+            (span.lo, span.hi, wire)
+            for wire, span in enumerate(spans, wires)
+        ]
+        wires += len(spans)
+    for edge in branches:
+        span = (edge.interval.lo, edge.interval.hi, wires)
+        by_channel.setdefault(edge.channel, []).append(span)
+        by_channel.setdefault(edge.channel + 1, []).append(span)
+        wires += 1
+    if wires <= 1:
         return []
 
-    parent = list(range(len(wires)))
+    parent = list(range(wires))
 
-    def find(i: int) -> int:
+    def union(i: int, j: int) -> int:
+        """Join the pieces of wires ``i`` and ``j``; 1 if they were two."""
         while parent[i] != i:
             parent[i] = parent[parent[i]]
             i = parent[i]
-        return i
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        if i == j:
+            return 0
+        parent[i] = j
+        return 1
 
-    def union(i: int, j: int) -> None:
-        parent[find(i)] = find(j)
-
-    # A branch crosses a row, so it joins the lists of both channels.
-    by_channel: Dict[int, List[Tuple[int, int, int]]] = {}
-    for index, wire in enumerate(wires):
-        span = (wire.interval.lo, wire.interval.hi, index)
-        by_channel.setdefault(wire.channel, []).append(span)
-        if wire.kind is EdgeKind.BRANCH:
-            by_channel.setdefault(wire.channel + 1, []).append(span)
+    pieces = wires
     for spans in by_channel.values():
+        if len(spans) < 2:
+            continue
         spans.sort()
-        group, reach = -1, float("-inf")
-        for lo, hi, index in spans:
-            if lo <= reach:
-                union(index, group)
-                reach = max(reach, hi)
+        group, reach = -1, -1
+        for lo, hi, wire in spans:
+            if group >= 0 and lo <= reach:
+                pieces -= union(wire, group)
+                if hi > reach:
+                    reach = hi
             else:
-                group, reach = index, hi
+                group, reach = wire, hi
 
     # A pin reachable from both adjacent channels merges wires at its
-    # column (the route crosses through the cell).
+    # column (the route crosses through the cell).  Wires of one channel
+    # that share a column are already one group, so only columns
+    # reached from two or more channels can join anything.
     channels_at: Dict[int, Set[int]] = {}
     for attachment in route.attachments:
         channels_at.setdefault(attachment.column, set()).add(
             attachment.channel
         )
     for column, channels in channels_at.items():
+        if len(channels) < 2:
+            continue
         incident = [
-            index
+            wire
             for channel in channels
-            for lo, hi, index in by_channel.get(channel, ())
+            for lo, hi, wire in by_channel.get(channel, ())
             if lo <= column <= hi
         ]
         for a, b in zip(incident, incident[1:]):
-            union(a, b)
+            pieces -= union(a, b)
 
-    roots = {find(i) for i in range(len(wires))}
-    if len(roots) > 1:
+    if pieces > 1:
         return [
             f"net {route.net_name}: wiring is not connected "
-            f"({len(roots)} separate pieces)"
+            f"({pieces} separate pieces)"
         ]
     return []
 
@@ -199,8 +294,7 @@ def _check_terminals(
     problems = []
     attach_points = {(a.channel, a.column) for a in route.attachments}
     for pin in net.pins:
-        column, _ = placement.pin_position(pin)
-        channels = placement.pin_adjacent_channels(pin)
+        column, channels = placement.pin_access(pin)
         if not any(
             (channel, column) in attach_points for channel in channels
         ):
@@ -211,64 +305,36 @@ def _check_terminals(
     return problems
 
 
-def _check_length(route: NetRoute) -> List[str]:
-    total = sum(edge.length_um for edge in route.edges)
-    if abs(total - route.total_length_um) > 1e-6:
-        return [
-            f"net {route.net_name}: reported length "
-            f"{route.total_length_um} != edge sum {total}"
-        ]
-    return []
-
-
-def _check_duplicates(route: NetRoute) -> List[str]:
-    """No route may list the same physical wire twice.
-
-    A duplicated wire passes the connectivity and length checks (the
-    reported total *includes* the duplicate) while silently inflating
-    wire length, capacitance, and density.  Only TRUNK and BRANCH wires
-    are physical metal; correspondence edges are zero-length bookkeeping
-    hops, and several may legitimately share one column footprint.
-    """
-    seen: Set[Tuple[EdgeKind, int, int, int]] = set()
-    problems = []
-    for edge in route.edges:
-        if edge.kind not in (EdgeKind.TRUNK, EdgeKind.BRANCH):
-            continue
-        key = (edge.kind, edge.channel, edge.interval.lo, edge.interval.hi)
-        if key in seen:
-            problems.append(
-                f"net {route.net_name}: duplicate {edge.kind.name} wire "
-                f"in channel {edge.channel} at columns "
-                f"{edge.interval.lo}..{edge.interval.hi}"
-            )
-        seen.add(key)
-    return problems
-
-
 def _check_density(
-    result: GlobalRoutingResult, placement: Placement, width: int
+    result: GlobalRoutingResult,
+    n_channels: int,
+    width: int,
+    merged: Dict[str, Dict[int, List[Interval]]],
 ) -> List[str]:
     """The reported peak density must cover the actual trunk coverage.
 
     Recomputes each channel's peak column density from every net's
-    *merged* trunk intervals (weighted by the net's width in pitches)
-    and flags any channel whose reported ``channel_peak_density`` falls
-    short.  Follows the density engine's coverage convention — a trunk
-    spanning ``[lo, hi]`` covers columns ``lo .. hi-1`` — and merged
-    coverage is a lower bound on any honest per-edge accounting
-    (abutting edges of one net count once), so a shortfall always means
-    under-reported density — an under-sized floorplan — never a
-    representation difference.
+    *merged* trunk intervals (``merged``, as the per-net pass found
+    them; a route of an unroutable net merges its own) weighted by the
+    net's width in pitches, and flags any channel whose reported
+    ``channel_peak_density`` falls short.  Follows the density engine's
+    coverage convention — a trunk spanning ``[lo, hi]`` covers columns
+    ``lo .. hi-1`` — and merged coverage is a lower bound on any honest
+    per-edge accounting (abutting edges of one net count once), so a
+    shortfall always means under-reported density — an under-sized
+    floorplan — never a representation difference.
     """
     width = max(1, width)
     coverage: Dict[int, List[int]] = {}
     for name in sorted(result.routes):
         route = result.routes[name]
         weight = route.width_pitches
-        for channel, spans in route.trunk_intervals().items():
-            if not (0 <= channel < placement.n_channels):
-                continue  # reported separately by _check_geometry
+        spans_of = merged.get(name)
+        if spans_of is None:
+            spans_of = route.trunk_intervals()
+        for channel, spans in spans_of.items():
+            if not (0 <= channel < n_channels):
+                continue  # reported separately by the geometry check
             diff = coverage.setdefault(channel, [0] * (width + 1))
             for span in spans:
                 lo = max(0, span.lo)
@@ -278,10 +344,7 @@ def _check_density(
                     diff[hi] -= weight
     problems = []
     for channel in sorted(coverage):
-        peak = running = 0
-        for delta in coverage[channel][:-1]:
-            running += delta
-            peak = max(peak, running)
+        peak = max(accumulate(coverage[channel][:-1], initial=0))
         reported = result.channel_peak_density.get(channel, 0)
         if peak > reported:
             problems.append(
@@ -294,25 +357,27 @@ def _check_density(
 def _check_slots(
     route: NetRoute,
     net,
+    branches: List[RoutedEdge],
     assignment: FeedthroughAssignment,
     slot_owner: Dict[Tuple[int, int], str],
 ) -> List[str]:
+    """Every branch sits on a slot column granted to the net, and no
+    feedthrough column is granted to two nets (check 4)."""
     problems = []
     granted = assignment.of_net(net)
-    granted_columns = {
-        (row, column)
-        for row, slot in granted.items()
-        for column in slot.columns
-    }
-    for edge in route.edges:
-        if edge.kind is not EdgeKind.BRANCH:
-            continue
-        key = (edge.channel, edge.interval.lo)
-        if key not in granted_columns:
-            problems.append(
-                f"net {route.net_name}: branch at row {edge.channel} "
-                f"column {edge.interval.lo} uses an ungranted slot"
-            )
+    if branches:
+        granted_columns = {
+            (row, column)
+            for row, slot in granted.items()
+            for column in slot.columns
+        }
+        for edge in branches:
+            key = (edge.channel, edge.interval.lo)
+            if key not in granted_columns:
+                problems.append(
+                    f"net {route.net_name}: branch at row {edge.channel} "
+                    f"column {edge.interval.lo} uses an ungranted slot"
+                )
     for row, slot in granted.items():
         for column in slot.columns:
             owner = slot_owner.get((row, column))

@@ -600,8 +600,10 @@ def _run_pool(sweep: _Sweep, pending: List[_Task]) -> None:
                 elif died:
                     progressed = True
                     del running[index]
-                    exitcode = run.process.exitcode
+                    # Read after the join: a worker whose pipe closed
+                    # before it exited has no exit code until then.
                     _reap(run)
+                    exitcode = run.process.exitcode
                     relay(run, final=True)
                     error = f"worker died (exit code {exitcode})"
                     requeued = sweep.job_attempt_failed(

@@ -96,6 +96,7 @@ class GlobalDelayGraph:
         self._vertex_by_key: Dict[Tuple[str, ...], int] = {}
         self.net_index: Dict[str, int] = {}
         self.nets: List[Net] = []
+        self._topo: Optional[Tuple[int, ...]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -158,7 +159,9 @@ class GlobalDelayGraph:
                     net, tail, sink, fanin_term_ps,
                     driver.td_ps_per_pf, ff_setup_ps,
                 )
-        graph.topological_order()  # fail fast on combinational cycles
+        # Sorted once, here, which also fails fast on combinational
+        # cycles; every analysis of this graph reads the kept order.
+        graph.topological_order()
         return graph
 
     def _add_vertex(
@@ -276,8 +279,20 @@ class GlobalDelayGraph:
     # ------------------------------------------------------------------
     # Orders
     # ------------------------------------------------------------------
-    def topological_order(self) -> List[int]:
-        """Kahn topological order; raises on a combinational cycle."""
+    def topological_order(self) -> Tuple[int, ...]:
+        """Kahn topological order; raises on a combinational cycle.
+
+        ``G_D`` does not change once built, so the order is sorted on
+        the first call (:meth:`build` makes it) and kept; it is a tuple,
+        so no reader can reorder it for the others.  The STA, every
+        ``build_constraint_graph`` call, the RC sign-off and constraint
+        generation all read this one order.
+        """
+        if self._topo is None:
+            self._topo = tuple(self._kahn_order())
+        return self._topo
+
+    def _kahn_order(self) -> List[int]:
         indegree = [len(self.in_arcs[v.index]) for v in self.vertices]
         frontier = [i for i, d in enumerate(indegree) if d == 0]
         order: List[int] = []

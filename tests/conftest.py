@@ -184,6 +184,39 @@ def routes_sha256(result) -> str:
     return digest.hexdigest()
 
 
+def channel_fingerprint(channels) -> dict:
+    """The pinned values of one channel-routing result (shared by the
+    channel golden and the edge-deletion golden, which records them
+    while its full routes are at hand): each channel's counts in
+    channel order, a sha256 over every segment row in result order plus
+    the channel's through columns, and a sha256 over the per-net
+    vertical lengths as ``float.hex``."""
+    ordered = [channels.channels[c] for c in sorted(channels.channels)]
+    segments = hashlib.sha256()
+    for channel in ordered:
+        for s in channel.segments:
+            row = [
+                channel.channel, s.net_name, s.interval.lo, s.interval.hi,
+                s.part, s.parts, list(s.attach_top), list(s.attach_bottom),
+                s.track,
+            ]
+            segments.update(json.dumps(row).encode())
+        throughs = sorted(channel.through_columns.items())
+        segments.update(json.dumps([channel.channel, throughs]).encode())
+    vertical = hashlib.sha256()
+    for name in sorted(channels.net_vertical_um):
+        value = channels.net_vertical_um[name]
+        vertical.update(json.dumps([name, float(value).hex()]).encode())
+    return {
+        "tracks": [c.tracks for c in ordered],
+        "constraint_breaks": [c.constraint_breaks for c in ordered],
+        "pin_conflicts": [c.pin_conflicts for c in ordered],
+        "dogleg_splits": [c.dogleg_splits for c in ordered],
+        "segments_sha256": segments.hexdigest(),
+        "vertical_sha256": vertical.hexdigest(),
+    }
+
+
 def fresh_selection_key(router, state, edge_id, mode):
     """``selection_key`` of one candidate built from the scalar Section
     3.2–3.4 definitions — the reference tentative tree, the scalar delay

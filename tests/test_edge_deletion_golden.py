@@ -57,10 +57,11 @@ from repro.bench.circuits import (
     standard_suite,
 )
 from repro.analysis import format_heatmap, snapshots_from_events
+from repro.channelrouter import route_channels
 from repro.core import GlobalRouter, RouterConfig
 from repro.core.selection import SelectionMode
 from repro.obs import JsonlTraceSink, MemorySink, read_trace
-from tests.conftest import routes_sha256
+from tests.conftest import channel_fingerprint, routes_sha256
 
 GOLDEN = (
     Path(__file__).resolve().parent.parent
@@ -183,6 +184,13 @@ def route_case(name, mode, sink, decision_sampling=None):
     return router, router.route()
 
 
+#: ``case_id -> channel_fingerprint`` of every full route, recorded by
+#: :func:`fingerprint` while the route is at hand, so that
+#: ``test_channel_golden.py`` pins the channel router on these cases
+#: (X1P1 included) without routing them again.
+CHANNEL_VALUES = {}
+
+
 @functools.lru_cache(maxsize=None)
 def fingerprint(name, mode):
     """The pinned values of one traced run (computed once per case)."""
@@ -190,6 +198,11 @@ def fingerprint(name, mode):
     router, result = route_case(name, mode, sink)
     values = stream_digests(sink.events)
     if result is not None:
+        CHANNEL_VALUES[case_id(name, mode)] = channel_fingerprint(
+            route_channels(
+                result, router.placement, router.config.technology
+            )
+        )
         values.update(
             routes_sha256=routes_sha256(result),
             trees_sha256=trees_sha256(router),

@@ -99,6 +99,15 @@ def scripted_runner(spec):
     return make_record(name)
 
 
+def closes_pipe_then_exits(conn, *args):
+    """A worker entry point that closes its result pipe, waits, then
+    exits 23: the scheduler sees the pipe close while the worker still
+    runs, so the exit code exists only once the worker is joined."""
+    conn.close()
+    time.sleep(0.5)
+    os._exit(23)
+
+
 def executions(tmp_path):
     log = tmp_path / "runs.log"
     if not log.exists():
@@ -195,6 +204,15 @@ class TestPoolFaultTolerance:
         ]
         assert "worker died" in sweep.outcomes[1].error
         assert "23" in sweep.outcomes[1].error
+
+    def test_exit_code_read_after_join(self, monkeypatch):
+        monkeypatch.setattr(
+            pool_module, "_worker_main", closes_pipe_then_exits
+        )
+        sweep = run_batch([job("a")], workers=1, runner=scripted_runner)
+        outcome = sweep.outcomes[0]
+        assert outcome.status == "failed"
+        assert "worker died (exit code 23)" in outcome.error
 
     def test_retry_across_processes(self, tmp_path):
         sweep = run_batch(
