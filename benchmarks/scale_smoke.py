@@ -9,7 +9,9 @@ channel router), not checking output: X1P1's output is pinned by
 ``tests/test_channel_golden.py``.  X1P1 must route within
 ``X1_CEILING_S``, and channel-routing its result may take at most
 ``MAX_CHANNEL_RATIO`` of that route's wall (a ratio, so that it holds
-across machines).  X2P1 must route within ``X2_CEILING_S`` with local
+across machines); so may its feedthrough assignment
+(``route/setup/assignment`` in the route's phase profile), at most
+``MAX_ASSIGNMENT_RATIO``.  X2P1 must route within ``X2_CEILING_S`` with local
 bridge recomputes answering at least ``REQUIRED_LOCAL_RATIO`` of its
 reclassifications.  Exits non-zero on any miss::
 
@@ -24,6 +26,7 @@ import time
 from repro.bench.circuits import make_dataset, scale_suite
 from repro.channelrouter import route_channels
 from repro.core import GlobalRouter, RouterConfig
+from repro.obs import PhaseProfiler
 
 # Ceilings sit far above a normal route on a shared CI runner (X1P1
 # routes in 15-30 s on a 2-vCPU Xeon), so they catch quadratic
@@ -37,18 +40,26 @@ REQUIRED_LOCAL_RATIO = 0.90
 # Channel routing is one sorted sweep per channel: X1P1's takes about
 # 0.07 of its route wall.  The per-track rescan it replaced took 0.30.
 MAX_CHANNEL_RATIO = 0.15
+# Single-pitch slot searches bisect a sorted free list: X1P1's two-pass
+# assignment takes about 0.14 of its route wall.  Masking the whole row
+# per search, with every pass and reroute re-deriving its crossing
+# rows, took 0.25.
+MAX_ASSIGNMENT_RATIO = 0.20
 
 
 def route(spec, channels=False):
     """Route one design, and channel-route its result if ``channels``;
-    returns (deletions, wall_s, local, fallbacks, channel_wall_s)."""
+    returns (deletions, wall_s, local, fallbacks, channel_wall_s,
+    assignment_wall_s)."""
     dataset = make_dataset(spec)
     config = RouterConfig()
+    profiler = PhaseProfiler()
     router = GlobalRouter(
         dataset.circuit,
         dataset.placement,
         dataset.constraints,
         config,
+        profiler=profiler,
     )
     start = time.perf_counter()
     result = router.route()
@@ -65,6 +76,7 @@ def route(spec, channels=False):
         int(flat.get("graph.bridge_local_recomputes", 0)),
         int(flat.get("graph.bridge_full_fallbacks", 0)),
         channel_wall,
+        profiler.wall_s("route", "setup", "assignment"),
     )
 
 
@@ -73,8 +85,8 @@ def main() -> int:
     failures = []
     for name, ceiling in (("X1P1", X1_CEILING_S), ("X2P1", X2_CEILING_S)):
         print(f"scale-tier smoke: {name} (ceiling {ceiling:.0f}s)")
-        deletions, wall, local, fallbacks, channel_wall = route(
-            specs[name], channels=name == "X1P1"
+        deletions, wall, local, fallbacks, channel_wall, assign_wall = (
+            route(specs[name], channels=name == "X1P1")
         )
         ratio = local / max(1, local + fallbacks)
         print(
@@ -98,6 +110,18 @@ def main() -> int:
                 failures.append(
                     f"{name}: route_channels took {channel_ratio:.3f} of "
                     f"the route wall (max {MAX_CHANNEL_RATIO:.2f})"
+                )
+            assign_ratio = assign_wall / wall
+            print(
+                f"{name:6s} assignment {assign_wall:6.2f}s  "
+                f"= {assign_ratio:.3f} of route (max "
+                f"{MAX_ASSIGNMENT_RATIO:.2f})"
+            )
+            if assign_ratio > MAX_ASSIGNMENT_RATIO:
+                failures.append(
+                    f"{name}: feedthrough assignment took "
+                    f"{assign_ratio:.3f} of the route wall (max "
+                    f"{MAX_ASSIGNMENT_RATIO:.2f})"
                 )
         if name == "X2P1" and ratio < REQUIRED_LOCAL_RATIO:
             failures.append(

@@ -664,24 +664,24 @@ def _read_trace_or_none(path: Path):
 
 
 def _cmd_trace(args) -> int:
-    if args.trace_command == "summarize":
-        return _cmd_trace_summarize(args)
-    if args.trace_command == "explain":
-        return _cmd_trace_explain(args)
-    if args.trace_command == "heatmap":
-        return _cmd_trace_heatmap(args)
-    if args.trace_command == "tail":
-        try:
-            return _cmd_trace_tail(args)
-        except BrokenPipeError:
-            # Downstream reader closed the pipe (`trace tail ... | head`)
-            # — a normal way to stop tailing.  Point stdout at devnull so
-            # the interpreter's shutdown flush doesn't complain.
-            import os
+    commands = {
+        "summarize": _cmd_trace_summarize,
+        "explain": _cmd_trace_explain,
+        "heatmap": _cmd_trace_heatmap,
+        "tail": _cmd_trace_tail,
+    }
+    try:
+        code = commands[args.trace_command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (`trace summarize ... | head`), a
+        # normal way to stop reading.  Point stdout at devnull so the
+        # interpreter's shutdown flush doesn't complain.
+        import os
 
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 0
-    raise AssertionError("unreachable")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 def _cmd_trace_tail(args) -> int:

@@ -195,6 +195,7 @@ class GlobalRouter:
         self._m_key_evals = self.metrics.counter("router.key_evals")
         self._m_reroutes = self.metrics.counter("router.reroutes")
         self._m_reverted = self.metrics.counter("router.reroutes_reverted")
+        self._m_reroutes_noop = self.metrics.counter("router.reroutes_noop")
         self._m_timing = self.metrics.counter("router.timing_analyses")
         self._m_tree_evals = self.metrics.counter("router.tree_evals")
         self._m_tree_fastpath = self.metrics.counter(
@@ -826,7 +827,9 @@ class GlobalRouter:
 
         When ``config.revert_worse_reroutes`` is set, the phase metric is
         compared before/after and a worse route is rolled back.  Returns
-        whether the new route was kept.
+        whether the new route was kept.  A reroute that provably changes
+        nothing (:meth:`_reroute_is_noop`) stops after the slot search
+        and counts as kept.
         """
         state = self.states[net_name]
         if state.is_follower:
@@ -840,14 +843,22 @@ class GlobalRouter:
             if partner_state is not None and partner_state is not state:
                 members.append(partner_state)
 
+        slot_snapshot = self._capture_slots(members)
+        if self.config.reassign_slots_on_reroute:
+            self._try_reassign_slots(members, slot_snapshot)
+        if self._reroute_is_noop(members, slot_snapshot):
+            self.reroutes += 1
+            self._m_reroutes.inc()
+            self._m_reroutes_noop.inc()
+            self._note_reroute(state, mode, kept=True)
+            return True
+
+        # The slot search reads none of what the metric reads (timings,
+        # density, alive lengths), so the metric may follow it.
         before_metric = self._phase_metric(mode)
         snapshot = [
             (m, m.graph, m.tree, m.cl_pf) for m in members
         ]
-        slot_snapshot = self._capture_slots(members)
-        if self.config.reassign_slots_on_reroute:
-            self._try_reassign_slots(members, slot_snapshot)
-
         for member in members:
             self._unregister_density(member)
             member.graph = self._instrument_graph(
@@ -923,6 +934,29 @@ class GlobalRouter:
                 kept=kept,
                 phase=self._current_phase,
             )
+
+    def _reroute_is_noop(
+        self,
+        members: Sequence[_NetState],
+        slot_snapshot: Dict[str, Dict[int, object]],
+    ) -> bool:
+        """Whether rerouting ``members`` provably changes nothing.
+
+        True when every member still holds its snapshotted slots and
+        its graph is a tree that has lost no edge since it was built.
+        Then ``build_routing_graph`` on the same placement and slots
+        returns an equal graph whose only tree is the current one: the
+        density churn cancels, the tree, ``cl_pf`` and the timings come
+        back the same, the pair correspondence is re-established as it
+        is, and the deletion loop finds no candidate.
+        """
+        slots = self.assignment.slots
+        return all(
+            slots.get(member.net.name, {}) == slot_snapshot[member.net.name]
+            and member.graph.as_built
+            and member.graph.is_tree
+            for member in members
+        )
 
     def _capture_slots(
         self, members: Sequence[_NetState]
@@ -1107,7 +1141,7 @@ class GlobalRouter:
         yields the route's edges, its channel attachments and the tree
         its Elmore segments are built from on read."""
         graph = state.graph
-        if not all(compress(graph.essential, graph.alive)):
+        if not graph.is_tree:
             raise RoutingGraphError(
                 f"net {graph.net.name}: routing graph is not a tree yet"
             )

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import FeedthroughError, NetlistError
+from ..errors import FeedthroughError
 from ..netlist.circuit import Cell, Circuit, Net
 from .feedthrough import (
     FeedthroughAssignment,
@@ -88,7 +88,10 @@ class FeedCellInserter:
         )
 
         second_planner = FeedthroughPlanner(
-            self.circuit, self.placement, strict_flags=True
+            self.circuit,
+            self.placement,
+            strict_flags=True,
+            requests=planner.requests,
         )
         self._apply_flags(second_planner, flagged_cells)
         second = second_planner.assign_all(ordered_nets)
@@ -182,20 +185,25 @@ class FeedCellInserter:
         newly inserted multi-pitch groups.
         """
         flagged = list(preserved)
+        feed_type = self.circuit.library.feed_cell.name
+        wide_by_row: Dict[int, List[Tuple[int, int]]] = {}
+        for (row, width), count in sorted(shortfall.items()):
+            if width >= 2:
+                wide_by_row.setdefault(row, []).append((width, count))
         for row in range(self.placement.n_rows):
             blocks: List[Tuple[int, List[Cell]]] = []  # (width-flag, cells)
-            for (r, width), count in sorted(shortfall.items()):
-                if r != row or width < 2:
-                    continue
+            for width, count in wide_by_row.get(row, ()):
                 for _ in range(count):
-                    blocks.append((width, self._new_feed_cells(width)))
+                    blocks.append(
+                        (width, self._new_feed_cells(width, feed_type))
+                    )
             singles = (
                 shortfall.get((row, 1), 0)
                 + widening
                 - per_row_cost[row]
             )
             for _ in range(singles):
-                blocks.append((1, self._new_feed_cells(1)))
+                blocks.append((1, self._new_feed_cells(1, feed_type)))
             if not blocks:
                 continue
             report.groups_per_row[row] = [
@@ -209,17 +217,16 @@ class FeedCellInserter:
                     flagged.append((row, [c.name for c in cells], width))
         return flagged
 
-    def _new_feed_cells(self, count: int) -> List[Cell]:
+    def _new_feed_cells(self, count: int, feed_type: str) -> List[Cell]:
+        """``count`` new cells of ``feed_type`` under the next free
+        ``__feed_<n>`` names."""
         cells = []
-        feed_type = self.circuit.library.feed_cell.name
         for _ in range(count):
             while True:
                 name = f"__feed_{self._feed_counter}"
                 self._feed_counter += 1
-                try:
-                    self.circuit.cell(name)
-                except NetlistError:
-                    break  # name is free
+                if not self.circuit.has_cell(name):
+                    break
             cells.append(self.circuit.add_cell(name, feed_type))
         return cells
 
@@ -254,8 +261,12 @@ class FeedCellInserter:
         n_blocks = len(blocks)
         placements: List[Tuple[int, List[Cell]]] = []
         for i, (_, cells) in enumerate(blocks):
-            ideal = round((i + 1) * row_len / (n_blocks + 1))
-            index = self._nearest_allowed_index(ideal, row_len, protected)
+            # Always within [0, row_len]: (i + 1) / (n_blocks + 1) < 1.
+            index = round((i + 1) * row_len / (n_blocks + 1))
+            if protected:
+                index = self._nearest_allowed_index(
+                    index, row_len, protected
+                )
             placements.append((index, cells))
         placements.sort(key=lambda p: p[0], reverse=True)
         self.placement.insert_cell_blocks(row, placements)

@@ -22,10 +22,9 @@ net order.  Width handling follows the paper:
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import FeedthroughError
 from ..netlist.circuit import Circuit, Net
@@ -84,15 +83,10 @@ class RowSlots:
             c: None for c in self.columns
         }
         self.flagged_groups: List[FlaggedGroup] = []
-        # Array mirror of the single-pitch free set (unflagged AND
-        # unoccupied), kept in lock-step by every mutator: turns the
-        # per-call column scan + keyed min of single-pitch find_group
-        # into two vector ops over the row.
-        self._cols_arr = np.asarray(self.columns, dtype=np.int64)
-        self._col_index: Dict[int, int] = {
-            c: i for i, c in enumerate(self.columns)
-        }
-        self._free_unflagged = np.ones(len(self.columns), dtype=bool)
+        # The single-pitch free set (unflagged AND unoccupied columns),
+        # ascending.  Every mutator keeps it in step, so a single-pitch
+        # search bisects it instead of scanning the row.
+        self._free: List[int] = list(self.columns)
         # net name -> columns it occupies here; lets release() touch
         # exactly the net's slots instead of scanning the whole row.
         self._net_columns: Dict[str, List[int]] = {}
@@ -104,20 +98,10 @@ class RowSlots:
             raise FeedthroughError(
                 f"row {self.row}: slot column {column} already exists"
             )
-        self.columns.append(column)
-        self.columns.sort()
+        insort(self.columns, column)
         self.flag[column] = None
         self.occupant[column] = None
-        self._cols_arr = np.asarray(self.columns, dtype=np.int64)
-        self._col_index = {c: i for i, c in enumerate(self.columns)}
-        self._free_unflagged = np.fromiter(
-            (
-                self.flag[c] is None and self.occupant[c] is None
-                for c in self.columns
-            ),
-            dtype=bool,
-            count=len(self.columns),
-        )
+        insort(self._free, column)
 
     def flag_group(self, start: int, width: int) -> None:
         """Reserve columns ``[start, start+width)`` for width-pitch nets."""
@@ -132,7 +116,8 @@ class RowSlots:
                     f"row {self.row}: slot {column} already flagged"
                 )
             self.flag[column] = width
-            self._free_unflagged[self._col_index[column]] = False
+            if self.occupant[column] is None:
+                self._unfree(column)
         self.flagged_groups.append(group)
         self.flagged_groups.sort(key=lambda g: g.start)
 
@@ -150,17 +135,21 @@ class RowSlots:
         before insertion has run (``strict_flags=False``) they may take any
         run of ``width`` adjacent unflagged free slots.
 
-        Returns the leftmost column of the chosen group, or ``None``.
+        Returns the leftmost column of the chosen group, or ``None``;
+        a tie in distance goes to the smaller column.
         """
         if width == 1:
-            free = self._cols_arr[self._free_unflagged]
-            if free.size == 0:
-                return None
-            # Same float64 association as the keyed min below
-            # (``(start + half) - x_target``), so the winner is the
-            # scalar scan's winner; ties break to the smallest column.
-            d = np.abs((free + (width - 1) / 2.0) - x_target)
-            return int(free[d == d.min()].min())
+            free = self._free
+            i = bisect_left(free, x_target)
+            if i == 0:
+                return free[0] if free else None
+            left = free[i - 1]
+            if i == len(free):
+                return left
+            # free[i - 1] < x_target <= free[i]: only these two can be
+            # nearest, and the right one must be strictly nearer to win.
+            right = free[i]
+            return right if right - x_target < x_target - left else left
         candidates: List[int] = [
             g.start
             for g in self.flagged_groups
@@ -184,20 +173,18 @@ class RowSlots:
     def _unflagged_runs(self, width: int) -> List[int]:
         """Left columns of all free unflagged runs of the given width."""
         starts: List[int] = []
-        run: List[int] = []
-        for column in self.columns:
-            usable = (
-                self.flag[column] is None and self.occupant[column] is None
-            )
-            if not usable:
-                run = []
-                continue
-            if run and column != run[-1] + 1:
-                run = []
-            run.append(column)
-            if len(run) >= width:
-                starts.append(run[-width])
+        run = previous = 0
+        for column in self._free:
+            run = run + 1 if column == previous + 1 else 1
+            previous = column
+            if run >= width:
+                starts.append(column - width + 1)
         return starts
+
+    def _unfree(self, column: int) -> None:
+        """Drop a column from the single-pitch free set."""
+        free = self._free
+        del free[bisect_left(free, column)]
 
     # ------------------------------------------------------------------
     def occupy(self, start: int, width: int, net: Net) -> None:
@@ -212,7 +199,8 @@ class RowSlots:
                     f"{self.occupant[column]}"
                 )
             self.occupant[column] = net.name
-            self._free_unflagged[self._col_index[column]] = False
+            if self.flag[column] is None:
+                self._unfree(column)
             self._net_columns.setdefault(net.name, []).append(column)
 
     def release(self, net_name: str) -> None:
@@ -220,14 +208,13 @@ class RowSlots:
             if self.occupant[column] == net_name:
                 self.occupant[column] = None
                 if self.flag[column] is None:
-                    self._free_unflagged[self._col_index[column]] = True
+                    insort(self._free, column)
 
     def release_all(self) -> None:
         for column in self.occupant:
             self.occupant[column] = None
         self._net_columns.clear()
-        for column, flag in self.flag.items():
-            self._free_unflagged[self._col_index[column]] = flag is None
+        self._free = [c for c in self.columns if self.flag[c] is None]
 
     def __repr__(self) -> str:
         return (
@@ -260,25 +247,38 @@ class FeedthroughAssignment:
 
 
 class FeedthroughPlanner:
-    """Builds per-row slot state from a placement and runs assignment."""
+    """Builds per-row slot state from a placement and runs assignment.
+
+    ``requests`` is a net-name -> slot-request table to share with an
+    earlier planner over the same rows: crossing rows depend only on
+    which row each pin sits in, and feed-cell insertion moves columns,
+    never rows, so both Section 4.3 passes and every reroute read one
+    table.
+    """
 
     def __init__(
         self,
         circuit: Circuit,
         placement: Placement,
         strict_flags: bool = False,
+        requests: Optional[Dict[str, List[SlotRequest]]] = None,
     ):
         self.circuit = circuit
         self.placement = placement
         self.strict_flags = strict_flags
         self.rows: List[RowSlots] = self._build_rows()
+        self.requests: Dict[str, List[SlotRequest]] = (
+            {} if requests is None else requests
+        )
+        # net name -> centre column.  The rows above snapshot the
+        # placement's columns, so a centre is read once per planner.
+        self._centres: Dict[str, int] = {}
 
     def _build_rows(self) -> List[RowSlots]:
-        rows = []
-        for r in range(self.placement.n_rows):
-            columns = [pc.x for pc in self.placement.feed_cells_in_row(r)]
-            rows.append(RowSlots(r, columns))
-        return rows
+        return [
+            RowSlots(r, self.placement.feed_columns(r))
+            for r in range(self.placement.n_rows)
+        ]
 
     # ------------------------------------------------------------------
     # Requests
@@ -292,7 +292,14 @@ class FeedthroughPlanner:
 
     def requests_for(self, net: Net) -> List[SlotRequest]:
         """Pair-level slot requests for ``net`` (empty for the trailing
-        net of a differential pair — the lead net requests for both)."""
+        net of a differential pair — the lead net requests for both).
+        Derived once per net; the returned list is shared."""
+        requests = self.requests.get(net.name)
+        if requests is None:
+            requests = self.requests[net.name] = self._derive_requests(net)
+        return requests
+
+    def _derive_requests(self, net: Net) -> List[SlotRequest]:
         if net.is_differential and not _is_pair_lead(net):
             return []
         width = self.corridor_width(net)
@@ -314,8 +321,15 @@ class FeedthroughPlanner:
         rows prefer the previously chosen x so multi-row feedthroughs
         stack vertically."""
         failures: List[SlotRequest] = []
-        target = self.placement.net_center_column(net)
-        for request in self.requests_for(net):
+        requests = self.requests_for(net)
+        if not requests:
+            return failures
+        target = self._centres.get(net.name)
+        if target is None:
+            target = self._centres[net.name] = (
+                self.placement.net_center_column(net)
+            )
+        for request in requests:
             row_slots = self.rows[request.row]
             start = row_slots.find_group(
                 target, request.width, self.strict_flags

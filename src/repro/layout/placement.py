@@ -166,7 +166,7 @@ class Placement:
     def net_center_column(self, net: Net) -> int:
         """Median column of a net's pins — the paper's feedthrough search
         starts "from the center of the x coordinates of the terminals"."""
-        columns = sorted(self.pin_position(p)[0] for p in net.pins)
+        columns = sorted(self.pin_access(p)[0] for p in net.pins)
         return columns[len(columns) // 2]
 
     def net_crossing_rows(self, net: Net) -> List[int]:
@@ -175,12 +175,12 @@ class Placement:
         crossing; rows where the net has no terminal need a feedthrough."""
         lows, highs = [], []
         for pin in net.pins:
-            channels = self.pin_adjacent_channels(pin)
-            lows.append(min(channels))
-            highs.append(max(channels))
+            channels = self.pin_adjacent_channels(pin)  # ascending
+            lows.append(channels[0])
+            highs.append(channels[-1])
         lo_reach = min(highs)   # every channel <= some pin's top access
         hi_reach = max(lows)
-        return [r for r in range(self.n_rows) if lo_reach <= r < hi_reach]
+        return list(range(max(lo_reach, 0), min(hi_reach, self.n_rows)))
 
     def net_feedthrough_rows(self, net: Net) -> List[int]:
         """Crossing rows with no net terminal — these need a feedthrough."""
@@ -312,6 +312,14 @@ class Placement:
         self._check_row(row)
         return [
             self.placed(cell) for cell in self.rows[row] if cell.is_feed
+        ]
+
+    def feed_columns(self, row: int) -> List[int]:
+        """Columns of one row's feed cells, left to right."""
+        self._check_row(row)
+        position = self._position
+        return [
+            position[cell.name][1] for cell in self.rows[row] if cell.is_feed
         ]
 
     def _check_row(self, row: int) -> None:

@@ -324,6 +324,9 @@ class Circuit:
         except KeyError:
             raise NetlistError(f"no cell named {name!r}") from None
 
+    def has_cell(self, name: str) -> bool:
+        return name in self._cells
+
     def net(self, name: str) -> Net:
         try:
             return self._nets[name]

@@ -53,6 +53,7 @@ from __future__ import annotations
 import enum
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import (
     Callable,
     ContextManager,
@@ -255,6 +256,11 @@ class RoutingGraph:
         # Initial cleanup: prune fragments that can never serve the net
         # (e.g. the unused side of a single-point channel) and classify.
         self._reclassify_full()
+        # True until the alive set first changes after construction:
+        # cleared by delete() and by any reclassify that changes it.
+        # With an unchanged placement and slots, a rebuild of an
+        # as-built graph returns an equal graph.
+        self.as_built = True
 
     # ------------------------------------------------------------------
     def _check_initial(self) -> None:
@@ -382,9 +388,7 @@ class RoutingGraph:
     @property
     def is_tree(self) -> bool:
         """Whether deletion has converged (every alive edge essential)."""
-        return all(
-            self.essential[e.index] for e in self.alive_edges()
-        )
+        return all(compress(self.essential, self.alive))
 
     def terminals_connected(self) -> bool:
         """Whether every terminal vertex is reachable from the driver."""
@@ -421,6 +425,7 @@ class RoutingGraph:
             raise RoutingGraphError(
                 f"edge {edge_id} is essential and cannot be deleted"
             )
+        self.as_built = False
         if self._stranded:
             # The decomposition cannot vouch for the graph: the full
             # pass (strip, fresh Tarjan, prune).
@@ -912,6 +917,7 @@ class RoutingGraph:
             self._csr_lists = None
             self._alive_length = None
             self._alive_mirror = alive[:]
+            self.as_built = False
         return pruned, newly_essential
 
     # ------------------------------------------------------------------

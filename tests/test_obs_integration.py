@@ -2,10 +2,15 @@
 runner, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from conftest import build_chain_circuit, route_chain
 from repro import (
     GlobalRouter,
@@ -251,6 +256,71 @@ class TestCliTrace:
         code = main(["trace", "summarize", str(tmp_path / "nope.jsonl")])
         assert code == 2  # unusable input
         assert "cannot read trace" in capsys.readouterr().err
+
+
+class TestCliTracePipe:
+    """``trace <command> | head``: a reader that stops early is a normal
+    way to stop reading, so the command exits 0 without a traceback."""
+
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("pipe")
+        netlist, placement = out / "c.rnl", out / "c.rpl"
+        trace = out / "run.jsonl"
+        assert main([
+            "generate", "cli_pipe", "--gates", "30", "--flops", "5",
+            "--inputs", "4", "--outputs", "3",
+            "--out", str(netlist), "--placement-out", str(placement),
+        ]) == 0
+        assert main([
+            "route", str(netlist), "--placement", str(placement),
+            "--constraints", "2", "--trace", str(trace),
+            "--decisions", "all",
+        ]) == 0
+        return trace
+
+    @staticmethod
+    def _command(*argv):
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        return [sys.executable, "-m", "repro.cli", *argv], env
+
+    def test_summarize_into_a_reader_that_stops_after_one_line(self, trace):
+        argv, env = self._command("trace", "summarize", str(trace))
+        with subprocess.Popen(
+            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as child:
+            assert child.stdout.readline().startswith(b"run: circuit")
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            assert child.wait(timeout=60) == 0
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["summarize"], ["explain", "--deletion", "0"], ["heatmap"]],
+        ids=lambda command: command[0],
+    )
+    def test_a_closed_reader_ends_quietly(self, trace, command):
+        """The reader is gone before the first write, so every write
+        fails."""
+        argv, env = self._command(
+            "trace", command[0], str(trace), *command[1:]
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                argv, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert child.returncode == 0
+        assert "Traceback" not in child.stderr.decode()
 
 
 class TestPhaseTree:
