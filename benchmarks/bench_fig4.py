@@ -45,7 +45,7 @@ def test_fig4_density_parameters(benchmark, s1_spec):
                 continue
             if edge.channel != channel:
                 continue
-            params = engine.edge_params(edge)
+            params = engine.edge_params(edge.coverage)
             assert params.d_max <= stats.c_max
             assert params.nd_max <= stats.nc_max
             assert params.d_min <= stats.c_min

@@ -11,7 +11,11 @@ channel router), not checking output: X1P1's output is pinned by
 ``MAX_CHANNEL_RATIO`` of that route's wall (a ratio, so that it holds
 across machines); so may its feedthrough assignment
 (``route/setup/assignment`` in the route's phase profile), at most
-``MAX_ASSIGNMENT_RATIO``.  X2P1 must route within ``X2_CEILING_S`` with local
+``MAX_ASSIGNMENT_RATIO``, and its routing-graph build
+(``route/setup/graphs``), at most ``MAX_GRAPHS_RATIO``.  The process's
+peak RSS after X1P1's route and channel routing, before X2P1 starts,
+may be at most ``MAX_X1_PEAK_RSS_MB``.  X2P1 must route within
+``X2_CEILING_S`` with local
 bridge recomputes answering at least ``REQUIRED_LOCAL_RATIO`` of its
 reclassifications.  Exits non-zero on any miss::
 
@@ -27,6 +31,7 @@ from repro.bench.circuits import make_dataset, scale_suite
 from repro.channelrouter import route_channels
 from repro.core import GlobalRouter, RouterConfig
 from repro.obs import PhaseProfiler
+from repro.obs.profile import peak_rss_mb
 
 # Ceilings sit far above a normal route on a shared CI runner (X1P1
 # routes in 15-30 s on a 2-vCPU Xeon), so they catch quadratic
@@ -45,12 +50,20 @@ MAX_CHANNEL_RATIO = 0.15
 # per search, with every pass and reroute re-deriving its crossing
 # rows, took 0.25.
 MAX_ASSIGNMENT_RATIO = 0.20
+# Each net's routing graph is a fixed set of columns over one static
+# CSR: X1P1's graph build takes about 0.10 of its route wall.  One
+# object per vertex, edge and column span, rescanned by every full
+# collection, took 0.17-0.21.
+MAX_GRAPHS_RATIO = 0.14
+# X1P1's route and channel routing peak at about 253 MB with the column
+# store; with one object per vertex and edge they peaked at 287-298 MB.
+MAX_X1_PEAK_RSS_MB = 270.0
 
 
 def route(spec, channels=False):
     """Route one design, and channel-route its result if ``channels``;
     returns (deletions, wall_s, local, fallbacks, channel_wall_s,
-    assignment_wall_s)."""
+    assignment_wall_s, graphs_wall_s)."""
     dataset = make_dataset(spec)
     config = RouterConfig()
     profiler = PhaseProfiler()
@@ -77,6 +90,7 @@ def route(spec, channels=False):
         int(flat.get("graph.bridge_full_fallbacks", 0)),
         channel_wall,
         profiler.wall_s("route", "setup", "assignment"),
+        profiler.wall_s("route", "setup", "graphs"),
     )
 
 
@@ -85,9 +99,10 @@ def main() -> int:
     failures = []
     for name, ceiling in (("X1P1", X1_CEILING_S), ("X2P1", X2_CEILING_S)):
         print(f"scale-tier smoke: {name} (ceiling {ceiling:.0f}s)")
-        deletions, wall, local, fallbacks, channel_wall, assign_wall = (
-            route(specs[name], channels=name == "X1P1")
-        )
+        (
+            deletions, wall, local, fallbacks, channel_wall, assign_wall,
+            graphs_wall,
+        ) = route(specs[name], channels=name == "X1P1")
         ratio = local / max(1, local + fallbacks)
         print(
             f"{name:6s} dels {deletions:5d}  wall {wall:6.2f}s  "
@@ -123,6 +138,29 @@ def main() -> int:
                     f"{assign_ratio:.3f} of the route wall (max "
                     f"{MAX_ASSIGNMENT_RATIO:.2f})"
                 )
+            graphs_ratio = graphs_wall / wall
+            print(
+                f"{name:6s} graphs {graphs_wall:6.2f}s  "
+                f"= {graphs_ratio:.3f} of route (max "
+                f"{MAX_GRAPHS_RATIO:.2f})"
+            )
+            if graphs_ratio > MAX_GRAPHS_RATIO:
+                failures.append(
+                    f"{name}: the routing-graph build took "
+                    f"{graphs_ratio:.3f} of the route wall (max "
+                    f"{MAX_GRAPHS_RATIO:.2f})"
+                )
+            rss = peak_rss_mb()
+            if rss is not None:
+                print(
+                    f"{name:6s} peak RSS {rss:6.1f} MB (max "
+                    f"{MAX_X1_PEAK_RSS_MB:.0f})"
+                )
+                if rss > MAX_X1_PEAK_RSS_MB:
+                    failures.append(
+                        f"{name}: peak RSS {rss:.1f} MB exceeds "
+                        f"{MAX_X1_PEAK_RSS_MB:.0f} MB"
+                    )
         if name == "X2P1" and ratio < REQUIRED_LOCAL_RATIO:
             failures.append(
                 f"{name}: local recomputes cover only {ratio:.1%} of "

@@ -86,5 +86,5 @@ def profile_from_engine(
         d_min=d_min,
         stats=engine.channel_stats(channel),
     )
-    params = engine.edge_params(edge) if edge is not None else None
+    params = engine.edge_params(edge.coverage) if edge is not None else None
     return profile, params

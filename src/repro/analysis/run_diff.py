@@ -12,7 +12,8 @@ threshold becomes a *failure* (the CLI exits 1):
   absolute terms — a gated field missing from either side is an input
   error naming the field and the file (the CLI exits 2);
 * report-only: ``area_mm2``, ``deletions`` and per-phase wall times
-  (wall clocks differ between machines).
+  (wall clocks differ between machines), each beside the phase's
+  cyclic-GC time where either side records one.
 
 A sweep diff runs the row diff once per job id and prefixes each line
 with it; a job that finished in OLD but failed or is absent in NEW is a
@@ -257,20 +258,18 @@ def _diff_row(
                       None)
 
 
-def _phase_walls(results: Dict[str, Any]) -> Dict[str, float]:
-    """Flattened ``phase.path -> wall_s`` from ``results["phases"]``."""
-    walls: Dict[str, float] = {}
+def _phase_nodes(results: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+    """Flattened ``phase.path -> node`` from ``results["phases"]``."""
+    nodes: Dict[str, Dict[str, Any]] = {}
 
     def walk(tree: Dict[str, Any], prefix: str) -> None:
         for name, node in tree.items():
             path = f"{prefix}{name}"
-            wall = node.get("wall_s")
-            if wall is not None:
-                walls[path] = float(wall)
+            nodes[path] = node
             walk(node.get("children", {}), path + ".")
 
     walk(results.get("phases", {}) or {}, "")
-    return walls
+    return nodes
 
 
 def diff_manifests(
@@ -291,13 +290,21 @@ def diff_manifests(
              "results", "metrics"),
         thresholds,
     )
-    old_walls = _phase_walls(old_results)
-    new_walls = _phase_walls(new_results)
-    for path in sorted(set(old_walls) & set(new_walls)):
-        _gate_pct(
-            diff, f"phase.{path}.wall_s",
-            old_walls[path], new_walls[path], None,
-        )
+    old_nodes = _phase_nodes(old_results)
+    new_nodes = _phase_nodes(new_results)
+    for path in sorted(set(old_nodes) & set(new_nodes)):
+        old_node, new_node = old_nodes[path], new_nodes[path]
+        if "wall_s" in old_node and "wall_s" in new_node:
+            _gate_pct(
+                diff, f"phase.{path}.wall_s",
+                old_node["wall_s"], new_node["wall_s"], None,
+            )
+        # A profile records gc_s only for a phase some collection hit.
+        if "gc_s" in old_node or "gc_s" in new_node:
+            _gate_pct(
+                diff, f"phase.{path}.gc_s",
+                old_node.get("gc_s", 0.0), new_node.get("gc_s", 0.0), None,
+            )
     return diff
 
 

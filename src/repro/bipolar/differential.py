@@ -21,9 +21,10 @@ routing the two nets independently and reports it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
-from ..routegraph.graph import EdgeKind, RoutingGraph, RouteVertex, VertexKind
+from ..routegraph.graph import EdgeKind, RoutingGraph, VertexKind
 
 
 @dataclass
@@ -60,37 +61,42 @@ def establish_correspondence(
 
     vertex_map: Dict[int, int] = {}
     for lead_vertex, partner_vertex in zip(lead_order, partner_order):
-        if lead_vertex.kind is not partner_vertex.kind:
+        if (
+            lead.vertex_kind[lead_vertex]
+            is not partner.vertex_kind[partner_vertex]
+        ):
             return None
-        if lead_vertex.channel != partner_vertex.channel:
+        if (
+            lead.vertex_channel[lead_vertex]
+            != partner.vertex_channel[partner_vertex]
+        ):
             return None
-        vertex_map[lead_vertex.index] = partner_vertex.index
+        vertex_map[lead_vertex] = partner_vertex
     if vertex_map.get(lead.driver_vertex) != partner.driver_vertex:
         return None
 
     partner_edge_index: Dict[Tuple[EdgeKind, int, int], int] = {}
-    for edge in partner.edges:
-        if not partner.alive[edge.index]:
-            continue
-        key = (edge.kind, *sorted((edge.u, edge.v)))
+    for edge_id in partner.alive_edge_ids():
+        u, v = partner.edge_u[edge_id], partner.edge_v[edge_id]
+        key = (partner.edge_kind[edge_id], *sorted((u, v)))
         if key in partner_edge_index:
             return None  # parallel edges — ambiguous correspondence
-        partner_edge_index[key] = edge.index
+        partner_edge_index[key] = edge_id
 
     edge_map: Dict[int, int] = {}
-    alive_lead = [e for e in lead.edges if lead.alive[e.index]]
+    alive_lead = list(lead.alive_edge_ids())
     if len(alive_lead) != len(partner_edge_index):
         return None
-    for edge in alive_lead:
-        u = vertex_map.get(edge.u)
-        v = vertex_map.get(edge.v)
+    for edge_id in alive_lead:
+        u = vertex_map.get(lead.edge_u[edge_id])
+        v = vertex_map.get(lead.edge_v[edge_id])
         if u is None or v is None:
             return None
-        key = (edge.kind, *sorted((u, v)))
+        key = (lead.edge_kind[edge_id], *sorted((u, v)))
         partner_edge = partner_edge_index.get(key)
         if partner_edge is None:
             return None
-        edge_map[edge.index] = partner_edge
+        edge_map[edge_id] = partner_edge
 
     return PairCorrespondence(
         lead_net=lead.net.name,
@@ -100,19 +106,22 @@ def establish_correspondence(
     )
 
 
-def _structural_order(graph: RoutingGraph) -> Optional[List[RouteVertex]]:
-    """Alive vertices sorted by structural role.
+def _structural_order(graph: RoutingGraph) -> Optional[List[int]]:
+    """Alive vertex ids sorted by structural role.
 
     Position vertices sort by ``(channel, x)``; terminal vertices by the
     geometry of their anchor.  Two alive vertices with identical sort keys
     make the order ambiguous — the graph cannot be matched reliably, so
     ``None`` is returned.
     """
-    alive = [
-        v for v in graph.vertices if graph.vertex_alive[v.index]
-    ]
+    alive = list(compress(range(len(graph.vertex_alive)), graph.vertex_alive))
     keys = [
-        (v.kind is VertexKind.TERMINAL, v.channel, v.x) for v in alive
+        (
+            graph.vertex_kind[v] is VertexKind.TERMINAL,
+            graph.vertex_channel[v],
+            graph.vertex_x[v],
+        )
+        for v in alive
     ]
     if len(set(keys)) != len(keys):
         return None

@@ -54,6 +54,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..routegraph.graph import EdgeKind
 from .criteria import evaluate_delay_criteria_batch
 from .density import ChannelStats, coverage_columns
 from .selection import SelectionMode
@@ -62,6 +63,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..routegraph.graph import DeletionResult
     from ..timing.sta import ConstraintTiming
     from .router import GlobalRouter, _NetState
+
+_TRUNK = EdgeKind.TRUNK
 
 Handle = Tuple[str, int]
 """A candidate's identity: ``(net_name, edge_id)``."""
@@ -143,20 +146,21 @@ class CandidateEngine:
         self._row_of: Dict[str, Dict[int, int]] = {}
         for state in states:
             graph = state.graph
+            lengths = graph.edge_length
             net_rank = rank[state.net.name]
             is_sensitive = timing_driven and state.context.constrained
             row_of = self._row_of.setdefault(state.net.name, {})
             for edge_id in graph.deletable_edges():
-                edge = graph.edges[edge_id]
-                c_lo, c_hi = coverage_columns(edge)
+                coverage = graph.coverage(edge_id)
+                c_lo, c_hi = coverage_columns(coverage)
                 row_of[edge_id] = len(edge_ids)
                 row_state.append(state)
                 edge_ids.append(edge_id)
-                channels.append(edge.channel)
+                channels.append(coverage[1])
                 lo.append(c_lo)
                 hi.append(c_hi)
-                trunks.append(0 if edge.is_trunk else 1)
-                neglen.append(-edge.length_um)
+                trunks.append(0 if coverage[0] is _TRUNK else 1)
+                neglen.append(-lengths[edge_id])
                 ranks.append(net_rank)
                 sensitive.append(is_sensitive)
 

@@ -43,7 +43,9 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import RoutingError
-from ..routegraph.graph import EdgeKind, RouteEdge
+from ..routegraph.graph import Coverage, EdgeKind
+
+_TRUNK = EdgeKind.TRUNK
 
 
 @dataclass(frozen=True)
@@ -66,16 +68,19 @@ class EdgeDensityParams:
     nd_min: int
 
 
-def coverage_columns(edge: RouteEdge) -> Tuple[int, int]:
+def coverage_columns(coverage: Coverage) -> Tuple[int, int]:
     """Inclusive column range an edge covers for density purposes.
 
-    Trunks use the half-open convention (``hi`` is exclusive); zero-span
-    trunks are clamped to cover their single column ``lo`` — see the
-    module docstring for why that is the chosen convention.
+    ``coverage`` is the edge's ``(kind, channel, lo, hi)``
+    (``RoutingGraph.coverage``, ``RouteEdge.coverage``).  Trunks use
+    the half-open convention (``hi`` is exclusive); zero-span trunks
+    are clamped to cover their single column ``lo`` — see the module
+    docstring for why that is the chosen convention.
     """
-    if edge.kind is EdgeKind.TRUNK:
-        return edge.interval.lo, max(edge.interval.lo, edge.interval.hi - 1)
-    return edge.interval.lo, edge.interval.lo
+    kind, _, lo, hi = coverage
+    if kind is _TRUNK:
+        return lo, max(lo, hi - 1)
+    return lo, lo
 
 
 #: Column cap above which :meth:`DensityEngine.snapshot` downsamples the
@@ -107,10 +112,12 @@ def downsample_columns(
 class DensityEngine:
     """Incremental ``d_M``/``d_m`` maps with change notification.
 
-    Listeners registered through :meth:`subscribe` are called with
-    ``(channel, lo, hi)`` — the inclusive column span whose profile just
-    changed — after every update.  The incremental candidate engine uses
-    the span to re-key only the candidates whose coverage window it
+    Every update and query takes an edge's coverage ``(kind, channel,
+    lo, hi)`` (:data:`~repro.routegraph.graph.Coverage`), never an edge
+    object.  Listeners registered through :meth:`subscribe` are called
+    with ``(channel, lo, hi)`` — the inclusive column span whose profile
+    just changed — after every update.  The incremental candidate engine
+    uses the span to re-key only the candidates whose coverage window it
     overlaps, unless the channel's stats moved too.
     """
 
@@ -138,15 +145,15 @@ class DensityEngine:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def add_edge(self, edge: RouteEdge, weight: int = 1) -> None:
+    def add_edge(self, coverage: Coverage, weight: int = 1) -> None:
         """Count a newly alive trunk edge in ``d_M`` (no-op otherwise)."""
-        self._apply(edge, weight, self.d_max)
+        self._apply(coverage, weight, self.d_max)
 
-    def remove_edge(self, edge: RouteEdge, weight: int = 1) -> None:
+    def remove_edge(self, coverage: Coverage, weight: int = 1) -> None:
         """Remove a no-longer-alive trunk edge from ``d_M``."""
-        self._apply(edge, -weight, self.d_max)
+        self._apply(coverage, -weight, self.d_max)
 
-    def add_bridge(self, edge: RouteEdge, weight: int = 1) -> None:
+    def add_bridge(self, coverage: Coverage, weight: int = 1) -> None:
         """Count a newly essential trunk edge in ``d_m``.
 
         Fed from ``DeletionResult.newly_essential`` after each deletion.
@@ -155,18 +162,18 @@ class DensityEngine:
         essential edges, and ``_apply`` is a commutative per-column add,
         so the ``d_m`` profile is independent of reporting order.
         """
-        self._apply(edge, weight, self.d_min)
+        self._apply(coverage, weight, self.d_min)
 
-    def remove_bridge(self, edge: RouteEdge, weight: int = 1) -> None:
+    def remove_bridge(self, coverage: Coverage, weight: int = 1) -> None:
         """Remove an essential trunk edge from ``d_m`` (rip-up only)."""
-        self._apply(edge, -weight, self.d_min)
+        self._apply(coverage, -weight, self.d_min)
 
     def add_bulk(
-        self, entries: Iterable[Tuple[RouteEdge, int, bool]]
+        self, entries: Iterable[Tuple[Coverage, int, bool]]
     ) -> None:
         """Count many edges at once: the router's setup registration.
 
-        Each ``(edge, weight, essential)`` entry, with ``weight >= 0``,
+        Each ``(coverage, weight, essential)`` entry, with ``weight >= 0``,
         does what :meth:`add_edge` and, when ``essential``,
         :meth:`add_bridge` would do — same profiles, same ``updates``
         count, same bounds checks — but each profile takes one
@@ -178,19 +185,19 @@ class DensityEngine:
         """
         if self._listeners:
             raise RoutingError("add_bulk runs before any listener subscribes")
-        trunks: List[RouteEdge] = []
+        trunks: List[Coverage] = []
         channels: List[int] = []
         los: List[int] = []
         his: List[int] = []
         weights: List[int] = []
         flags: List[bool] = []
-        for edge, weight, essential in entries:
-            if edge.kind is EdgeKind.TRUNK and weight:
-                lo, hi = coverage_columns(edge)
-                trunks.append(edge)
-                channels.append(edge.channel)
+        for coverage, weight, essential in entries:
+            kind, channel, lo, hi = coverage
+            if kind is _TRUNK and weight:
+                trunks.append(coverage)
+                channels.append(channel)
                 los.append(lo)
-                his.append(hi)
+                his.append(max(lo, hi - 1))
                 weights.append(weight)
                 flags.append(essential)
         if not trunks:
@@ -208,9 +215,9 @@ class DensityEngine:
         )
         if bad.any():
             # The first offending entry fails exactly as it would alone.
-            edge = trunks[int(bad.argmax())]
-            self._check_channel(edge.channel)
-            self._checked_coverage(edge)
+            coverage = trunks[int(bad.argmax())]
+            self._check_channel(coverage[1])
+            self._checked_coverage(coverage)
         stride = self.width_columns + 1
         starts = channel * stride + lo
         ends = channel * stride + hi + 1
@@ -232,13 +239,13 @@ class DensityEngine:
             self._stats_cache.pop(c, None)
 
     def _apply(
-        self, edge: RouteEdge, delta: int, maps: List[np.ndarray]
+        self, coverage: Coverage, delta: int, maps: List[np.ndarray]
     ) -> None:
-        if edge.kind is not EdgeKind.TRUNK or delta == 0:
+        if coverage[0] is not _TRUNK or delta == 0:
             return
-        channel = edge.channel
+        channel = coverage[1]
         self._check_channel(channel)
-        lo, hi = self._checked_coverage(edge)
+        lo, hi = self._checked_coverage(coverage)
         window = maps[channel][lo : hi + 1]
         # Validate *before* mutating: the delta is uniform over the
         # window, so the post-update minimum is exactly
@@ -258,18 +265,18 @@ class DensityEngine:
             for listener in self._listeners:
                 listener(channel, lo, hi)
 
-    def _checked_coverage(self, edge: RouteEdge) -> Tuple[int, int]:
-        """Coverage columns of ``edge``, bounds-checked against the chip.
+    def _checked_coverage(self, coverage: Coverage) -> Tuple[int, int]:
+        """Coverage columns of an edge, bounds-checked against the chip.
 
         Both the profile updates and the per-edge parameter queries go
         through here, so an out-of-range edge fails identically on both
         paths instead of being counted by one and silently clamped by the
         other.
         """
-        lo, hi = coverage_columns(edge)
+        lo, hi = coverage_columns(coverage)
         if lo < 0 or hi >= self.width_columns:
             raise RoutingError(
-                f"{edge.kind.value} edge covers columns {lo}..{hi} beyond "
+                f"{coverage[0].value} edge covers columns {lo}..{hi} beyond "
                 f"chip width {self.width_columns}"
             )
         return lo, hi
@@ -307,16 +314,16 @@ class DensityEngine:
         self._stats_cache[channel] = stats
         return stats
 
-    def edge_params(self, edge: RouteEdge) -> EdgeDensityParams:
+    def edge_params(self, coverage: Coverage) -> EdgeDensityParams:
         """``D_M, ND_M, D_m, ND_m`` of an edge over its coverage.
 
         ``ND_M`` counts covered columns sitting at the channel's ``C_M``
         (and likewise ``ND_m`` at ``C_m``), matching Fig. 4.
         """
-        channel = edge.channel
+        channel = coverage[1]
         self._check_channel(channel)
         stats = self.channel_stats(channel)
-        lo, hi = self._checked_coverage(edge)
+        lo, hi = self._checked_coverage(coverage)
         window_max = self.d_max[channel][lo : hi + 1]
         window_min = self.d_min[channel][lo : hi + 1]
         return EdgeDensityParams(

@@ -160,12 +160,15 @@ def _congested_nets(router: "GlobalRouter") -> List[str]:
         if state.is_follower:
             continue
         coverage = 0
-        for edge in state.graph.alive_edges():
-            if edge.kind is not EdgeKind.TRUNK or edge.channel != channel:
+        graph = state.graph
+        for edge_id in graph.alive_edge_ids():
+            edge_coverage = graph.coverage(edge_id)
+            kind, edge_channel, _, _ = edge_coverage
+            if kind is not EdgeKind.TRUNK or edge_channel != channel:
                 continue
             # Same coverage convention as DensityEngine: a zero-span
             # trunk (lo == hi) still occupies its lo column.
-            lo, hi = coverage_columns(edge)
+            lo, hi = coverage_columns(edge_coverage)
             coverage += sum(
                 1 for column in peak_columns if lo <= column <= hi
             )

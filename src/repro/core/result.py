@@ -10,7 +10,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..geometry import Interval
 from ..layout.floorplan import Floorplan
-from ..routegraph.graph import EdgeKind, RouteEdge, RouteVertex, VertexKind
+from ..netlist.circuit import NetPin
+from ..routegraph.graph import EdgeKind, VertexKind
 from ..timing.delay_model import WireSegment
 from ..timing.sta import WireCaps
 
@@ -48,11 +49,17 @@ class RoutedEdge(NamedTuple):
 
 class ConvergedTree(NamedTuple):
     """A net's converged routing tree, as :class:`NetRoute` keeps it to
-    build the Elmore segments on read: the routing graph's vertices,
-    its alive edges in ascending index order, and the driver vertex."""
+    build the Elmore segments on read: the routing graph's vertex kind
+    and pin columns and its edge endpoint and length columns (shared,
+    not copied), the tree's edge ids in ascending order, and the driver
+    vertex."""
 
-    vertices: Sequence[RouteVertex]
-    edges: Sequence[RouteEdge]
+    vertex_kind: Sequence[VertexKind]
+    vertex_pin: Sequence[Optional[NetPin]]
+    edge_u: Sequence[int]
+    edge_v: Sequence[int]
+    edge_length: Sequence[float]
+    edge_ids: Sequence[int]
     driver: int
 
 
@@ -123,11 +130,13 @@ def elmore_tree(
     driver over an index-based queue, visiting each vertex's edges in
     ascending edge index — the routing graph's CSR neighbour order.
     """
-    neighbours: Dict[int, List[RouteEdge]] = {}
-    for edge in tree.edges:
-        neighbours.setdefault(edge.u, []).append(edge)
-        neighbours.setdefault(edge.v, []).append(edge)
-    vertices = tree.vertices
+    edge_u = tree.edge_u
+    edge_v = tree.edge_v
+    vertex_kind = tree.vertex_kind
+    neighbours: Dict[int, List[int]] = {}
+    for edge_id in tree.edge_ids:
+        neighbours.setdefault(edge_u[edge_id], []).append(edge_id)
+        neighbours.setdefault(edge_v[edge_id], []).append(edge_id)
     driver = tree.driver
     segments: List[WireSegment] = []
     sink_names: List[str] = []
@@ -138,19 +147,22 @@ def elmore_tree(
         vertex = queue[head]
         head += 1
         parent_segment = segment_of_vertex[vertex]
-        for edge in neighbours.get(vertex, ()):
-            other = edge.v if edge.u == vertex else edge.u
+        for edge_id in neighbours.get(vertex, ()):
+            u = edge_u[edge_id]
+            other = edge_v[edge_id] if u == vertex else u
             if other in segment_of_vertex:
                 continue
-            other_vertex = vertices[other]
             sink_index = -1
-            if other_vertex.kind is VertexKind.TERMINAL and other != driver:
+            if vertex_kind[other] is VertexKind.TERMINAL and other != driver:
                 sink_index = len(sink_names)
-                sink_names.append(other_vertex.pin.full_name)
+                sink_names.append(tree.vertex_pin[other].full_name)
             segment_of_vertex[other] = len(segments)
             segments.append(
                 WireSegment(
-                    parent_segment, edge.length_um, width_pitches, sink_index
+                    parent_segment,
+                    tree.edge_length[edge_id],
+                    width_pitches,
+                    sink_index,
                 )
             )
             queue.append(other)

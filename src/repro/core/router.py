@@ -33,7 +33,6 @@ it always did.
 from __future__ import annotations
 
 from functools import partial
-from itertools import compress
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +43,7 @@ from ..bipolar.differential import (
 )
 from ..bipolar.multipitch import density_weight
 from ..errors import RoutingError, RoutingGraphError
+from ..geometry import Interval
 from ..layout.feedcell import FeedCellInserter, InsertionReport
 from ..layout.feedthrough import FeedthroughAssignment, FeedthroughPlanner
 from ..layout.floorplan import Floorplan, assign_external_pins
@@ -59,7 +59,7 @@ from ..obs.events import TRACE_SCHEMA_VERSION, TraceSink, Tracer
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import HeartbeatEmitter, PhaseProfiler
 from ..routegraph.build import build_routing_graph
-from ..routegraph.graph import EdgeKind, RouteEdge, RoutingGraph
+from ..routegraph.graph import EdgeKind, RoutingGraph, VertexKind
 from ..routegraph.tentative_tree import TentativeTree
 from ..routegraph.tree_engine import TreeEngine
 from ..timing.constraint import (
@@ -88,6 +88,11 @@ from .result import (
     RoutedEdge,
 )
 from .selection import SelectionMode, winning_criterion
+
+_TRUNK = EdgeKind.TRUNK
+_BRANCH = EdgeKind.BRANCH
+_CORRESPONDENCE = EdgeKind.CORRESPONDENCE
+_TERMINAL = VertexKind.TERMINAL
 
 
 class _NetState:
@@ -222,6 +227,14 @@ class GlobalRouter:
         )
         self._m_graph_frontier = self.metrics.counter(
             "graph.prune_frontier_vertices"
+        )
+        # One scope factory each for every graph's reclassifications and
+        # every net's tree evaluations.
+        self._reclassify_timer = partial(
+            self.profiler.phase, "reclassify", "graph.reclassify_s"
+        )
+        self._tree_eval_timer = partial(
+            self.profiler.phase, "tree_eval", "router.tree_eval_s"
         )
         # Decision explainability: the candidate engine records the
         # outcome of each select() here (when tracing), and the deletion
@@ -425,9 +438,7 @@ class GlobalRouter:
             local_recomputes=self._m_graph_local,
             full_fallbacks=self._m_graph_fallbacks,
             frontier_vertices=self._m_graph_frontier,
-            timer=partial(
-                self.profiler.phase, "reclassify", "graph.reclassify_s"
-            ),
+            timer=self._reclassify_timer,
         )
         return graph
 
@@ -469,16 +480,19 @@ class GlobalRouter:
             self.placement.n_channels, max(1, self.placement.width_columns)
         )
         self.heartbeat.peak_density_fn = self.engine.total_peak
+        def entries():
+            for state in self.states.values():
+                graph = state.graph
+                weight = density_weight(state.net)
+                for edge_id in graph.alive_edge_ids():
+                    yield (
+                        graph.coverage(edge_id),
+                        weight,
+                        graph.essential[edge_id],
+                    )
+
         # One bulk call for what _register_density adds net by net.
-        self.engine.add_bulk(
-            (
-                edge,
-                density_weight(state.net),
-                state.graph.essential[edge.index],
-            )
-            for state in self.states.values()
-            for edge in state.graph.alive_edges()
-        )
+        self.engine.add_bulk(entries())
         for state in self.states.values():
             self._refresh_tree(state)
         self._timing_dirty = True
@@ -488,17 +502,21 @@ class GlobalRouter:
     # ==================================================================
     def _register_density(self, state: _NetState) -> None:
         weight = density_weight(state.net)
-        for edge in state.graph.alive_edges():
-            self.engine.add_edge(edge, weight)
-            if state.graph.essential[edge.index]:
-                self.engine.add_bridge(edge, weight)
+        graph = state.graph
+        for edge_id in graph.alive_edge_ids():
+            coverage = graph.coverage(edge_id)
+            self.engine.add_edge(coverage, weight)
+            if graph.essential[edge_id]:
+                self.engine.add_bridge(coverage, weight)
 
     def _unregister_density(self, state: _NetState) -> None:
         weight = density_weight(state.net)
-        for edge in state.graph.alive_edges():
-            self.engine.remove_edge(edge, weight)
-            if state.graph.essential[edge.index]:
-                self.engine.remove_bridge(edge, weight)
+        graph = state.graph
+        for edge_id in graph.alive_edge_ids():
+            coverage = graph.coverage(edge_id)
+            self.engine.remove_edge(coverage, weight)
+            if graph.essential[edge_id]:
+                self.engine.remove_bridge(coverage, weight)
 
     def _snapshot_density(self, label: str) -> None:
         """Emit the full ``d_M``/``d_m`` profiles at a phase boundary."""
@@ -526,9 +544,7 @@ class GlobalRouter:
             dijkstra_runs=self._m_tree_dijkstra,
             dijkstra_repeats=self._m_tree_repeats,
             traversals=self._m_tree_traversals,
-            timer=partial(
-                self.profiler.phase, "tree_eval", "router.tree_eval_s"
-            ),
+            timer=self._tree_eval_timer,
         )
         state.cl_if_deleted.clear()
 
@@ -744,7 +760,7 @@ class GlobalRouter:
     def _delete_edge(self, state: _NetState, edge_id: int) -> None:
         """Delete one edge plus its differential mirror; update caches."""
         if self.tracer.enabled:
-            edge = state.graph.edges[edge_id]
+            graph = state.graph
             decision = self._last_decision
             criterion, depth = ("unknown", -1)
             if decision is not None:
@@ -753,9 +769,9 @@ class GlobalRouter:
                 "edge_deleted",
                 net=state.net.name,
                 edge=edge_id,
-                channel=edge.channel,
-                edge_kind=edge.kind.value,
-                length_um=round(edge.length_um, 3),
+                channel=graph.edge_channel[edge_id],
+                edge_kind=graph.edge_kind[edge_id].value,
+                length_um=round(graph.edge_length[edge_id], 3),
                 criterion=criterion,
                 depth=depth,
                 phase=self._current_phase,
@@ -768,7 +784,7 @@ class GlobalRouter:
                     "deletion_decision",
                     net=state.net.name,
                     edge=edge_id,
-                    channel=edge.channel,
+                    channel=graph.edge_channel[edge_id],
                     phase=self._current_phase,
                     deletion_index=self.deletions,
                     **decision_payload(decision),
@@ -783,11 +799,12 @@ class GlobalRouter:
 
     def _apply_deletion(self, state: _NetState, edge_id: int) -> None:
         weight = density_weight(state.net)
-        result = state.graph.delete(edge_id)
+        graph = state.graph
+        result = graph.delete(edge_id)
         for removed in result.removed:
-            self.engine.remove_edge(state.graph.edges[removed], weight)
+            self.engine.remove_edge(graph.coverage(removed), weight)
         for essential in result.newly_essential:
-            self.engine.add_bridge(state.graph.edges[essential], weight)
+            self.engine.add_bridge(graph.coverage(essential), weight)
         self._refresh_tree(state, removed=result.removed)
         for engine in self._candidate_engines:
             engine.on_deletion(state, result)
@@ -1087,9 +1104,12 @@ class GlobalRouter:
         per-net trees."""
         routes: Dict[str, NetRoute] = {}
         total_length = 0.0
+        # Intervals are immutable values: every route shares one per
+        # span, keyed ``lo << 32 | hi`` (columns are non-negative).
+        intervals: Dict[int, Interval] = {}
         for name in sorted(self.states):
             state = self.states[name]
-            route = self._net_route(state)
+            route = self._net_route(state, intervals)
             routes[name] = route
             total_length += route.total_length_um
 
@@ -1135,39 +1155,58 @@ class GlobalRouter:
             chip_widened_columns=self.insertion_report.widening_columns,
         )
 
-    def _net_route(self, state: _NetState) -> NetRoute:
+    def _net_route(
+        self, state: _NetState, intervals: Dict[int, Interval]
+    ) -> NetRoute:
         """The route of one converged net.  The tree check (every alive
-        edge essential) runs once, then one walk over the alive edges
-        yields the route's edges, its channel attachments and the tree
-        its Elmore segments are built from on read."""
+        edge essential) runs once, then one walk over the alive edges'
+        columns yields the route's edges, its channel attachments and
+        the tree its Elmore segments are built from on read.  Spans
+        come from (and go into) ``intervals``."""
         graph = state.graph
         if not graph.is_tree:
             raise RoutingGraphError(
                 f"net {graph.net.name}: routing graph is not a tree yet"
             )
-        vertices = graph.vertices
-        tree_edges = list(compress(graph.edges, graph.alive))
+        vertex_kind = graph.vertex_kind
+        vertex_channel = graph.vertex_channel
+        vertex_x = graph.vertex_x
+        vertex_pin = graph.vertex_pin
+        edge_kind = graph.edge_kind
+        edge_u = graph.edge_u
+        edge_v = graph.edge_v
+        edge_channel = graph.edge_channel
+        edge_lo = graph.edge_lo
+        edge_hi = graph.edge_hi
+        edge_length = graph.edge_length
+        tree_edges = list(graph.alive_edge_ids())
         edges: List[RoutedEdge] = []
         attachments: List[ChannelAttachment] = []
-        for edge in tree_edges:
-            kind = edge.kind
+        for edge_id in tree_edges:
+            kind = edge_kind[edge_id]
+            channel = edge_channel[edge_id]
+            lo = edge_lo[edge_id]
+            hi = edge_hi[edge_id]
+            interval = intervals.get(lo << 32 | hi)
+            if interval is None:
+                interval = intervals[lo << 32 | hi] = Interval(lo, hi)
             edges.append(
-                RoutedEdge(kind, edge.channel, edge.interval, edge.length_um)
+                RoutedEdge(kind, channel, interval, edge_length[edge_id])
             )
-            if kind is EdgeKind.CORRESPONDENCE:
-                terminal = vertices[edge.u]
-                position = vertices[edge.v]
-                if not terminal.is_terminal:
+            if kind is _CORRESPONDENCE:
+                terminal = edge_u[edge_id]
+                position = edge_v[edge_id]
+                if vertex_kind[terminal] is not _TERMINAL:
                     terminal, position = position, terminal
-                channel = position.channel
-                if isinstance(terminal.pin, Terminal):
+                channel = vertex_channel[position]
+                if isinstance(vertex_pin[terminal], Terminal):
                     # Row r touches channel r from above and channel
-                    # r+1 from below; terminal.channel stores the pin's
-                    # lower access channel, which equals its row index
-                    # for cell terminals.
+                    # r+1 from below; the terminal vertex's channel is
+                    # the pin's lower access channel, which equals its
+                    # row index for cell terminals.
                     side = (
                         AttachSide.TOP
-                        if channel == terminal.channel
+                        if channel == vertex_channel[terminal]
                         else AttachSide.BOTTOM
                     )
                 else:
@@ -1175,17 +1214,14 @@ class GlobalRouter:
                         AttachSide.BOTTOM if channel == 0 else AttachSide.TOP
                     )
                 attachments.append(
-                    ChannelAttachment(channel, position.x, side)
+                    ChannelAttachment(channel, vertex_x[position], side)
                 )
-            elif kind is EdgeKind.BRANCH:
-                column = edge.interval.lo
+            elif kind is _BRANCH:
                 attachments.append(
-                    ChannelAttachment(edge.channel, column, AttachSide.TOP)
+                    ChannelAttachment(channel, lo, AttachSide.TOP)
                 )
                 attachments.append(
-                    ChannelAttachment(
-                        edge.channel + 1, column, AttachSide.BOTTOM
-                    )
+                    ChannelAttachment(channel + 1, lo, AttachSide.BOTTOM)
                 )
         return NetRoute(
             net_name=state.net.name,
@@ -1194,5 +1230,13 @@ class GlobalRouter:
             attachments=attachments,
             total_length_um=graph.total_alive_length_um(),
             wire_cap_pf=state.cl_pf,
-            tree=ConvergedTree(vertices, tree_edges, graph.driver_vertex),
+            tree=ConvergedTree(
+                vertex_kind,
+                vertex_pin,
+                edge_u,
+                edge_v,
+                edge_length,
+                tree_edges,
+                graph.driver_vertex,
+            ),
         )

@@ -95,29 +95,32 @@ class _NetGeometry:
     __slots__ = ("lengths", "xs", "weight", "spans", "window", "rows",
                  "trunks")
 
-    def __init__(self, graph, weight: int, n_channels: int, width: int):
-        self.lengths: List[float] = [edge.length_um for edge in graph.edges]
-        self.xs: List[int] = [vertex.x for vertex in graph.vertices]
+    def __init__(
+        self, graph: RoutingGraph, weight: int, n_channels: int, width: int
+    ):
+        self.lengths: List[float] = list(graph.edge_length)
+        self.xs: Sequence[int] = graph.vertex_x
         self.weight = weight
         self.spans: List[Optional[Tuple[int, int]]] = [None] * len(
-            graph.edges
+            graph.edge_kind
         )
         by_channel: Dict[int, List[Tuple[int, int, int]]] = {}
-        for edge in graph.edges:
-            if edge.kind is not EdgeKind.TRUNK:
+        for index, kind in enumerate(graph.edge_kind):
+            if kind is not EdgeKind.TRUNK:
                 continue
-            channel = edge.channel
+            coverage = graph.coverage(index)
+            channel = coverage[1]
             if not 0 <= channel < n_channels:
                 raise RoutingError(f"channel {channel} out of range")
-            lo, hi = coverage_columns(edge)
+            lo, hi = coverage_columns(coverage)
             if lo < 0 or hi >= width:
                 raise RoutingError(
-                    f"{edge.kind.value} edge covers columns {lo}..{hi} "
+                    f"{kind.value} edge covers columns {lo}..{hi} "
                     f"beyond chip width {width}"
                 )
             base = channel * width
-            self.spans[edge.index] = (base + lo, base + hi + 1)
-            by_channel.setdefault(channel, []).append((edge.index, lo, hi))
+            self.spans[index] = (base + lo, base + hi + 1)
+            by_channel.setdefault(channel, []).append((index, lo, hi))
         window: List[int] = []
         rows: List[int] = []
         self.trunks: List[Tuple[int, int, int]] = []
@@ -535,10 +538,12 @@ class NegotiatedEngine(RoutingEngine):
                 return (target_xs[0] - x) * pitch
             return min(target_xs[i] - x, x - target_xs[i - 1]) * pitch
 
-        # The list mirror, not the numpy arrays: this A* relaxes edges
-        # one at a time in Python, where list indexing avoids numpy
-        # scalar boxing on every neighbour visit.
-        indptr, nbr_vertex, nbr_edge, _ = graph.csr_lists()
+        # The static CSR, skipping dead edges' slots: the alive
+        # neighbours in ascending edge order.
+        indptr = graph.indptr
+        nbr_edge = graph.nbr_edge
+        nbr_vertex = graph.nbr_vertex
+        alive = graph.alive
         n = len(xs)
         dist = [float("inf")] * n
         h = [-1.0] * n  # -1: not evaluated yet in this search
@@ -566,12 +571,15 @@ class NegotiatedEngine(RoutingEngine):
                 path.reverse()
                 return path
             for slot in range(indptr[vertex], indptr[vertex + 1]):
+                edge_id = nbr_edge[slot]
+                if not alive[edge_id]:
+                    continue
                 other = nbr_vertex[slot]
-                ng = g + cost[nbr_edge[slot]]
+                ng = g + cost[edge_id]
                 if ng < dist[other]:
                     dist[other] = ng
                     parent_vertex[other] = vertex
-                    parent_edge[other] = nbr_edge[slot]
+                    parent_edge[other] = edge_id
                     hv = h[other]
                     if hv < 0.0:
                         h[other] = hv = heuristic(other)
@@ -618,17 +626,13 @@ class NegotiatedEngine(RoutingEngine):
             # Direct alive mutation bypasses the graph's incremental
             # bookkeeping on purpose: reclassify() detects the alive-set
             # change against its mirror and rebuilds the bridge
-            # decomposition from scratch — and when a net's negotiated
-            # tree already equals its alive set (nothing pruned above),
-            # the no-op reclassify keeps the CSR caches warm for the
-            # _refresh_tree below.
+            # decomposition from scratch.
             pruned, newly_essential = graph.reclassify()
             weight = density_weight(state.net)
-            edges = graph.edges
             for edge_id in killed + pruned:
-                engine.remove_edge(edges[edge_id], weight)
+                engine.remove_edge(graph.coverage(edge_id), weight)
             for edge_id in newly_essential:
-                engine.add_bridge(edges[edge_id], weight)
+                engine.add_bridge(graph.coverage(edge_id), weight)
             router._refresh_tree(state)
             if not graph.is_tree:
                 raise RoutingError(

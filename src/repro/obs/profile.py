@@ -28,22 +28,54 @@ registry and heartbeat emitter, either
 
 :meth:`PhaseProfiler.from_events` rebuilds the tree of phases from a
 trace, so ``trace summarize`` prints the table ``route --metrics`` does.
+
+Two more columns ride on the tree nodes, for ``to_dict()`` (manifests'
+``phases``, perfbench's traced profiles); the trace and :meth:`format`
+do not carry them:
+
+* **cyclic GC** — while any scope is open the profiler keeps one entry
+  in ``gc.callbacks``, and charges each collection to the innermost
+  scope open when it starts, as ``gc_s`` (its wall time) and
+  ``gc_collections``;
+* **peak RSS** — each phase exit reads the process's ``ru_maxrss``
+  once (per-call scopes never do) and keeps the maximum over the
+  phase's activations as ``peak_rss_mb``: the high-water mark of the
+  process by the time the phase last ended.
 """
 
 from __future__ import annotations
 
+import gc
+import sys
 import time
 from typing import Any, Dict, Iterable, List, Optional
 
 from .events import TraceEvent
 from .metrics import MetricsRegistry
 
+try:
+    import resource
+except ImportError:  # pragma: no cover - not on this platform
+    resource = None  # type: ignore[assignment]
+
+#: ``ru_maxrss`` is in KiB on Linux and in bytes on macOS.
+_RSS_BYTES = 1 if sys.platform == "darwin" else 1024
+
+
+def peak_rss_mb() -> Optional[float]:
+    """The process's peak resident set so far, in MB (None where the
+    platform has no ``resource`` module)."""
+    if resource is None:
+        return None
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return maxrss * _RSS_BYTES / (1024 * 1024)
+
 
 class PhaseNode:
     """Accumulated timings of one phase (and its children)."""
 
     __slots__ = ("name", "parent", "depth", "wall_s", "cpu_s", "calls",
-                 "children")
+                 "gc_s", "gc_collections", "peak_rss_mb", "children")
 
     def __init__(self, name: str, parent: Optional["PhaseNode"] = None):
         self.name = name
@@ -52,6 +84,9 @@ class PhaseNode:
         self.wall_s = 0.0
         self.cpu_s = 0.0
         self.calls = 0
+        self.gc_s = 0.0
+        self.gc_collections = 0
+        self.peak_rss_mb: Optional[float] = None
         self.children: Dict[str, "PhaseNode"] = {}
 
     def child(self, name: str) -> "PhaseNode":
@@ -66,6 +101,11 @@ class PhaseNode:
             "cpu_s": round(self.cpu_s, 6),
             "calls": self.calls,
         }
+        if self.gc_collections:
+            payload["gc_s"] = round(self.gc_s, 6)
+            payload["gc_collections"] = self.gc_collections
+        if self.peak_rss_mb is not None:
+            payload["peak_rss_mb"] = round(self.peak_rss_mb, 1)
         if self.children:
             payload["children"] = {
                 name: node.to_dict()
@@ -89,6 +129,9 @@ class _Scope:
 
     def __enter__(self) -> "_Scope":
         profiler = self.profiler
+        if not profiler._open:
+            gc.callbacks.append(profiler._gc_hook)
+        profiler._open += 1
         node = profiler.current = profiler.current.child(self.name)
         tracer = profiler._tracer
         if tracer is not None and self.histogram is None:
@@ -110,13 +153,24 @@ class _Scope:
         node.cpu_s += cpu
         node.calls += 1
         profiler.current = node.parent
-        if self.histogram is not None:
-            profiler._metrics.histogram(self.histogram).record(wall)
-        elif profiler._tracer is not None:
-            profiler._tracer.emit(
-                "phase_end", phase=self.name, depth=node.depth,
-                wall_s=round(wall, 6), cpu_s=round(cpu, 6),
-            )
+        try:
+            if self.histogram is not None:
+                profiler._metrics.histogram(self.histogram).record(wall)
+                return
+            rss = peak_rss_mb()
+            if rss is not None and (
+                node.peak_rss_mb is None or rss > node.peak_rss_mb
+            ):
+                node.peak_rss_mb = rss
+            if profiler._tracer is not None:
+                profiler._tracer.emit(
+                    "phase_end", phase=self.name, depth=node.depth,
+                    wall_s=round(wall, 6), cpu_s=round(cpu, 6),
+                )
+        finally:
+            profiler._open -= 1
+            if not profiler._open:
+                gc.callbacks.remove(profiler._gc_hook)
 
 
 class PhaseProfiler:
@@ -126,8 +180,24 @@ class PhaseProfiler:
     def __init__(self):
         self.root = PhaseNode("")
         self.current = self.root
+        # Open scopes; ``_gc_hook`` sits in ``gc.callbacks`` while any is.
+        self._open = 0
+        self._gc_hook = self._on_gc
+        self._gc_node: Optional[PhaseNode] = None
+        self._gc_t0 = 0.0
         # Unbound: no trace, and histograms nobody reads.
         self.bind(None, MetricsRegistry())
+
+    def _on_gc(self, phase: str, info: Dict[str, Any]) -> None:
+        """``gc.callbacks`` entry: charge one collection's wall time to
+        the innermost scope open when it started."""
+        if phase == "start":
+            self._gc_node = self.current
+            self._gc_t0 = time.perf_counter()
+        elif self._gc_node is not None:
+            self._gc_node.gc_s += time.perf_counter() - self._gc_t0
+            self._gc_node.gc_collections += 1
+            self._gc_node = None
 
     def bind(self, tracer: Any, metrics: MetricsRegistry,
              heartbeat: Optional["HeartbeatEmitter"] = None) -> None:

@@ -17,10 +17,9 @@ reachable from two channels: closed loops appear wherever two pins share a
 pair of channels, and the edge-deletion process picks which channel each
 horizontal span actually uses.
 
-Construction makes one pass per net: one placement lookup per pin, the
-adjacency lists and the length column filled in as each edge is made,
-and one single-column :class:`Interval` per column shared by every
-correspondence and branch edge of the net standing on it.
+Construction makes one pass per net: one placement lookup per pin, one
+row per vertex and per edge, then one transposition of the rows into the
+graph's columns (see :mod:`repro.routegraph.graph`).
 """
 
 from __future__ import annotations
@@ -28,22 +27,17 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import RoutingGraphError
-from ..geometry import Interval
 from ..layout.feedthrough import AssignedSlot
 from ..layout.placement import Placement
 from ..netlist.circuit import Net
 from ..tech import Technology
-from .graph import EdgeKind, RouteEdge, RouteVertex, RoutingGraph, VertexKind
+from .graph import EdgeKind, RoutingGraph, VertexKind
 
 _TERMINAL = VertexKind.TERMINAL
 _POSITION = VertexKind.POSITION
 _CORRESPONDENCE = EdgeKind.CORRESPONDENCE
 _BRANCH = EdgeKind.BRANCH
 _TRUNK = EdgeKind.TRUNK
-# ``tuple.__new__(RouteEdge, fields)`` builds the same value as
-# ``RouteEdge(*fields)`` without the NamedTuple constructor's Python
-# frame; fields go in declaration order, ``pin`` included.
-_new = tuple.__new__
 
 
 def build_routing_graph(
@@ -64,31 +58,20 @@ def build_routing_graph(
     if len(net.pins) < 2:
         raise RoutingGraphError(f"net {net.name} has fewer than 2 pins")
 
-    vertices: List[RouteVertex] = []
-    edges: List[RouteEdge] = []
-    adjacency: List[List[int]] = []
-    lengths: List[float] = []
+    # One row per vertex ``(kind, channel, x, pin)`` and per edge
+    # ``(kind, u, v, channel, lo, hi, length)``, in id order.
+    vertices: List[tuple] = []
+    edges: List[tuple] = []
     position_index: Dict[Tuple[int, int], int] = {}
-    points: Dict[int, Interval] = {}
+    add_vertex = vertices.append
+    add_edge = edges.append
 
     def position_vertex(channel: int, x: int) -> int:
         index = position_index.get((channel, x))
         if index is None:
             index = position_index[channel, x] = len(vertices)
-            vertices.append(
-                _new(RouteVertex, (index, _POSITION, channel, x, None))
-            )
-            adjacency.append([])
+            add_vertex((_POSITION, channel, x, None))
         return index
-
-    def point(x: int) -> Interval:
-        interval = points.get(x)
-        if interval is None:
-            interval = points[x] = Interval(x, x)
-        return interval
-
-    # Each edge is appended to ``edges``, ``lengths`` and both endpoint
-    # adjacency lists as it is made, so edge ids ascend in every list.
 
     # --- terminal vertices and correspondence edges -------------------
     terminal_vertices: List[int] = []
@@ -97,28 +80,15 @@ def build_routing_graph(
     for pin in net.pins:
         column, channels = placement.pin_access(pin)
         term = len(vertices)
-        vertices.append(
-            _new(RouteVertex, (term, _TERMINAL, channels[0], column, pin))
-        )
-        term_edges: List[int] = []
-        adjacency.append(term_edges)
+        add_vertex((_TERMINAL, channels[0], column, pin))
         terminal_vertices.append(term)
         if pin is source:
             driver_vertex = term
-        interval = point(column)
         for channel in channels:
             pos = position_vertex(channel, column)
-            index = len(edges)
-            edges.append(
-                _new(
-                    RouteEdge,
-                    (index, _CORRESPONDENCE, term, pos, channel, interval,
-                     0.0),
-                )
+            add_edge(
+                (_CORRESPONDENCE, term, pos, channel, column, column, 0.0)
             )
-            lengths.append(0.0)
-            term_edges.append(index)
-            adjacency[pos].append(index)
 
     if driver_vertex is None:
         raise RoutingGraphError(f"net {net.name}: driver pin not found")
@@ -130,46 +100,25 @@ def build_routing_graph(
             raise RoutingGraphError(
                 f"net {net.name}: slot for {slot.net.name} passed in"
             )
-        below = position_vertex(row, slot.x)
-        above = position_vertex(row + 1, slot.x)
-        index = len(edges)
-        edges.append(
-            _new(
-                RouteEdge,
-                (index, _BRANCH, below, above, row, point(slot.x), row_height),
-            )
-        )
-        lengths.append(row_height)
-        adjacency[below].append(index)
-        adjacency[above].append(index)
+        x = slot.x
+        below = position_vertex(row, x)
+        above = position_vertex(row + 1, x)
+        add_edge((_BRANCH, below, above, row, x, x, row_height))
 
     # --- trunk edges ----------------------------------------------------
     # Positions are unique per (channel, column), so one sort of the keys
     # lists each channel's positions left to right.
     last_channel: Optional[int] = None
     left = left_x = 0
+    columns_to_um = technology.columns_to_um
     for (channel, x), pos in sorted(position_index.items()):
         if channel == last_channel:
-            index = len(edges)
-            length = technology.columns_to_um(x - left_x)
-            edges.append(
-                _new(
-                    RouteEdge,
-                    (index, _TRUNK, left, pos, channel, Interval(left_x, x),
-                     length),
-                )
+            add_edge(
+                (_TRUNK, left, pos, channel, left_x, x,
+                 columns_to_um(x - left_x))
             )
-            lengths.append(length)
-            adjacency[left].append(index)
-            adjacency[pos].append(index)
         last_channel, left, left_x = channel, pos, x
 
-    return RoutingGraph(
-        net,
-        vertices,
-        edges,
-        terminal_vertices,
-        driver_vertex,
-        adjacency=adjacency,
-        lengths=lengths,
+    return RoutingGraph.from_columns(
+        net, *zip(*vertices), *zip(*edges), terminal_vertices, driver_vertex
     )

@@ -28,6 +28,22 @@ The fixed point of deletion — every alive edge essential — is a tree
 spanning all terminal vertices whose leaves are terminals: exactly the
 paper's required interconnection wiring.
 
+**Storage is columnar.**  A graph holds one tuple per vertex field
+(kind, channel, column, pin) and per edge field (kind, endpoints,
+channel, column span, length, endpoint xor), plus one *static* CSR
+adjacency — ``indptr`` and the neighbour-edge, neighbour-vertex and
+neighbour-length slots, ascending edge id per vertex — built once with
+the columns and never rebuilt.  Every walk reads the CSR and skips the
+slots of dead edges, which visits exactly the alive neighbours, in
+exactly the ascending-edge order, that an adjacency rebuilt over the
+alive edges would list, so Dijkstra's ties and every stream come out as
+they did over that rebuilt adjacency.  A graph owns the same fixed set
+of containers whatever its size, so the cyclic GC scans a handful of
+objects per net, not one per vertex and edge.
+:attr:`RoutingGraph.vertices` and
+:attr:`RoutingGraph.edges` build :class:`RouteVertex`/:class:`RouteEdge`
+values on read for JSON, analysis and tests; no routing code reads them.
+
 Classification is maintained **incrementally**: alongside the alive sets
 the graph keeps its 2-edge-connected-component decomposition (the bridge
 forest rooted at the driver), so :meth:`RoutingGraph.delete` only
@@ -51,9 +67,11 @@ Tarjan, decomposition DFS), kept there as the reference.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence as _SequenceABC
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, compress
+from operator import xor
 from typing import (
     Callable,
     ContextManager,
@@ -66,8 +84,6 @@ from typing import (
     Set,
     Tuple,
 )
-
-import numpy as np
 
 from ..errors import RoutingGraphError
 from ..geometry import Interval
@@ -100,6 +116,11 @@ _NULL_COUNTER = _NullCounter()
 
 def _null_timer() -> ContextManager[None]:
     return nullcontext()
+
+
+Coverage = Tuple[EdgeKind, int, int, int]
+"""Where an edge shows up in the density profiles: ``(kind, channel,
+lo, hi)``, with ``[lo, hi]`` its column span."""
 
 
 class RouteVertex(NamedTuple):
@@ -152,6 +173,83 @@ class RouteEdge(NamedTuple):
     def is_trunk(self) -> bool:
         return self.kind is EdgeKind.TRUNK
 
+    @property
+    def coverage(self) -> Coverage:
+        """The edge's density coverage (see :data:`Coverage`)."""
+        return self.kind, self.channel, self.interval.lo, self.interval.hi
+
+
+class _Rows(_SequenceABC):
+    """A read-only sequence whose items ``row(index)`` builds on read;
+    equal to any sequence with equal items."""
+
+    __slots__ = ("_row", "_len")
+
+    def __init__(self, row: Callable[[int], tuple], length: int):
+        self._row = row
+        self._len = length
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(self._len)[index]]
+        return self._row(range(self._len)[index])
+
+    def __iter__(self) -> Iterator[tuple]:
+        return map(self._row, range(self._len))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _SequenceABC):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _static_csr(
+    n: int,
+    edge_u: Sequence[int],
+    edge_v: Sequence[int],
+    edge_length: Sequence[float],
+) -> Tuple[tuple, tuple, tuple, tuple]:
+    """``(indptr, nbr_edge, nbr_vertex, nbr_length)`` over every edge.
+
+    A counting sort by endpoint: filling the slots in edge-id order puts
+    each vertex's edges in ascending id order.
+    """
+    degree = [0] * n
+    for u in edge_u:
+        degree[u] += 1
+    for v in edge_v:
+        degree[v] += 1
+    indptr = [0, *accumulate(degree)]
+    fill = indptr[:-1]
+    size = indptr[-1]
+    nbr_edge = [0] * size
+    nbr_vertex = [0] * size
+    nbr_length = [0.0] * size
+    for edge_id, (u, v, length) in enumerate(
+        zip(edge_u, edge_v, edge_length)
+    ):
+        i = fill[u]
+        fill[u] = i + 1
+        nbr_edge[i] = edge_id
+        nbr_vertex[i] = v
+        nbr_length[i] = length
+        i = fill[v]
+        fill[v] = i + 1
+        nbr_edge[i] = edge_id
+        nbr_vertex[i] = u
+        nbr_length[i] = length
+    return tuple(indptr), tuple(nbr_edge), tuple(nbr_vertex), tuple(
+        nbr_length
+    )
+
 
 @dataclass
 class DeletionResult:
@@ -172,7 +270,30 @@ class DeletionResult:
 
 
 class RoutingGraph:
-    """Mutable routing graph of one net with live classification."""
+    """Mutable routing graph of one net with live classification.
+
+    Static columns (tuples, indexed by vertex or edge id): ``vertex_kind``,
+    ``vertex_channel``, ``vertex_x``, ``vertex_pin``; ``edge_kind``,
+    ``edge_u``, ``edge_v``, ``edge_channel``, ``edge_lo``, ``edge_hi``,
+    ``edge_length`` and ``edge_xor`` (``u ^ v``, so the far endpoint of
+    edge ``e`` seen from ``w`` is ``edge_xor[e] ^ w``).  The static CSR:
+    the slots of vertex ``v`` are ``indptr[v]:indptr[v + 1]`` of
+    ``nbr_edge``, ``nbr_vertex`` and ``nbr_length``.  Live state (lists):
+    ``alive``, ``essential`` and ``vertex_alive``.
+    """
+
+    __slots__ = (
+        "net", "terminal_vertices", "driver_vertex",
+        "vertex_kind", "vertex_channel", "vertex_x", "vertex_pin",
+        "edge_kind", "edge_u", "edge_v", "edge_channel", "edge_lo",
+        "edge_hi", "edge_length", "edge_xor",
+        "indptr", "nbr_edge", "nbr_vertex", "nbr_length",
+        "alive", "essential", "vertex_alive", "as_built",
+        "_alive_length", "_terminal_set", "_alive_mirror",
+        "_degree", "_comp", "_comp_size", "_comp_anchor", "_comp_entry",
+        "_hang_tcount", "_next_comp", "_stranded",
+        "_m_local", "_m_fallbacks", "_m_frontier", "_timer",
+    )
 
     def __init__(
         self,
@@ -181,44 +302,81 @@ class RoutingGraph:
         edges: Sequence[RouteEdge],
         terminal_vertices: Sequence[int],
         driver_vertex: int,
-        *,
-        adjacency: Optional[List[List[int]]] = None,
-        lengths: Optional[List[float]] = None,
     ):
-        """``adjacency`` (ascending edge ids per vertex) and ``lengths``
-        (``length_um`` per edge) may be passed in by the caller that made
-        the edges (:func:`build_routing_graph` fills both as it goes);
-        otherwise they are derived here."""
+        """A graph from explicit vertex and edge lists, each value's
+        ``index`` its position (hand-built graphs and the reference
+        construction; :func:`~repro.routegraph.build_routing_graph`
+        fills the columns directly through :meth:`from_columns`)."""
+        self._init(
+            net,
+            tuple(v.kind for v in vertices),
+            tuple(v.channel for v in vertices),
+            tuple(v.x for v in vertices),
+            tuple(v.pin for v in vertices),
+            tuple(e.kind for e in edges),
+            tuple(e.u for e in edges),
+            tuple(e.v for e in edges),
+            tuple(e.channel for e in edges),
+            tuple(e.interval.lo for e in edges),
+            tuple(e.interval.hi for e in edges),
+            tuple(e.length_um for e in edges),
+            terminal_vertices,
+            driver_vertex,
+        )
+
+    @classmethod
+    def from_columns(cls, net: Net, *columns) -> "RoutingGraph":
+        """A graph from its columns: ``vertex_kind, vertex_channel,
+        vertex_x, vertex_pin, edge_kind, edge_u, edge_v, edge_channel,
+        edge_lo, edge_hi, edge_length, terminal_vertices,
+        driver_vertex``."""
+        graph = cls.__new__(cls)
+        graph._init(net, *columns)
+        return graph
+
+    def _init(
+        self,
+        net: Net,
+        vertex_kind: Sequence[VertexKind],
+        vertex_channel: Sequence[int],
+        vertex_x: Sequence[int],
+        vertex_pin: Sequence[Optional[NetPin]],
+        edge_kind: Sequence[EdgeKind],
+        edge_u: Sequence[int],
+        edge_v: Sequence[int],
+        edge_channel: Sequence[int],
+        edge_lo: Sequence[int],
+        edge_hi: Sequence[int],
+        edge_length: Sequence[float],
+        terminal_vertices: Sequence[int],
+        driver_vertex: int,
+    ) -> None:
         self.net = net
-        self.vertices: List[RouteVertex] = list(vertices)
-        self.edges: List[RouteEdge] = list(edges)
+        self.vertex_kind = vertex_kind
+        self.vertex_channel = vertex_channel
+        self.vertex_x = vertex_x
+        self.vertex_pin = vertex_pin
+        self.edge_kind = edge_kind
+        self.edge_u = edge_u
+        self.edge_v = edge_v
+        self.edge_channel = edge_channel
+        self.edge_lo = edge_lo
+        self.edge_hi = edge_hi
+        self.edge_length = edge_length
+        self.edge_xor = tuple(map(xor, edge_u, edge_v))
+        n = len(vertex_x)
+        self.indptr, self.nbr_edge, self.nbr_vertex, self.nbr_length = (
+            _static_csr(n, edge_u, edge_v, edge_length)
+        )
         self.terminal_vertices: List[int] = list(terminal_vertices)
         self.driver_vertex = driver_vertex
-        self.alive: List[bool] = [True] * len(self.edges)
-        self.essential: List[bool] = [False] * len(self.edges)
-        self.vertex_alive: List[bool] = [True] * len(self.vertices)
-        if adjacency is None:
-            adjacency = [[] for _ in self.vertices]
-            for edge in self.edges:
-                adjacency[edge.u].append(edge.index)
-                adjacency[edge.v].append(edge.index)
-        self._adjacency: List[List[int]] = adjacency
-        self._csr: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = None
-        self._csr_lists: Optional[
-            Tuple[List[int], List[int], List[int], List[float]]
-        ] = None
+        self.alive: List[bool] = [True] * len(edge_u)
+        self.essential: List[bool] = [False] * len(edge_u)
+        self.vertex_alive: List[bool] = [True] * n
         self._alive_length: Optional[float] = None
         # Terminals never change after construction; every prune and
         # bridge search shares this one frozenset.
         self._terminal_set: frozenset = frozenset(self.terminal_vertices)
-        # Fixed-order length ledger: the per-edge lengths never change,
-        # so the alive sum is a masked fold over this array (see
-        # total_alive_length_um).
-        if lengths is None:
-            lengths = [e.length_um for e in self.edges]
-        self._lengths: np.ndarray = np.array(lengths, dtype=np.float64)
         # Alive flags as of the last reclassification — lets
         # reclassify() detect both its own pruning and direct external
         # mutation, and skip cache invalidation when nothing changed.
@@ -233,8 +391,8 @@ class RoutingGraph:
         #                     the driver's own component)
         #   _hang_tcount[v]   terminals hanging below v through bridges
         #                     whose near endpoint is v
-        self._degree: List[int] = [0] * len(self.vertices)
-        self._comp: List[int] = [-1] * len(self.vertices)
+        self._degree: List[int] = [0] * n
+        self._comp: List[int] = [-1] * n
         self._comp_size: Dict[int, int] = {}
         self._comp_anchor: Dict[int, int] = {}
         self._comp_entry: Dict[int, int] = {}
@@ -273,7 +431,7 @@ class RoutingGraph:
                 f"net {self.net.name}: duplicate terminal vertices"
             )
         for t in self.terminal_vertices:
-            if not self.vertices[t].is_terminal:
+            if self.vertex_kind[t] is not VertexKind.TERMINAL:
                 raise RoutingGraphError(
                     f"net {self.net.name}: vertex {t} is not terminal-kind"
                 )
@@ -304,86 +462,75 @@ class RoutingGraph:
             self._timer = timer
 
     # ------------------------------------------------------------------
-    # Queries
+    # Reads built on demand (JSON, analysis, tests)
     # ------------------------------------------------------------------
-    def neighbours(self, vertex: int) -> Iterator[Tuple[RouteEdge, int]]:
-        """Alive ``(edge, other-vertex)`` pairs around ``vertex``."""
-        for edge_id in self._adjacency[vertex]:
-            if self.alive[edge_id]:
-                edge = self.edges[edge_id]
-                yield edge, edge.other(vertex)
+    def _vertex_row(self, index: int) -> RouteVertex:
+        return RouteVertex(
+            index,
+            self.vertex_kind[index],
+            self.vertex_channel[index],
+            self.vertex_x[index],
+            self.vertex_pin[index],
+        )
+
+    def _edge_row(self, index: int) -> RouteEdge:
+        return RouteEdge(
+            index,
+            self.edge_kind[index],
+            self.edge_u[index],
+            self.edge_v[index],
+            self.edge_channel[index],
+            Interval(self.edge_lo[index], self.edge_hi[index]),
+            self.edge_length[index],
+        )
+
+    @property
+    def vertices(self) -> Sequence[RouteVertex]:
+        """The vertices as :class:`RouteVertex` values, built on read."""
+        return _Rows(self._vertex_row, len(self.vertex_x))
+
+    @property
+    def edges(self) -> Sequence[RouteEdge]:
+        """The edges as :class:`RouteEdge` values, built on read."""
+        return _Rows(self._edge_row, len(self.edge_u))
 
     def alive_edges(self) -> Iterator[RouteEdge]:
-        return (e for e in self.edges if self.alive[e.index])
+        return map(self._edge_row, self.alive_edge_ids())
+
+    def final_wiring(self) -> List[RouteEdge]:
+        """The alive edges once deletion has converged (checked)."""
+        if not self.is_tree:
+            raise RoutingGraphError(
+                f"net {self.net.name}: routing graph is not a tree yet"
+            )
+        return list(self.alive_edges())
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+    def alive_edge_ids(self) -> Iterator[int]:
+        """Alive edge ids, ascending."""
+        return compress(range(len(self.alive)), self.alive)
+
+    def coverage(self, edge_id: int) -> Coverage:
+        """Edge ``edge_id``'s density coverage (see :data:`Coverage`)."""
+        return (
+            self.edge_kind[edge_id],
+            self.edge_channel[edge_id],
+            self.edge_lo[edge_id],
+            self.edge_hi[edge_id],
+        )
 
     def deletable_edges(self) -> List[int]:
         """Edge ids that may legally be deleted (the net's share of the
         paper's ``N_b``)."""
         return [
-            e.index
-            for e in self.edges
-            if self.alive[e.index] and not self.essential[e.index]
-        ]
-
-    def degree(self, vertex: int) -> int:
-        return sum(1 for _ in self.neighbours(vertex))
-
-    def csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flat adjacency over the *alive* edges, CSR-style, as arrays.
-
-        Returns ``(indptr, nbr_vertex, nbr_edge, nbr_length)``:
-        ``indptr``/``nbr_vertex``/``nbr_edge`` are ``int32`` arrays and
-        ``nbr_length`` ``float64``; the alive neighbours of vertex ``v``
-        occupy slots ``indptr[v]:indptr[v + 1]`` of the three parallel
-        arrays.  Neighbour order matches :meth:`neighbours` (ascending
-        edge index per vertex), so graph walks over either
-        representation break ties identically.  The arrays are cached
-        and rebuilt lazily after a deletion or a reclassification that
-        actually changed the alive set — a no-op :meth:`reclassify`
-        keeps them, so the tree engine's CSR survives wholesale
-        re-checks of already-converged graphs.  Batch consumers
-        (vectorized density/criteria evaluation, the negotiated
-        engine's cost maps) index them directly, while scalar graph
-        walks use the :meth:`csr_lists` mirror.
-        """
-        if self._csr is None:
-            indptr, nbr_vertex, nbr_edge, nbr_length = self.csr_lists()
-            self._csr = (
-                np.asarray(indptr, dtype=np.int32),
-                np.asarray(nbr_vertex, dtype=np.int32),
-                np.asarray(nbr_edge, dtype=np.int32),
-                np.asarray(nbr_length, dtype=np.float64),
+            edge_id
+            for edge_id, (alive, essential) in enumerate(
+                zip(self.alive, self.essential)
             )
-        return self._csr
-
-    def csr_lists(
-        self,
-    ) -> Tuple[List[int], List[int], List[int], List[float]]:
-        """The same CSR adjacency as :meth:`csr`, as Python lists.
-
-        The tree engine's Dijkstra inner loop pops these with plain
-        ``int``/``float`` scalars (numpy scalar boxing would slow the
-        hot loop and leak ``np.float64`` into tree lengths); both
-        caches are built from one pass and invalidated together.
-        """
-        if self._csr_lists is None:
-            indptr: List[int] = [0]
-            nbr_vertex: List[int] = []
-            nbr_edge: List[int] = []
-            nbr_length: List[float] = []
-            alive = self.alive
-            edges = self.edges
-            for vertex in range(len(self.vertices)):
-                for edge_id in self._adjacency[vertex]:
-                    if alive[edge_id]:
-                        edge = edges[edge_id]
-                        other = edge.v if vertex == edge.u else edge.u
-                        nbr_vertex.append(other)
-                        nbr_edge.append(edge_id)
-                        nbr_length.append(edge.length_um)
-                indptr.append(len(nbr_vertex))
-            self._csr_lists = (indptr, nbr_vertex, nbr_edge, nbr_length)
-        return self._csr_lists
+            if alive and not essential
+        ]
 
     @property
     def is_tree(self) -> bool:
@@ -395,18 +542,22 @@ class RoutingGraph:
         seen = self._reach(self.driver_vertex)
         return all(t in seen for t in self.terminal_vertices)
 
-    def _reach(self, start: int, skip_edge: Optional[int] = None) -> Set[int]:
+    def _reach(self, start: int) -> Set[int]:
+        """Vertices reachable from ``start`` over alive edges."""
+        indptr = self.indptr
+        nbr_edge = self.nbr_edge
+        nbr_vertex = self.nbr_vertex
+        alive = self.alive
         seen = {start}
         stack = [start]
         while stack:
             v = stack.pop()
-            for edge_id in self._adjacency[v]:
-                if not self.alive[edge_id] or edge_id == skip_edge:
-                    continue
-                w = self.edges[edge_id].other(v)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+            for i in range(indptr[v], indptr[v + 1]):
+                if alive[nbr_edge[i]]:
+                    w = nbr_vertex[i]
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
         return seen
 
     # ------------------------------------------------------------------
@@ -417,7 +568,7 @@ class RoutingGraph:
 
         Raises :class:`RoutingGraphError` for dead or essential edges.
         """
-        if not (0 <= edge_id < len(self.edges)):
+        if not (0 <= edge_id < len(self.alive)):
             raise RoutingGraphError(f"edge {edge_id} out of range")
         if not self.alive[edge_id]:
             raise RoutingGraphError(f"edge {edge_id} is already deleted")
@@ -454,26 +605,25 @@ class RoutingGraph:
         provably untouched, so flags, component labels and hang counts
         elsewhere stay as they are.
         """
-        self._csr = None
-        self._csr_lists = None
         self._alive_length = None
-        edge = self.edges[edge_id]
+        u = self.edge_u[edge_id]
+        v = self.edge_v[edge_id]
         self._kill_edge(edge_id)
         result = DeletionResult(deleted=edge_id, removed=[edge_id])
         removed = result.removed
         frontier = 0
-        cu, cv = self._comp[edge.u], self._comp[edge.v]
+        cu, cv = self._comp[u], self._comp[v]
         local_comp = -1
         if cu == cv:
-            seeds: Tuple[int, ...] = (edge.u, edge.v)
+            seeds: Tuple[int, ...] = (u, v)
             local_comp = cu
         else:
             # A (non-essential) bridge: the component it was the
             # driver-ward entry of is now a terminal-free fragment.
             if self._comp_entry.get(cu) == edge_id:
-                far = edge.u
+                far = u
             elif self._comp_entry.get(cv) == edge_id:
-                far = edge.v
+                far = v
             else:
                 # Bookkeeping cannot name the far side — repair with
                 # the full pass (counted as a fallback).
@@ -483,7 +633,7 @@ class RoutingGraph:
                 result.newly_essential.extend(newly)
                 return result
             frontier += self._drop_fragment(far, removed)
-            seeds = (edge.other(far),)
+            seeds = (v if far == u else u,)
         stranded_comps, eaten = self._pendant_cascade(seeds, removed)
         frontier += eaten
         detached = {
@@ -512,9 +662,9 @@ class RoutingGraph:
     def _kill_edge(self, edge_id: int) -> None:
         self.alive[edge_id] = False
         self._alive_mirror[edge_id] = False
-        edge = self.edges[edge_id]
-        self._degree[edge.u] -= 1
-        self._degree[edge.v] -= 1
+        degree = self._degree
+        degree[self.edge_u[edge_id]] -= 1
+        degree[self.edge_v[edge_id]] -= 1
 
     def _kill_vertex(self, vertex: int) -> None:
         self.vertex_alive[vertex] = False
@@ -529,20 +679,10 @@ class RoutingGraph:
         Vertices die in ascending order, as in a full scan of the
         unreachable ones.
         """
-        adjacency = self._adjacency
+        indptr = self.indptr
+        nbr_edge = self.nbr_edge
         alive = self.alive
-        edges = self.edges
-        seen = {far}
-        stack = [far]
-        while stack:
-            v = stack.pop()
-            for edge_id in adjacency[v]:
-                if not alive[edge_id]:
-                    continue
-                w = edges[edge_id].other(v)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+        seen = self._reach(far)
         for t in self.terminal_vertices:
             if t in seen:
                 raise RoutingGraphError(
@@ -550,7 +690,8 @@ class RoutingGraph:
                 )
         for v in sorted(seen):
             self._kill_vertex(v)
-            for edge_id in adjacency[v]:
+            for i in range(indptr[v], indptr[v + 1]):
+                edge_id = nbr_edge[i]
                 if alive[edge_id]:
                     self._kill_edge(edge_id)
                     removed.append(edge_id)
@@ -572,9 +713,10 @@ class RoutingGraph:
         terminal_set = self._terminal_set
         degree = self._degree
         vertex_alive = self.vertex_alive
-        adjacency = self._adjacency
+        indptr = self.indptr
+        nbr_edge = self.nbr_edge
+        nbr_vertex = self.nbr_vertex
         alive = self.alive
-        edges = self.edges
         comp = self._comp
         comp_entry = self._comp_entry
         queue = [
@@ -590,12 +732,13 @@ class RoutingGraph:
                 continue
             self._kill_vertex(v)
             eaten += 1
-            for edge_id in adjacency[v]:
+            for i in range(indptr[v], indptr[v + 1]):
+                edge_id = nbr_edge[i]
                 if not alive[edge_id]:
                     continue
                 self._kill_edge(edge_id)
                 removed.append(edge_id)
-                w = edges[edge_id].other(v)
+                w = nbr_vertex[i]
                 cw = comp[w]
                 if cw != comp[v]:
                     # A bridge died with the pruned leaf; whichever side
@@ -634,9 +777,10 @@ class RoutingGraph:
             # cascade bookkeeping missed; defer to the full path.
             self._stranded = True
             return []
-        adjacency = self._adjacency
+        indptr = self.indptr
+        nbr_edge = self.nbr_edge
+        nbr_vertex = self.nbr_vertex
         alive = self.alive
-        edges = self.edges
         comp = self._comp
         terminal_set = self._terminal_set
         hang = self._hang_tcount
@@ -651,15 +795,16 @@ class RoutingGraph:
         # (edge_id, child, parent, far-side effective terminals)
         bridges: List[Tuple[int, int, int, int]] = []
         stack: List[Tuple[int, int, Iterator[int]]] = [
-            (anchor, -1, iter(adjacency[anchor]))
+            (anchor, -1, iter(range(indptr[anchor], indptr[anchor + 1])))
         ]
         while stack:
             vertex, parent_edge, it = stack[-1]
             advanced = False
-            for edge_id in it:
+            for i in it:
+                edge_id = nbr_edge[i]
                 if not alive[edge_id] or edge_id == parent_edge:
                     continue
-                w = edges[edge_id].other(vertex)
+                w = nbr_vertex[i]
                 if comp[w] != comp_id:
                     continue
                 if w not in disc:
@@ -668,7 +813,9 @@ class RoutingGraph:
                     teff[w] = (
                         1 if w in terminal_set else 0
                     ) + hang.get(w, 0)
-                    stack.append((w, edge_id, iter(adjacency[w])))
+                    stack.append(
+                        (w, edge_id, iter(range(indptr[w], indptr[w + 1])))
+                    )
                     advanced = True
                     break
                 if disc[w] < low[vertex]:
@@ -701,10 +848,11 @@ class RoutingGraph:
             stack2 = [child]
             while stack2:
                 v = stack2.pop()
-                for eid in adjacency[v]:
+                for i in range(indptr[v], indptr[v + 1]):
+                    eid = nbr_edge[i]
                     if not alive[eid] or eid in bridge_ids:
                         continue
-                    w = edges[eid].other(v)
+                    w = nbr_vertex[i]
                     if comp[w] != comp_id:
                         continue
                     comp[w] = new_id
@@ -729,8 +877,8 @@ class RoutingGraph:
         :meth:`_reclassify_full`).  Callers that flip ``alive`` flags
         directly (the negotiated engine's finalizer) must call this
         afterwards; the alive-set change is detected against the mirror
-        kept from the last classification, and the CSR/length caches
-        are only invalidated when the alive set actually changed.
+        kept from the last classification, and the length cache is only
+        invalidated when the alive set actually changed.
 
         Returns ``(pruned_edge_ids, newly_essential_edge_ids)``, the
         latter in ascending edge order.
@@ -759,20 +907,21 @@ class RoutingGraph:
         """
         alive = self.alive
         vertex_alive = self.vertex_alive
-        adjacency = self._adjacency
-        # The far endpoint of edge e seen from its endpoint w is
-        # ``uv_xor[e] ^ w``.
-        uv_xor = [edge.u ^ edge.v for edge in self.edges]
+        indptr = self.indptr
+        nbr_edge = self.nbr_edge
+        nbr_vertex = self.nbr_vertex
         terminal_set = self._terminal_set
         n = len(vertex_alive)
         externally_changed = alive != self._alive_mirror
 
         # --- 1. pendant strip ---------------------------------------
         if False in alive:
-            is_alive = alive.__getitem__
-            degree = [sum(map(is_alive, edge_ids)) for edge_ids in adjacency]
+            degree = [0] * n
+            for u, v in compress(zip(self.edge_u, self.edge_v), alive):
+                degree[u] += 1
+                degree[v] += 1
         else:
-            degree = list(map(len, adjacency))
+            degree = [b - a for a, b in zip(indptr, indptr[1:])]
         queue = [
             v
             for v, d in enumerate(degree)
@@ -786,12 +935,13 @@ class RoutingGraph:
                 continue
             vertex_alive[v] = False
             stripped.append(v)
-            for edge_id in adjacency[v]:
+            for i in range(indptr[v], indptr[v + 1]):
+                edge_id = nbr_edge[i]
                 if not alive[edge_id]:
                     continue
                 alive[edge_id] = False
                 pruned.append(edge_id)
-                w = uv_xor[edge_id] ^ v
+                w = nbr_vertex[i]
                 degree[w] -= 1
                 if degree[w] <= 1 and w not in terminal_set:
                     queue.append(w)
@@ -817,14 +967,15 @@ class RoutingGraph:
         # vertex sits on it, so a finished component is one slice.
         members = [driver]
         stack: List[Tuple[int, int, Iterator[int], int]] = [
-            (driver, -1, iter(adjacency[driver]), 0)
+            (driver, -1, iter(range(indptr[driver], indptr[driver + 1])), 0)
         ]
         while stack:
             vertex, parent_edge, it, base = stack[-1]
-            for edge_id in it:
+            for i in it:
+                edge_id = nbr_edge[i]
                 if edge_id == parent_edge or not alive[edge_id]:
                     continue
-                w = uv_xor[edge_id] ^ vertex
+                w = nbr_vertex[i]
                 dw = disc[w]
                 if dw < 0:
                     disc[w] = low[w] = timer
@@ -832,7 +983,12 @@ class RoutingGraph:
                     if w in terminal_set:
                         tcount[w] = 1
                     stack.append(
-                        (w, edge_id, iter(adjacency[w]), len(members))
+                        (
+                            w,
+                            edge_id,
+                            iter(range(indptr[w], indptr[w + 1])),
+                            len(members),
+                        )
                     )
                     members.append(w)
                     break
@@ -891,7 +1047,8 @@ class RoutingGraph:
                 if vertex_alive[v] and disc[v] < 0:
                     vertex_alive[v] = False
                     degree[v] = 0
-                    for edge_id in adjacency[v]:
+                    for i in range(indptr[v], indptr[v + 1]):
+                        edge_id = nbr_edge[i]
                         if alive[edge_id]:
                             alive[edge_id] = False
                             pruned.append(edge_id)
@@ -913,52 +1070,33 @@ class RoutingGraph:
         self._next_comp = next_comp
         self._stranded = False
         if externally_changed or pruned:
-            self._csr = None
-            self._csr_lists = None
             self._alive_length = None
             self._alive_mirror = alive[:]
             self.as_built = False
         return pruned, newly_essential
 
     # ------------------------------------------------------------------
-    def final_wiring(self) -> List[RouteEdge]:
-        """The alive edges once deletion has converged (checked)."""
-        if not self.is_tree:
-            raise RoutingGraphError(
-                f"net {self.net.name}: routing graph is not a tree yet"
-            )
-        return list(self.alive_edges())
-
     def total_alive_length_um(self) -> float:
         """Summed alive-edge length, cached between mutations.
 
         A fixed-order ledger: the fold always runs over ascending edge
-        index, left to right — ``np.add.accumulate`` over the masked
-        length array performs the identical sequence of IEEE-754
-        additions as the seed's Python ``sum`` over :meth:`alive_edges`
-        (strictly sequential; ``np.sum``'s pairwise reassociation would
-        drift), so the value is bit-identical no matter which phase
-        asks or how the graph reached this alive set.  The cache drops
-        only when the alive set changes.  ``_phase_metric`` calls this
-        for every net on every reroute decision, so the cache turns an
-        O(nets × edges) rescan into an O(nets) lookup.
+        index, left to right, one IEEE-754 addition per alive edge — the
+        seed's sequential ``sum`` over the alive edges — so the value
+        is bit-identical no matter which phase asks or how the graph
+        reached this alive set.  The cache drops only when the alive
+        set changes.  ``_phase_metric`` calls this for every net on
+        every reroute decision, so the cache turns an O(nets × edges)
+        rescan into an O(nets) lookup.
         """
         if self._alive_length is None:
-            mask = np.fromiter(
-                self.alive, dtype=bool, count=len(self.alive)
-            )
-            lengths = self._lengths[mask]
-            if lengths.size == 0:
-                self._alive_length = 0
-            else:
-                self._alive_length = float(
-                    np.add.accumulate(lengths)[-1]
-                )
+            total = 0
+            for length in compress(self.edge_length, self.alive):
+                total += length
+            self._alive_length = total
         return self._alive_length
 
     def __repr__(self) -> str:
-        alive = sum(1 for _ in self.alive_edges())
         return (
-            f"RoutingGraph({self.net.name}: {len(self.vertices)} vertices, "
-            f"{alive}/{len(self.edges)} edges alive)"
+            f"RoutingGraph({self.net.name}: {len(self.vertex_x)} vertices, "
+            f"{self.alive.count(True)}/{len(self.alive)} edges alive)"
         )

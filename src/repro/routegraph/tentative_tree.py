@@ -51,6 +51,7 @@ def collect_union(
     ``total_length_um``, is bit-identical between the two.
     """
     driver = graph.driver_vertex
+    far_end = graph.edge_xor
     terminal_path_um: Dict[int, float] = {}
     edge_ids: Set[int] = set()
     for terminal in graph.terminal_vertices:
@@ -67,9 +68,9 @@ def collect_union(
             if edge_id in edge_ids:
                 break  # joined an already-collected path
             edge_ids.add(edge_id)
-            vertex = graph.edges[edge_id].other(vertex)
+            vertex = far_end[edge_id] ^ vertex
 
-    total = sum(graph.edges[e].length_um for e in edge_ids)
+    total = sum(map(graph.edge_length.__getitem__, edge_ids))
     return TentativeTree(edge_ids, total, terminal_path_um)
 
 
@@ -81,9 +82,13 @@ def compute_tentative_tree(
     Returns ``None`` when some terminal is unreachable (which can only
     happen when ``skip_edge`` is an essential edge).
     """
-    n = len(graph.vertices)
-    dist = [math.inf] * n
-    parent_edge: List[int] = [-1] * n
+    indptr = graph.indptr
+    nbr_edge = graph.nbr_edge
+    nbr_vertex = graph.nbr_vertex
+    nbr_length = graph.nbr_length
+    alive = graph.alive
+    dist = [math.inf] * len(graph.vertex_x)
+    parent_edge: List[int] = [-1] * len(dist)
     driver = graph.driver_vertex
     dist[driver] = 0.0
     heap = [(0.0, driver)]
@@ -91,13 +96,15 @@ def compute_tentative_tree(
         d, vertex = heapq.heappop(heap)
         if d > dist[vertex]:
             continue
-        for edge, other in graph.neighbours(vertex):
-            if edge.index == skip_edge:
+        for i in range(indptr[vertex], indptr[vertex + 1]):
+            edge_id = nbr_edge[i]
+            if not alive[edge_id] or edge_id == skip_edge:
                 continue
-            nd = d + edge.length_um
+            nd = d + nbr_length[i]
+            other = nbr_vertex[i]
             if nd < dist[other]:
                 dist[other] = nd
-                parent_edge[other] = edge.index
+                parent_edge[other] = edge_id
                 heapq.heappush(heap, (nd, other))
 
     return collect_union(graph, dist, parent_edge)
@@ -122,15 +129,16 @@ def compute_steiner_tree(
     from networkx.algorithms.approximation import steiner_tree
 
     nx_graph = nx.Graph()
-    for edge in graph.alive_edges():
-        if edge.index == skip_edge:
+    lengths = graph.edge_length
+    for edge_id in graph.alive_edge_ids():
+        if edge_id == skip_edge:
             continue
-        existing = nx_graph.get_edge_data(edge.u, edge.v)
-        if existing is not None and existing["weight"] <= edge.length_um:
+        u, v = graph.edge_u[edge_id], graph.edge_v[edge_id]
+        length = lengths[edge_id]
+        existing = nx_graph.get_edge_data(u, v)
+        if existing is not None and existing["weight"] <= length:
             continue
-        nx_graph.add_edge(
-            edge.u, edge.v, weight=edge.length_um, edge_id=edge.index
-        )
+        nx_graph.add_edge(u, v, weight=length, edge_id=edge_id)
     terminals = list(dict.fromkeys(graph.terminal_vertices))
     for terminal in terminals:
         if terminal not in nx_graph:
@@ -145,7 +153,7 @@ def compute_steiner_tree(
     edge_ids = {
         data["edge_id"] for _, _, data in tree.edges(data=True)
     }
-    total = sum(graph.edges[e].length_um for e in edge_ids)
+    total = sum(map(lengths.__getitem__, edge_ids))
 
     # Driver->terminal path lengths within the Steiner tree.
     lengths = nx.single_source_dijkstra_path_length(

@@ -19,15 +19,12 @@ the evaluation incremental while guaranteeing **bit-identical lengths**:
   chain was itself settled earlier (its parent edge is assigned while
   the parent is being expanded), so all backtrace chains are frozen at
   their exhaustive-run values by then.
-* **CSR adjacency** — runs on :meth:`RoutingGraph.csr_lists` (the
-  scalar mirror of the cached :meth:`RoutingGraph.csr` arrays), flat
-  parallel lists that preserve per-vertex ascending-edge-index order,
-  so heap contents and parallel-edge tie-breaks match the reference
-  walk exactly.  Invalidation contract: the graph drops both mirrors
-  on every :meth:`RoutingGraph.delete` and on any
-  :meth:`RoutingGraph.reclassify` that actually changed the alive set
-  (external mutation or pruning); a no-op reclassify keeps them warm,
-  so repeated refreshes between deletions never pay a rebuild.
+* **static CSR** — runs on the graph's static CSR slots
+  (:mod:`repro.routegraph.graph`), built once per graph and never
+  rebuilt, skipping the slots of dead edges.  The alive slots of a
+  vertex are its alive edges in ascending edge-index order, the order
+  the reference walk visits them in, so heap contents and parallel-edge
+  tie-breaks match it exactly.
 
 The union backtrace itself is shared with the reference estimator
 (:func:`collect_union`), so the ``edge_ids`` set is built through the
@@ -79,8 +76,12 @@ def tree_graph_labels(
     additions in the identical order, giving bit-identical labels with
     no priority queue.  Feed the result to :func:`collect_union`.
     """
-    indptr, nbr_vertex, nbr_edge, nbr_length = graph.csr_lists()
-    n = len(graph.vertices)
+    indptr = graph.indptr
+    nbr_edge = graph.nbr_edge
+    nbr_vertex = graph.nbr_vertex
+    nbr_length = graph.nbr_length
+    alive = graph.alive
+    n = len(graph.vertex_x)
     dist: List[float] = [math.inf] * n
     parent_edge: List[int] = [-1] * n
     driver = graph.driver_vertex
@@ -92,7 +93,7 @@ def tree_graph_labels(
         parent = parent_edge[vertex]
         for i in range(indptr[vertex], indptr[vertex + 1]):
             edge_id = nbr_edge[i]
-            if edge_id == parent:
+            if edge_id == parent or not alive[edge_id]:
                 continue
             other = nbr_vertex[i]
             dist[other] = d + nbr_length[i]
@@ -105,7 +106,7 @@ def dijkstra_to_terminals(
     graph: RoutingGraph,
     skip_edge: Optional[int] = None,
 ) -> Optional[TentativeTree]:
-    """Tentative tree via early-terminated Dijkstra on the CSR arrays.
+    """Tentative tree via early-terminated Dijkstra on the static CSR.
 
     Identical output to
     :func:`~repro.routegraph.tentative_tree.compute_tentative_tree` —
@@ -113,8 +114,12 @@ def dijkstra_to_terminals(
     stops once every terminal vertex has been settled.  Returns ``None``
     when some terminal is unreachable.
     """
-    indptr, nbr_vertex, nbr_edge, nbr_length = graph.csr_lists()
-    n = len(graph.vertices)
+    indptr = graph.indptr
+    nbr_edge = graph.nbr_edge
+    nbr_vertex = graph.nbr_vertex
+    nbr_length = graph.nbr_length
+    alive = graph.alive
+    n = len(graph.vertex_x)
     dist: List[float] = [math.inf] * n
     parent_edge: List[int] = [-1] * n
     driver = graph.driver_vertex
@@ -133,7 +138,7 @@ def dijkstra_to_terminals(
                 break
         for i in range(indptr[vertex], indptr[vertex + 1]):
             edge_id = nbr_edge[i]
-            if edge_id == skip_edge:
+            if not alive[edge_id] or edge_id == skip_edge:
                 continue
             nd = d + nbr_length[i]
             other = nbr_vertex[i]
@@ -152,7 +157,7 @@ class TreeEngine:
     ``evaluate`` first checks whether ``skip_edge`` lies on the current
     tree; off-tree candidates — the common case — reuse the tree object
     with zero graph work.  On-tree candidates run an early-terminated
-    Dijkstra over the CSR adjacency, and the resulting *alternate tree*
+    Dijkstra over the static CSR, and the resulting *alternate tree*
     is memoised: excluding an alive edge and deleting it are the same
     Dijkstra (a stranded fragment hangs off the graph only through the
     deleted edge, so with that edge skipped its vertices are never

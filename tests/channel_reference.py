@@ -12,8 +12,8 @@ the production code equivalent.
 * :func:`reference_collect_net` splits a net into channel segments by
   testing every attachment against every merged span.
 * :func:`reference_elmore_tree_of` is the Elmore-tree builder
-  ``build_result`` ran for every net: a ``list.pop(0)`` BFS over
-  ``RoutingGraph.neighbours``.
+  ``build_result`` ran for every net: a ``list.pop(0)`` BFS over each
+  vertex's alive edges in ascending edge index.
 
 Production (:func:`repro.channelrouter.route_channel`,
 :func:`repro.channelrouter.optimize_track_order`, ``_collect_net`` and
@@ -306,8 +306,13 @@ def reference_collect_net(
 
 def reference_elmore_tree_of(graph: RoutingGraph):
     """Driver-rooted wire segments of a converged net and the sink pin
-    names, by a ``list.pop(0)`` BFS over ``graph.neighbours``."""
+    names, by a ``list.pop(0)`` BFS over each vertex's alive edges in
+    ascending edge index."""
     width = graph.net.width_pitches
+    alive_at: Dict[int, List] = {}
+    for edge in graph.alive_edges():
+        alive_at.setdefault(edge.u, []).append(edge)
+        alive_at.setdefault(edge.v, []).append(edge)
     segments: List[WireSegment] = []
     sink_names: List[str] = []
     segment_of_vertex = {graph.driver_vertex: -1}
@@ -315,7 +320,8 @@ def reference_elmore_tree_of(graph: RoutingGraph):
     while queue:
         vertex = queue.pop(0)
         parent_segment = segment_of_vertex[vertex]
-        for edge, other in graph.neighbours(vertex):
+        for edge in alive_at.get(vertex, ()):
+            other = edge.other(vertex)
             if other in segment_of_vertex:
                 continue
             other_vertex = graph.vertices[other]

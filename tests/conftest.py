@@ -243,7 +243,7 @@ def fresh_selection_key(router, state, edge_id, mode):
         edge,
         delay,
         router.engine.channel_stats(edge.channel),
-        router.engine.edge_params(edge),
+        router.engine.edge_params(edge.coverage),
         mode,
         tie_break=(state.net.name, edge_id),
     )

@@ -9,6 +9,11 @@ classification, kept only to prove the production code equivalent.
   pendant terminal-free subtrees, run a fresh driver-rooted Tarjan for the
   essential flags, then rebuild the incremental 2ECC decomposition with
   a separate DFS.
+* :func:`csr_lists` is the alive-only CSR adjacency the graph used to
+  rebuild after every alive-set change, from per-vertex adjacency lists
+  (:func:`adjacency`) made from the edges read back as ``RouteEdge``
+  values.  Walks over the graph's static CSR skip dead edges' slots and
+  must visit exactly these neighbours, in this order.
 
 Production construction (:func:`repro.routegraph.build_routing_graph`)
 and the fused single-pass classifier (``RoutingGraph._reclassify_full``)
@@ -18,7 +23,7 @@ must reproduce these exactly; ``test_routegraph_build.py`` and
 against :func:`reference_reclassify`.  The reference classifier writes
 the graph's private decomposition fields directly, so a graph it
 classified can be compared field by field with one the fused pass
-classified.
+classified.  It walks :func:`adjacency`, never the graph's CSR.
 """
 
 from __future__ import annotations
@@ -163,12 +168,11 @@ def reference_reclassify(graph: RoutingGraph) -> Tuple[List[int], List[int]]:
     decomposition.  Returns ``(pruned_edge_ids, newly_essential_ids)``;
     ``newly_essential`` is in ascending edge order."""
     externally_changed = list(graph.alive) != list(graph._alive_mirror)
-    pruned = _prune_unreachable(graph)
-    pruned.extend(_prune_terminal_free_subtrees(graph))
-    newly_essential = _refresh_essential(graph)
+    adj = adjacency(graph)
+    pruned = _prune_unreachable(graph, adj)
+    pruned.extend(_prune_terminal_free_subtrees(graph, adj))
+    newly_essential = _refresh_essential(graph, adj)
     if externally_changed or pruned:
-        graph._csr = None
-        graph._csr_lists = None
         graph._alive_length = None
         graph._alive_mirror = list(graph.alive)
     return pruned, newly_essential
@@ -186,16 +190,48 @@ def reference_delete(graph: RoutingGraph, edge_id: int) -> DeletionResult:
     )
 
 
+def adjacency(graph: RoutingGraph) -> List[List[int]]:
+    """Per vertex, the ids of every edge at it in ascending order (dead
+    edges included), from the edges read back as values."""
+    adj: List[List[int]] = [[] for _ in graph.vertices]
+    for edge in graph.edges:
+        adj[edge.u].append(edge.index)
+        adj[edge.v].append(edge.index)
+    return adj
+
+
+def csr_lists(
+    graph: RoutingGraph,
+) -> Tuple[List[int], List[int], List[int], List[float]]:
+    """``(indptr, nbr_vertex, nbr_edge, nbr_length)`` over the *alive*
+    edges: the alive neighbours of vertex ``v`` occupy slots
+    ``indptr[v]:indptr[v + 1]``, in ascending edge order."""
+    indptr: List[int] = [0]
+    nbr_vertex: List[int] = []
+    nbr_edge: List[int] = []
+    nbr_length: List[float] = []
+    edges = list(graph.edges)
+    for vertex, edge_ids in enumerate(adjacency(graph)):
+        for edge_id in edge_ids:
+            if graph.alive[edge_id]:
+                edge = edges[edge_id]
+                nbr_vertex.append(edge.other(vertex))
+                nbr_edge.append(edge_id)
+                nbr_length.append(edge.length_um)
+        indptr.append(len(nbr_vertex))
+    return indptr, nbr_vertex, nbr_edge, nbr_length
+
+
 def _other(graph: RoutingGraph, edge_id: int, vertex: int) -> int:
     return graph.edges[edge_id].other(vertex)
 
 
-def _reach(graph: RoutingGraph, start: int) -> Set[int]:
+def _reach(graph: RoutingGraph, adj: List[List[int]], start: int) -> Set[int]:
     seen = {start}
     stack = [start]
     while stack:
         v = stack.pop()
-        for edge_id in graph._adjacency[v]:
+        for edge_id in adj[v]:
             if not graph.alive[edge_id]:
                 continue
             w = _other(graph, edge_id, v)
@@ -205,8 +241,10 @@ def _reach(graph: RoutingGraph, start: int) -> Set[int]:
     return seen
 
 
-def _prune_unreachable(graph: RoutingGraph) -> List[int]:
-    seen = _reach(graph, graph.driver_vertex)
+def _prune_unreachable(
+    graph: RoutingGraph, adj: List[List[int]]
+) -> List[int]:
+    seen = _reach(graph, adj, graph.driver_vertex)
     for t in graph.terminal_vertices:
         if t not in seen:
             raise RoutingGraphError(
@@ -216,14 +254,16 @@ def _prune_unreachable(graph: RoutingGraph) -> List[int]:
     for vertex in range(len(graph.vertices)):
         if graph.vertex_alive[vertex] and vertex not in seen:
             graph.vertex_alive[vertex] = False
-            for edge_id in graph._adjacency[vertex]:
+            for edge_id in adj[vertex]:
                 if graph.alive[edge_id]:
                     graph.alive[edge_id] = False
                     removed.append(edge_id)
     return removed
 
 
-def _prune_terminal_free_subtrees(graph: RoutingGraph) -> List[int]:
+def _prune_terminal_free_subtrees(
+    graph: RoutingGraph, adj: List[List[int]]
+) -> List[int]:
     removed: List[int] = []
     terminal_set = set(graph.terminal_vertices)
     degrees = [0] * len(graph.vertices)
@@ -242,7 +282,7 @@ def _prune_terminal_free_subtrees(graph: RoutingGraph) -> List[int]:
         if not graph.vertex_alive[v]:
             continue
         graph.vertex_alive[v] = False
-        for edge_id in graph._adjacency[v]:
+        for edge_id in adj[v]:
             if not graph.alive[edge_id]:
                 continue
             graph.alive[edge_id] = False
@@ -255,7 +295,9 @@ def _prune_terminal_free_subtrees(graph: RoutingGraph) -> List[int]:
     return removed
 
 
-def _refresh_essential(graph: RoutingGraph) -> List[int]:
+def _refresh_essential(
+    graph: RoutingGraph, adj: List[List[int]]
+) -> List[int]:
     n = len(graph.vertices)
     disc = [-1] * n
     low = [0] * n
@@ -266,7 +308,7 @@ def _refresh_essential(graph: RoutingGraph) -> List[int]:
     timer = 0
     start = graph.driver_vertex
     stack: List[Tuple[int, int, Iterator[int]]] = [
-        (start, -1, iter(graph._adjacency[start]))
+        (start, -1, iter(adj[start]))
     ]
     disc[start] = low[start] = timer
     timer += 1
@@ -282,7 +324,7 @@ def _refresh_essential(graph: RoutingGraph) -> List[int]:
                 disc[w] = low[w] = timer
                 timer += 1
                 tcount[w] = 1 if w in terminal_set else 0
-                stack.append((w, edge_id, iter(graph._adjacency[w])))
+                stack.append((w, edge_id, iter(adj[w])))
                 advanced = True
                 break
             low[vertex] = min(low[vertex], disc[w])
@@ -308,12 +350,13 @@ def _refresh_essential(graph: RoutingGraph) -> List[int]:
         if now and not graph.essential[edge.index]:
             newly_essential.append(edge.index)
         graph.essential[edge.index] = now
-    _rebuild_decomposition(graph, tcount, all_bridges)
+    _rebuild_decomposition(graph, adj, tcount, all_bridges)
     return newly_essential
 
 
 def _rebuild_decomposition(
     graph: RoutingGraph,
+    adj: List[List[int]],
     tcount: List[int],
     all_bridges: List[Tuple[int, int]],
 ) -> None:
@@ -348,7 +391,7 @@ def _rebuild_decomposition(
     stack = [start]
     while stack:
         v = stack.pop()
-        for edge_id in graph._adjacency[v]:
+        for edge_id in adj[v]:
             if not alive[edge_id]:
                 continue
             w = _other(graph, edge_id, v)

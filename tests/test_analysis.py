@@ -25,8 +25,8 @@ class TestDensityProfile:
         e2 = trunk(1, 0, 2, 6)
         e3 = trunk(2, 0, 3, 5)
         for e in (e1, e2, e3):
-            engine.add_edge(e)
-        engine.add_bridge(e1)
+            engine.add_edge(e.coverage)
+        engine.add_bridge(e1.coverage)
         return engine, e2
 
     def test_profile_matches_engine(self):

@@ -30,81 +30,81 @@ def branch(index, channel, x):
 
 class TestCoverage:
     def test_trunk_half_open(self):
-        assert coverage_columns(trunk(0, 0, 3, 7)) == (3, 6)
+        assert coverage_columns(trunk(0, 0, 3, 7).coverage) == (3, 6)
 
     def test_trunk_single_span(self):
-        assert coverage_columns(trunk(0, 0, 3, 4)) == (3, 3)
+        assert coverage_columns(trunk(0, 0, 3, 4).coverage) == (3, 3)
 
     def test_branch_single_column(self):
-        assert coverage_columns(branch(0, 0, 5)) == (5, 5)
+        assert coverage_columns(branch(0, 0, 5).coverage) == (5, 5)
 
 
 class TestEngine:
     def test_add_remove_round_trip(self):
         engine = DensityEngine(2, 10)
         edge = trunk(0, 0, 2, 6)
-        engine.add_edge(edge)
+        engine.add_edge(edge.coverage)
         assert engine.density_at(0, 2) == (1, 0)
         assert engine.density_at(0, 5) == (1, 0)
         assert engine.density_at(0, 6) == (0, 0)
-        engine.remove_edge(edge)
+        engine.remove_edge(edge.coverage)
         assert engine.density_at(0, 2) == (0, 0)
 
     def test_branch_edges_do_not_count(self):
         engine = DensityEngine(2, 10)
-        engine.add_edge(branch(0, 0, 3))
+        engine.add_edge(branch(0, 0, 3).coverage)
         assert engine.density_at(0, 3) == (0, 0)
 
     def test_weighted_multipitch(self):
         engine = DensityEngine(1, 10)
-        engine.add_edge(trunk(0, 0, 0, 5), weight=3)
+        engine.add_edge(trunk(0, 0, 0, 5).coverage, weight=3)
         assert engine.density_at(0, 2) == (3, 0)
 
     def test_bridge_maps(self):
         engine = DensityEngine(1, 10)
         edge = trunk(0, 0, 1, 4)
-        engine.add_edge(edge)
-        engine.add_bridge(edge)
+        engine.add_edge(edge.coverage)
+        engine.add_bridge(edge.coverage)
         assert engine.density_at(0, 2) == (1, 1)
-        engine.remove_bridge(edge)
+        engine.remove_bridge(edge.coverage)
         assert engine.density_at(0, 2) == (1, 0)
 
     def test_negative_density_raises(self):
         engine = DensityEngine(1, 10)
         with pytest.raises(RoutingError):
-            engine.remove_edge(trunk(0, 0, 0, 3))
+            engine.remove_edge(trunk(0, 0, 0, 3).coverage)
 
     def test_out_of_range_channel(self):
         engine = DensityEngine(1, 10)
         with pytest.raises(RoutingError):
-            engine.add_edge(trunk(0, 5, 0, 3))
+            engine.add_edge(trunk(0, 5, 0, 3).coverage)
 
     def test_edge_beyond_width_raises(self):
         engine = DensityEngine(1, 5)
         with pytest.raises(RoutingError):
-            engine.add_edge(trunk(0, 0, 0, 9))
+            engine.add_edge(trunk(0, 0, 0, 9).coverage)
 
     def test_edge_params_beyond_width_raises(self):
         """Regression: ``edge_params`` used to clamp an out-of-range
         coverage window silently (returning stats for the wrong columns)
         while ``_apply`` raised for the very same edge."""
         engine = DensityEngine(1, 5)
-        engine.add_edge(trunk(0, 0, 0, 4))
+        engine.add_edge(trunk(0, 0, 0, 4).coverage)
         with pytest.raises(RoutingError):
-            engine.edge_params(trunk(1, 0, 0, 9))
+            engine.edge_params(trunk(1, 0, 0, 9).coverage)
         with pytest.raises(RoutingError):
-            engine.edge_params(branch(2, 0, 7))
+            engine.edge_params(branch(2, 0, 7).coverage)
 
     def test_edge_params_in_range_still_works(self):
         engine = DensityEngine(1, 5)
-        engine.add_edge(trunk(0, 0, 0, 4))
-        params = engine.edge_params(trunk(1, 0, 1, 3))
+        engine.add_edge(trunk(0, 0, 0, 4).coverage)
+        params = engine.edge_params(trunk(1, 0, 1, 3).coverage)
         assert params.d_max == 1
 
     def test_channel_stats(self):
         engine = DensityEngine(1, 10)
-        engine.add_edge(trunk(0, 0, 0, 6))
-        engine.add_edge(trunk(1, 0, 2, 4))
+        engine.add_edge(trunk(0, 0, 0, 6).coverage)
+        engine.add_edge(trunk(1, 0, 2, 4).coverage)
         stats = engine.channel_stats(0)
         assert stats.c_max == 2
         assert stats.nc_max == 2  # columns 2, 3
@@ -113,10 +113,10 @@ class TestEngine:
 
     def test_edge_params(self):
         engine = DensityEngine(1, 10)
-        engine.add_edge(trunk(0, 0, 0, 6))
-        engine.add_edge(trunk(1, 0, 2, 4))
+        engine.add_edge(trunk(0, 0, 0, 6).coverage)
+        engine.add_edge(trunk(1, 0, 2, 4).coverage)
         probe = trunk(2, 0, 3, 8)
-        params = engine.edge_params(probe)
+        params = engine.edge_params(probe.coverage)
         assert params.d_max == 2      # column 3 under both
         assert params.nd_max == 1     # only column 3 is at C_M
         assert params.d_min == 0
@@ -125,25 +125,25 @@ class TestEngine:
         engine = DensityEngine(2, 10)
         calls = []
         engine.subscribe(lambda *span: calls.append(span))
-        engine.add_edge(trunk(0, 0, 0, 3))
-        engine.add_bridge(trunk(1, 1, 4, 9))
-        engine.add_edge(trunk(2, 1, 6, 6))
-        engine.add_edge(branch(3, 0, 5))
+        engine.add_edge(trunk(0, 0, 0, 3).coverage)
+        engine.add_bridge(trunk(1, 1, 4, 9).coverage)
+        engine.add_edge(trunk(2, 1, 6, 6).coverage)
+        engine.add_edge(branch(3, 0, 5).coverage)
         # (channel, lo, hi) of each update's inclusive coverage; a
         # zero-span trunk covers its one column, a branch changes none.
         assert calls == [(0, 0, 2), (1, 4, 8), (1, 6, 6)]
 
     def test_total_peak_and_max_channel(self):
         engine = DensityEngine(3, 10)
-        engine.add_edge(trunk(0, 0, 0, 3))
-        engine.add_edge(trunk(1, 2, 0, 3))
-        engine.add_edge(trunk(2, 2, 1, 5))
+        engine.add_edge(trunk(0, 0, 0, 3).coverage)
+        engine.add_edge(trunk(1, 2, 0, 3).coverage)
+        engine.add_edge(trunk(2, 2, 1, 5).coverage)
         assert engine.total_peak() == 1 + 0 + 2
         assert engine.max_channel() == 2
 
     def test_profile_returns_copies(self):
         engine = DensityEngine(1, 5)
-        engine.add_edge(trunk(0, 0, 0, 3))
+        engine.add_edge(trunk(0, 0, 0, 3).coverage)
         d_max, d_min = engine.profile(0)
         d_max[0] = 99
         assert engine.density_at(0, 0) == (1, 0)
@@ -177,14 +177,14 @@ def test_engine_matches_brute_force(edges_spec, data):
             continue
         edge = trunk(i, channel, lo, hi)
         edges.append((edge, weight))
-        engine.add_edge(edge, weight)
+        engine.add_edge(edge.coverage, weight)
         reference[channel, lo:hi] += weight
         live.append((edge, weight))
     # Remove a random subset.
     n_remove = data.draw(st.integers(0, len(live)))
     for edge, weight in live[:n_remove]:
-        engine.remove_edge(edge, weight)
-        lo, hi = coverage_columns(edge)
+        engine.remove_edge(edge.coverage, weight)
+        lo, hi = coverage_columns(edge.coverage)
         reference[edge.channel, lo : hi + 1] -= weight
     for channel in range(3):
         for column in range(width):
@@ -203,14 +203,14 @@ class TestApplyValidation:
 
     def _engine_with_edge(self):
         engine = DensityEngine(2, 10)
-        engine.add_edge(trunk(0, 0, 2, 6))
+        engine.add_edge(trunk(0, 0, 2, 6).coverage)
         return engine
 
     def test_failed_remove_leaves_profile_untouched(self):
         engine = self._engine_with_edge()
         before_max = engine.profile(0)[0].copy()
         with pytest.raises(RoutingError):
-            engine.remove_edge(trunk(1, 0, 0, 8), weight=2)
+            engine.remove_edge(trunk(1, 0, 0, 8).coverage, weight=2)
         assert np.array_equal(engine.profile(0)[0], before_max)
 
     def test_failed_remove_leaves_updates_and_stats(self):
@@ -218,7 +218,7 @@ class TestApplyValidation:
         stats_before = engine.channel_stats(0)
         updates_before = engine.updates
         with pytest.raises(RoutingError):
-            engine.remove_edge(trunk(1, 0, 1, 9))
+            engine.remove_edge(trunk(1, 0, 1, 9).coverage)
         assert engine.updates == updates_before
         assert engine.channel_stats(0) == stats_before
 
@@ -227,7 +227,7 @@ class TestApplyValidation:
         calls = []
         engine.subscribe(lambda *span: calls.append(span))
         with pytest.raises(RoutingError):
-            engine.remove_edge(trunk(1, 0, 0, 8), weight=2)
+            engine.remove_edge(trunk(1, 0, 0, 8).coverage, weight=2)
         assert calls == []
 
     def test_partial_overlap_failure_is_atomic(self):
@@ -236,7 +236,7 @@ class TestApplyValidation:
         # NOT have been decremented on the way to discovering that.
         engine = self._engine_with_edge()
         with pytest.raises(RoutingError):
-            engine.remove_edge(trunk(1, 0, 0, 8))
+            engine.remove_edge(trunk(1, 0, 0, 8).coverage)
         assert engine.density_at(0, 3) == (1, 0)
 
 
@@ -244,19 +244,19 @@ class TestZeroSpanTrunk:
     """Zero-span trunks (interval lo == hi) count once, in column lo."""
 
     def test_coverage_clamps_to_single_column(self):
-        assert coverage_columns(trunk(0, 0, 4, 4)) == (4, 4)
+        assert coverage_columns(trunk(0, 0, 4, 4).coverage) == (4, 4)
 
     def test_density_counts_single_column(self):
         engine = DensityEngine(1, 10)
-        engine.add_edge(trunk(0, 0, 4, 4))
+        engine.add_edge(trunk(0, 0, 4, 4).coverage)
         assert engine.density_at(0, 4) == (1, 0)
         assert engine.density_at(0, 3) == (0, 0)
         assert engine.density_at(0, 5) == (0, 0)
 
     def test_params_match_single_column_branch_shape(self):
         engine = DensityEngine(1, 10)
-        engine.add_edge(trunk(0, 0, 4, 4))
-        params = engine.edge_params(trunk(1, 0, 4, 4))
+        engine.add_edge(trunk(0, 0, 4, 4).coverage)
+        params = engine.edge_params(trunk(1, 0, 4, 4).coverage)
         assert (params.d_max, params.d_min) == (1, 0)
 
 
@@ -267,7 +267,7 @@ class TestEdgeParamsBatch:
             channel = rng.randrange(n_channels)
             lo = rng.randrange(width - 1)
             hi = rng.randrange(lo + 1, width)
-            engine.add_edge(trunk(i, channel, lo, hi))
+            engine.add_edge(trunk(i, channel, lo, hi).coverage)
         return engine
 
     def test_empty_batch(self):
@@ -295,7 +295,7 @@ class TestEdgeParamsBatch:
             )
             for i, (lo, hi) in enumerate(windows):
                 scalar = engine.edge_params(
-                    trunk(99, channel, lo, hi + 1)
+                    trunk(99, channel, lo, hi + 1).coverage
                 )
                 assert d_max[i] == scalar.d_max
                 assert nd_max[i] == scalar.nd_max
@@ -316,7 +316,9 @@ class TestEdgeParamsBatch:
             )
         )
         for i, (lo, span) in enumerate(spans):
-            engine.add_edge(trunk(i, 0, lo, min(width, lo + span)))
+            engine.add_edge(
+                trunk(i, 0, lo, min(width, lo + span)).coverage
+            )
         windows = data.draw(
             st.lists(
                 st.tuples(
@@ -334,7 +336,7 @@ class TestEdgeParamsBatch:
         batch = engine.edge_params_batch(0, lo_arr, hi_arr)
         for i in range(len(windows)):
             scalar = engine.edge_params(
-                trunk(99, 0, int(lo_arr[i]), int(hi_arr[i]) + 1)
+                trunk(99, 0, int(lo_arr[i]), int(hi_arr[i]) + 1).coverage
             )
             assert batch[0][i] == scalar.d_max
             assert batch[1][i] == scalar.nd_max
@@ -366,7 +368,7 @@ class TestDownsample:
 
     def test_snapshot_caps_wide_chips(self):
         engine = DensityEngine(1, 100)
-        engine.add_edge(trunk(0, 0, 57, 58))
+        engine.add_edge(trunk(0, 0, 57, 58).coverage)
         snap = engine.snapshot(max_columns=10)
         assert snap["column_stride"] == 10
         assert len(snap["channels"][0]["d_max"]) == 10
@@ -386,9 +388,9 @@ class TestDownsample:
 # ----------------------------------------------------------------------
 def per_edge(engine, entries):
     for edge, weight, essential in entries:
-        engine.add_edge(edge, weight)
+        engine.add_edge(edge.coverage, weight)
         if essential:
-            engine.add_bridge(edge, weight)
+            engine.add_bridge(edge.coverage, weight)
 
 
 def engine_state(engine):
@@ -426,9 +428,9 @@ def test_add_bulk_matches_per_edge(spec):
     bulk, single = DensityEngine(3, width), DensityEngine(3, width)
     # A profile that already holds something, as after a rip-up.
     for engine in (bulk, single):
-        engine.add_edge(trunk(99, 1, 4, 9), 2)
+        engine.add_edge(trunk(99, 1, 4, 9).coverage, 2)
         engine.channel_stats(1)
-    bulk.add_bulk(entries)
+    bulk.add_bulk([(edge.coverage, w, e) for edge, w, e in entries])
     per_edge(single, entries)
     assert engine_state(bulk) == engine_state(single)
     for channel in range(3):
@@ -440,7 +442,7 @@ class TestAddBulk:
         engine = DensityEngine(1, 12)
         engine.subscribe(lambda *span: None)
         with pytest.raises(RoutingError, match="before any listener"):
-            engine.add_bulk([(trunk(0, 0, 3, 6), 1, True)])
+            engine.add_bulk([(trunk(0, 0, 3, 6).coverage, 1, True)])
         assert engine_state(engine) == ([[0] * 12], [[0] * 12], 0)
 
     @pytest.mark.parametrize(
@@ -452,19 +454,20 @@ class TestAddBulk:
     )
     def test_out_of_range_trunk_changes_nothing(self, bad, message):
         engine = DensityEngine(2, 10)
-        engine.add_edge(trunk(0, 0, 2, 6))
+        engine.add_edge(trunk(0, 0, 2, 6).coverage)
         engine.channel_stats(0)
         before = engine_state(engine)
         stats = dict(engine._stats_cache)
         with pytest.raises(RoutingError, match=message) as bulk_error:
-            engine.add_bulk(
-                [(trunk(1, 0, 0, 4), 1, True), (bad, 1, True)]
-            )
+            engine.add_bulk([
+                (trunk(1, 0, 0, 4).coverage, 1, True),
+                (bad.coverage, 1, True),
+            ])
         assert engine_state(engine) == before
         assert engine._stats_cache == stats
         # The same error the per-edge path raises for that edge.
         with pytest.raises(RoutingError) as single_error:
-            DensityEngine(2, 10).add_edge(bad)
+            DensityEngine(2, 10).add_edge(bad.coverage)
         assert str(bulk_error.value) == str(single_error.value)
 
 

@@ -262,10 +262,13 @@ class TestCongestedZeroSpanTrunk:
         stub = RouteEdge(
             0, EdgeKind.TRUNK, 0, 1, 0, Interval(5, 5), 0.0
         )
-        engine.add_edge(stub)
+        engine.add_edge(stub.coverage)
         state = SimpleNamespace(
             is_follower=False,
-            graph=SimpleNamespace(alive_edges=lambda: [stub]),
+            graph=SimpleNamespace(
+                alive_edge_ids=lambda: [0],
+                coverage=lambda edge_id: stub.coverage,
+            ),
         )
         router = SimpleNamespace(engine=engine, states={"zn": state})
         assert _congested_nets(router) == ["zn"]

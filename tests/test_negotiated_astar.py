@@ -20,6 +20,7 @@ from repro.bench.circuits import make_dataset, small_suite
 from repro.core.config import RouterConfig
 from repro.engines import make_engine
 from repro.errors import RoutingError
+from tests.routegraph_reference import csr_lists
 
 #: Edge costs drawn for the searches; 0.0 and repeats make ties common.
 COSTS = (0.0, 0.0, 1.0, 2.5, 10.0, 10.0)
@@ -42,7 +43,7 @@ def reference_astar(graph, cost, sources, targets, pitch):
                 best = left
         return best * pitch
 
-    indptr, nbr_vertex, nbr_edge, _ = graph.csr_lists()
+    indptr, nbr_vertex, nbr_edge, _ = csr_lists(graph)
     dist = {}
     parent = {}
     heap = []

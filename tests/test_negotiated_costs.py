@@ -23,7 +23,7 @@ from repro.core.density import coverage_columns
 from repro.engines import make_engine
 from repro.geometry import Interval
 from repro.layout.floorplan import assign_external_pins
-from repro.routegraph.graph import EdgeKind
+from repro.routegraph.graph import EdgeKind, RoutingGraph
 
 
 def full_chip_edge_costs(engine, state, pn, discount):
@@ -48,7 +48,7 @@ def full_chip_edge_costs(engine, state, pn, discount):
     for edge in graph.edges:
         base = edge.length_um
         if edge.kind is EdgeKind.TRUNK:
-            lo, hi = coverage_columns(edge)
+            lo, hi = coverage_columns(edge.coverage)
             base += float(penalty[edge.channel][lo : hi + 1].sum())
         costs[edge.index] = base
     return costs
@@ -125,7 +125,13 @@ def test_windowed_costs_equal_chip_wide_costs(
     ]
     state = SimpleNamespace(
         net=SimpleNamespace(width_pitches=width),
-        graph=SimpleNamespace(edges=edges, vertices=graph.vertices),
+        graph=RoutingGraph(
+            graph.net,
+            graph.vertices,
+            edges,
+            graph.terminal_vertices,
+            graph.driver_vertex,
+        ),
     )
     assert _costs(engine, state, pn, discount) == full_chip_edge_costs(
         engine, state, pn, discount

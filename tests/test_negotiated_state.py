@@ -25,7 +25,7 @@ from repro.core.density import DensityEngine, coverage_columns
 from repro.engines import make_engine
 from repro.errors import RoutingError
 from repro.geometry import Interval
-from repro.routegraph.graph import EdgeKind
+from repro.routegraph.graph import EdgeKind, RoutingGraph
 
 DESIGNS = tuple(small_suite()) + tuple(congestion_suite())
 MODES = (True, False)
@@ -58,7 +58,7 @@ def recount_usage(engine):
         for edge_id in tree:
             edge = state.graph.edges[edge_id]
             if edge.kind is EdgeKind.TRUNK:
-                lo, hi = coverage_columns(edge)
+                lo, hi = coverage_columns(edge.coverage)
                 usage[edge.channel, lo : hi + 1] += weight
     return usage
 
@@ -70,9 +70,9 @@ def registered_density(router):
     for state in router.states.values():
         weight = density_weight(state.net)
         for edge in state.graph.alive_edges():
-            fresh.add_edge(edge, weight)
+            fresh.add_edge(edge.coverage, weight)
             if state.graph.essential[edge.index]:
-                fresh.add_bridge(edge, weight)
+                fresh.add_bridge(edge.coverage, weight)
     return fresh
 
 
@@ -152,10 +152,15 @@ class TestGeometryBounds:
         edges = list(state.graph.edges)
         trunk = next(e for e in edges if e.kind is EdgeKind.TRUNK)
         edges[trunk.index] = trunk._replace(**changes)
+        graph = state.graph
         return SimpleNamespace(
             net=state.net,
-            graph=SimpleNamespace(
-                edges=edges, vertices=state.graph.vertices
+            graph=RoutingGraph(
+                state.net,
+                graph.vertices,
+                edges,
+                graph.terminal_vertices,
+                graph.driver_vertex,
             ),
         )
 

@@ -1,10 +1,16 @@
 """Tests for the phase profiler (the run's one clock) and the run
 manifest."""
 
+import gc
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.obs.profile as profile_module
 from repro.bench.runner import RunRecord
 from repro.obs.events import MemorySink, TraceEvent, Tracer
 from repro.obs.manifest import (
@@ -235,6 +241,123 @@ class TestOneScope:
         assert rebuilt.node("route").calls == 2
         assert rebuilt.node("route", "setup").calls == 1
         assert list(rebuilt.node("route").children) == ["setup"]
+
+
+class TestGcLedger:
+    def test_collection_charged_to_innermost_scope(self):
+        profiler = PhaseProfiler()
+        with profiler.phase("route"):
+            with profiler.phase("setup"):
+                gc.collect()
+        setup = profiler.node("route", "setup")
+        route = profiler.node("route")
+        assert setup.gc_collections >= 1
+        assert setup.gc_s > 0.0
+        assert route.gc_collections == 0 and route.gc_s == 0.0
+        tree = profiler.to_dict()["route"]
+        assert "gc_s" not in tree and "gc_collections" not in tree
+        child = tree["children"]["setup"]
+        assert child["gc_collections"] == setup.gc_collections
+        assert child["gc_s"] == round(setup.gc_s, 6)
+
+    def test_one_callback_while_scopes_are_open(self):
+        before = list(gc.callbacks)
+        profiler = PhaseProfiler()
+        with profiler.phase("route"):
+            with profiler.phase("setup"):
+                assert gc.callbacks.count(profiler._gc_hook) == 1
+            assert len(gc.callbacks) == len(before) + 1
+        assert gc.callbacks == before
+
+    def test_raising_scope_removes_its_callback(self):
+        before = list(gc.callbacks)
+        profiler, _, _ = bound_profiler()
+        with pytest.raises(RuntimeError):
+            with profiler.phase("route"):
+                with profiler.phase("tree_eval", "router.tree_eval_s"):
+                    raise RuntimeError("boom")
+        assert gc.callbacks == before
+
+    def test_two_routes_leave_the_callbacks_as_they_were(self):
+        from repro.bench.circuits import make_dataset, small_suite
+        from repro.core import GlobalRouter, RouterConfig
+
+        before = list(gc.callbacks)
+        profiler = PhaseProfiler()
+        for spec in small_suite()[:2]:
+            dataset = make_dataset(spec)
+            GlobalRouter(
+                dataset.circuit, dataset.placement, dataset.constraints,
+                RouterConfig(), profiler=profiler,
+            ).route()
+            assert gc.callbacks == before
+        assert profiler.node("route").calls == 2
+
+
+class TestPeakRss:
+    def test_phase_that_holds_memory_reads_above_its_sibling(self):
+        """In a fresh interpreter started by a small one: Linux carries
+        the resident size at fork into the child's high-water mark, so a
+        child of this process would start at this process's size."""
+        code = (
+            "import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from repro.obs.profile import PhaseProfiler\n"
+            "profiler = PhaseProfiler()\n"
+            "with profiler.phase('route'):\n"
+            "    with profiler.phase('small'):\n"
+            "        pass\n"
+            "    with profiler.phase('large'):\n"
+            "        held = b'x' * (32 << 20)\n"
+            "print(json.dumps(profiler.to_dict()))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        launcher = (
+            "import subprocess, sys; "
+            "subprocess.run(sys.argv[1:], check=True)"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", launcher, sys.executable, "-c", code,
+             src],
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        phases = json.loads(child.stdout)["route"]
+        small = phases["children"]["small"]["peak_rss_mb"]
+        large = phases["children"]["large"]["peak_rss_mb"]
+        # A high-water mark: the import's own peak sits above the live
+        # heap, so the rise is less than the 32 MB held.
+        assert large > small
+        assert phases["peak_rss_mb"] >= large
+
+    def test_one_getrusage_per_phase_exit(self, monkeypatch):
+        import resource as real
+
+        calls = []
+
+        class Counting:
+            RUSAGE_SELF = real.RUSAGE_SELF
+
+            @staticmethod
+            def getrusage(who):
+                calls.append(who)
+                return real.getrusage(who)
+
+        monkeypatch.setattr(profile_module, "resource", Counting)
+        profiler, sink, _ = bound_profiler()
+        for _ in range(2):
+            with profiler.phase("route"):
+                with profiler.phase("setup"):
+                    for _ in range(5):
+                        with profiler.phase(
+                            "reclassify", "graph.reclassify_s"
+                        ):
+                            pass
+        with profiler.phase("build_result"):
+            pass
+        assert len(calls) == len(sink.of_kind("phase_end")) == 5
+        reclassify = profiler.node("route", "setup", "reclassify")
+        assert reclassify.peak_rss_mb is None
+        assert profiler.node("route", "setup").peak_rss_mb > 0.0
 
 
 class TestManifest:

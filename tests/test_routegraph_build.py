@@ -11,7 +11,10 @@ from repro.netlist import Circuit, PinSide, TerminalDirection
 from repro.routegraph import build_routing_graph
 from repro.routegraph.graph import EdgeKind, VertexKind
 from repro.tech import Technology
-from tests.routegraph_reference import reference_build_routing_graph
+from tests.routegraph_reference import (
+    adjacency,
+    reference_build_routing_graph,
+)
 
 
 def same_row_pair(library):
@@ -230,8 +233,16 @@ def test_construction_matches_reference_on_every_net(design):
         assert [e.length_um.hex() for e in graph.edges] == [
             e.length_um.hex() for e in ref.edges
         ], where
-        assert graph._adjacency == ref._adjacency, where
-        assert graph._lengths.tolist() == ref._lengths.tolist(), where
+        # The static CSR lists every vertex's edges in the reference's
+        # per-vertex order.
+        indptr = graph.indptr
+        assert [
+            list(graph.nbr_edge[indptr[v]:indptr[v + 1]])
+            for v in range(len(indptr) - 1)
+        ] == adjacency(ref), where
+        assert list(graph.edge_length) == [
+            e.length_um for e in ref.edges
+        ], where
         assert graph.terminal_vertices == ref.terminal_vertices, where
         assert graph.driver_vertex == ref.driver_vertex, where
         assert graph.alive == ref.alive, where

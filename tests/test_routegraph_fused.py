@@ -19,7 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import RoutingGraphError
 from repro.netlist import standard_ecl_library
-from tests.routegraph_reference import reference_reclassify
+from tests.routegraph_reference import (
+    adjacency,
+    csr_lists,
+    reference_reclassify,
+)
 from tests.test_routegraph_incremental import materialize, random_graph_spec
 
 LIBRARY = standard_ecl_library()
@@ -39,7 +43,7 @@ def flags(graph):
         list(graph.essential),
         list(graph.vertex_alive),
         repr(graph.total_alive_length_um()),
-        graph.csr_lists(),
+        csr_lists(graph),
     )
 
 
@@ -188,7 +192,7 @@ def test_disconnected_terminal_leaves_graph_untouched():
     graph = materialize(LIBRARY, spec, name="dt")
     # Cut every edge at one sink terminal.
     sink = graph.terminal_vertices[1]
-    for edge_id in graph._adjacency[sink]:
+    for edge_id in adjacency(graph)[sink]:
         graph.alive[edge_id] = False
     before = flags(graph)
     with pytest.raises(

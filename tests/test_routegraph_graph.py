@@ -15,6 +15,8 @@ from repro.routegraph.graph import (
     RoutingGraph,
     VertexKind,
 )
+from tests.routegraph_reference import csr_lists
+from tests.test_routegraph_columns import alive_slots
 
 
 def make_net(library, name="n"):
@@ -233,61 +235,32 @@ def test_random_deletion_always_converges_to_tree(seed):
 
 
 class TestCsr:
+    """The static CSR: built once, walked with dead slots skipped."""
+
     def test_matches_neighbours_iteration(self, library):
         graph = ring_graph(library)
-        indptr, nbr_vertex, nbr_edge, nbr_length = graph.csr()
-        for vertex in range(len(graph.vertices)):
-            expected = [
-                (edge.index, other, edge.length_um)
-                for edge, other in graph.neighbours(vertex)
-            ]
-            got = [
-                (
-                    int(nbr_edge[k]),
-                    int(nbr_vertex[k]),
-                    float(nbr_length[k]),
-                )
-                for k in range(int(indptr[vertex]), int(indptr[vertex + 1]))
-            ]
-            assert got == expected
+        graph.delete(4)
+        assert alive_slots(graph) == csr_lists(graph)
 
     def test_dtypes(self, library):
-        import numpy as np
-
+        """Plain Python scalars: the scalar walks index them with no
+        numpy boxing, and no numpy float leaks into a tree length."""
         graph = ring_graph(library)
-        indptr, nbr_vertex, nbr_edge, nbr_length = graph.csr()
-        assert indptr.dtype == np.int32
-        assert nbr_vertex.dtype == np.int32
-        assert nbr_edge.dtype == np.int32
-        assert nbr_length.dtype == np.float64
+        for column in (graph.indptr, graph.nbr_edge, graph.nbr_vertex):
+            assert {type(x) for x in column} == {int}
+        assert {type(x) for x in graph.nbr_length} == {float}
 
-    def test_cached_until_mutation(self, library):
+    def test_static_across_deletion(self, library):
         graph = ring_graph(library)
-        first = graph.csr()
-        assert graph.csr() is first
-        assert graph.csr_lists() is graph.csr_lists()
-
-    def test_deletion_invalidates_both_mirrors(self, library):
-        graph = ring_graph(library)
-        before_arrays = graph.csr()
-        before_lists = graph.csr_lists()
+        before = (
+            graph.indptr, graph.nbr_edge, graph.nbr_vertex, graph.nbr_length
+        )
         graph.delete(4)
-        after_arrays = graph.csr()
-        after_lists = graph.csr_lists()
-        assert after_arrays is not before_arrays
-        assert after_lists is not before_lists
-        # Edge 4 must be gone from the refreshed adjacency.
-        assert 4 not in set(int(e) for e in after_arrays[2])
-        assert 4 not in set(after_lists[2])
-        # And the stale arrays still contain it (no in-place mutation).
-        assert 4 in set(int(e) for e in before_arrays[2])
-
-    def test_lists_and_arrays_agree(self, library):
-        graph = ring_graph(library)
-        graph.delete(5)
-        indptr, nbr_vertex, nbr_edge, nbr_length = graph.csr()
-        l_indptr, l_vertex, l_edge, l_length = graph.csr_lists()
-        assert indptr.tolist() == l_indptr
-        assert nbr_vertex.tolist() == l_vertex
-        assert nbr_edge.tolist() == l_edge
-        assert nbr_length.tolist() == l_length
+        graph.reclassify()
+        after = (
+            graph.indptr, graph.nbr_edge, graph.nbr_vertex, graph.nbr_length
+        )
+        assert all(a is b for a, b in zip(before, after))
+        # The dead edge keeps its slots; walks skip them.
+        assert 4 in graph.nbr_edge
+        assert 4 not in alive_slots(graph)[2]

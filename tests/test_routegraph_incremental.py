@@ -279,11 +279,11 @@ class TestExternalMutation:
             reference_delete(ref, edge_id)
             assert snapshot(inc) == snapshot(ref)
 
-    def test_noop_reclassify_keeps_csr_cache(self, library):
+    def test_noop_reclassify_keeps_length_cache(self, library):
         spec = random_graph_spec(random.Random(29))
         graph = materialize(library, spec, name="xm_c")
-        first = graph.csr()
+        first = graph.total_alive_length_um()
         graph.reclassify()
-        assert graph.csr() is first
+        assert graph._alive_length is first
         graph.delete(graph.deletable_edges()[0])
-        assert graph.csr() is not first
+        assert graph._alive_length is None

@@ -11,7 +11,11 @@ import re
 
 import pytest
 
-from repro.analysis.run_diff import classify_input, deletion_divergence
+from repro.analysis.run_diff import (
+    classify_input,
+    deletion_divergence,
+    diff_manifests,
+)
 from repro.bench.circuits import small_suite
 from repro.bench.runner import RunRecord, run_dataset
 from repro.cli import main
@@ -155,6 +159,36 @@ class TestInjectedRegression:
         assert any(
             "violations" in failure for failure in payload["failures"]
         )
+
+
+class TestPhaseLines:
+    def test_gc_s_listed_beside_wall_s_report_only(self, seed_pair):
+        _, _, base, _ = seed_pair["a"]
+
+        def manifest(route_gc):
+            route = {"wall_s": 2.0, "children": {
+                "setup": {"wall_s": 1.0, "gc_s": 0.25, "gc_collections": 3},
+            }}
+            if route_gc is not None:
+                route["gc_s"] = route_gc
+            payload = json.loads(json.dumps(base))
+            payload["results"]["phases"] = {"route": route}
+            return payload
+
+        diff = diff_manifests(manifest(None), manifest(0.5))
+        lines = {line.name: line for line in diff.lines}
+        names = [line.name for line in diff.lines]
+        assert names.index("phase.route.gc_s") == (
+            names.index("phase.route.wall_s") + 1
+        )
+        assert (lines["phase.route.gc_s"].old,
+                lines["phase.route.gc_s"].new) == (0.0, 0.5)
+        assert lines["phase.route.setup.gc_s"].new == 0.25
+        assert all(
+            lines[name].note == "report-only"
+            for name in names if name.startswith("phase.")
+        )
+        assert not diff.failures
 
 
 class TestInputClassification:
