@@ -12,9 +12,14 @@ channel router), not checking output: X1P1's output is pinned by
 across machines); so may its feedthrough assignment
 (``route/setup/assignment`` in the route's phase profile), at most
 ``MAX_ASSIGNMENT_RATIO``, and its routing-graph build
-(``route/setup/graphs``), at most ``MAX_GRAPHS_RATIO``.  The process's
-peak RSS after X1P1's route and channel routing, before X2P1 starts,
-may be at most ``MAX_X1_PEAK_RSS_MB``.  X2P1 must route within
+(``route/setup/graphs``), at most ``MAX_GRAPHS_RATIO``.  Its three
+post-route layers together — ``build_result``, channel routing and a
+``verify_routing`` with the slot assignment, each a profiler phase —
+may take at most ``MAX_POST_ROUTE_RATIO``; each gated layer's cyclic-GC
+time (``gc_s``) is printed beside its ratio, report-only, so a failure
+shows whether a full collection landed there.  The process's peak RSS
+after X1P1's route and channel routing, read before the verification
+and X2P1 start, may be at most ``MAX_X1_PEAK_RSS_MB``.  X2P1 must route within
 ``X2_CEILING_S`` with local
 bridge recomputes answering at least ``REQUIRED_LOCAL_RATIO`` of its
 reclassifications.  Exits non-zero on any miss::
@@ -30,6 +35,7 @@ import time
 from repro.bench.circuits import make_dataset, scale_suite
 from repro.channelrouter import route_channels
 from repro.core import GlobalRouter, RouterConfig
+from repro.core.verify import verify_routing
 from repro.obs import PhaseProfiler
 from repro.obs.profile import peak_rss_mb
 
@@ -58,12 +64,27 @@ MAX_GRAPHS_RATIO = 0.14
 # X1P1's route and channel routing peak at about 253 MB with the column
 # store; with one object per vertex and edge they peaked at 287-298 MB.
 MAX_X1_PEAK_RSS_MB = 270.0
+# build_result fills one route table that channel routing and the
+# verifier read in bulk: X1P1's three post-route layers take 0.18-0.20
+# of its route wall, a full collection in route_channels included.
+# Copying every tree into per-edge tuples that both consumers decoded
+# again took 0.25-0.29.
+MAX_POST_ROUTE_RATIO = 0.24
+#: The gated post-route layers: profiler phase -> printed name.
+POST_ROUTE_LAYERS = {
+    "build_result": "build_result",
+    "route_channels": "route_channels",
+    "verify": "verify_routing",
+}
 
 
 def route(spec, channels=False):
-    """Route one design, and channel-route its result if ``channels``;
-    returns (deletions, wall_s, local, fallbacks, channel_wall_s,
-    assignment_wall_s, graphs_wall_s)."""
+    """Route one design, and channel-route and verify its result if
+    ``channels``; returns (deletions, wall_s, local, fallbacks,
+    profiler, rss_mb), channel routing and verification as the
+    profiler's ``route_channels`` and ``verify`` phases and ``rss_mb``
+    the peak RSS read right after channel routing (``None`` without
+    it)."""
     dataset = make_dataset(spec)
     config = RouterConfig()
     profiler = PhaseProfiler()
@@ -77,20 +98,24 @@ def route(spec, channels=False):
     start = time.perf_counter()
     result = router.route()
     wall = time.perf_counter() - start
-    channel_wall = 0.0
+    rss = None
     if channels:
-        start = time.perf_counter()
-        route_channels(result, dataset.placement, config.technology)
-        channel_wall = time.perf_counter() - start
+        with profiler.phase("route_channels"):
+            route_channels(result, dataset.placement, config.technology)
+        rss = peak_rss_mb()
+        with profiler.phase("verify"):
+            verify_routing(
+                dataset.circuit, dataset.placement, result,
+                router.assignment,
+            )
     flat = router.metrics.flat()
     return (
         result.deletions,
         wall,
         int(flat.get("graph.bridge_local_recomputes", 0)),
         int(flat.get("graph.bridge_full_fallbacks", 0)),
-        channel_wall,
-        profiler.wall_s("route", "setup", "assignment"),
-        profiler.wall_s("route", "setup", "graphs"),
+        profiler,
+        rss,
     )
 
 
@@ -99,10 +124,9 @@ def main() -> int:
     failures = []
     for name, ceiling in (("X1P1", X1_CEILING_S), ("X2P1", X2_CEILING_S)):
         print(f"scale-tier smoke: {name} (ceiling {ceiling:.0f}s)")
-        (
-            deletions, wall, local, fallbacks, channel_wall, assign_wall,
-            graphs_wall,
-        ) = route(specs[name], channels=name == "X1P1")
+        deletions, wall, local, fallbacks, profiler, rss = route(
+            specs[name], channels=name == "X1P1"
+        )
         ratio = local / max(1, local + fallbacks)
         print(
             f"{name:6s} dels {deletions:5d}  wall {wall:6.2f}s  "
@@ -115,6 +139,9 @@ def main() -> int:
                 "ceiling"
             )
         if name == "X1P1":
+            channel_wall = profiler.wall_s("route_channels")
+            assign_wall = profiler.wall_s("route", "setup", "assignment")
+            graphs_wall = profiler.wall_s("route", "setup", "graphs")
             channel_ratio = channel_wall / wall
             print(
                 f"{name:6s} route_channels {channel_wall:6.2f}s  "
@@ -150,7 +177,28 @@ def main() -> int:
                     f"{graphs_ratio:.3f} of the route wall (max "
                     f"{MAX_GRAPHS_RATIO:.2f})"
                 )
-            rss = peak_rss_mb()
+            post_wall = 0.0
+            for phase, label in POST_ROUTE_LAYERS.items():
+                node = profiler.node(phase)
+                post_wall += node.wall_s
+                print(
+                    f"{name:6s} {label} {node.wall_s:6.2f}s  "
+                    f"= {node.wall_s / wall:.3f} of route  "
+                    f"(gc {node.gc_s:.2f}s in {node.gc_collections} "
+                    "collections)"
+                )
+            post_ratio = post_wall / wall
+            print(
+                f"{name:6s} post-route {post_wall:6.2f}s  "
+                f"= {post_ratio:.3f} of route (max "
+                f"{MAX_POST_ROUTE_RATIO:.2f})"
+            )
+            if post_ratio > MAX_POST_ROUTE_RATIO:
+                failures.append(
+                    f"{name}: build_result, route_channels and "
+                    f"verify_routing took {post_ratio:.3f} of the route "
+                    f"wall (max {MAX_POST_ROUTE_RATIO:.2f})"
+                )
             if rss is not None:
                 print(
                     f"{name:6s} peak RSS {rss:6.1f} MB (max "

@@ -40,11 +40,16 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from ..core.result import (
+    TOP,
     AttachSide,
-    ChannelAttachment,
     GlobalRoutingResult,
     NetRoute,
+    locate,
+    pack_keys,
+    route_table,
 )
 from ..errors import ChannelRoutingError
 from ..geometry import Interval
@@ -361,14 +366,9 @@ def route_channels(
     """
     from .trackorder import optimize_track_order
 
-    per_channel_segments: Dict[int, List[ChannelSegment]] = {}
-    per_channel_throughs: Dict[int, Dict[str, List[int]]] = {}
-
-    for net_name in sorted(result.routes):
-        route = result.routes[net_name]
-        _collect_net(
-            route, per_channel_segments, per_channel_throughs
-        )
+    per_channel_segments, per_channel_throughs = collect_channels(
+        result.routes
+    )
 
     channels: Dict[int, ChannelResult] = {}
     for channel in range(placement.n_channels):
@@ -414,66 +414,91 @@ def route_channels(
     )
 
 
-def _collect_net(
-    route: NetRoute,
-    segments_out: Dict[int, List[ChannelSegment]],
-    throughs_out: Dict[int, Dict[str, List[int]]],
-) -> None:
-    """Split one net into per-channel spans / throughs with attachments.
+def collect_channels(
+    routes: Mapping[str, NetRoute],
+) -> Tuple[Dict[int, List[ChannelSegment]], Dict[int, Dict[str, List[int]]]]:
+    """Split every net into per-channel spans and throughs with
+    attachments, from the routes' table in one chip-wide pass.
 
-    One pass over the net's attachments per channel assigns each to the
-    merged span that contains it, keeping their order within each
-    span's top and bottom lists.  A channel's merged spans are disjoint
-    and sorted, so that span is the last one starting at or left of the
-    column (bisection; a lone span is tested directly).  Attachments
-    outside every span are pure vertical crossings.
+    Returns ``(segments, throughs)``: per channel, the
+    :class:`ChannelSegment` of each merged trunk span and multipitch
+    part — nets by name, spans left to right, parts ``0..w-1``, each
+    span's top and bottom columns in attachment order — and per channel
+    and net the sorted columns of attachments that lie in no span of
+    theirs (pure vertical crossings).  Each attachment belongs to the
+    span of its net and channel that contains its column: a net's
+    merged spans in one channel are disjoint, so that span is the last
+    one starting at or left of the column (:func:`locate`, over all
+    spans keyed by channel, net and ``lo``).
     """
-    attach_by_channel: Dict[int, List[ChannelAttachment]] = {}
-    for attachment in route.attachments:
-        attach_by_channel.setdefault(attachment.channel, []).append(
-            attachment
+    table = route_table(routes)
+    names = table.names
+    net, channel, lo, hi = table.merged_trunks()
+    order = np.lexsort((lo, net, channel))
+    net, channel, lo, hi = net[order], channel[order], lo[order], hi[order]
+    a_net = table.attach_net
+    a_channel = table.attach_channel
+    a_column = table.attach_column
+    span = locate((channel, net, lo, hi), (a_channel, a_net, a_column))
+    inside = span >= 0
+    # Each span's top and bottom columns, in attachment order.
+    spans = np.arange(len(net) + 1)
+    columns_of = []
+    for side in (
+        inside & (table.attach_side == TOP),
+        inside & (table.attach_side != TOP),
+    ):
+        order = np.argsort(span[side], kind="stable")
+        columns_of.append((
+            a_column[side][order].tolist(),
+            np.searchsorted(span[side][order], spans),
+        ))
+    (top_columns, top_start), (bottom_columns, bottom_start) = columns_of
+    # One segment per span and multipitch part, spans in order.
+    width = np.asarray(
+        [routes[name].width_pitches for name in names], dtype=np.int64
+    )[net]
+    span_of = np.repeat(np.arange(len(net)), width)
+    part = np.arange(len(span_of)) - np.repeat(np.cumsum(width) - width, width)
+    intervals = list(map(Interval, lo.tolist(), hi.tolist()))
+    built = [
+        ChannelSegment(
+            names[i], intervals[k], p, w,
+            top_columns[top_lo:top_hi], bottom_columns[bottom_lo:bottom_hi],
         )
-    name = route.net_name
-    width = route.width_pitches
-    for channel, spans in route.trunk_intervals().items():
-        attachments = attach_by_channel.pop(channel, ())
-        through = set()
-        if len(spans) == 1:
-            lo, hi = spans[0].lo, spans[0].hi
-            top: List[int] = []
-            bottom: List[int] = []
-            for _, column, side in attachments:
-                if lo <= column <= hi:
-                    (top if side is _TOP else bottom).append(column)
-                else:
-                    through.add(column)
-            assigned = ((spans[0], top, bottom),)
-        else:
-            starts = [span.lo for span in spans]
-            tops: List[List[int]] = [[] for _ in spans]
-            bottoms: List[List[int]] = [[] for _ in spans]
-            for _, column, side in attachments:
-                k = bisect_right(starts, column) - 1
-                if k >= 0 and column <= spans[k].hi:
-                    (tops if side is _TOP else bottoms)[k].append(column)
-                else:
-                    through.add(column)
-            assigned = zip(spans, tops, bottoms)
-        out = segments_out.setdefault(channel, [])
-        for interval, top, bottom in assigned:
-            for part in range(width):
-                out.append(
-                    ChannelSegment(
-                        name, interval, part, width, list(top), list(bottom)
-                    )
-                )
-        if through:
-            throughs_out.setdefault(channel, {})[name] = sorted(through)
-    # Channels the net enters but runs no span in: pure crossings.
-    for channel, attachments in attach_by_channel.items():
-        throughs_out.setdefault(channel, {})[name] = sorted(
-            {attachment.column for attachment in attachments}
+        for i, k, p, w, top_lo, top_hi, bottom_lo, bottom_hi in zip(
+            net[span_of].tolist(),
+            span_of.tolist(),
+            part.tolist(),
+            width[span_of].tolist(),
+            top_start[span_of].tolist(),
+            top_start[span_of + 1].tolist(),
+            bottom_start[span_of].tolist(),
+            bottom_start[span_of + 1].tolist(),
         )
+    ]
+    segment_channel = channel[span_of]
+    cuts = np.flatnonzero(segment_channel[1:] != segment_channel[:-1]) + 1
+    bounds = [0, *cuts.tolist(), len(built)]
+    segments: Dict[int, List[ChannelSegment]] = {
+        ch: built[start:stop]
+        for ch, start, stop in zip(
+            segment_channel[bounds[:-1]].tolist(), bounds, bounds[1:]
+        )
+    } if built else {}
+    throughs: Dict[int, Dict[str, List[int]]] = {}
+    crossing = ~inside
+    (keys,) = pack_keys(
+        (a_channel[crossing], a_net[crossing], a_column[crossing])
+    )
+    _, first = np.unique(keys, return_index=True)
+    for ch, i, column in zip(
+        a_channel[crossing][first].tolist(),
+        a_net[crossing][first].tolist(),
+        a_column[crossing][first].tolist(),
+    ):
+        throughs.setdefault(ch, {}).setdefault(names[i], []).append(column)
+    return segments, throughs
 
 
 def _vertical_lengths(

@@ -43,12 +43,11 @@ from ..bipolar.differential import (
 )
 from ..bipolar.multipitch import density_weight
 from ..errors import RoutingError, RoutingGraphError
-from ..geometry import Interval
 from ..layout.feedcell import FeedCellInserter, InsertionReport
 from ..layout.feedthrough import FeedthroughAssignment, FeedthroughPlanner
 from ..layout.floorplan import Floorplan, assign_external_pins
 from ..layout.placement import Placement
-from ..netlist.circuit import Circuit, ExternalPin, Net, Terminal
+from ..netlist.circuit import Circuit, Net
 from ..netlist.validate import validate_circuit
 from ..obs.decisions import (
     DecisionPolicy,
@@ -59,7 +58,7 @@ from ..obs.events import TRACE_SCHEMA_VERSION, TraceSink, Tracer
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import HeartbeatEmitter, PhaseProfiler
 from ..routegraph.build import build_routing_graph
-from ..routegraph.graph import EdgeKind, RoutingGraph, VertexKind
+from ..routegraph.graph import RoutingGraph
 from ..routegraph.tentative_tree import TentativeTree
 from ..routegraph.tree_engine import TreeEngine
 from ..timing.constraint import (
@@ -80,19 +79,14 @@ from .config import RouterConfig
 from .criteria import NetTimingContext
 from .density import DensityEngine
 from .result import (
-    AttachSide,
-    ChannelAttachment,
+    AttachmentRows,
     ConvergedTree,
     GlobalRoutingResult,
     NetRoute,
-    RoutedEdge,
+    RouteTable,
+    WireRows,
 )
 from .selection import SelectionMode, winning_criterion
-
-_TRUNK = EdgeKind.TRUNK
-_BRANCH = EdgeKind.BRANCH
-_CORRESPONDENCE = EdgeKind.CORRESPONDENCE
-_TERMINAL = VertexKind.TERMINAL
 
 
 class _NetState:
@@ -1101,16 +1095,41 @@ class GlobalRouter:
 
     def _build_result(self, elapsed: float) -> GlobalRoutingResult:
         """Materialize the :class:`GlobalRoutingResult` from converged
-        per-net trees."""
+        per-net trees: one :class:`RouteTable` of every net's final
+        wires and attachments, read off the alive masks once, and per
+        net a :class:`NetRoute` whose edges and attachments are views
+        over its rows."""
+        names = sorted(self.states)
+        states = [self.states[name] for name in names]
+        for state in states:
+            if not state.graph.is_tree:
+                raise RoutingGraphError(
+                    f"net {state.net.name}: routing graph is not a tree yet"
+                )
+        table = RouteTable.from_trees(
+            names, [state.graph for state in states]
+        )
         routes: Dict[str, NetRoute] = {}
         total_length = 0.0
-        # Intervals are immutable values: every route shares one per
-        # span, keyed ``lo << 32 | hi`` (columns are non-negative).
-        intervals: Dict[int, Interval] = {}
-        for name in sorted(self.states):
-            state = self.states[name]
-            route = self._net_route(state, intervals)
-            routes[name] = route
+        for index, state in enumerate(states):
+            graph = state.graph
+            route = routes[names[index]] = NetRoute(
+                net_name=state.net.name,
+                width_pitches=state.net.width_pitches,
+                edges=WireRows(table, index),
+                attachments=AttachmentRows(table, index),
+                total_length_um=graph.total_alive_length_um(),
+                wire_cap_pf=state.cl_pf,
+                tree=ConvergedTree(
+                    graph.vertex_kind,
+                    graph.vertex_pin,
+                    graph.edge_u,
+                    graph.edge_v,
+                    graph.edge_length,
+                    list(graph.alive_edge_ids()),
+                    graph.driver_vertex,
+                ),
+            )
             total_length += route.total_length_um
 
         margins = {}
@@ -1153,90 +1172,4 @@ class GlobalRouter:
             reroutes=self.reroutes,
             feed_cells_inserted=self.insertion_report.inserted_cells,
             chip_widened_columns=self.insertion_report.widening_columns,
-        )
-
-    def _net_route(
-        self, state: _NetState, intervals: Dict[int, Interval]
-    ) -> NetRoute:
-        """The route of one converged net.  The tree check (every alive
-        edge essential) runs once, then one walk over the alive edges'
-        columns yields the route's edges, its channel attachments and
-        the tree its Elmore segments are built from on read.  Spans
-        come from (and go into) ``intervals``."""
-        graph = state.graph
-        if not graph.is_tree:
-            raise RoutingGraphError(
-                f"net {graph.net.name}: routing graph is not a tree yet"
-            )
-        vertex_kind = graph.vertex_kind
-        vertex_channel = graph.vertex_channel
-        vertex_x = graph.vertex_x
-        vertex_pin = graph.vertex_pin
-        edge_kind = graph.edge_kind
-        edge_u = graph.edge_u
-        edge_v = graph.edge_v
-        edge_channel = graph.edge_channel
-        edge_lo = graph.edge_lo
-        edge_hi = graph.edge_hi
-        edge_length = graph.edge_length
-        tree_edges = list(graph.alive_edge_ids())
-        edges: List[RoutedEdge] = []
-        attachments: List[ChannelAttachment] = []
-        for edge_id in tree_edges:
-            kind = edge_kind[edge_id]
-            channel = edge_channel[edge_id]
-            lo = edge_lo[edge_id]
-            hi = edge_hi[edge_id]
-            interval = intervals.get(lo << 32 | hi)
-            if interval is None:
-                interval = intervals[lo << 32 | hi] = Interval(lo, hi)
-            edges.append(
-                RoutedEdge(kind, channel, interval, edge_length[edge_id])
-            )
-            if kind is _CORRESPONDENCE:
-                terminal = edge_u[edge_id]
-                position = edge_v[edge_id]
-                if vertex_kind[terminal] is not _TERMINAL:
-                    terminal, position = position, terminal
-                channel = vertex_channel[position]
-                if isinstance(vertex_pin[terminal], Terminal):
-                    # Row r touches channel r from above and channel
-                    # r+1 from below; the terminal vertex's channel is
-                    # the pin's lower access channel, which equals its
-                    # row index for cell terminals.
-                    side = (
-                        AttachSide.TOP
-                        if channel == vertex_channel[terminal]
-                        else AttachSide.BOTTOM
-                    )
-                else:
-                    side = (
-                        AttachSide.BOTTOM if channel == 0 else AttachSide.TOP
-                    )
-                attachments.append(
-                    ChannelAttachment(channel, vertex_x[position], side)
-                )
-            elif kind is _BRANCH:
-                attachments.append(
-                    ChannelAttachment(channel, lo, AttachSide.TOP)
-                )
-                attachments.append(
-                    ChannelAttachment(channel + 1, lo, AttachSide.BOTTOM)
-                )
-        return NetRoute(
-            net_name=state.net.name,
-            width_pitches=state.net.width_pitches,
-            edges=edges,
-            attachments=attachments,
-            total_length_um=graph.total_alive_length_um(),
-            wire_cap_pf=state.cl_pf,
-            tree=ConvergedTree(
-                vertex_kind,
-                vertex_pin,
-                edge_u,
-                edge_v,
-                edge_length,
-                tree_edges,
-                graph.driver_vertex,
-            ),
         )

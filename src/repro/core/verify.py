@@ -14,8 +14,8 @@ feedthrough assignment:
 6. **length accounting** — the reported total equals the edge sum;
 7. **wire uniqueness** — no route lists the same physical wire twice;
 8. **density accounting** — the per-channel peak density recomputed
-   from the routes' merged trunk coverage never exceeds the result's
-   reported ``channel_peak_density``.
+   from the routes' trunk coverage never exceeds the result's reported
+   ``channel_peak_density``.
 
 Checks 7 and 8 exist because the edge-deletion engine guarantees both
 properties *by construction* (routes are read off a pruned graph in
@@ -26,25 +26,22 @@ bug there can double-adopt a wire or under-report density — inflating
 wire length or shrinking the floorplan — while still passing checks
 1-6.  The verifier must not trust any engine's bookkeeping.
 
-Cost, for a net with ``e`` route edges, ``a`` attachments, ``p`` pins
-and ``s`` granted slot columns, on a chip ``W`` columns wide with ``C``
-channels — every check but density is per net, so a call costs the sum
-over nets plus the density pass.  The chip width and channel count are
-read once per call (``Placement.width_columns`` re-sums every placed
-cell), and one pass over each net's edges does checks 3, 4 (the
-per-branch half), 6 and 7 and collects the net's trunks and branches:
-
-1. completeness — one set difference over the net names;
-2. tree legality — ``O(e log e)``: the merged trunk spans and the
-   branches of each channel are sorted once and swept, plus ``O(a·e)``
-   at worst for the through-cell merges;
-3. geometry, 6. length accounting and 7. wire uniqueness — ``O(e)``
-   together, in the one pass;
-4. slot exclusivity — ``O(e + s)``;
-5. terminal coverage — ``O(a + p)``;
-8. density accounting — ``O(e log e)`` per net to merge its trunks,
-   once, for both the tree check and this one; then ``O(W)`` per
-   channel that holds a trunk, ``O(C·W)`` at most.
+The checks read the result's :class:`~repro.core.result.RouteTable`
+(:func:`~repro.core.result.route_table`: the router's own table while
+every route still is its view, else one built from the routes), never
+a tuple per wire, and each runs over the whole chip at once: masks over
+every wire for geometry (3), a stable sort for wire uniqueness (7), one
+``searchsorted`` lookup for the branch half of slot
+exclusivity (4) and for terminal coverage (5), a numpy union-find over
+each net's wire runs for tree legality (2), sorted coverage changes for
+density (8).  Only the inputs that are Python objects are walked in
+Python: the pins (one ``pin_access`` each), the granted slots, and per
+net one ``sum`` over its lengths' slice (6).  The chip width and
+channel count are read once per call.  For ``E`` wires, ``A``
+attachments, ``P`` pins and ``S`` granted slot columns a call costs
+``O((E + A + P + S) log(E + A + P + S))``; each check returns its
+problems per net, and the messages come out per net in name order,
+check by check, then density by channel.
 
 Violations come back as a list of human-readable strings (empty = clean),
 so the checker slots directly into tests, CI, and post-run sanity checks.
@@ -52,17 +49,26 @@ so the checker slots directly into tests, CI, and post-run sanity checks.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..geometry import Interval
+import numpy as np
+
 from ..layout.feedthrough import FeedthroughAssignment
 from ..layout.placement import Placement
-from ..netlist.circuit import Circuit
-from ..routegraph.graph import EdgeKind
-from .result import GlobalRoutingResult, NetRoute, RoutedEdge, merge_intervals
-
-_TRUNK, _BRANCH = EdgeKind.TRUNK, EdgeKind.BRANCH
+from ..netlist.circuit import Circuit, Net
+from .result import (
+    BRANCH,
+    KINDS,
+    TRUNK,
+    GlobalRoutingResult,
+    NetRoute,
+    RouteTable,
+    locate,
+    merge_runs,
+    pack_keys,
+    route_table,
+    run_starts,
+)
 
 
 def verify_routing(
@@ -81,57 +87,79 @@ def verify_routing(
     for name in sorted(extra):
         violations.append(f"net {name}: routed but not routable")
 
-    # Placement.width_columns re-sums every placed cell on each read.
     width = placement.width_columns
     n_channels = placement.n_channels
-    slot_owner: Dict[Tuple[int, int], str] = {}
-    merged: Dict[str, Dict[int, List[Interval]]] = {}
-    for name in sorted(result.routes):
-        if name not in routable:
-            continue
-        route = result.routes[name]
-        net = circuit.net(name)
-        scan = _scan_edges(route, n_channels, width)
-        merged[name] = scan.trunk_spans
-        violations.extend(scan.geometry)
-        violations.extend(
-            _check_tree(route, scan.trunk_spans, scan.branches)
+    routes = result.routes
+    table = route_table(routes)
+    names = table.names
+    labels = [routes[name].net_name for name in names]
+    nets = {
+        index: circuit.net(name)
+        for index, name in enumerate(names)
+        if name in routable
+    }
+    problems = [
+        _check_geometry(table, labels, n_channels, width),
+        _check_trees(table, labels),
+        _check_terminals(table, labels, nets, placement),
+        _check_lengths(table, labels, routes),
+        _check_duplicates(table, labels),
+    ]
+    if assignment is not None:
+        problems.append(_check_slots(table, labels, nets, assignment))
+    # Per routable net in name order, its problems check by check.
+    for index in sorted(set().union(*problems).intersection(nets)):
+        for found in problems:
+            violations.extend(found.get(index, ()))
+    violations.extend(
+        _check_density(
+            table,
+            [routes[name].width_pitches for name in names],
+            result.channel_peak_density,
+            n_channels,
+            width,
         )
-        violations.extend(_check_terminals(route, net, placement))
-        if abs(scan.total_length_um - route.total_length_um) > 1e-6:
-            violations.append(
-                f"net {route.net_name}: reported length "
-                f"{route.total_length_um} != edge sum "
-                f"{scan.total_length_um}"
-            )
-        violations.extend(scan.duplicates)
-        if assignment is not None:
-            violations.extend(
-                _check_slots(
-                    route, net, scan.branches, assignment, slot_owner
-                )
-            )
-    violations.extend(_check_density(result, n_channels, width, merged))
+    )
     return violations
 
 
 # ----------------------------------------------------------------------
-class _EdgeScan(NamedTuple):
-    """What one pass over a route's edges finds (see :func:`_scan_edges`)."""
+def _check_geometry(
+    table: RouteTable, labels: Sequence[str], n_channels: int, width: int
+) -> Dict[int, List[str]]:
+    """Check 3 over every wire: a legal channel, columns inside the
+    chip, a non-negative length; per net, the problems in wire order."""
+    limit = max(1, width)
+    channel = table.wire_channel
+    lo = table.wire_lo
+    hi = table.wire_hi
+    bad_channel = (channel < 0) | (channel >= n_channels)
+    bad_span = (lo < 0) | (hi >= limit)
+    bad_length = table.wire_length < 0
+    problems: Dict[int, List[str]] = {}
+    for row in np.flatnonzero(bad_channel | bad_span | bad_length).tolist():
+        index = int(table.wire_net[row])
+        name = labels[index]
+        out = problems.setdefault(index, [])
+        if bad_channel[row]:
+            out.append(
+                f"net {name}: edge in illegal channel {int(channel[row])}"
+            )
+        if bad_span[row]:
+            out.append(
+                f"net {name}: edge spans columns {int(lo[row])}.."
+                f"{int(hi[row])} outside chip width {width}"
+            )
+        if bad_length[row]:
+            out.append(f"net {name}: negative edge length")
+    return problems
 
-    geometry: List[str]
-    duplicates: List[str]
-    total_length_um: float
-    trunk_spans: Dict[int, List[Interval]]
-    branches: List[RoutedEdge]
 
-
-def _scan_edges(route: NetRoute, n_channels: int, width: int) -> _EdgeScan:
-    """One pass over ``route.edges``: the geometry problems (channel,
-    columns, length sign; check 3), the edge-length sum (check 6) and
-    repeated physical wires (check 7), plus the net's merged trunk spans
-    per channel and its branches, which the tree, slot and density
-    checks read.
+def _check_duplicates(
+    table: RouteTable, labels: Sequence[str]
+) -> Dict[int, List[str]]:
+    """Check 7: no route lists the same physical wire twice; per net,
+    each repeat after the first, in wire order.
 
     Only TRUNK and BRANCH wires are physical metal.  A duplicated wire
     passes the connectivity and length checks (the reported total
@@ -140,55 +168,37 @@ def _scan_edges(route: NetRoute, n_channels: int, width: int) -> _EdgeScan:
     bookkeeping hops, and several may legitimately share one column
     footprint.
     """
-    name = route.net_name
-    limit = max(1, width)
-    geometry: List[str] = []
-    duplicates: List[str] = []
-    lengths: List[float] = []
-    trunks: Dict[int, List[Interval]] = {}
-    branches: List[RoutedEdge] = []
-    seen: Set[Tuple[int, int, int, bool]] = set()
-    for edge in route.edges:
-        kind, channel, interval, length_um = edge
-        lo, hi = interval.lo, interval.hi
-        if not 0 <= channel < n_channels:
-            geometry.append(
-                f"net {name}: edge in illegal channel {channel}"
-            )
-        if lo < 0 or hi >= limit:
-            geometry.append(
-                f"net {name}: edge spans columns {lo}..{hi} outside chip "
-                f"width {width}"
-            )
-        if length_um < 0:
-            geometry.append(f"net {name}: negative edge length")
-        lengths.append(length_um)
-        if kind is _TRUNK:
-            trunks.setdefault(channel, []).append(interval)
-        elif kind is _BRANCH:
-            branches.append(edge)
-        else:
-            continue
-        count = len(seen)
-        seen.add((channel, lo, hi, kind is _BRANCH))
-        if len(seen) == count:
-            duplicates.append(
-                f"net {name}: duplicate {kind.name} wire in channel "
-                f"{channel} at columns {lo}..{hi}"
-            )
-    spans = {
-        channel: merge_intervals(intervals)
-        for channel, intervals in trunks.items()
-    }
-    return _EdgeScan(geometry, duplicates, sum(lengths), spans, branches)
+    kind = table.wire_kind
+    rows = np.flatnonzero((kind == TRUNK) | (kind == BRANCH))
+    columns = [
+        column[rows]
+        for column in (
+            table.wire_hi, table.wire_lo, table.wire_channel, kind,
+            table.wire_net,
+        )
+    ]
+    # Stable: equal wires keep their row order, so each run's first
+    # row is the original and the rest are repeats.
+    order = np.lexsort(columns)
+    repeat = np.ones(max(0, len(rows) - 1), dtype=bool)
+    for column in columns:
+        ordered = column[order]
+        repeat &= ordered[1:] == ordered[:-1]
+    problems: Dict[int, List[str]] = {}
+    for row in np.sort(rows[order][1:][repeat]).tolist():
+        index = int(table.wire_net[row])
+        problems.setdefault(index, []).append(
+            f"net {labels[index]}: duplicate "
+            f"{KINDS[table.wire_kind[row]].name} wire in channel "
+            f"{int(table.wire_channel[row])} at columns "
+            f"{int(table.wire_lo[row])}..{int(table.wire_hi[row])}"
+        )
+    return problems
 
 
-def _check_tree(
-    route: NetRoute,
-    trunk_spans: Optional[Dict[int, List[Interval]]] = None,
-    branches: Optional[List[RoutedEdge]] = None,
-) -> List[str]:
-    """The trunks and branches must form one connected structure.
+def _tree_pieces(table: RouteTable) -> np.ndarray:
+    """Check 2 for every net at once: how many connected pieces its
+    trunks and branches form (0 without any).
 
     The snapshot stores geometry, not graph endpoints, so connectivity is
     checked physically: two wires connect when they share a column of a
@@ -198,193 +208,334 @@ def _check_tree(
     connecting segments *through a cell* (a terminal reachable from both
     adjacent channels) also merge the wires at that pin's column.
 
-    Trunks of one channel that share a column are one merged span
-    (``trunk_spans``, :meth:`NetRoute.trunk_intervals`), so the wires
-    are the merged spans plus the branches; merging only joins wires
-    that are connected anyway, so the count of pieces is the same as
-    over single trunks.  Each channel's wires are swept in order of
-    ``lo``: a wire joins the running group while its ``lo`` is at most
-    the largest ``hi`` seen so far, which finds the same groups as
-    testing every pair of wires.
+    The wires are each net's merged trunk spans
+    (:meth:`RouteTable.merged_trunks`; merging only joins wires that are
+    connected anyway, so the count of pieces is the same as over single
+    trunks) and its branches, a branch listed in the channels on both
+    sides of its row.  Per net and channel, the wires that share
+    columns form maximal runs (:func:`run_starts`, the sweep in order of
+    ``lo``), and every wire joins its run's first.  An attachment joins
+    the run of its channel that holds its column, and the runs that a
+    net's attachments at one column reach are joined in a chain: a
+    column reached from one channel only joins nothing new.  Pieces are
+    the components of these joins (:func:`_components`).
     """
-    if trunk_spans is None:
-        trunk_spans = route.trunk_intervals()
-    if branches is None:
-        branches = [e for e in route.edges if e.kind is _BRANCH]
-    # Each channel's wires as (lo, hi, wire): its merged trunk spans,
-    # and every branch, which crosses a row and so joins the lists of
-    # both channels beside it.
-    by_channel: Dict[int, List[Tuple[int, int, int]]] = {}
-    wires = 0
-    for channel, spans in trunk_spans.items():
-        by_channel[channel] = [
-            (span.lo, span.hi, wire)
-            for wire, span in enumerate(spans, wires)
-        ]
-        wires += len(spans)
-    for edge in branches:
-        span = (edge.interval.lo, edge.interval.hi, wires)
-        by_channel.setdefault(edge.channel, []).append(span)
-        by_channel.setdefault(edge.channel + 1, []).append(span)
-        wires += 1
-    if wires <= 1:
-        return []
-
-    parent = list(range(wires))
-
-    def union(i: int, j: int) -> int:
-        """Join the pieces of wires ``i`` and ``j``; 1 if they were two."""
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        if i == j:
-            return 0
-        parent[i] = j
-        return 1
-
-    pieces = wires
-    for spans in by_channel.values():
-        if len(spans) < 2:
-            continue
-        spans.sort()
-        group, reach = -1, -1
-        for lo, hi, wire in spans:
-            if group >= 0 and lo <= reach:
-                pieces -= union(wire, group)
-                if hi > reach:
-                    reach = hi
-            else:
-                group, reach = wire, hi
-
-    # A pin reachable from both adjacent channels merges wires at its
-    # column (the route crosses through the cell).  Wires of one channel
-    # that share a column are already one group, so only columns
-    # reached from two or more channels can join anything.
-    channels_at: Dict[int, Set[int]] = {}
-    for attachment in route.attachments:
-        channels_at.setdefault(attachment.column, set()).add(
-            attachment.channel
+    net, channel, lo, hi = table.merged_trunks()
+    rows = np.flatnonzero(table.wire_kind == BRANCH)
+    branch_net = table.wire_net[rows]
+    branch_channel = table.wire_channel[rows]
+    branch_lo = table.wire_lo[rows]
+    branch_hi = table.wire_hi[rows]
+    wire_net = np.concatenate((net, branch_net))
+    wires = np.arange(len(wire_net))
+    branches = wires[len(net):]
+    # Each channel's wires: its spans, and the branches of both rows
+    # beside it.
+    net = np.concatenate((net, branch_net, branch_net))
+    channel = np.concatenate(
+        (channel, branch_channel, branch_channel + 1)
+    )
+    lo = np.concatenate((lo, branch_lo, branch_lo))
+    hi = np.concatenate((hi, branch_hi, branch_hi))
+    order, starts = run_starts(net, channel, lo, hi)
+    member = np.concatenate((wires, branches, branches))[order]
+    first = np.flatnonzero(starts)
+    leader = member[first]
+    joins_a = [member]
+    joins_b = [leader[np.cumsum(starts) - 1]]
+    if len(first):
+        run = locate(
+            (
+                net[order][first],
+                channel[order][first],
+                lo[order][first],
+                np.maximum.reduceat(hi[order], first),
+            ),
+            (table.attach_net, table.attach_channel, table.attach_column),
         )
-    for column, channels in channels_at.items():
-        if len(channels) < 2:
-            continue
-        incident = [
-            wire
-            for channel in channels
-            for lo, hi, wire in by_channel.get(channel, ())
-            if lo <= column <= hi
-        ]
-        for a, b in zip(incident, incident[1:]):
-            pieces -= union(a, b)
+        inside = run >= 0
+        at_net = table.attach_net[inside]
+        at_column = table.attach_column[inside]
+        at_leader = leader[run[inside]]
+        chain = np.lexsort((at_column, at_net))
+        at_net = at_net[chain]
+        at_column = at_column[chain]
+        at_leader = at_leader[chain]
+        same = (at_net[1:] == at_net[:-1]) & (
+            at_column[1:] == at_column[:-1]
+        )
+        joins_a.append(at_leader[1:][same])
+        joins_b.append(at_leader[:-1][same])
+    label = _components(
+        len(wires), np.concatenate(joins_a), np.concatenate(joins_b)
+    )
+    return np.bincount(
+        wire_net[label == wires], minlength=len(table.names)
+    )
 
-    if pieces > 1:
-        return [
-            f"net {route.net_name}: wiring is not connected "
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each of ``n`` nodes' component over the joins ``a[k]``–``b[k]``,
+    named by its smallest node.
+
+    Every label names a root (a node labelled with itself).  Each round
+    hooks, for every join whose ends still differ, the larger root
+    under the smaller, then points every node at its label's label
+    until the labels settle; labels only fall, so the rounds end.
+    """
+    label = np.arange(n)
+    while True:
+        label_a = label[a]
+        label_b = label[b]
+        apart = label_a != label_b
+        if not apart.any():
+            return label
+        low = np.minimum(label_a, label_b)[apart]
+        np.minimum.at(label, label_a[apart], low)
+        np.minimum.at(label, label_b[apart], low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+def _check_trees(
+    table: RouteTable, labels: Sequence[str]
+) -> Dict[int, List[str]]:
+    """Check 2, per net: its wires form one connected piece."""
+    return {
+        index: [
+            f"net {labels[index]}: wiring is not connected "
             f"({pieces} separate pieces)"
         ]
-    return []
+        for index, pieces in enumerate(_tree_pieces(table).tolist())
+        if pieces > 1
+    }
 
 
-def _check_terminals(
-    route: NetRoute, net, placement: Placement
-) -> List[str]:
-    problems = []
-    attach_points = {(a.channel, a.column) for a in route.attachments}
-    for pin in net.pins:
-        column, channels = placement.pin_access(pin)
-        if not any(
-            (channel, column) in attach_points for channel in channels
-        ):
-            problems.append(
-                f"net {route.net_name}: pin {pin.full_name} at column "
-                f"{column} has no attachment"
-            )
+def _check_tree(route: NetRoute) -> List[str]:
+    """Check 2 for one route, read from its own rows."""
+    table = RouteTable.from_routes({route.net_name: route})
+    return _check_trees(table, [route.net_name]).get(0, [])
+
+
+def _check_lengths(
+    table: RouteTable, labels: Sequence[str], routes: Dict[str, NetRoute]
+) -> Dict[int, List[str]]:
+    """Check 6, per net: the reported total equals the sum of its wire
+    lengths, added in row order by Python's ``sum``."""
+    lengths = table.wire_length.tolist()
+    start = table.wire_start.tolist()
+    problems: Dict[int, List[str]] = {}
+    for index, (name, lo, hi) in enumerate(
+        zip(table.names, start, start[1:])
+    ):
+        total = sum(lengths[lo:hi])
+        reported = routes[name].total_length_um
+        if abs(total - reported) > 1e-6:
+            problems[index] = [
+                f"net {labels[index]}: reported length {reported} != "
+                f"edge sum {total}"
+            ]
     return problems
 
 
+def _check_terminals(
+    table: RouteTable,
+    labels: Sequence[str],
+    nets: Dict[int, Net],
+    placement: Placement,
+) -> Dict[int, List[str]]:
+    """Check 5, per checked net (``nets``, by table index): each pin has
+    an attachment at its column in a channel it can be reached from
+    (the lowest or the highest of :meth:`Placement.pin_access`, which
+    lists one or two).  The pins' access points are read once, then
+    looked up among the attachments in bulk; per net, the unattached
+    pins in pin order."""
+    pins = [(index, pin) for index, net in nets.items() for pin in net.pins]
+    access = [placement.pin_access(pin) for _, pin in pins]
+    net = np.array([index for index, _ in pins], dtype=np.int64)
+    column = np.array([at for at, _ in access], dtype=np.int64)
+    low = np.array([channels[0] for _, channels in access], dtype=np.int64)
+    high = np.array(
+        [channels[-1] for _, channels in access], dtype=np.int64
+    )
+    low_key, high_key, attach_key = pack_keys(
+        (net, low, column),
+        (net, high, column),
+        (table.attach_net, table.attach_channel, table.attach_column),
+    )
+    attached = _member(low_key, attach_key) | _member(high_key, attach_key)
+    problems: Dict[int, List[str]] = {}
+    for k in np.flatnonzero(~attached).tolist():
+        index, pin = pins[k]
+        problems.setdefault(index, []).append(
+            f"net {labels[index]}: pin {pin.full_name} at column "
+            f"{access[k][0]} has no attachment"
+        )
+    return problems
+
+
+def _member(keys: np.ndarray, among: np.ndarray) -> np.ndarray:
+    """Whether each key occurs in ``among``: one sort and one
+    ``searchsorted``, memory in proportion to the inputs (``np.isin``
+    may allocate a table or hash over the keys' whole range)."""
+    among = np.sort(among)
+    at = np.searchsorted(among, keys)
+    found = np.zeros(len(keys), dtype=bool)
+    inside = at < len(among)
+    found[inside] = among[at[inside]] == keys[inside]
+    return found
+
+
 def _check_density(
-    result: GlobalRoutingResult,
+    table: RouteTable,
+    weights: Sequence[int],
+    reported: Dict[int, int],
     n_channels: int,
     width: int,
-    merged: Dict[str, Dict[int, List[Interval]]],
 ) -> List[str]:
     """The reported peak density must cover the actual trunk coverage.
 
-    Recomputes each channel's peak column density from every net's
-    *merged* trunk intervals (``merged``, as the per-net pass found
-    them; a route of an unroutable net merges its own) weighted by the
-    net's width in pitches, and flags any channel whose reported
+    Recomputes each channel's peak column density from every route's
+    trunks (a route of an unroutable net included) and flags any
+    channel that holds a trunk and whose reported
     ``channel_peak_density`` falls short.  Follows the density engine's
-    coverage convention — a trunk spanning ``[lo, hi]`` covers columns
-    ``lo .. hi-1`` — and merged coverage is a lower bound on any honest
+    coverage convention (:func:`~repro.core.density.coverage_columns`):
+    a trunk spanning ``[lo, hi]`` covers columns ``lo .. hi-1``, a
+    zero-span trunk its one column ``lo``.  A net counts each column it
+    covers in a channel once, weighted by its width in pitches (its
+    ranges merged per channel), which is a lower bound on any honest
     per-edge accounting (abutting edges of one net count once), so a
     shortfall always means under-reported density — an under-sized
     floorplan — never a representation difference.
+
+    Each merged range adds its weight at its first column and takes it
+    back past its last.  A channel's changes sum to zero, so one
+    running sum over all changes, sorted by channel and column, starts
+    every channel at zero; a column's density is the sum after its
+    last change.
     """
     width = max(1, width)
-    coverage: Dict[int, List[int]] = {}
-    for name in sorted(result.routes):
-        route = result.routes[name]
-        weight = route.width_pitches
-        spans_of = merged.get(name)
-        if spans_of is None:
-            spans_of = route.trunk_intervals()
-        for channel, spans in spans_of.items():
-            if not (0 <= channel < n_channels):
-                continue  # reported separately by the geometry check
-            diff = coverage.setdefault(channel, [0] * (width + 1))
-            for span in spans:
-                lo = max(0, span.lo)
-                hi = min(width, span.hi)
-                if lo < hi:
-                    diff[lo] += weight
-                    diff[hi] -= weight
+    channel = table.wire_channel
+    trunk = (
+        (table.wire_kind == TRUNK) & (channel >= 0) & (channel < n_channels)
+    )
+    net = table.wire_net[trunk]
+    channel = channel[trunk]
+    lo = table.wire_lo[trunk]
+    holding = np.unique(channel).tolist()
+    first = np.maximum(lo, 0)
+    last = np.minimum(np.maximum(lo, table.wire_hi[trunk] - 1), width - 1)
+    kept = first <= last
+    net, channel, first, last = merge_runs(
+        net[kept], channel[kept], first[kept], last[kept]
+    )
+    weight = np.asarray(weights, dtype=np.int64)[net]
+    at_channel = np.concatenate((channel, channel))
+    at_column = np.concatenate((first, last + 1))
+    order = np.lexsort((at_column, at_channel))
+    at_channel = at_channel[order]
+    at_column = at_column[order]
+    density = np.cumsum(np.concatenate((weight, -weight))[order])
+    settled = np.ones(len(order), dtype=bool)
+    settled[:-1] = (at_channel[1:] != at_channel[:-1]) | (
+        at_column[1:] != at_column[:-1]
+    )
+    at_channel = at_channel[settled]
+    density = density[settled]
+    peaks: Dict[int, int] = {}
+    if len(at_channel):
+        starts = np.flatnonzero(
+            np.concatenate(([True], at_channel[1:] != at_channel[:-1]))
+        )
+        peaks = dict(
+            zip(
+                at_channel[starts].tolist(),
+                np.maximum.reduceat(density, starts).tolist(),
+            )
+        )
     problems = []
-    for channel in sorted(coverage):
-        peak = max(accumulate(coverage[channel][:-1], initial=0))
-        reported = result.channel_peak_density.get(channel, 0)
-        if peak > reported:
+    for channel in holding:
+        peak = max(0, peaks.get(channel, 0))
+        limit = reported.get(channel, 0)
+        if peak > limit:
             problems.append(
                 f"channel {channel}: actual peak density {peak} exceeds "
-                f"reported {reported}"
+                f"reported {limit}"
             )
     return problems
 
 
 def _check_slots(
-    route: NetRoute,
-    net,
-    branches: List[RoutedEdge],
+    table: RouteTable,
+    labels: Sequence[str],
+    nets: Dict[int, Net],
     assignment: FeedthroughAssignment,
-    slot_owner: Dict[Tuple[int, int], str],
-) -> List[str]:
-    """Every branch sits on a slot column granted to the net, and no
-    feedthrough column is granted to two nets (check 4)."""
-    problems = []
-    granted = assignment.of_net(net)
-    if branches:
-        granted_columns = {
-            (row, column)
-            for row, slot in granted.items()
-            for column in slot.columns
-        }
-        for edge in branches:
-            key = (edge.channel, edge.interval.lo)
-            if key not in granted_columns:
-                problems.append(
-                    f"net {route.net_name}: branch at row {edge.channel} "
-                    f"column {edge.interval.lo} uses an ungranted slot"
-                )
-    for row, slot in granted.items():
-        for column in slot.columns:
-            owner = slot_owner.get((row, column))
-            if owner is not None and owner != net.name:
-                problems.append(
-                    f"slot row {row} column {column} granted to both "
-                    f"{owner} and {net.name}"
-                )
-            slot_owner[(row, column)] = net.name
+) -> Dict[int, List[str]]:
+    """Check 4, per checked net (``nets``, by table index): every branch
+    sits on a slot column granted to the net, and no feedthrough column
+    is granted to two nets.
+
+    The grants are read once, nets in name order, each slot's columns
+    in order; the branches are looked up among them in bulk.  A column
+    granted again is reported under the later net, naming the net that
+    held it last.
+    """
+    slots = [
+        (index, row, slot.x, slot.width)
+        for index, net in nets.items()
+        for row, slot in assignment.of_net(net).items()
+    ]
+    if slots:
+        slot_net, slot_row, slot_x, slot_width = (
+            np.array(column, dtype=np.int64) for column in zip(*slots)
+        )
+    else:
+        slot_net = slot_row = slot_x = slot_width = np.zeros(0, np.int64)
+    # One grant per slot column, in slot order.
+    slot_of = np.repeat(np.arange(len(slots)), slot_width)
+    offset = np.arange(len(slot_of)) - np.repeat(
+        np.cumsum(slot_width) - slot_width, slot_width
+    )
+    grant_net = slot_net[slot_of]
+    grant_row = slot_row[slot_of]
+    grant_column = slot_x[slot_of] + offset
+    checked = np.zeros(len(table.names), dtype=bool)
+    checked[list(nets)] = True
+    rows = np.flatnonzero(
+        (table.wire_kind == BRANCH) & checked[table.wire_net]
+    )
+    net = table.wire_net[rows]
+    channel = table.wire_channel[rows]
+    column = table.wire_lo[rows]
+    branch_key, grant_key = pack_keys(
+        (net, channel, column), (grant_net, grant_row, grant_column)
+    )
+    ungranted = ~_member(branch_key, grant_key)
+    problems: Dict[int, List[str]] = {}
+    for index, row, at in zip(
+        net[ungranted].tolist(),
+        channel[ungranted].tolist(),
+        column[ungranted].tolist(),
+    ):
+        problems.setdefault(index, []).append(
+            f"net {labels[index]}: branch at row {row} column {at} uses "
+            "an ungranted slot"
+        )
+    (place,) = pack_keys((grant_row, grant_column))
+    order = np.argsort(place, kind="stable")
+    again = np.flatnonzero(place[order][1:] == place[order][:-1])
+    later = order[again + 1]
+    earlier = order[again]
+    names = table.names
+    for g, owner in sorted(zip(later.tolist(), earlier.tolist())):
+        index = int(grant_net[g])
+        if grant_net[owner] != index:
+            problems.setdefault(index, []).append(
+                f"slot row {int(grant_row[g])} column "
+                f"{int(grant_column[g])} granted to both "
+                f"{names[grant_net[owner]]} and {names[index]}"
+            )
     return problems

@@ -87,15 +87,20 @@ class Placement:
     @property
     def width_columns(self) -> int:
         """Chip width in columns: the widest row's extent."""
-        widths = [
-            sum(cell.width for cell in row) for row in self.rows
-        ]
-        return max(widths) if widths else 0
+        return max(map(self._extent, self.rows), default=0)
 
     def row_width(self, row: int) -> int:
         """Occupied width of one row."""
         self._check_row(row)
-        return sum(cell.width for cell in self.rows[row])
+        return self._extent(self.rows[row])
+
+    def _extent(self, row: List[Cell]) -> int:
+        """One past a row's last column: rows are packed from column 0
+        with no gaps, so its last cell's position plus its width."""
+        if not row:
+            return 0
+        last = row[-1]
+        return self._position[last.name][1] + last.width
 
     # ------------------------------------------------------------------
     # Lookups

@@ -51,7 +51,11 @@ class ConstraintGraph:
     retained :class:`DelayArc` objects sorted so that a single forward pass
     computes longest paths.  ``arcs_of_net`` indexes, for each net, the
     positions (into ``arcs``) of the arcs that net's wiring capacitance
-    feeds — the set the local margin ``LM(e, P)`` must examine.
+    feeds — the set the local margin ``LM(e, P)`` must examine — and
+    ``in_arcs_at``, for each topological position, the positions of the
+    arcs entering it, ascending (the critical-path trace's index).  A
+    constraint graph never changes after construction, so both are
+    built once.
     """
 
     def __init__(
@@ -69,8 +73,10 @@ class ConstraintGraph:
             arcs, key=lambda a: self.pos[a.tail]
         )
         self.arcs_of_net: Dict[str, List[int]] = {}
+        self.in_arcs_at: Dict[int, List[int]] = {}
         for i, arc in enumerate(self.arcs):
             self.arcs_of_net.setdefault(arc.net.name, []).append(i)
+            self.in_arcs_at.setdefault(self.pos[arc.head], []).append(i)
         self.source_positions = [
             self.pos[v] for v in constraint.sources if v in self.pos
         ]

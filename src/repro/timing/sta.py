@@ -201,17 +201,16 @@ class StaticTimingAnalyzer:
     ) -> List[int]:
         """Trace one critical path backwards from topo position ``end_pos``.
 
-        Returns arc positions (indices into ``cg.arcs``) in path order.
+        Returns arc positions (indices into ``cg.arcs``) in path order:
+        at each vertex, the first entering arc (``cg.in_arcs_at``) that
+        realizes its longest path.
         """
-        in_arcs_at: Dict[int, List[int]] = {}
-        for i, arc in enumerate(cg.arcs):
-            in_arcs_at.setdefault(cg.pos[arc.head], []).append(i)
-
+        in_arcs_at = cg.in_arcs_at
         path: List[int] = []
         pos = end_pos
         eps = 1e-9
         while True:
-            candidates = in_arcs_at.get(pos, [])
+            candidates = in_arcs_at.get(pos, ())
             step = None
             for i in candidates:
                 arc = cg.arcs[i]

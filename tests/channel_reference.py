@@ -10,16 +10,21 @@ the production code equivalent.
   rebuilds the VCG from the finished channel and picks each next track
   by rescanning the remaining ones.
 * :func:`reference_collect_net` splits a net into channel segments by
-  testing every attachment against every merged span.
+  testing every attachment against every merged span (production
+  collects every net at once from the route table).
 * :func:`reference_elmore_tree_of` is the Elmore-tree builder
   ``build_result`` ran for every net: a ``list.pop(0)`` BFS over each
   vertex's alive edges in ascending edge index.
+* :func:`reference_net_route` is the per-edge walk ``build_result`` ran
+  for every net before the route table: one ``RoutedEdge`` per alive
+  edge and its channel attachments, ascending edge id.
 
 Production (:func:`repro.channelrouter.route_channel`,
-:func:`repro.channelrouter.optimize_track_order`, ``_collect_net`` and
-``NetRoute.elmore_segments``) must reproduce these exactly;
-``test_channel_equivalence.py`` checks that on random channels and on
-routed designs.
+:func:`repro.channelrouter.optimize_track_order`, ``collect_channels``,
+``NetRoute.elmore_segments`` and the table rows behind ``NetRoute.edges``
+and ``.attachments``) must reproduce these exactly;
+``test_channel_equivalence.py`` and ``test_route_table.py`` check that
+on random channels and on routed designs.
 """
 
 from __future__ import annotations
@@ -28,10 +33,16 @@ from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from repro.channelrouter.leftedge import ChannelResult, ChannelSegment
 from repro.channelrouter.trackorder import TrackOrderStats
-from repro.core.result import AttachSide, NetRoute
+from repro.core.result import (
+    AttachSide,
+    ChannelAttachment,
+    NetRoute,
+    RoutedEdge,
+)
 from repro.errors import ChannelRoutingError
 from repro.geometry import Interval
-from repro.routegraph.graph import RoutingGraph
+from repro.netlist.circuit import Terminal
+from repro.routegraph.graph import EdgeKind, RoutingGraph, VertexKind
 from repro.timing.delay_model import WireSegment
 
 
@@ -340,3 +351,73 @@ def reference_elmore_tree_of(graph: RoutingGraph):
             segment_of_vertex[other] = len(segments) - 1
             queue.append(other)
     return segments, sink_names
+
+
+def reference_net_route(
+    graph: RoutingGraph,
+) -> Tuple[List[RoutedEdge], List[ChannelAttachment]]:
+    """A converged net's route edges and channel attachments, by one
+    walk over its alive edges in ascending id: a ``RoutedEdge`` per
+    edge; a correspondence edge attaches at its position vertex (from
+    above when the vertex lies in the cell terminal's own channel, an
+    external pin from below in channel 0), a branch from above in its
+    channel and from below in the next."""
+    edges: List[RoutedEdge] = []
+    attachments: List[ChannelAttachment] = []
+    for edge in graph.alive_edges():
+        edges.append(
+            RoutedEdge(edge.kind, edge.channel, edge.interval, edge.length_um)
+        )
+        if edge.kind is EdgeKind.CORRESPONDENCE:
+            terminal = graph.vertices[edge.u]
+            position = graph.vertices[edge.v]
+            if terminal.kind is not VertexKind.TERMINAL:
+                terminal, position = position, terminal
+            if isinstance(terminal.pin, Terminal):
+                side = (
+                    AttachSide.TOP
+                    if position.channel == terminal.channel
+                    else AttachSide.BOTTOM
+                )
+            else:
+                side = (
+                    AttachSide.BOTTOM
+                    if position.channel == 0
+                    else AttachSide.TOP
+                )
+            attachments.append(
+                ChannelAttachment(position.channel, position.x, side)
+            )
+        elif edge.kind is EdgeKind.BRANCH:
+            attachments.append(
+                ChannelAttachment(
+                    edge.channel, edge.interval.lo, AttachSide.TOP
+                )
+            )
+            attachments.append(
+                ChannelAttachment(
+                    edge.channel + 1, edge.interval.lo, AttachSide.BOTTOM
+                )
+            )
+    return edges, attachments
+
+
+def reference_row_mismatches(router, result) -> List[str]:
+    """Nets whose table rows (``route.edges``/``.attachments``, read
+    once each) differ from :func:`reference_net_route` of their graph,
+    in value, order or Python type."""
+    mismatched = []
+    for name, state in sorted(router.states.items()):
+        route = result.routes[name]
+        rows = (list(route.edges), list(route.attachments))
+        if rows != reference_net_route(state.graph) or not all(
+            type(edge.channel) is int
+            and type(edge.interval.lo) is int
+            and type(edge.length_um) is float
+            for edge in rows[0]
+        ) or not all(
+            type(a.channel) is int and type(a.column) is int
+            for a in rows[1]
+        ):
+            mismatched.append(name)
+    return mismatched

@@ -1,11 +1,12 @@
-"""Unit tests for the channel router's net-collection stage and the
+"""Unit tests for the channel router's net-collection stage (the
+chip-wide ``collect_channels`` over one-net results) and the
 vertical-length accounting."""
 
 import pytest
 
 from repro.channelrouter.leftedge import (
-    _collect_net,
     _vertical_lengths,
+    collect_channels,
     route_channel,
 )
 from repro.core.result import (
@@ -39,8 +40,7 @@ class TestCollectNet:
                 ChannelAttachment(1, 8, AttachSide.BOTTOM),
             ],
         )
-        segments, throughs = {}, {}
-        _collect_net(route, segments, throughs)
+        segments, throughs = collect_channels({route.net_name: route})
         assert list(segments) == [1]
         (segment,) = segments[1]
         assert segment.interval == Interval(2, 8)
@@ -56,8 +56,7 @@ class TestCollectNet:
             ],
             [ChannelAttachment(0, 0, AttachSide.TOP)],
         )
-        segments, throughs = {}, {}
-        _collect_net(route, segments, throughs)
+        segments, throughs = collect_channels({route.net_name: route})
         assert len(segments[0]) == 1
         assert segments[0][0].interval == Interval(0, 9)
 
@@ -69,8 +68,7 @@ class TestCollectNet:
                 ChannelAttachment(2, 5, AttachSide.BOTTOM),
             ],
         )
-        segments, throughs = {}, {}
-        _collect_net(route, segments, throughs)
+        segments, throughs = collect_channels({route.net_name: route})
         assert 2 not in segments
         assert throughs[2]["n"] == [5]
 
@@ -80,8 +78,7 @@ class TestCollectNet:
             [ChannelAttachment(0, 0, AttachSide.TOP)],
             width=3,
         )
-        segments, throughs = {}, {}
-        _collect_net(route, segments, throughs)
+        segments, throughs = collect_channels({route.net_name: route})
         assert len(segments[0]) == 3
         parts = sorted(s.part for s in segments[0])
         assert parts == [0, 1, 2]
@@ -92,8 +89,7 @@ class TestCollectNet:
             [],
             width=2,
         )
-        segments, throughs = {}, {}
-        _collect_net(route, segments, throughs)
+        segments, throughs = collect_channels({route.net_name: route})
         result = route_channel(0, segments[0], {})
         tracks = sorted(s.track for s in result.segments)
         assert tracks == [1, 2]
@@ -109,8 +105,7 @@ class TestVerticalLengths:
                 ChannelAttachment(0, 6, AttachSide.BOTTOM),
             ],
         )
-        segments, throughs = {}, {}
-        _collect_net(route, segments, throughs)
+        segments, throughs = collect_channels({route.net_name: route})
         result = route_channel(0, segments[0], {})
         lengths = _vertical_lengths({0: result}, tech)
         # One track: top attach = 1*4, bottom attach = (1-1+1)*4.
@@ -126,14 +121,14 @@ class TestVerticalLengths:
     def test_deeper_track_costs_more(self):
         tech = Technology(track_pitch_um=4.0, channel_base_um=0.0)
         routes = {}
-        segments, throughs = {}, {}
         for i in range(3):
             route = make_route(
                 [RoutedEdge(EdgeKind.TRUNK, 0, Interval(0, 6), 24.0)],
                 [ChannelAttachment(0, 0, AttachSide.TOP)],
             )
             route.net_name = f"n{i}"
-            _collect_net(route, segments, throughs)
+            routes[route.net_name] = route
+        segments, throughs = collect_channels(routes)
         result = route_channel(0, segments[0], {})
         lengths = _vertical_lengths({0: result}, tech)
         values = sorted(lengths.values())

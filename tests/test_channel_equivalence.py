@@ -12,8 +12,9 @@ were before each became one linear pass.  Here:
   pin conflicts, with doglegs allowed and not; the track-order pass,
   fed the VCG left-edge hands over or building its own, must then leave
   the same tracks and statistics;
-* ``_collect_net`` must split every net of routed designs into the same
-  channel segments and through columns;
+* the chip-wide collection (``collect_channels``) must split every net
+  of routed designs into the reference's channel segments, in the same
+  order per channel, and its through columns;
 * on every net of C1P1, C3P1 and CGP1 under both engines, the Elmore
   segments and sink names a route builds on read must equal the
   reference builder's, and a result that is never read builds none.
@@ -32,8 +33,8 @@ from repro.bench.circuits import (
 )
 from repro.channelrouter.leftedge import (
     ChannelSegment,
-    _collect_net,
     _route_channel,
+    collect_channels,
     route_channel,
 )
 from repro.channelrouter.trackorder import optimize_track_order
@@ -73,7 +74,7 @@ def copies(segments):
 
 
 def channel_segments(nets):
-    """A channel the way ``_collect_net`` builds one: per net, spans
+    """A channel the way ``collect_channels`` builds one: per net, spans
     that meet at most at an endpoint (zero-span ones included), each
     expanded into the net's multipitch parts with copied attachments.
     ``nets`` lists ``(width, [(lo, hi, tops, bottoms), ...])``."""
@@ -212,11 +213,10 @@ def test_collect_net_matches_reference(routed_designs):
     )
     runs = routed_designs + [("S1P1", router, router.route())]
     for case, _, result in runs:
-        ours_segments, ours_throughs = {}, {}
+        ours_segments, ours_throughs = collect_channels(result.routes)
         ref_segments, ref_throughs = {}, {}
         for name in sorted(result.routes):
             route = result.routes[name]
-            _collect_net(route, ours_segments, ours_throughs)
             reference_collect_net(route, ref_segments, ref_throughs)
         assert set(ours_segments) == set(ref_segments), case
         for channel, segments in ref_segments.items():

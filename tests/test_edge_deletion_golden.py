@@ -61,6 +61,7 @@ from repro.channelrouter import route_channels
 from repro.core import GlobalRouter, RouterConfig
 from repro.core.selection import SelectionMode
 from repro.obs import JsonlTraceSink, MemorySink, read_trace
+from tests.channel_reference import reference_row_mismatches
 from tests.conftest import channel_fingerprint, routes_sha256
 
 GOLDEN = (
@@ -190,6 +191,11 @@ def route_case(name, mode, sink, decision_sampling=None):
 #: (X1P1 included) without routing them again.
 CHANNEL_VALUES = {}
 
+#: ``case_id -> nets`` of every full route whose route-table rows differ
+#: from the per-edge walk (``tests/channel_reference.py``), recorded by
+#: :func:`fingerprint` for ``test_route_table.py``.
+TABLE_MISMATCHES = {}
+
 
 @functools.lru_cache(maxsize=None)
 def fingerprint(name, mode):
@@ -198,6 +204,9 @@ def fingerprint(name, mode):
     router, result = route_case(name, mode, sink)
     values = stream_digests(sink.events)
     if result is not None:
+        TABLE_MISMATCHES[case_id(name, mode)] = reference_row_mismatches(
+            router, result
+        )
         CHANNEL_VALUES[case_id(name, mode)] = channel_fingerprint(
             route_channels(
                 result, router.placement, router.config.technology

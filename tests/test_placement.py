@@ -1,9 +1,13 @@
 """Tests for repro.layout.placement."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import PlacementError
 from repro.netlist import Circuit, PinSide, TerminalDirection
+from repro.netlist.cell_library import standard_ecl_library
 from repro.layout.placement import Placement
 
 
@@ -238,3 +242,70 @@ class TestInsertCellBlocks:
         placement = Placement(circuit, [[a, b]])
         with pytest.raises(PlacementError):
             placement.insert_cell_blocks(0, [(7, [feed])])
+
+
+_KINDS = ("NOR2", "INV1", "DFF", "FEED")  # widths 5, 4, 10, 1
+_EDITS = st.tuples(
+    st.sampled_from(("insert", "blocks", "swap")),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.lists(st.sampled_from(_KINDS), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.sampled_from(_KINDS), max_size=6),
+        min_size=1, max_size=4,
+    ),
+    edits=st.lists(_EDITS, max_size=12),
+)
+def test_widths_match_resummed_cells(rows, edits):
+    """Row and chip widths read off the last cell's position equal the
+    sum of the row's cell widths through any edit sequence."""
+    circuit = Circuit("w", standard_ecl_library())
+    names = itertools.count()
+
+    def cells(kinds):
+        return [circuit.add_cell(f"c{next(names)}", kind) for kind in kinds]
+
+    placement = Placement(circuit, [cells(row) for row in rows])
+
+    def check():
+        widths = [sum(c.width for c in row) for row in placement.rows]
+        assert placement.width_columns == max(widths)
+        for row, width in enumerate(widths):
+            assert placement.row_width(row) == width
+
+    check()
+    for edit, x, y, kinds in edits:
+        row = x % placement.n_rows
+        size = len(placement.rows[row])
+        if edit == "insert":
+            placement.insert_cells(row, y % (size + 1), cells(kinds))
+        elif edit == "blocks":
+            # Distinct indices, right to left, against the row as it is.
+            indices = sorted(
+                {(y + 7 * k) % (size + 1) for k in range(len(kinds))},
+                reverse=True,
+            )
+            blocks = [
+                (index, cells([kind]))
+                for index, kind in zip(indices, kinds)
+            ]
+            placement.insert_cell_blocks(row, blocks)
+        elif size:
+            # Either a cell and its right neighbour, or two cells of one
+            # width anywhere on the chip.
+            a = placement.rows[row][y % size]
+            if y % 2 == 0 and y % size + 1 < size:
+                b = placement.rows[row][y % size + 1]
+            else:
+                same = [
+                    c for r in placement.rows for c in r
+                    if c.width == a.width
+                ]
+                b = same[x % len(same)]
+            placement.swap_cells(a, b)
+        check()

@@ -13,10 +13,24 @@ from repro import (
     RouterConfig,
     place_circuit,
 )
-from repro.core.result import RoutedEdge
+from repro.core.result import NetRoute, RoutedEdge
 from repro.core.verify import verify_routing
 from repro.geometry import Interval
 from repro.routegraph.graph import EdgeKind
+
+
+def editable(result):
+    """A copy of ``result`` whose routes hold their edges and
+    attachments as plain lists, for tests that edit them in place (a
+    routed net's rows are read-only views over the result's table)."""
+    routes = {
+        name: dataclasses.replace(
+            route, edges=list(route.edges),
+            attachments=list(route.attachments),
+        )
+        for name, route in result.routes.items()
+    }
+    return dataclasses.replace(result, routes=routes)
 
 
 @pytest.fixture()
@@ -63,6 +77,7 @@ class TestViolationDetection:
 
     def test_out_of_chip_edge_detected(self, verified_setup):
         circuit, placement, router, result = verified_setup
+        result = editable(result)
         name = next(iter(result.routes))
         route = result.routes[name]
         route.edges.append(
@@ -82,6 +97,7 @@ class TestViolationDetection:
 
     def test_disconnected_wiring_detected(self, verified_setup):
         circuit, placement, router, result = verified_setup
+        result = editable(result)
         # Find a route with a trunk and add a far-away disconnected trunk.
         name = next(
             n for n, r in result.routes.items()
@@ -100,6 +116,7 @@ class TestViolationDetection:
 
     def test_missing_attachment_detected(self, verified_setup):
         circuit, placement, router, result = verified_setup
+        result = editable(result)
         name = next(iter(sorted(result.routes)))
         route = result.routes[name]
         route.attachments.clear()
@@ -108,6 +125,7 @@ class TestViolationDetection:
 
     def test_ungranted_slot_detected(self, verified_setup):
         circuit, placement, router, result = verified_setup
+        result = editable(result)
         # Find a route with a branch edge and shift its column.
         for name, route in result.routes.items():
             branch = next(
@@ -129,3 +147,29 @@ class TestViolationDetection:
             circuit, placement, result, router.assignment
         )
         assert any("ungranted slot" in v for v in violations)
+
+    def test_zero_span_trunk_counts_its_column(self, verified_setup):
+        circuit, placement, router, result = verified_setup
+        # Net a runs [2, 5] plus a zero-span trunk at column 5, which the
+        # density engine counts there; net b runs [5, 8].  Column 5
+        # carries both nets, above the reported peak of 1.
+        a = NetRoute(
+            "a", 1,
+            [
+                RoutedEdge(EdgeKind.TRUNK, 1, Interval(2, 5), 12.0),
+                RoutedEdge(EdgeKind.TRUNK, 1, Interval(5, 5), 0.0),
+            ],
+            [], 12.0, 0.0,
+        )
+        b = NetRoute(
+            "b", 1, [RoutedEdge(EdgeKind.TRUNK, 1, Interval(5, 8), 12.0)],
+            [], 12.0, 0.0,
+        )
+        hand = dataclasses.replace(
+            result, routes={"a": a, "b": b}, channel_peak_density={1: 1}
+        )
+        violations = verify_routing(circuit, placement, hand)
+        assert (
+            "channel 1: actual peak density 2 exceeds reported 1"
+            in violations
+        )

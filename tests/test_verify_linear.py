@@ -1,14 +1,16 @@
-"""The verifier's per-net checks cost in proportion to the net.
+"""The verifier's checks cost in proportion to the chip.
 
-``_check_tree`` finds connected wires with a per-channel sweep; the
-oracle below is the all-pairs formulation it replaced.  The two must
-return the same list on any wire set, including two-channel branches,
-zero-span trunks, through-cell attachments and nets split in pieces.
-The work-count tests pin that ``verify_routing`` reads the chip width
-and the channel count once per call, not once per net, and merges each
-net's trunks once.  Against ``tests/verify_reference.py``, the verifier
-that walked each route once per check, it must return the same
-violations in the same order on routed results with faults injected.
+``_check_tree`` finds connected wires with the runs of a per-channel
+sweep; the oracle below is the all-pairs formulation it replaced.  The
+two must return the same list on any wire set, including two-channel
+branches, zero-span trunks, through-cell attachments and nets split in
+pieces.  The work-count tests pin that ``verify_routing`` reads the
+chip width and the channel count once per call, not once per net, and
+merges the route table's trunks once per call, from the router's own
+table.  Against ``tests/verify_reference.py``, the verifier that walked
+each route once per check, it must return the same violations in the
+same order on routed results with faults injected, zero-span trunks
+among them.
 """
 
 import dataclasses
@@ -25,8 +27,8 @@ from repro.core.result import (
     ChannelAttachment,
     NetRoute,
     RoutedEdge,
+    RouteTable,
 )
-from repro.core import verify as verify_module
 from repro.core.verify import _check_tree, verify_routing
 from repro.engines import make_engine
 from repro.geometry import Interval
@@ -255,29 +257,30 @@ def test_channel_count_read_once_per_verify_call(routed, monkeypatch):
     assert len(reads) == 1
 
 
-def test_trunks_merged_once_per_net(routed, monkeypatch):
+def test_trunks_merged_once_per_call(routed, monkeypatch):
     dataset, router, result = routed
-    merges, rescans = [], []
-    merge = verify_module.merge_intervals
+    merges, rescans, rebuilds = [], [], []
+    merged_trunks = RouteTable.merged_trunks
 
-    def counted(spans):
-        merges.append(1)
-        return merge(spans)
+    def counted(table):
+        merges.append(table)
+        return merged_trunks(table)
 
-    monkeypatch.setattr(verify_module, "merge_intervals", counted)
+    monkeypatch.setattr(RouteTable, "merged_trunks", counted)
     monkeypatch.setattr(
         NetRoute, "trunk_intervals", lambda route: rescans.append(1)
+    )
+    monkeypatch.setattr(
+        RouteTable, "from_routes",
+        classmethod(lambda cls, routes: rebuilds.append(1)),
     )
     assert verify_routing(
         dataset.circuit, dataset.placement, result, router.assignment
     ) == []
-    # One merge per net and channel its trunks run in, shared by the
-    # tree and density checks; no check re-reads a routable net's trunks.
-    assert len(merges) == sum(
-        len({e.channel for e in route.edges if e.kind is EdgeKind.TRUNK})
-        for route in result.routes.values()
-    )
-    assert rescans == []
+    # One chip-wide merge of the router's own table, read by the tree
+    # check; no check re-reads a net's trunks or rebuilds the table.
+    assert len(merges) == 1
+    assert rescans == [] and rebuilds == []
 
 
 def _copy(result):
@@ -298,7 +301,8 @@ def _copy(result):
 
 def _inject(rng, placement, result, assignment):
     """One random fault: a bad, extra, duplicated, moved or missing
-    wire, attachment, length, density, route or slot."""
+    wire, attachment, length, density, route or slot, or a zero-span
+    trunk."""
     # Most faults land on a few nets with branches, so that one net
     # often collects several kinds of violation.
     names = sorted(result.routes)
@@ -307,7 +311,7 @@ def _inject(rng, placement, result, assignment):
     )][:3]
     route = result.routes[rng.choice(few if rng.random() < 0.8 else names)]
     width = placement.width_columns
-    fault = rng.randrange(12)
+    fault = rng.randrange(13)
     edges = route.edges
     if fault == 0:  # off the chip
         lo = rng.randrange(width)
@@ -357,6 +361,18 @@ def _inject(rng, placement, result, assignment):
             row = rng.choice(sorted(assignment.slots[a]))
             assignment.slots[b] = dict(assignment.slots[b])
             assignment.slots[b][row] = assignment.slots[a][row]
+    elif fault == 12:  # a zero-span trunk, mostly at a trunk's end
+        trunks = [e for e in edges if e.kind is EdgeKind.TRUNK]
+        if trunks and rng.random() < 0.8:
+            trunk = rng.choice(trunks)
+            channel = trunk.channel
+            column = rng.choice((trunk.interval.lo, trunk.interval.hi))
+        else:
+            channel = rng.randrange(placement.n_channels)
+            column = rng.randrange(width)
+        edges.append(
+            RoutedEdge(EdgeKind.TRUNK, channel, Interval(column, column), 0.0)
+        )
     else:  # a far, disconnected trunk
         edges.append(
             RoutedEdge(

@@ -4,8 +4,9 @@ verifier equivalent.
 
 :func:`reference_verify_routing` runs every check as its own walk over
 a route: geometry, tree (over single trunks), terminals, length,
-duplicates and slots, then density over freshly merged trunk spans per
-net.  ``test_verify_linear.py`` requires :func:`repro.core.verify.
+duplicates and slots, then density over each net's column coverage
+per channel, the density engine's (a zero-span trunk covers its one
+column).  ``test_verify_linear.py`` requires :func:`repro.core.verify.
 verify_routing` to return the same violations, in the same order, on
 routed results with faults injected.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.density import coverage_columns
 from repro.core.result import GlobalRoutingResult, NetRoute
 from repro.layout.feedthrough import FeedthroughAssignment
 from repro.layout.placement import Placement
@@ -37,7 +39,6 @@ def reference_verify_routing(
     for name in sorted(extra):
         violations.append(f"net {name}: routed but not routable")
 
-    # Placement.width_columns re-sums every placed cell on each read.
     width = placement.width_columns
     slot_owner: Dict[Tuple[int, int], str] = {}
     for name in sorted(result.routes):
@@ -216,36 +217,39 @@ def _reference_check_density(
     """The reported peak density must cover the actual trunk coverage.
 
     Recomputes each channel's peak column density from every net's
-    *merged* trunk intervals (weighted by the net's width in pitches)
-    and flags any channel whose reported ``channel_peak_density`` falls
-    short.  Follows the density engine's coverage convention — a trunk
-    spanning ``[lo, hi]`` covers columns ``lo .. hi-1`` — and merged
-    coverage is a lower bound on any honest per-edge accounting
-    (abutting edges of one net count once), so a shortfall always means
-    under-reported density — an under-sized floorplan — never a
-    representation difference.
+    trunk coverage and flags any channel whose reported
+    ``channel_peak_density`` falls short.  Each trunk covers the
+    columns :func:`~repro.core.density.coverage_columns` gives it, the
+    density engine's convention (``lo .. hi-1``, a zero-span trunk its
+    one column ``lo``); a net counts each column it covers in a channel
+    once, weighted by its width in pitches.  That union is a lower
+    bound on any honest per-edge accounting (abutting edges of one net
+    count once), so a shortfall always means under-reported density —
+    an under-sized floorplan — never a representation difference.
     """
     width = max(1, width)
     coverage: Dict[int, List[int]] = {}
     for name in sorted(result.routes):
         route = result.routes[name]
-        weight = route.width_pitches
-        for channel, spans in route.trunk_intervals().items():
-            if not (0 <= channel < placement.n_channels):
+        columns_of: Dict[int, Set[int]] = {}
+        for edge in route.edges:
+            if edge.kind is not EdgeKind.TRUNK:
+                continue
+            if not (0 <= edge.channel < placement.n_channels):
                 continue  # reported separately by _reference_check_geometry
-            diff = coverage.setdefault(channel, [0] * (width + 1))
-            for span in spans:
-                lo = max(0, span.lo)
-                hi = min(width, span.hi)
-                if lo < hi:
-                    diff[lo] += weight
-                    diff[hi] -= weight
+            lo, hi = coverage_columns(
+                (edge.kind, edge.channel, edge.interval.lo, edge.interval.hi)
+            )
+            columns_of.setdefault(edge.channel, set()).update(
+                range(max(0, lo), min(width - 1, hi) + 1)
+            )
+        for channel, columns in columns_of.items():
+            density = coverage.setdefault(channel, [0] * width)
+            for column in columns:
+                density[column] += route.width_pitches
     problems = []
     for channel in sorted(coverage):
-        peak = running = 0
-        for delta in coverage[channel][:-1]:
-            running += delta
-            peak = max(peak, running)
+        peak = max(0, *coverage[channel])
         reported = result.channel_peak_density.get(channel, 0)
         if peak > reported:
             problems.append(
