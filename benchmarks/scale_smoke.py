@@ -17,7 +17,10 @@ post-route layers together — ``build_result``, channel routing and a
 ``verify_routing`` with the slot assignment, each a profiler phase —
 may take at most ``MAX_POST_ROUTE_RATIO``; each gated layer's cyclic-GC
 time (``gc_s``) is printed beside its ratio, report-only, so a failure
-shows whether a full collection landed there.  The process's peak RSS
+shows whether a full collection landed there.  Routing must leave
+X1P1's netlist as generation made it: feed-cell insertion widens the
+placement's feed runs and adds no cell, so ``len(circuit.cells)`` is the
+same after ``route()`` as before it.  The process's peak RSS
 after X1P1's route and channel routing, read before the verification
 and X2P1 start, may be at most ``MAX_X1_PEAK_RSS_MB``.  X2P1 must route within
 ``X2_CEILING_S`` with local
@@ -51,11 +54,13 @@ REQUIRED_LOCAL_RATIO = 0.90
 # Channel routing is one sorted sweep per channel: X1P1's takes about
 # 0.07 of its route wall.  The per-track rescan it replaced took 0.30.
 MAX_CHANNEL_RATIO = 0.15
-# Single-pitch slot searches bisect a sorted free list: X1P1's two-pass
-# assignment takes about 0.14 of its route wall.  Masking the whole row
-# per search, with every pass and reroute re-deriving its crossing
-# rows, took 0.25.
-MAX_ASSIGNMENT_RATIO = 0.20
+# Single-pitch slot searches bisect a sorted free list, and feed-cell
+# insertion widens the placement's feed runs: X1P1's two-pass assignment
+# takes 0.09-0.11 of its route wall.  Making a netlist Cell per inserted
+# feed cell and splicing it into its row took it to 0.15-0.20; masking
+# the whole row per search, with every pass and reroute re-deriving its
+# crossing rows, to 0.25.
+MAX_ASSIGNMENT_RATIO = 0.14
 # Each net's routing graph is a fixed set of columns over one static
 # CSR: X1P1's graph build takes about 0.10 of its route wall.  One
 # object per vertex, edge and column span, rescanned by every full
@@ -81,11 +86,12 @@ POST_ROUTE_LAYERS = {
 def route(spec, channels=False):
     """Route one design, and channel-route and verify its result if
     ``channels``; returns (deletions, wall_s, local, fallbacks,
-    profiler, rss_mb), channel routing and verification as the
-    profiler's ``route_channels`` and ``verify`` phases and ``rss_mb``
-    the peak RSS read right after channel routing (``None`` without
-    it)."""
+    profiler, rss_mb, cells), channel routing and verification as the
+    profiler's ``route_channels`` and ``verify`` phases, ``rss_mb`` the
+    peak RSS read right after channel routing (``None`` without it) and
+    ``cells`` the circuit's cell count before and after the route."""
     dataset = make_dataset(spec)
+    cells_before = len(dataset.circuit.cells)
     config = RouterConfig()
     profiler = PhaseProfiler()
     router = GlobalRouter(
@@ -98,6 +104,7 @@ def route(spec, channels=False):
     start = time.perf_counter()
     result = router.route()
     wall = time.perf_counter() - start
+    cells = (cells_before, len(dataset.circuit.cells))
     rss = None
     if channels:
         with profiler.phase("route_channels"):
@@ -116,6 +123,7 @@ def route(spec, channels=False):
         int(flat.get("graph.bridge_full_fallbacks", 0)),
         profiler,
         rss,
+        cells,
     )
 
 
@@ -124,7 +132,7 @@ def main() -> int:
     failures = []
     for name, ceiling in (("X1P1", X1_CEILING_S), ("X2P1", X2_CEILING_S)):
         print(f"scale-tier smoke: {name} (ceiling {ceiling:.0f}s)")
-        deletions, wall, local, fallbacks, profiler, rss = route(
+        deletions, wall, local, fallbacks, profiler, rss, cells = route(
             specs[name], channels=name == "X1P1"
         )
         ratio = local / max(1, local + fallbacks)
@@ -139,6 +147,15 @@ def main() -> int:
                 "ceiling"
             )
         if name == "X1P1":
+            print(
+                f"{name:6s} cells {cells[0]} before route, {cells[1]} "
+                "after"
+            )
+            if cells[1] != cells[0]:
+                failures.append(
+                    f"{name}: routing changed the netlist's cell count "
+                    f"from {cells[0]} to {cells[1]}"
+                )
             channel_wall = profiler.wall_s("route_channels")
             assign_wall = profiler.wall_s("route", "setup", "assignment")
             graphs_wall = profiler.wall_s("route", "setup", "graphs")

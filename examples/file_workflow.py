@@ -88,7 +88,7 @@ def main() -> None:
     # 4. Timing report of the constrained run.
     from repro.timing import GlobalDelayGraph
 
-    gd = GlobalDelayGraph.build(circuit)
+    gd = GlobalDelayGraph.of(circuit)
     analyzer = StaticTimingAnalyzer(
         gd, [build_constraint_graph(gd, c) for c in constraints]
     )

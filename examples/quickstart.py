@@ -83,7 +83,7 @@ def main() -> None:
     print(f"placed: {placement}")
 
     # Constrain the din -> ff.D path to 1 ns.
-    gd = GlobalDelayGraph.build(circuit)
+    gd = GlobalDelayGraph.of(circuit)
     constraint = PathConstraint(
         name="din_to_ff",
         sources=frozenset(

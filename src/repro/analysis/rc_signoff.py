@@ -137,7 +137,6 @@ def rc_sign_off(
     result: GlobalRoutingResult,
     constraints: Sequence[PathConstraint] = (),
     model: Optional[ElmoreDelayModel] = None,
-    gd: Optional[GlobalDelayGraph] = None,
     extra_length_um: Optional[Mapping[str, float]] = None,
 ) -> RcSignoffReport:
     """Full-chip RC timing of a routed result.
@@ -147,8 +146,7 @@ def rc_sign_off(
     """
     if model is None:
         model = ElmoreDelayModel(technology=_default_technology())
-    if gd is None:
-        gd = GlobalDelayGraph.build(circuit)
+    gd = GlobalDelayGraph.of(circuit)
     wire = compute_elmore_wire_delays(
         circuit, result, model, extra_length_um
     )

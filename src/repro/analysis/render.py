@@ -23,10 +23,11 @@ def render_placement(placement: Placement, max_width: int = 100) -> str:
     for row_index in range(placement.n_rows - 1, -1, -1):
         cells = [None] * width
         for cell in placement.rows[row_index]:
-            row, x = placement.location_of(cell)
-            symbol = ":" if cell.is_feed else "#"
+            _, x = placement.location_of(cell)
             for column in range(x, min(width, x + cell.width)):
-                cells[column] = symbol
+                cells[column] = "#"
+        for column in placement.feed_columns(row_index):
+            cells[column] = ":"
         compressed = "".join(
             cells[column] or "." for column in range(0, width, stride)
         )

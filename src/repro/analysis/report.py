@@ -115,7 +115,7 @@ def full_report(
     # --- timing paths ----------------------------------------------------
     if constraints and timing_paths > 0:
         if gd is None:
-            gd = GlobalDelayGraph.build(circuit)
+            gd = GlobalDelayGraph.of(circuit)
         analyzer = StaticTimingAnalyzer(
             gd,
             [build_constraint_graph(gd, c) for c in constraints],

@@ -63,7 +63,11 @@ def sign_off(
     width_cap_exponent: float = 1.0,
     gd: Optional[GlobalDelayGraph] = None,
 ) -> SignoffReport:
-    """Compute final delay/area/length from the two routing stages."""
+    """Compute final delay/area/length from the two routing stages.
+
+    ``gd`` is the router's ``G_D`` (its pad and setup values); without
+    it the circuit's default graph is read
+    (:meth:`~repro.timing.delay_graph.GlobalDelayGraph.of`)."""
     model = CapacitanceDelayModel(technology, width_cap_exponent)
     net_length: Dict[str, float] = {}
     caps = WireCaps()
@@ -80,7 +84,7 @@ def sign_off(
         )
 
     if gd is None:
-        gd = GlobalDelayGraph.build(circuit)
+        gd = GlobalDelayGraph.of(circuit)
     constraint_graphs = [
         build_constraint_graph(gd, constraint) for constraint in constraints
     ]

@@ -117,14 +117,11 @@ def critical_path_lower_bound_ps(
     circuit: Circuit,
     placement: Placement,
     technology: Technology = Technology(),
-    gd: Optional[GlobalDelayGraph] = None,
     width_cap_exponent: float = 1.0,
     channel_tracks: Optional[Mapping[int, int]] = None,
 ) -> float:
     """Chip critical-path delay under HPWL net lengths (Table 3's bound)."""
-    if gd is None:
-        gd = GlobalDelayGraph.build(circuit)
-    analyzer = StaticTimingAnalyzer(gd)
+    analyzer = StaticTimingAnalyzer(GlobalDelayGraph.of(circuit))
     caps = hpwl_caps(
         circuit, placement, technology, width_cap_exponent, channel_tracks
     )

@@ -107,7 +107,7 @@ class Dataset:
     def stats(self) -> Dict[str, int]:
         """The Table 1 numbers for this dataset."""
         return {
-            "cells": len(self.circuit.logic_cells),
+            "cells": len(self.circuit.cells),
             "nets": len(self.circuit.routable_nets),
             "constraints": len(self.constraints),
         }
@@ -327,7 +327,6 @@ def generate_constraints(
     circuit: Circuit,
     n_constraints: int,
     factor: float,
-    gd: Optional[GlobalDelayGraph] = None,
     placement: Optional[Placement] = None,
     technology: Optional[Technology] = None,
 ) -> List[PathConstraint]:
@@ -343,8 +342,7 @@ def generate_constraints(
     """
     if factor <= 1.0:
         raise ConfigError("constraint_factor must be > 1.0 to be satisfiable")
-    if gd is None:
-        gd = GlobalDelayGraph.build(circuit)
+    gd = GlobalDelayGraph.of(circuit)
     if placement is not None:
         from ..baselines.congestion import estimate_channel_tracks
         from ..baselines.lower_bound import hpwl_caps

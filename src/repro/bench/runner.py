@@ -168,7 +168,7 @@ class RunRecord:
             worst_margin_ps=(
                 min(margins.values()) if margins else float("inf")
             ),
-            cells=len(router.circuit.logic_cells),
+            cells=len(router.circuit.cells),
             nets=len(router.circuit.routable_nets),
             n_constraints=len(router.constraints),
             feed_cells_inserted=global_result.feed_cells_inserted,

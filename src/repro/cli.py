@@ -619,11 +619,9 @@ def _cmd_generate(args) -> int:
     circuit = generate_circuit(spec)
     placement = None
     if args.placement_out is not None:
-        # Placement adds feed cells to the circuit, so it must happen
-        # before the netlist is written out.
         placement = place_circuit(circuit, PlacerConfig(n_rows=args.rows))
     args.out.write_text(write_circuit(circuit))
-    print(f"wrote {args.out} ({len(circuit.logic_cells)} cells, "
+    print(f"wrote {args.out} ({len(circuit.cells)} cells, "
           f"{len(circuit.routable_nets)} nets)")
     if placement is not None:
         args.placement_out.write_text(write_placement(placement))

@@ -286,7 +286,7 @@ class GlobalRouter:
                 "run_start",
                 circuit=self.circuit.name,
                 nets=len(self.circuit.routable_nets),
-                cells=len(self.circuit.logic_cells),
+                cells=len(self.circuit.cells),
                 constraints=len(self.constraints),
                 timing_driven=self.config.timing_driven,
                 trace_schema=TRACE_SCHEMA_VERSION,
@@ -352,7 +352,7 @@ class GlobalRouter:
     # Setup stages
     # ==================================================================
     def _build_timing(self) -> None:
-        self.gd = GlobalDelayGraph.build(
+        self.gd = GlobalDelayGraph.of(
             self.circuit,
             pad_tf_ps_per_pf=self.config.pad_tf_ps_per_pf,
             pad_td_ps_per_pf=self.config.pad_td_ps_per_pf,

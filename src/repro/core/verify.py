@@ -49,6 +49,7 @@ so the checker slots directly into tests, CI, and post-run sanity checks.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -324,14 +325,15 @@ def _check_lengths(
     table: RouteTable, labels: Sequence[str], routes: Dict[str, NetRoute]
 ) -> Dict[int, List[str]]:
     """Check 6, per net: the reported total equals the sum of its wire
-    lengths, added in row order by Python's ``sum``."""
-    lengths = table.wire_length.tolist()
+    lengths, added in row order by Python's ``sum`` over the net's own
+    slice (no chip-wide copy)."""
+    lengths = table.wire_length
     start = table.wire_start.tolist()
     problems: Dict[int, List[str]] = {}
     for index, (name, lo, hi) in enumerate(
         zip(table.names, start, start[1:])
     ):
-        total = sum(lengths[lo:hi])
+        total = sum(lengths[lo:hi].tolist())
         reported = routes[name].total_length_um
         if abs(total - reported) > 1e-6:
             problems[index] = [
@@ -352,14 +354,20 @@ def _check_terminals(
     (the lowest or the highest of :meth:`Placement.pin_access`, which
     lists one or two).  The pins' access points are read once, then
     looked up among the attachments in bulk; per net, the unattached
-    pins in pin order."""
-    pins = [(index, pin) for index, net in nets.items() for pin in net.pins]
-    access = [placement.pin_access(pin) for _, pin in pins]
-    net = np.array([index for index, _ in pins], dtype=np.int64)
-    column = np.array([at for at, _ in access], dtype=np.int64)
-    low = np.array([channels[0] for _, channels in access], dtype=np.int64)
-    high = np.array(
-        [channels[-1] for _, channels in access], dtype=np.int64
+    pins in pin order.  The access columns are filled pin by pin into
+    typed arrays, with no list of pins or of access tuples."""
+    net, column, low, high = (array("q") for _ in range(4))
+    pin_access = placement.pin_access
+    for index, checked in nets.items():
+        for pin in checked.pins:
+            at, channels = pin_access(pin)
+            net.append(index)
+            column.append(at)
+            low.append(channels[0])
+            high.append(channels[-1])
+    net, column, low, high = (
+        np.frombuffer(values, dtype=np.int64)
+        for values in (net, column, low, high)
     )
     low_key, high_key, attach_key = pack_keys(
         (net, low, column),
@@ -368,12 +376,15 @@ def _check_terminals(
     )
     attached = _member(low_key, attach_key) | _member(high_key, attach_key)
     problems: Dict[int, List[str]] = {}
-    for k in np.flatnonzero(~attached).tolist():
-        index, pin = pins[k]
-        problems.setdefault(index, []).append(
-            f"net {labels[index]}: pin {pin.full_name} at column "
-            f"{access[k][0]} has no attachment"
-        )
+    unattached = np.flatnonzero(~attached).tolist()
+    if unattached:
+        pins = [pin for checked in nets.values() for pin in checked.pins]
+        for k in unattached:
+            index = int(net[k])
+            problems.setdefault(index, []).append(
+                f"net {labels[index]}: pin {pins[k].full_name} at column "
+                f"{int(column[k])} has no attachment"
+            )
     return problems
 
 

@@ -10,11 +10,16 @@ Netlist (``.rnl``)::
     connect n0 u0.O u1.I0 pin:q0
     diffpair data_p data_n
 
-Placement (``.rpl``)::
+Placement (``.rpl``, version 2)::
 
-    placement counter8 rows=4
-    row 0: u0 u1 __feed_0 u2
-    row 1: u5 u4 u3
+    placement counter8 rows=4 version=2
+    row 0: u0 u1 +1 u2
+    row 1: +2 u5 u4 u3
+
+A ``+<k>`` token is a run of ``k`` feed columns between a row's cells.
+Feed cells are placement columns, not netlist cells, so a version-1 file
+(no ``version=`` field), which listed them by name, is read only when it
+names no feed cell.
 
 Lines starting with ``#`` and blank lines are ignored.  The parser
 reports the offending line number on every error.  Cell types resolve
@@ -30,10 +35,13 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import NetlistError, PlacementError
 from ..netlist.cell_library import CellLibrary, TerminalDirection
-from ..netlist.circuit import Circuit, ExternalPin, PinSide, Terminal
-from ..layout.placement import Placement
+from ..netlist.circuit import Cell, Circuit, ExternalPin, PinSide, Terminal
+from ..layout.placement import Placement, RowItem
 
 PathLike = Union[str, Path]
+
+#: The ``.rpl`` version :func:`write_placement` writes: feed runs.
+PLACEMENT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -72,12 +80,16 @@ def _pin_ref(pin) -> str:
 
 
 def write_placement(placement: Placement) -> str:
-    """Serialize a placement to the ``.rpl`` text format."""
+    """Serialize a placement to the ``.rpl`` text format (version 2)."""
     lines = [
-        f"placement {placement.circuit.name} rows={placement.n_rows}"
+        f"placement {placement.circuit.name} rows={placement.n_rows} "
+        f"version={PLACEMENT_VERSION}"
     ]
-    for index, row in enumerate(placement.rows):
-        names = " ".join(cell.name for cell in row)
+    for index in range(placement.n_rows):
+        names = " ".join(
+            item.name if isinstance(item, Cell) else f"+{item}"
+            for item in placement.items(index)
+        )
         lines.append(f"row {index}: {names}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -171,12 +183,17 @@ def _parse_connect(
 def parse_placement(text: str, circuit: Circuit) -> Placement:
     """Parse the ``.rpl`` format against an existing circuit."""
     n_rows: Optional[int] = None
-    rows: Dict[int, List] = {}
+    version = 1
+    rows: Dict[int, List[RowItem]] = {}
     for line_no, fields in _lines(text):
         keyword = fields[0]
         try:
             if keyword == "placement":
-                _expect(fields, 3, line_no)
+                if len(fields) not in (3, 4):
+                    raise PlacementError(
+                        "'placement' needs a circuit, rows=<n> and an "
+                        "optional version=<v>"
+                    )
                 if fields[1] != circuit.name:
                     raise PlacementError(
                         f"placement is for circuit {fields[1]!r}, "
@@ -184,6 +201,15 @@ def parse_placement(text: str, circuit: Circuit) -> Placement:
                     )
                 if not fields[2].startswith("rows="):
                     raise PlacementError("expected rows=<n>")
+                if len(fields) == 4:
+                    if not fields[3].startswith("version="):
+                        raise PlacementError("expected version=<v>")
+                    version = _int(fields[3][len("version="):], "version")
+                    if version not in (1, PLACEMENT_VERSION):
+                        raise PlacementError(
+                            f"unsupported .rpl version {version} (this "
+                            f"reader knows 1 and {PLACEMENT_VERSION})"
+                        )
                 n_rows = _int(fields[2][len("rows="):], "row count")
             elif keyword == "row":
                 if n_rows is None:
@@ -197,7 +223,8 @@ def parse_placement(text: str, circuit: Circuit) -> Placement:
                 if index in rows:
                     raise PlacementError(f"duplicate row {index}")
                 rows[index] = [
-                    circuit.cell(name) for name in fields[2:]
+                    _row_item(circuit, token, version)
+                    for token in fields[2:]
                 ]
             else:
                 raise PlacementError(f"unknown statement {keyword!r}")
@@ -207,6 +234,22 @@ def parse_placement(text: str, circuit: Circuit) -> Placement:
         raise PlacementError("missing 'placement' header")
     ordered = [rows.get(index, []) for index in range(n_rows)]
     return Placement(circuit, ordered)
+
+
+def _row_item(circuit: Circuit, token: str, version: int) -> RowItem:
+    """A row token: ``+<k>`` feed columns (version 2) or a cell name."""
+    if version >= 2 and token.startswith("+"):
+        run = _int(token[1:], "feed run")
+        if run < 1:
+            raise PlacementError(f"bad feed run {token!r}")
+        return run
+    if version < 2 and not circuit.has_cell(token):
+        raise PlacementError(
+            f"no cell named {token!r}; this file has no version=2 "
+            "header, and feed cells are written as +<k> runs of feed "
+            "columns from .rpl version 2 on"
+        )
+    return circuit.cell(token)
 
 
 # ----------------------------------------------------------------------

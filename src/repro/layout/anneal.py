@@ -11,6 +11,13 @@ coordinates untouched (see :meth:`Placement.swap_cells`):
 * swapping two equal-width cells anywhere on the chip, and
 * swapping two adjacent cells of one row.
 
+Feed columns take part as width-1 items of their rows: an adjacent swap
+with a feed column moves that column to the cell's other side
+(:meth:`Placement.swap_with_feed`).  The annealer numbers every item —
+logic cell or feed column — in row order and tracks where each one
+sits, so the moves it draws, and the placement it returns, do not depend
+on how the placement stores its feed columns.
+
 That keeps a move's cost delta exact with only the nets incident to the
 two moved cells re-measured, so the annealer scales to the benchmark
 circuits in well under a second.
@@ -26,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import ConfigError
 from ..netlist.circuit import Cell, Circuit, Net, Terminal
 from ..tech import Technology
-from .placement import Placement
+from .placement import Placement, RowItem
 
 
 @dataclass(frozen=True)
@@ -116,10 +123,13 @@ class _Objective:
             return 0.0
         return (max(xs) - min(xs)) + (max(ys) - min(ys))
 
-    def nets_of(self, *cells: Cell) -> List[int]:
+    def nets_of(self, *cells: Optional[Cell]) -> List[int]:
+        """Nets incident to the given cells (``None``, a feed column,
+        has none)."""
         touched = set()
         for cell in cells:
-            touched.update(self.incident.get(cell.name, ()))
+            if cell is not None:
+                touched.update(self.incident.get(cell.name, ()))
         return sorted(touched)
 
     def delta_for_update(self, net_indices: Sequence[int]) -> float:
@@ -138,6 +148,58 @@ class _Objective:
             self.cost_of[index] = cost
 
 
+class _Items:
+    """The placement as items: every logic cell and feed column gets a
+    number (``token``) in row order, and each row lists its tokens."""
+
+    def __init__(self, placement: Placement):
+        self.placement = placement
+        self.cell_of: List[Optional[Cell]] = []
+        self.rows: List[List[int]] = []
+        self.where: List[Tuple[int, int]] = []
+        for row in range(placement.n_rows):
+            tokens: List[int] = []
+            for item in placement.items(row):
+                cells = [item] if isinstance(item, Cell) else [None] * item
+                for cell in cells:
+                    self.where.append((row, len(tokens)))
+                    tokens.append(len(self.cell_of))
+                    self.cell_of.append(cell)
+            self.rows.append(tokens)
+        self.width = [
+            1 if cell is None else cell.width for cell in self.cell_of
+        ]
+
+    def swap(self, a: int, b: int) -> None:
+        """Exchange two items: equal-width ones anywhere, others only
+        when adjacent in one row."""
+        row_a, index_a = self.where[a]
+        row_b, index_b = self.where[b]
+        self.rows[row_a][index_a] = b
+        self.rows[row_b][index_b] = a
+        self.where[a] = (row_b, index_b)
+        self.where[b] = (row_a, index_a)
+        cell_a, cell_b = self.cell_of[a], self.cell_of[b]
+        if cell_a is not None and cell_b is not None:
+            self.placement.swap_cells(cell_a, cell_b)
+        elif cell_a is not None or cell_b is not None:
+            cell = cell_a if cell_a is not None else cell_b
+            if cell.width != 1:
+                # Adjacent: the feed column is on the side the cell
+                # moves to.
+                self.placement.swap_with_feed(
+                    cell, right=(index_b > index_a) == (cell is cell_a)
+                )
+            else:
+                for row in {row_a, row_b}:
+                    self.placement.set_row(row, self.items_of(self.rows[row]))
+
+    def items_of(self, tokens: List[int]) -> List[RowItem]:
+        """Placement items of a row's tokens."""
+        cell_of = self.cell_of
+        return [1 if cell_of[t] is None else cell_of[t] for t in tokens]
+
+
 def anneal_placement(
     circuit: Circuit,
     placement: Placement,
@@ -151,16 +213,17 @@ def anneal_placement(
     """
     rng = random.Random(config.seed)
     objective = _Objective(circuit, placement, technology)
-    movable = [cell for row in placement.rows for cell in row]
+    items = _Items(placement)
+    movable = list(range(len(items.cell_of)))
     if len(movable) < 2:
         return AnnealResult(objective.total, objective.total, 0, 0)
-    by_width: Dict[int, List[Cell]] = {}
-    for cell in movable:
-        by_width.setdefault(cell.width, []).append(cell)
+    by_width: Dict[int, List[int]] = {}
+    for token in movable:
+        by_width.setdefault(items.width[token], []).append(token)
 
     initial_cost = objective.total
     temperature = config.initial_temperature or _auto_temperature(
-        objective, placement, movable, by_width, rng
+        objective, items, movable, by_width, rng
     )
     moves_per_t = config.moves_per_temperature or max(
         32, 8 * len(movable)
@@ -182,20 +245,20 @@ def anneal_placement(
 
     tried = accepted = 0
     best_cost = objective.total
-    best_rows = [list(row) for row in placement.rows]
+    best_rows = [list(row) for row in items.rows]
     while temperature > config.final_temperature_um:
         for _ in range(moves_per_t):
             if tried >= config.max_moves:
                 temperature = 0.0
                 break
             tried += 1
-            pair = _propose(placement, movable, by_width, rng)
+            pair = _propose(items, movable, by_width, rng)
             if pair is None:
                 continue
-            cell_a, cell_b = pair
-            touched = objective.nets_of(cell_a, cell_b)
+            a, b = pair
+            touched = objective.nets_of(items.cell_of[a], items.cell_of[b])
             old_costs = [objective.cost_of[i] for i in touched]
-            placement.swap_cells(cell_a, cell_b)
+            items.swap(a, b)
             delta = objective.delta_for_update(touched)
             if delta <= 0.0 or rng.random() < math.exp(
                 -delta / temperature
@@ -203,64 +266,64 @@ def anneal_placement(
                 accepted += 1
                 if objective.total < best_cost - 1e-9:
                     best_cost = objective.total
-                    best_rows = [list(row) for row in placement.rows]
+                    best_rows = [list(row) for row in items.rows]
                 continue
-            placement.swap_cells(cell_a, cell_b)  # undo
+            items.swap(a, b)  # undo
             objective.restore(touched, old_costs)
         temperature *= config.cooling
     # Land on the best configuration visited, not wherever the schedule
     # happened to stop.
-    placement.rows[:] = [list(row) for row in best_rows]
+    for row, tokens in enumerate(best_rows):
+        placement.set_row(row, items.items_of(tokens))
     placement.refresh()
     return AnnealResult(initial_cost, best_cost, tried, accepted)
 
 
 def _propose(
-    placement: Placement,
-    movable: List[Cell],
-    by_width: Dict[int, List[Cell]],
+    items: _Items,
+    movable: List[int],
+    by_width: Dict[int, List[int]],
     rng: random.Random,
-) -> Optional[Tuple[Cell, Cell]]:
+) -> Optional[Tuple[int, int]]:
     """Draw a legal move: equal-width swap or adjacent swap."""
     if rng.random() < 0.5:
-        cell_a = rng.choice(movable)
-        peers = by_width[cell_a.width]
+        a = rng.choice(movable)
+        peers = by_width[items.width[a]]
         if len(peers) < 2:
             return None
-        cell_b = rng.choice(peers)
-        if cell_b is cell_a:
+        b = rng.choice(peers)
+        if b == a:
             return None
-        return cell_a, cell_b
-    cell_a = rng.choice(movable)
-    row, _ = placement.location_of(cell_a)
-    row_cells = placement.rows[row]
-    index = row_cells.index(cell_a)
-    if len(row_cells) < 2:
+        return a, b
+    a = rng.choice(movable)
+    row, index = items.where[a]
+    tokens = items.rows[row]
+    if len(tokens) < 2:
         return None
-    neighbour = index + 1 if index + 1 < len(row_cells) else index - 1
-    return cell_a, row_cells[neighbour]
+    neighbour = index + 1 if index + 1 < len(tokens) else index - 1
+    return a, tokens[neighbour]
 
 
 def _auto_temperature(
     objective: _Objective,
-    placement: Placement,
-    movable: List[Cell],
-    by_width: Dict[int, List[Cell]],
+    items: _Items,
+    movable: List[int],
+    by_width: Dict[int, List[int]],
     rng: random.Random,
     samples: int = 40,
 ) -> float:
     """Temperature making an average uphill move ~80% acceptable."""
     deltas: List[float] = []
     for _ in range(samples):
-        pair = _propose(placement, movable, by_width, rng)
+        pair = _propose(items, movable, by_width, rng)
         if pair is None:
             continue
-        cell_a, cell_b = pair
-        touched = objective.nets_of(cell_a, cell_b)
+        a, b = pair
+        touched = objective.nets_of(items.cell_of[a], items.cell_of[b])
         old_costs = [objective.cost_of[i] for i in touched]
-        placement.swap_cells(cell_a, cell_b)
+        items.swap(a, b)
         delta = objective.delta_for_update(touched)
-        placement.swap_cells(cell_a, cell_b)
+        items.swap(a, b)
         objective.restore(touched, old_costs)
         if delta > 0.0:
             deltas.append(delta)

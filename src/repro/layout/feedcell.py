@@ -12,24 +12,32 @@ feedthrough assignment:
 4. insert ``F(w, r)`` groups of ``w`` adjacent feed cells into row ``r``
    for every ``w ≠ 1`` (flagged for ``w``-pitch nets only), then
    ``F(1, r) + F − F(r)`` single feed cells, all "almost evenly spaced
-   between existing cells" — every row grows by exactly ``F`` columns;
+   between existing cells" — every row grows by exactly ``F`` columns.
+   A feed cell is a column of its row, so inserting one widens a feed
+   run of the placement and shifts the logic cells to its right;
 5. rerun the assignment with strict width flags.  Capacity now matches
    demand per (row, width), so the second pass always succeeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import FeedthroughError
-from ..netlist.circuit import Cell, Circuit, Net
+from ..netlist.circuit import Circuit, Net
 from .feedthrough import (
     FeedthroughAssignment,
     FeedthroughPlanner,
     SlotRequest,
 )
 from .placement import Placement
+
+Corridor = Tuple[int, int, int]
+"""A run of adjacent feed columns flagged for one width: ``(row, first
+column, width)``."""
 
 
 @dataclass
@@ -39,10 +47,6 @@ class InsertionReport:
     first_pass_failures: int = 0
     widening_columns: int = 0
     inserted_cells: int = 0
-    groups_per_row: Dict[int, List[Tuple[int, int]]] = field(
-        default_factory=dict
-    )
-    """row -> list of (width, count) inserted groups."""
 
     @property
     def insertion_ran(self) -> bool:
@@ -50,12 +54,12 @@ class InsertionReport:
 
 
 class FeedCellInserter:
-    """Runs the two-pass assignment, mutating the placement as needed."""
+    """Runs the two-pass assignment, widening the placement's feed runs
+    as needed (the netlist is never edited)."""
 
     def __init__(self, circuit: Circuit, placement: Placement):
         self.circuit = circuit
         self.placement = placement
-        self._feed_counter = 0
 
     # ------------------------------------------------------------------
     def ensure_assignment(
@@ -83,7 +87,7 @@ class FeedCellInserter:
         preserved = self._successful_multipitch_groups(planner, first)
         planner.cancel_all()
 
-        flagged_cells = self._insert_feed_cells(
+        flagged = self._insert_feed_cells(
             shortfall, per_row_cost, widening, preserved, report
         )
 
@@ -93,7 +97,8 @@ class FeedCellInserter:
             strict_flags=True,
             requests=planner.requests,
         )
-        self._apply_flags(second_planner, flagged_cells)
+        for row, start, width in flagged:
+            second_planner.rows[row].flag_group(start, width)
         second = second_planner.assign_all(ordered_nets)
         if not second.complete:
             missing = ", ".join(
@@ -133,16 +138,11 @@ class FeedCellInserter:
         self,
         planner: FeedthroughPlanner,
         assignment: FeedthroughAssignment,
-    ) -> List[Tuple[int, List[str], int]]:
-        """Corridors granted to multi-pitch nets/pairs in pass 1, as
-        ``(row, [feed cell names], corridor width)`` — flag sources that
-        survive the coordinate shift of insertion."""
-        groups: List[Tuple[int, List[str], int]] = []
-        feed_by_column: List[Dict[int, str]] = [
-            {pc.x: pc.cell.name for pc in self.placement.feed_cells_in_row(r)}
-            for r in range(self.placement.n_rows)
-        ]
-        seen_corridors: Set[Tuple[int, int]] = set()
+    ) -> List[Corridor]:
+        """Corridors granted to multi-pitch nets/pairs in pass 1 — flag
+        sources whose columns insertion shifts but never splits."""
+        groups: List[Corridor] = []
+        seen_corridors = set()
         for net_name, by_row in assignment.slots.items():
             net = self.circuit.net(net_name)
             width = planner.corridor_width(net)
@@ -151,21 +151,10 @@ class FeedCellInserter:
             if net.is_differential and net.diff_partner.name < net.name:
                 continue  # corridor recorded under the lead net
             for row, slot in by_row.items():
-                corridor_start = slot.x
-                key = (row, corridor_start)
-                if key in seen_corridors:
-                    continue
-                seen_corridors.add(key)
-                names = []
-                for column in range(corridor_start, corridor_start + width):
-                    name = feed_by_column[row].get(column)
-                    if name is None:
-                        raise FeedthroughError(
-                            f"slot column {column} in row {row} has no "
-                            "feed cell"
-                        )
-                    names.append(name)
-                groups.append((row, names, width))
+                key = (row, slot.x)
+                if key not in seen_corridors:
+                    seen_corridors.add(key)
+                    groups.append((row, slot.x, width))
         return groups
 
     # ------------------------------------------------------------------
@@ -176,100 +165,114 @@ class FeedCellInserter:
         shortfall: Dict[Tuple[int, int], int],
         per_row_cost: Dict[int, int],
         widening: int,
-        preserved: List[Tuple[int, List[str], int]],
+        preserved: List[Corridor],
         report: InsertionReport,
-    ) -> List[Tuple[int, List[str], int]]:
-        """Insert the Section 4.3 feed cells row by row.
+    ) -> List[Corridor]:
+        """Widen each row's feed runs by the Section 4.3 feed cells.
 
         Returns the full flag list: preserved pass-1 corridors plus the
-        newly inserted multi-pitch groups.
+        newly inserted multi-pitch groups, at their final columns.
         """
         flagged = list(preserved)
-        feed_type = self.circuit.library.feed_cell.name
+        preserved_in_row: Dict[int, List[int]] = {}
+        for k, (row, _, _) in enumerate(preserved):
+            preserved_in_row.setdefault(row, []).append(k)
         wide_by_row: Dict[int, List[Tuple[int, int]]] = {}
         for (row, width), count in sorted(shortfall.items()):
             if width >= 2:
                 wide_by_row.setdefault(row, []).append((width, count))
         for row in range(self.placement.n_rows):
-            blocks: List[Tuple[int, List[Cell]]] = []  # (width-flag, cells)
+            blocks: List[int] = []  # block widths, each one flag group
             for width, count in wide_by_row.get(row, ()):
-                for _ in range(count):
-                    blocks.append(
-                        (width, self._new_feed_cells(width, feed_type))
-                    )
+                blocks.extend([width] * count)
             singles = (
                 shortfall.get((row, 1), 0)
                 + widening
                 - per_row_cost[row]
             )
-            for _ in range(singles):
-                blocks.append((1, self._new_feed_cells(1, feed_type)))
+            blocks.extend([1] * singles)
             if not blocks:
                 continue
-            report.groups_per_row[row] = [
-                (width, 1) for width, _ in blocks
-            ]
-            report.inserted_cells += sum(len(c) for _, c in blocks)
-            protected = self._protected_index_ranges(row, preserved)
-            self._insert_blocks(row, blocks, protected)
-            for width, cells in blocks:
+            report.inserted_cells += sum(blocks)
+            kept = preserved_in_row.get(row, ())
+            starts, shifted = self._insert_blocks(
+                row, blocks, [flagged[k][1:] for k in kept]
+            )
+            for k, start in zip(kept, shifted):
+                flagged[k] = (row, start, flagged[k][2])
+            for width, start in zip(blocks, starts):
                 if width >= 2:
-                    flagged.append((row, [c.name for c in cells], width))
+                    flagged.append((row, start, width))
         return flagged
-
-    def _new_feed_cells(self, count: int, feed_type: str) -> List[Cell]:
-        """``count`` new cells of ``feed_type`` under the next free
-        ``__feed_<n>`` names."""
-        cells = []
-        for _ in range(count):
-            while True:
-                name = f"__feed_{self._feed_counter}"
-                self._feed_counter += 1
-                if not self.circuit.has_cell(name):
-                    break
-            cells.append(self.circuit.add_cell(name, feed_type))
-        return cells
-
-    def _protected_index_ranges(
-        self, row: int, preserved: List[Tuple[int, List[str], int]]
-    ) -> List[Tuple[int, int]]:
-        """List-index ranges inside which no insertion may happen (they
-        would split a preserved adjacent corridor)."""
-        index_of = {
-            cell.name: i for i, cell in enumerate(self.placement.rows[row])
-        }
-        ranges = []
-        for r, names, _ in preserved:
-            if r != row:
-                continue
-            indices = [index_of[name] for name in names if name in index_of]
-            if indices:
-                ranges.append((min(indices), max(indices)))
-        return ranges
 
     def _insert_blocks(
         self,
         row: int,
-        blocks: List[Tuple[int, List[Cell]]],
+        blocks: List[int],
         protected: List[Tuple[int, int]],
-    ) -> None:
-        """Insert cell blocks almost evenly spaced, avoiding protected
-        corridor interiors.  Indices are computed against the pre-insertion
-        list and applied right-to-left so earlier insertions don't shift
-        later ones."""
-        row_len = len(self.placement.rows[row])
+    ) -> Tuple[List[int], List[int]]:
+        """Insert blocks of feed columns almost evenly spaced, avoiding
+        the interiors of the ``(first column, width)`` corridors in
+        ``protected``; returns each block's first column and each
+        corridor's, after insertion.
+
+        Positions are item indices of the row before insertion, each
+        feed column one item: block ``i`` of ``n`` goes before item
+        ``round((i + 1) × items / (n + 1))``, and blocks at one index
+        stack with the later block leftmost.  An index falls into one
+        gap of the row, so the row's runs grow in one pass.
+        """
+        cells = self.placement.rows[row]
+        runs = np.array(self.placement.feed_runs(row), dtype=np.int64)
+        # Per gap: its first item index and its first column.
+        first_item = np.zeros(len(runs), dtype=np.int64)
+        np.cumsum(runs[:-1] + 1, out=first_item[1:])
+        first_column = np.zeros(len(runs), dtype=np.int64)
+        first_column[1:] = [
+            self.placement.location_of(cell)[1] + cell.width
+            for cell in cells
+        ]
+        row_len = int(first_item[-1] + runs[-1])
+        ranges = []
+        for start, width in protected:
+            gap = int(np.searchsorted(first_column, start, "right")) - 1
+            lo = int(first_item[gap]) + start - int(first_column[gap])
+            ranges.append((lo, lo + width - 1))
         n_blocks = len(blocks)
-        placements: List[Tuple[int, List[Cell]]] = []
-        for i, (_, cells) in enumerate(blocks):
-            # Always within [0, row_len]: (i + 1) / (n_blocks + 1) < 1.
-            index = round((i + 1) * row_len / (n_blocks + 1))
-            if protected:
-                index = self._nearest_allowed_index(
-                    index, row_len, protected
-                )
-            placements.append((index, cells))
-        placements.sort(key=lambda p: p[0], reverse=True)
-        self.placement.insert_cell_blocks(row, placements)
+        # round() and rint both round half to even, on the same quotient.
+        indices = np.rint(
+            np.arange(1, n_blocks + 1) * row_len / (n_blocks + 1)
+        ).astype(np.int64)
+        if ranges:
+            indices = np.array(
+                [
+                    self._nearest_allowed_index(index, row_len, ranges)
+                    for index in indices.tolist()
+                ],
+                dtype=np.int64,
+            )
+        gaps = np.searchsorted(first_item, indices, "right") - 1
+        widths = np.array(blocks, dtype=np.int64)
+        # Left to right as they end up: by index, the later block first.
+        order = np.lexsort((-np.arange(n_blocks), indices))
+        placed = widths[order]
+        starts = np.empty(n_blocks, dtype=np.int64)
+        starts[order] = (
+            first_column[gaps[order]]
+            + indices[order]
+            - first_item[gaps[order]]
+            + np.cumsum(placed)
+            - placed
+        )
+        shifted = [
+            start + int(widths[indices <= lo].sum())
+            for (start, _), (lo, _) in zip(protected, ranges)
+        ]
+        added = np.bincount(gaps, weights=widths, minlength=len(runs))
+        self.placement.widen_feed_runs(
+            row, [(gap, int(added[gap])) for gap in np.flatnonzero(added)]
+        )
+        return starts.tolist(), shifted
 
     @staticmethod
     def _nearest_allowed_index(
@@ -289,22 +292,3 @@ class FeedCellInserter:
                 if 0 <= candidate <= row_len and allowed(candidate):
                     return candidate
         raise FeedthroughError("no legal insertion index in row")
-
-    # ------------------------------------------------------------------
-    def _apply_flags(
-        self,
-        planner: FeedthroughPlanner,
-        flagged: List[Tuple[int, List[str], int]],
-    ) -> None:
-        """Re-derive flag groups from feed-cell names after the refresh."""
-        for row, names, width in flagged:
-            columns = sorted(
-                self.placement.placed(self.circuit.cell(name)).x
-                for name in names
-            )
-            if columns != list(range(columns[0], columns[0] + width)):
-                raise FeedthroughError(
-                    f"flagged corridor in row {row} is no longer adjacent: "
-                    f"{columns}"
-                )
-            planner.rows[row].flag_group(columns[0], width)

@@ -3,10 +3,13 @@
 Rows are indexed bottom-to-top ``0 .. n_rows-1``; *channels* (the wiring
 regions the global router fills) are indexed ``0 .. n_rows`` with channel
 ``c`` lying directly below row ``c`` (channel ``n_rows`` is above the top
-row).  A row is an ordered list of cells packed left-to-right from column
-0 with no gaps — all white space comes from explicit feed cells, matching
-the bipolar standard-cell style of the paper, where ordinary cells have no
-feedthrough space and feed cells are the only crossings-for-rent.
+row).  A row is an ordered list of logic cells packed left-to-right from
+column 0 with no white space: every column between two cells is a *feed
+column*, matching the bipolar standard-cell style of the paper, where
+ordinary cells have no feedthrough space and feed cells are the only
+crossings-for-rent.  A feed cell has no terminal and no net, so it is
+not a netlist cell: the placement keeps each row's feed columns as
+*runs*, one per gap between (and around) the row's logic cells.
 
 External pins live on the chip boundary: bottom-side pins in channel 0,
 top-side pins in channel ``n_rows``.
@@ -15,7 +18,7 @@ top-side pins in channel ``n_rows``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..errors import PlacementError
 from ..netlist.circuit import (
@@ -27,6 +30,10 @@ from ..netlist.circuit import (
     PinSide,
     Terminal,
 )
+
+RowItem = Union[Cell, int]
+"""One item of a row as the constructor takes it: a logic cell, or a run
+of that many feed columns."""
 
 
 @dataclass(frozen=True)
@@ -44,18 +51,29 @@ class PlacedCell:
 
 
 class Placement:
-    """Ordered rows of cells with derived x coordinates.
+    """Ordered rows of logic cells, feed-column runs between them, and
+    derived x coordinates.
 
-    The authoritative state is ``rows`` — per-row ordered cell lists.
+    The authoritative state is ``rows`` — per-row ordered logic-cell
+    lists — and each row's feed runs (:meth:`feed_runs`): ``runs[g]``
+    feed columns sit before cell ``g`` of the row, and the last run after
+    its last cell.  A row is built from items (:data:`RowItem`): cells,
+    and non-negative ints for runs of feed columns; adjacent runs merge.
     Column positions are recomputed by :meth:`refresh` whenever row
-    contents change (e.g. feed-cell insertion).
+    contents change; widening a run (:meth:`widen_feed_runs`, Section
+    4.3's insertion) shifts only the cells to its right.
     """
 
-    def __init__(self, circuit: Circuit, rows: Sequence[Sequence[Cell]]):
+    def __init__(self, circuit: Circuit, rows: Sequence[Sequence[RowItem]]):
         if not rows:
             raise PlacementError("placement needs at least one row")
         self.circuit = circuit
-        self.rows: List[List[Cell]] = [list(r) for r in rows]
+        self.rows: List[List[Cell]] = []
+        self._runs: List[List[int]] = []
+        for items in rows:
+            cells, runs = _split_items(items)
+            self.rows.append(cells)
+            self._runs.append(runs)
         self._position: Dict[str, Tuple[int, int]] = {}
         self.refresh()
 
@@ -65,15 +83,35 @@ class Placement:
     def refresh(self) -> None:
         """Recompute x coordinates by packing each row from column 0."""
         self._position.clear()
-        for row_index, row in enumerate(self.rows):
-            x = 0
-            for cell in row:
+        for row_index, (cells, runs) in enumerate(zip(self.rows, self._runs)):
+            if len(runs) != len(cells) + 1:
+                raise PlacementError(
+                    f"row {row_index}: {len(cells)} cells need "
+                    f"{len(cells) + 1} feed runs, not {len(runs)}"
+                )
+            for cell in cells:
                 if cell.name in self._position:
                     raise PlacementError(
                         f"cell {cell.name} placed more than once"
                     )
-                self._position[cell.name] = (row_index, x)
-                x += cell.width
+                self._position[cell.name] = (row_index, 0)
+            self._pack(row_index, 0)
+
+    def _pack(self, row: int, first: int) -> None:
+        """Recompute the positions of a row's cells from cell ``first``
+        on (the cells to its left keep theirs)."""
+        cells = self.rows[row]
+        runs = self._runs[row]
+        position = self._position
+        if first == 0:
+            x = runs[0]
+        else:
+            prev = cells[first - 1]
+            x = position[prev.name][1] + prev.width + runs[first]
+        for i in range(first, len(cells)):
+            cell = cells[i]
+            position[cell.name] = (row, x)
+            x += cell.width + runs[i + 1]
 
     @property
     def n_rows(self) -> int:
@@ -87,20 +125,22 @@ class Placement:
     @property
     def width_columns(self) -> int:
         """Chip width in columns: the widest row's extent."""
-        return max(map(self._extent, self.rows), default=0)
+        return max(map(self._extent, range(len(self.rows))), default=0)
 
     def row_width(self, row: int) -> int:
-        """Occupied width of one row."""
+        """Occupied width of one row, its feed columns included."""
         self._check_row(row)
-        return self._extent(self.rows[row])
+        return self._extent(row)
 
-    def _extent(self, row: List[Cell]) -> int:
+    def _extent(self, row: int) -> int:
         """One past a row's last column: rows are packed from column 0
-        with no gaps, so its last cell's position plus its width."""
-        if not row:
-            return 0
-        last = row[-1]
-        return self._position[last.name][1] + last.width
+        with no gaps, so its last cell's end plus the run after it."""
+        cells = self.rows[row]
+        runs = self._runs[row]
+        if not cells:
+            return runs[0]
+        last = cells[-1]
+        return self._position[last.name][1] + last.width + runs[-1]
 
     # ------------------------------------------------------------------
     # Lookups
@@ -199,91 +239,78 @@ class Placement:
         ]
 
     # ------------------------------------------------------------------
-    # Mutation (feed-cell insertion support)
+    # Feed columns
     # ------------------------------------------------------------------
-    def insert_cells(
-        self, row: int, index: int, cells: Sequence[Cell]
-    ) -> None:
-        """Insert cells into a row at list position ``index``.
-
-        Only the inserted cells and the cells to their right are
-        re-packed — an O(row suffix) update instead of a full-chip
-        :meth:`refresh`.  Feed-cell insertion calls this once per
-        block, so the full recompute made setup quadratic in chip
-        size.  Duplicate placements are rejected *before* any state
-        changes, matching what ``refresh()`` would have raised.
-        """
+    def feed_runs(self, row: int) -> Tuple[int, ...]:
+        """Feed columns per gap of one row: before each cell, then after
+        the last (one more run than the row has cells)."""
         self._check_row(row)
-        row_cells = self.rows[row]
-        if not (0 <= index <= len(row_cells)):
-            raise PlacementError(
-                f"insertion index {index} out of range for row {row}"
-            )
-        incoming = list(cells)
-        seen = set()
-        for cell in incoming:
-            if cell.name in self._position or cell.name in seen:
-                raise PlacementError(
-                    f"cell {cell.name} placed more than once"
-                )
-            seen.add(cell.name)
-        if index == 0:
-            x = 0
-        else:
-            prev = row_cells[index - 1]
-            x = self._position[prev.name][1] + prev.width
-        row_cells[index:index] = incoming
-        for cell in row_cells[index:]:
-            self._position[cell.name] = (row, x)
-            x += cell.width
+        return tuple(self._runs[row])
 
-    def insert_cell_blocks(
-        self, row: int, placements: Sequence[Tuple[int, Sequence[Cell]]]
-    ) -> None:
-        """Apply many ``(index, cells)`` insertions to one row at once.
-
-        ``placements`` must be ordered right-to-left (descending index,
-        as :meth:`~repro.layout.feedcell.FeedCellInserter` computes
-        them against the pre-insertion list), so each splice lands
-        where a sequential :meth:`insert_cells` loop would have put it
-        — but the O(row suffix) position repack runs **once** from the
-        leftmost splice instead of once per block, which is what kept
-        feed-cell insertion quadratic on scale-tier chips.
-        """
+    def feed_columns(self, row: int) -> List[int]:
+        """Columns of one row's feed columns, left to right."""
         self._check_row(row)
-        row_cells = self.rows[row]
-        seen = set()
-        for _, cells in placements:
-            for cell in cells:
-                if cell.name in self._position or cell.name in seen:
-                    raise PlacementError(
-                        f"cell {cell.name} placed more than once"
-                    )
-                seen.add(cell.name)
-        lowest = len(row_cells)
-        for index, cells in placements:
-            if not (0 <= index <= len(row_cells)):
-                raise PlacementError(
-                    f"insertion index {index} out of range for row {row}"
-                )
-            row_cells[index:index] = list(cells)
-            lowest = min(lowest, index)
-        if lowest == 0:
-            x = 0
-        else:
-            prev = row_cells[lowest - 1]
-            x = self._position[prev.name][1] + prev.width
-        for cell in row_cells[lowest:]:
-            self._position[cell.name] = (row, x)
-            x += cell.width
+        cells = self.rows[row]
+        runs = self._runs[row]
+        position = self._position
+        columns = list(range(runs[0]))
+        for cell, run in zip(cells, runs[1:]):
+            if run:
+                end = position[cell.name][1] + cell.width
+                columns.extend(range(end, end + run))
+        return columns
 
+    def items(self, row: int) -> List[RowItem]:
+        """One row as constructor items: its cells and non-empty runs."""
+        self._check_row(row)
+        runs = self._runs[row]
+        items: List[RowItem] = [runs[0]] if runs[0] else []
+        for cell, run in zip(self.rows[row], runs[1:]):
+            items.append(cell)
+            if run:
+                items.append(run)
+        return items
+
+    def widen_feed_runs(
+        self, row: int, widths: Sequence[Tuple[int, int]]
+    ) -> None:
+        """Add ``columns`` feed columns to run ``gap`` of one row for each
+        ``(gap, columns)`` pair, then shift the cells to the right of the
+        leftmost widened run in one pass.  A bad pair is rejected before
+        any run changes."""
+        self._check_row(row)
+        runs = self._runs[row]
+        for gap, columns in widths:
+            if not (0 <= gap < len(runs)) or columns < 0:
+                raise PlacementError(
+                    f"cannot add {columns} feed columns to run {gap} of "
+                    f"row {row}"
+                )
+        for gap, columns in widths:
+            runs[gap] += columns
+        first = min((gap for gap, _ in widths), default=len(runs))
+        if first < len(self.rows[row]):
+            self._pack(row, first)
+
+    def set_row(self, row: int, items: Sequence[RowItem]) -> None:
+        """Replace one row's cells and runs and repack it.  Cells that
+        left the row keep their old entries until the row they moved to
+        is set too; :meth:`refresh` checks the whole placement."""
+        self._check_row(row)
+        self.rows[row], self._runs[row] = _split_items(items)
+        self._pack(row, 0)
+
+    # ------------------------------------------------------------------
+    # Moves (annealing support)
+    # ------------------------------------------------------------------
     def swap_cells(self, cell_a: Cell, cell_b: Cell) -> None:
         """Exchange two placed cells without disturbing their neighbours.
 
         Legal when the cells have equal width (anywhere on the chip) or
-        are adjacent in the same row; either way every other cell keeps
-        its coordinates, so annealing moves stay O(1) plus the affected
-        nets.  Raises :class:`PlacementError` otherwise.
+        are adjacent in the same row, with no feed column between them;
+        either way every other cell keeps its coordinates, so annealing
+        moves stay O(1) plus the affected nets.  Raises
+        :class:`PlacementError` otherwise.
         """
         if cell_a is cell_b:
             return
@@ -297,7 +324,11 @@ class Placement:
             self._position[cell_a.name] = (row_b, x_b)
             self._position[cell_b.name] = (row_a, x_a)
             return
-        adjacent = row_a == row_b and abs(index_a - index_b) == 1
+        adjacent = (
+            row_a == row_b
+            and abs(index_a - index_b) == 1
+            and self._runs[row_a][max(index_a, index_b)] == 0
+        )
         if not adjacent:
             raise PlacementError(
                 f"cannot swap {cell_a.name} and {cell_b.name}: widths "
@@ -312,20 +343,23 @@ class Placement:
         self._position[cell_b.name] = (row_a, x_a)
         self._position[cell_a.name] = (row_a, x_a + cell_b.width)
 
-    def feed_cells_in_row(self, row: int) -> List[PlacedCell]:
-        """Feed cells of one row, left to right."""
-        self._check_row(row)
-        return [
-            self.placed(cell) for cell in self.rows[row] if cell.is_feed
-        ]
-
-    def feed_columns(self, row: int) -> List[int]:
-        """Columns of one row's feed cells, left to right."""
-        self._check_row(row)
-        position = self._position
-        return [
-            position[cell.name][1] for cell in self.rows[row] if cell.is_feed
-        ]
+    def swap_with_feed(self, cell: Cell, right: bool) -> None:
+        """Swap ``cell`` with the feed column beside it — the one on its
+        right if ``right``, else the one on its left: the column moves to
+        the cell's other side and the cell one column over, every other
+        cell keeping its coordinates."""
+        row, x = self.location_of(cell)
+        index = self.rows[row].index(cell)
+        runs = self._runs[row]
+        source, target = (index + 1, index) if right else (index, index + 1)
+        if runs[source] == 0:
+            raise PlacementError(
+                f"no feed column {'right' if right else 'left'} of "
+                f"cell {cell.name}"
+            )
+        runs[source] -= 1
+        runs[target] += 1
+        self._position[cell.name] = (row, x + 1 if right else x - 1)
 
     def _check_row(self, row: int) -> None:
         if not (0 <= row < len(self.rows)):
@@ -333,16 +367,32 @@ class Placement:
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check every non-feed circuit cell is placed exactly once."""
-        placed_names = set(self._position)
+        """Check every circuit cell is placed exactly once."""
+        placed_names = self._position
         for cell in self.circuit.cells:
-            if cell.is_feed:
-                continue
             if cell.name not in placed_names:
                 raise PlacementError(f"cell {cell.name} is not placed")
 
     def __repr__(self) -> str:
+        feeds = sum(sum(runs) for runs in self._runs)
         return (
             f"Placement({self.n_rows} rows, width={self.width_columns} "
-            f"columns, {len(self._position)} cells)"
+            f"columns, {len(self._position)} cells, {feeds} feed columns)"
         )
+
+
+def _split_items(items: Sequence[RowItem]) -> Tuple[List[Cell], List[int]]:
+    """A row's cells and its runs (one more than cells) from items."""
+    cells: List[Cell] = []
+    runs = [0]
+    for item in items:
+        if isinstance(item, Cell):
+            cells.append(item)
+            runs.append(0)
+        elif type(item) is int and item >= 0:
+            runs[-1] += item
+        else:
+            raise PlacementError(
+                f"row item {item!r} is neither a cell nor a feed run"
+            )
+    return cells, runs

@@ -9,10 +9,11 @@ P1/P2 placements for the synthetic circuits:
   together), which keeps connected cells near each other;
 * the linear order is folded into rows boustrophedon ("snake") style, so
   neighbours in the order stay physically close across row boundaries;
-* feed cells are added per row in one of the paper's two styles —
+* feed columns are added per row in one of the paper's two styles —
   ``EVEN`` (P1: evenly spaced, the intended usage) or ``ASIDE`` (P2: swept
   to the row end, the stress case the paper uses "to test the even spacing
-  effect of feed-cell insertion").
+  effect of feed-cell insertion"), as runs of the placement rows (feed
+  cells are not netlist cells).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 from ..errors import ConfigError, PlacementError
 from ..netlist.circuit import Cell, Circuit, Terminal
 from ..tech import Technology
-from .placement import Placement
+from .placement import Placement, RowItem
 
 
 class FeedStyle(enum.Enum):
@@ -74,14 +75,15 @@ def place_circuit(
     technology: Technology = Technology(),
 ) -> Placement:
     """Produce a row placement of ``circuit`` per ``config``."""
-    cells = [c for c in circuit.cells if not c.is_feed]
+    cells = circuit.cells
     if not cells:
         raise PlacementError("circuit has no placeable cells")
     order = _connectivity_order(circuit, cells, config.fanout_limit)
     n_rows = config.n_rows or _auto_rows(order, technology, config.aspect)
     rows = _fold_into_rows(order, n_rows)
-    _add_feed_cells(circuit, rows, config)
-    placement = Placement(circuit, rows)
+    placement = Placement(
+        circuit, [_with_feed_runs(row, config) for row in rows]
+    )
     placement.validate()
     return placement
 
@@ -93,11 +95,7 @@ def _connectivity_order(
     """Linearize cells by BFS over net adjacency (deterministic)."""
     adjacency: Dict[str, List[str]] = {c.name: [] for c in cells}
     for net in circuit.nets:
-        members = [
-            p.cell.name
-            for p in net.pins
-            if isinstance(p, Terminal) and not p.cell.is_feed
-        ]
+        members = [p.cell.name for p in net.pins if isinstance(p, Terminal)]
         if len(members) < 2 or len(net.sinks) > fanout_limit:
             continue
         anchor = members[0]
@@ -155,43 +153,23 @@ def _fold_into_rows(order: Sequence[Cell], n_rows: int) -> List[List[Cell]]:
     return rows
 
 
-def _add_feed_cells(
-    circuit: Circuit, rows: List[List[Cell]], config: PlacerConfig
-) -> None:
-    """Create and insert per-row feed cells in the requested style."""
-    if config.feed_fraction <= 0.0:
-        return
-    from ..errors import NetlistError
-
-    feed_type = circuit.library.feed_cell.name
-    counter = 0
-
-    def fresh_feed() -> Cell:
-        # Skip names already present (e.g. a reloaded netlist that was
-        # placed before being written out).
-        nonlocal counter
-        while True:
-            name = f"__pfeed_{counter}"
-            counter += 1
-            try:
-                circuit.cell(name)
-            except NetlistError:
-                return circuit.add_cell(name, feed_type)
-
-    for row in rows:
-        count = math.ceil(len(row) * config.feed_fraction)
-        feeds: List[Cell] = [fresh_feed() for _ in range(count)]
-        if config.feed_style is FeedStyle.ASIDE:
-            row.extend(feeds)
-            continue
-        # EVEN: spread insertion points across the row, right-to-left so
-        # previously computed indices stay valid.
-        base_len = len(row)
-        indices = [
-            round((i + 1) * base_len / (count + 1))
-            for i in range(count)
-        ]
-        for index, feed in sorted(
-            zip(indices, feeds), key=lambda p: p[0], reverse=True
-        ):
-            row.insert(index, feed)
+def _with_feed_runs(row: List[Cell], config: PlacerConfig) -> List[RowItem]:
+    """One row's items with its feed columns in the requested style:
+    ``ceil(feed_fraction × cells)`` of them, after the last cell
+    (``ASIDE``) or spread between the cells (``EVEN``)."""
+    count = math.ceil(len(row) * config.feed_fraction)
+    if count == 0:
+        return list(row)
+    if config.feed_style is FeedStyle.ASIDE:
+        return list(row) + [count]
+    # EVEN: the k-th of ``count`` columns goes before the cell at
+    # ``round(k × len / (count + 1))``; several may share one gap.
+    runs = [0] * (len(row) + 1)
+    for k in range(1, count + 1):
+        runs[round(k * len(row) / (count + 1))] += 1
+    items: List[RowItem] = []
+    for cell, run in zip(row, runs):
+        items.extend((run, cell) if run else (cell,))
+    if runs[-1]:
+        items.append(runs[-1])
+    return items

@@ -10,7 +10,7 @@ pins.  Bipolar specifics live here too — a net may be declared *w-pitch*
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 from ..errors import NetlistError
 from .cell_library import (
@@ -107,10 +107,6 @@ class Cell:
     def is_sequential(self) -> bool:
         return self.ctype.is_sequential
 
-    @property
-    def is_feed(self) -> bool:
-        return self.ctype.is_feed
-
     def __repr__(self) -> str:
         return f"Cell({self.name}:{self.ctype.name})"
 
@@ -177,17 +173,33 @@ class Net:
     * ``diff_partner`` — the other net of a differential pair; both nets
       must be routed on homogeneous, physically parallel paths
       (Section 4.1).
+
+    ``circuit`` is the circuit whose :meth:`Circuit.add_net` made the net
+    (``None`` for a free-standing net): :meth:`attach` advances its
+    revision.  The drivers and sinks are split out of ``pins`` on the
+    first read and kept until the next :meth:`attach`.
     """
 
-    __slots__ = ("name", "pins", "width_pitches", "diff_partner")
+    __slots__ = (
+        "name", "pins", "width_pitches", "diff_partner", "circuit",
+        "_sources", "_sinks",
+    )
 
-    def __init__(self, name: str, width_pitches: int = 1):
+    def __init__(
+        self,
+        name: str,
+        width_pitches: int = 1,
+        circuit: Optional["Circuit"] = None,
+    ):
         if width_pitches < 1:
             raise NetlistError(f"net {name}: width_pitches must be >= 1")
         self.name = name
         self.pins: List[NetPin] = []
         self.width_pitches = width_pitches
         self.diff_partner: Optional["Net"] = None
+        self.circuit = circuit
+        self._sources: Optional[List[NetPin]] = None
+        self._sinks: Optional[List[NetPin]] = None
 
     # ------------------------------------------------------------------
     def attach(self, pin: NetPin) -> None:
@@ -198,11 +210,25 @@ class Net:
             )
         pin.net = self
         self.pins.append(pin)
+        self._sources = self._sinks = None
+        if self.circuit is not None:
+            self.circuit.revision += 1
+
+    def _split(self) -> None:
+        """Sort the pins into drivers and sinks, in attachment order."""
+        sources: List[NetPin] = []
+        sinks: List[NetPin] = []
+        for pin in self.pins:
+            (sources if _drives(pin) else sinks).append(pin)
+        self._sources = sources
+        self._sinks = sinks
 
     @property
     def source(self) -> NetPin:
         """The unique driving pin; raises if the net is ill-formed."""
-        sources = [p for p in self.pins if _drives(p)]
+        if self._sources is None:
+            self._split()
+        sources = self._sources
         if len(sources) != 1:
             raise NetlistError(
                 f"net {self.name} has {len(sources)} sources (needs 1)"
@@ -211,8 +237,11 @@ class Net:
 
     @property
     def sinks(self) -> List[NetPin]:
-        """All driven pins, in attachment order."""
-        return [p for p in self.pins if not _drives(p)]
+        """All driven pins, in attachment order (one list, kept until
+        the next :meth:`attach`: read it, do not edit it)."""
+        if self._sinks is None:
+            self._split()
+        return self._sinks
 
     @property
     def fanout(self) -> int:
@@ -239,14 +268,25 @@ def _drives(pin: NetPin) -> bool:
 
 
 class Circuit:
-    """A complete netlist: library + cells + nets + external pins."""
+    """A complete netlist: library + cells + nets + external pins.
+
+    Cells are logic cells only: a feed cell is a column of a placement
+    row (see :class:`~repro.layout.placement.Placement`), not a netlist
+    instance.  ``revision`` counts the netlist edits — every
+    :meth:`add_cell`, :meth:`add_net`, :meth:`add_external_pin`,
+    :meth:`make_differential_pair` and :meth:`Net.attach` of one of its
+    nets — so what is derived from the netlist (:meth:`derived`) is
+    kept until the next edit.
+    """
 
     def __init__(self, name: str, library: CellLibrary):
         self.name = name
         self.library = library
+        self.revision = 0
         self._cells: Dict[str, Cell] = {}
         self._nets: Dict[str, Net] = {}
         self._pins: Dict[str, ExternalPin] = {}
+        self._derived: Dict[Hashable, Tuple[int, Any]] = {}
 
     # ------------------------------------------------------------------
     # Construction API
@@ -255,16 +295,25 @@ class Circuit:
         """Instantiate ``type_name`` from the library as cell ``name``."""
         if name in self._cells:
             raise NetlistError(f"duplicate cell name {name!r}")
-        cell = Cell(name, self.library.get(type_name))
+        ctype = self.library.get(type_name)
+        if ctype.is_feed:
+            raise NetlistError(
+                f"cell {name}: {type_name} is the library's feed type; "
+                "feed cells are placement columns (runs between a row's "
+                "cells), not netlist cells"
+            )
+        cell = Cell(name, ctype)
         self._cells[name] = cell
+        self.revision += 1
         return cell
 
     def add_net(self, name: str, width_pitches: int = 1) -> Net:
         """Create an empty net."""
         if name in self._nets:
             raise NetlistError(f"duplicate net name {name!r}")
-        net = Net(name, width_pitches=width_pitches)
+        net = Net(name, width_pitches=width_pitches, circuit=self)
         self._nets[name] = net
+        self.revision += 1
         return net
 
     def add_external_pin(
@@ -279,6 +328,7 @@ class Circuit:
             raise NetlistError(f"duplicate external pin name {name!r}")
         pin = ExternalPin(name, direction, side=side, column=column)
         self._pins[name] = pin
+        self.revision += 1
         return pin
 
     def connect(self, net_name: str, *pins: NetPin) -> Net:
@@ -314,6 +364,16 @@ class Circuit:
             )
         net_a.diff_partner = net_b
         net_b.diff_partner = net_a
+        self.revision += 1
+
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``'s value for ``key``, built once per revision: the
+        kept value is returned until a netlist edit, and the first read
+        after one builds it again."""
+        entry = self._derived.get(key)
+        if entry is None or entry[0] != self.revision:
+            entry = self._derived[key] = (self.revision, build())
+        return entry[1]
 
     # ------------------------------------------------------------------
     # Lookup API
@@ -342,11 +402,6 @@ class Circuit:
     @property
     def cells(self) -> List[Cell]:
         return list(self._cells.values())
-
-    @property
-    def logic_cells(self) -> List[Cell]:
-        """Cells excluding feed cells."""
-        return [c for c in self._cells.values() if not c.is_feed]
 
     @property
     def nets(self) -> List[Net]:

@@ -102,6 +102,32 @@ class GlobalDelayGraph:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
+    def of(
+        cls,
+        circuit: Circuit,
+        pad_tf_ps_per_pf: float = 40.0,
+        pad_td_ps_per_pf: float = 100.0,
+        ff_setup_ps: float = 0.0,
+    ) -> "GlobalDelayGraph":
+        """The circuit's ``G_D`` for these pad and setup values.
+
+        ``G_D`` depends on the netlist alone, so one graph per circuit
+        and parameter set serves every reader — constraint generation,
+        the lower bound, the router, sign-off and the reports.  It is
+        built on the first read and kept until a netlist edit advances
+        the circuit's revision (:meth:`Circuit.derived`); a graph is
+        never edited by its readers.  :meth:`build` is the uncached
+        constructor.
+        """
+        key = (cls, pad_tf_ps_per_pf, pad_td_ps_per_pf, ff_setup_ps)
+        return circuit.derived(
+            key,
+            lambda: cls.build(
+                circuit, pad_tf_ps_per_pf, pad_td_ps_per_pf, ff_setup_ps
+            ),
+        )
+
+    @classmethod
     def build(
         cls,
         circuit: Circuit,
@@ -126,7 +152,7 @@ class GlobalDelayGraph:
                 graph._add_vertex(VertexKind.SOURCE, pin)
             else:
                 graph._add_vertex(VertexKind.SINK, pin)
-        for cell in circuit.logic_cells:
+        for cell in circuit.cells:
             if cell.is_sequential:
                 for term in cell.terminals:
                     if term.is_output:
@@ -223,8 +249,6 @@ class GlobalDelayGraph:
                 self._add_arc(
                     tail, head, net, fanin_term_ps + setup, td, sink
                 )
-            return
-        if cell.is_feed:
             return
         for out_def in cell.ctype.outputs():
             if not cell.ctype.has_arc(sink.name, out_def.name):

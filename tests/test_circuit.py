@@ -44,9 +44,12 @@ class TestCells:
             cell.terminal("Z")
 
     def test_logic_cells_excludes_feeds(self, circuit):
+        """Cells are logic cells only: a feed cell is a placement
+        column, and the library's feed type is no netlist cell."""
         circuit.add_cell("g0", "NOR2")
-        circuit.add_cell("f0", "FEED")
-        assert [c.name for c in circuit.logic_cells] == ["g0"]
+        with pytest.raises(NetlistError, match="placement columns"):
+            circuit.add_cell("f0", "FEED")
+        assert [c.name for c in circuit.cells] == ["g0"]
 
 
 class TestNets:
@@ -97,6 +100,31 @@ class TestNets:
             "n", a.terminal("O"), b.terminal("I0"), b.terminal("I1")
         )
         assert net.total_sink_fanin_pf == pytest.approx(0.02)
+
+    def test_sources_and_sinks_follow_attach(self, circuit):
+        """Drivers and sinks are kept between reads and an attach
+        drops them: a read after it sees the new pin."""
+        a = circuit.add_cell("a", "INV1")
+        b = circuit.add_cell("b", "NOR2")
+        c = circuit.add_cell("c", "INV1")
+        net = circuit.add_net("n")
+        circuit.connect("n", b.terminal("I0"))
+        assert net.sinks == [b.terminal("I0")]
+        with pytest.raises(NetlistError):
+            net.source
+        net.attach(a.terminal("O"))
+        assert net.source is a.terminal("O")
+        assert net.sinks is net.sinks
+        net.attach(c.terminal("I0"))
+        net.attach(b.terminal("I1"))
+        assert net.sinks == [
+            b.terminal("I0"), c.terminal("I0"), b.terminal("I1")
+        ]
+        assert net.fanout == 3
+        assert net.total_sink_fanin_pf == pytest.approx(0.03)
+        net.attach(c.terminal("O"))
+        with pytest.raises(NetlistError, match="2 sources"):
+            net.source
 
     def test_width_pitches_validation(self, circuit):
         with pytest.raises(NetlistError):
@@ -185,3 +213,57 @@ class TestDifferentialPairs:
         circuit.connect("n", drv.terminal("ON"), r1.terminal("I1"))
         with pytest.raises(NetlistError):
             circuit.make_differential_pair(p, n)
+
+
+class TestRevision:
+    def test_every_netlist_edit_advances_it(self, circuit):
+        seen = [circuit.revision]
+
+        def advanced():
+            seen.append(circuit.revision)
+            return seen[-1] > seen[-2]
+
+        a = circuit.add_cell("a", "DIFFBUF")
+        assert advanced()
+        pin = circuit.add_external_pin("p", TerminalDirection.INPUT)
+        assert advanced()
+        p = circuit.add_net("p")
+        n = circuit.add_net("n")
+        assert advanced()
+        p.attach(pin)
+        assert advanced()
+        circuit.connect("p", a.terminal("I0"))
+        assert advanced()
+        r = circuit.add_cell("r", "NOR2")
+        p2 = circuit.add_net("p2")
+        circuit.connect("p2", a.terminal("OP"), r.terminal("I0"))
+        circuit.connect("n", a.terminal("ON"), r.terminal("I1"))
+        assert advanced()
+        circuit.make_differential_pair(p2, n)
+        assert advanced()
+
+    def test_failed_edits_and_reads_keep_it(self, circuit):
+        a = circuit.add_cell("a", "INV1")
+        revision = circuit.revision
+        with pytest.raises(NetlistError):
+            circuit.add_cell("a", "INV1")
+        with pytest.raises(NetlistError):
+            circuit.add_cell("f", "FEED")
+        circuit.cells, circuit.nets, circuit.cell("a").terminal("O")
+        assert circuit.revision == revision
+
+    def test_derived_values_are_kept_until_an_edit(self, circuit):
+        builds = []
+
+        def build():
+            builds.append(circuit.revision)
+            return object()
+
+        first = circuit.derived("k", build)
+        assert circuit.derived("k", build) is first
+        circuit.add_net("n")
+        second = circuit.derived("k", build)
+        assert second is not first
+        assert circuit.derived("k", build) is second
+        assert circuit.derived("other", build) is not second
+        assert len(builds) == 3

@@ -49,7 +49,7 @@ class TestGenerateCircuit:
 
     def test_counts(self):
         circuit = generate_circuit(SPEC)
-        flops = [c for c in circuit.logic_cells if c.is_sequential]
+        flops = [c for c in circuit.cells if c.is_sequential]
         assert len(flops) == SPEC.n_flops
         inputs = [p for p in circuit.external_pins if p.is_input]
         # n_inputs data pins + clk
@@ -127,8 +127,8 @@ class TestGenerateConstraints:
         )
 
         circuit = generate_circuit(SPEC)
-        gd = GlobalDelayGraph.build(circuit)
-        constraints = generate_constraints(circuit, 4, 1.3, gd=gd)
+        constraints = generate_constraints(circuit, 4, 1.3)
+        gd = GlobalDelayGraph.of(circuit)
         cgs = [build_constraint_graph(gd, c) for c in constraints]
         analyzer = StaticTimingAnalyzer(gd, cgs)
         for cg in cgs:

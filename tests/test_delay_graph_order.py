@@ -124,7 +124,7 @@ def test_a_flow_sorts_each_delay_graph_once(monkeypatch):
         RouterConfig(),
     )
     assert dataset.constraints and flow.signoff.constraint_margins
-    # Constraint generation, the router and the Table 3 bound each
-    # build one G_D; the router's graph also serves sign-off.
-    assert len(builds) == 3
+    # Constraint generation, the router, sign-off and the Table 3
+    # bound all read the circuit's one G_D.
+    assert len(builds) == 1
     assert len(sorts) == len(builds)

@@ -63,11 +63,10 @@ def diff_circuit(library, rows=1):
         circuit.connect(
             "tie3", tie_in, filler0.terminal("I0"), filler0.terminal("I1")
         )
-        feeds = [circuit.add_cell(f"f{i}", "FEED") for i in range(4)]
         placement = Placement(
             circuit,
             [[filler0, drv],
-             [filler1] + feeds,
+             [filler1, 4],
              [rcv]],
         )
     return circuit, placement, p, n

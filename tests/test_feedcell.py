@@ -31,13 +31,7 @@ def crossing_circuit(library, n_nets=3, feeds_per_row=0, wide_nets=0):
         nets.append(net)
     filler = circuit.add_cell("mid", "NOR3")
     rows[1].append(filler)
-    feed_counter = 0
-    for row in rows:
-        for _ in range(feeds_per_row):
-            feed = circuit.add_cell(f"fd{feed_counter}", "FEED")
-            feed_counter += 1
-            row.append(feed)
-    placement = Placement(circuit, rows)
+    placement = Placement(circuit, [row + [feeds_per_row] for row in rows])
     return circuit, placement, nets
 
 
@@ -66,8 +60,7 @@ class TestInsertion:
         # Row 1 lacked 3 slots -> F = 3, every row grows by 3 columns.
         assert report.widening_columns == 3
         for row in range(placement.n_rows):
-            feeds = placement.feed_cells_in_row(row)
-            assert len(feeds) == 3
+            assert len(placement.feed_columns(row)) == 3
 
     def test_every_net_got_its_crossing(self, library):
         circuit, placement, nets = crossing_circuit(
@@ -88,11 +81,8 @@ class TestInsertion:
         for net in nets:
             slot = assignment.of_net(net)[1]
             assert slot.width == 2
-            # Both columns exist as feed cells.
-            columns = {
-                pc.x for pc in placement.feed_cells_in_row(1)
-            }
-            assert set(slot.columns) <= columns
+            # Both columns are feed columns.
+            assert set(slot.columns) <= set(placement.feed_columns(1))
 
     def test_mixed_width_demand(self, library):
         circuit, placement, nets = crossing_circuit(
@@ -125,14 +115,16 @@ class TestInsertion:
         circuit, placement, nets = crossing_circuit(
             library, n_nets=3, feeds_per_row=0, wide_nets=0
         )
-        f1 = circuit.add_cell("adj1", "FEED")
-        f2 = circuit.add_cell("adj2", "FEED")
-        placement.rows[1].extend([f1, f2])
         wa = circuit.add_cell("wa", "CLKBUF")
         wb = circuit.add_cell("wb", "DFF")
-        placement.rows[0].append(wa)
-        placement.rows[2].append(wb)
-        placement.refresh()
+        placement = Placement(
+            circuit,
+            [
+                placement.items(0) + [wa],
+                placement.items(1) + [2],  # two adjacent feed columns
+                placement.items(2) + [wb],
+            ],
+        )
         wide = circuit.add_net("wide", width_pitches=2)
         circuit.connect("wide", wa.terminal("O"), wb.terminal("CLK"))
         order = [wide] + nets
@@ -157,7 +149,10 @@ class TestInsertion:
         circuit, placement, nets = crossing_circuit(
             library, n_nets=3, feeds_per_row=0
         )
+        before = circuit.cells
         inserter = FeedCellInserter(circuit, placement)
         inserter.ensure_assignment(nets)
         names = [c.name for c in circuit.cells]
         assert len(names) == len(set(names))
+        # Feed columns are placement runs: the netlist is untouched.
+        assert circuit.cells == before

@@ -95,13 +95,7 @@ def three_row_setup(library, feeds_per_row=2):
     a = circuit.add_cell("a", "NOR2")
     mid = circuit.add_cell("mid", "NOR2")
     b = circuit.add_cell("b", "NOR2")
-    rows = [[a], [mid], [b]]
-    feed_counter = 0
-    for row in rows:
-        for _ in range(feeds_per_row):
-            feed = circuit.add_cell(f"fd{feed_counter}", "FEED")
-            feed_counter += 1
-            row.append(feed)
+    rows = [[a, feeds_per_row], [mid, feeds_per_row], [b, feeds_per_row]]
     net = circuit.add_net("n")
     circuit.connect("n", a.terminal("O"), b.terminal("I0"))
     # keep mid's pins tied so the circuit could validate if needed
@@ -129,9 +123,7 @@ class TestPlanner:
         result = planner.assign_all([net])
         slot = result.of_net(net)[1]
         center = placement.net_center_column(net)
-        free_columns = [
-            pc.x for pc in placement.feed_cells_in_row(1)
-        ]
+        free_columns = placement.feed_columns(1)
         best = min(free_columns, key=lambda x: (abs(x - center), x))
         assert slot.x == best
 
@@ -147,9 +139,11 @@ class TestPlanner:
         circuit, placement, net = three_row_setup(library, feeds_per_row=1)
         a2 = circuit.add_cell("a2", "NOR2")
         b2 = circuit.add_cell("b2", "NOR2")
-        placement.rows[0].append(a2)
-        placement.rows[2].append(b2)
-        placement.refresh()
+        placement = Placement(
+            circuit,
+            [placement.items(0) + [a2], placement.items(1),
+             placement.items(2) + [b2]],
+        )
         net2 = circuit.add_net("n2")
         circuit.connect("n2", a2.terminal("O"), b2.terminal("I0"))
         planner = FeedthroughPlanner(circuit, placement)
@@ -176,16 +170,16 @@ class TestPlanner:
 
     def test_multipitch_needs_adjacent_group(self, library):
         circuit, placement, _ = three_row_setup(library, feeds_per_row=0)
-        # Two adjacent feeds in row 1.
-        f1 = circuit.add_cell("w1", "FEED")
-        f2 = circuit.add_cell("w2", "FEED")
-        placement.rows[1].extend([f1, f2])
-        placement.refresh()
         wide_a = circuit.add_cell("wa", "CLKBUF")
         wide_b = circuit.add_cell("wb", "DFF")
-        placement.rows[0].append(wide_a)
-        placement.rows[2].append(wide_b)
-        placement.refresh()
+        placement = Placement(
+            circuit,
+            [
+                placement.items(0) + [wide_a],
+                placement.items(1) + [2],  # two adjacent feed columns
+                placement.items(2) + [wide_b],
+            ],
+        )
         wide = circuit.add_net("wide", width_pitches=2)
         circuit.connect(
             "wide", wide_a.terminal("O"), wide_b.terminal("CLK")
@@ -203,12 +197,7 @@ class TestPlanner:
         b = circuit.add_cell("b", "NOR2")
         r1 = [circuit.add_cell(f"m{i}", "NOR2") for i in range(1)]
         r2 = [circuit.add_cell(f"k{i}", "NOR2") for i in range(1)]
-        rows = [[a], r1, r2, [b]]
-        feeds = []
-        for i, row in enumerate(rows):
-            for j in range(3):
-                feed = circuit.add_cell(f"f{i}_{j}", "FEED")
-                row.append(feed)
+        rows = [[a, 3], r1 + [3], r2 + [3], [b, 3]]
         net = circuit.add_net("n")
         circuit.connect("n", a.terminal("O"), b.terminal("I0"))
         placement = Placement(circuit, rows)

@@ -153,12 +153,7 @@ def _assign(spec, row_slots, monkeypatch):
         patch.setattr(FeedthroughPlanner, "assign_all", recorded)
         router._assign_pins_and_feedthroughs()
     placement = dataset.placement
-    feeds = [
-        (cell.name, placement.location_of(cell))
-        for row in placement.rows
-        for cell in row
-        if cell.is_feed
-    ]
+    feeds = [placement.feed_columns(r) for r in range(placement.n_rows)]
     flags = [
         [(g.start, g.width) for g in row.flagged_groups]
         for row in router.planner.rows

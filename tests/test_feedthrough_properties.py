@@ -44,12 +44,7 @@ def build_case(n_single, n_wide, feeds_per_row):
         net = circuit.add_net(f"w{i}", width_pitches=2)
         circuit.connect(f"w{i}", a.terminal("O"), b.terminal("CLK"))
         nets.append(net)
-    counter = 0
-    for row in rows:
-        for _ in range(feeds_per_row):
-            feed = circuit.add_cell(f"fd{counter}", "FEED")
-            counter += 1
-            row.append(feed)
+    rows = [row + [feeds_per_row] for row in rows]
     return circuit, Placement(circuit, rows), nets
 
 
@@ -97,10 +92,8 @@ def test_insertion_always_completes(case):
     assert len(growth) == 1
     assert growth.pop() == report.widening_columns
 
-    # 3. Every granted column is an actual feed cell.
-    feed_columns = {
-        (1, pc.x) for pc in placement.feed_cells_in_row(1)
-    }
+    # 3. Every granted column is an actual feed column.
+    feed_columns = {(1, x) for x in placement.feed_columns(1)}
     for net in nets:
         for column in assignment.of_net(net)[1].columns:
             assert (1, column) in feed_columns

@@ -140,6 +140,73 @@ class TestPlacementRoundTrip:
             parse_placement(text, circuit)
 
 
+class TestPlacementVersion2:
+    """``.rpl`` version 2 writes feed columns as ``+<k>`` runs."""
+
+    @pytest.fixture(scope="class")
+    def routed(self):
+        from repro.bench.circuits import make_dataset, standard_suite
+        from repro.core import GlobalRouter, RouterConfig
+
+        dataset = make_dataset(standard_suite()[0])  # C1P1
+        result = GlobalRouter(
+            dataset.circuit, dataset.placement, dataset.constraints,
+            RouterConfig(),
+        ).route()
+        assert result.feed_cells_inserted > 0
+        return dataset
+
+    def test_routed_round_trip_keeps_runs(self, routed):
+        placement = routed.placement
+        text = write_placement(placement)
+        lines = text.splitlines()
+        assert lines[0] == (
+            f"placement {routed.circuit.name} rows={placement.n_rows} "
+            "version=2"
+        )
+        assert any(token.startswith("+") for token in text.split())
+        assert "__feed" not in text
+        clone = parse_placement(text, routed.circuit)
+        for row in range(placement.n_rows):
+            assert clone.items(row) == placement.items(row)
+            assert clone.feed_columns(row) == placement.feed_columns(row)
+        for cell in routed.circuit.cells:
+            assert clone.location_of(cell) == placement.location_of(cell)
+        assert clone.width_columns == placement.width_columns
+        assert write_placement(clone) == text
+
+    def test_feed_type_is_no_netlist_cell(self, library):
+        with pytest.raises(NetlistError, match="placement columns"):
+            parse_circuit("circuit c\ncell __pfeed_0 FEED\n", library)
+
+    def test_version_1_feed_name_names_the_change(self, library):
+        circuit = build_chain_circuit(library)
+        text = "placement chain rows=1\nrow 0: g0 __feed_0 g1\n"
+        with pytest.raises(PlacementError, match="version 2"):
+            parse_placement(text, circuit)
+        explicit = "placement chain rows=1 version=1\nrow 0: g0 +1\n"
+        with pytest.raises(PlacementError, match="version 2"):
+            parse_placement(explicit, circuit)
+
+    def test_version_1_without_feeds_still_reads(self, library):
+        circuit = build_chain_circuit(library)
+        text = "placement chain rows=1\nrow 0: g1 g0\n"
+        placement = parse_placement(text, circuit)
+        assert placement.items(0) == [circuit.cell("g1"), circuit.cell("g0")]
+
+    def test_version_2_errors(self, library):
+        circuit = build_chain_circuit(library)
+        for text, message in (
+            ("placement chain rows=1 version=3\n", "version 3"),
+            ("placement chain rows=1 v2\n", "version="),
+            ("placement chain rows=1 version=2\nrow 0: +0\n", "feed run"),
+            ("placement chain rows=1 version=2\nrow 0: +x\n", "feed run"),
+            ("placement chain rows=1 version=2\nrow 0: zz\n", "zz"),
+        ):
+            with pytest.raises(PlacementError, match=message):
+                parse_placement(text, circuit)
+
+
 class TestFileHelpers:
     def test_read_write_files(self, library, tmp_path):
         circuit = build_chain_circuit(library)

@@ -48,11 +48,10 @@ def clock_circuit(library, pitch=2):
     )
     circuit.connect(circuit.add_net("nq1").name, ff1.terminal("Q"), q1)
     circuit.connect(circuit.add_net("nq2").name, ff2.terminal("Q"), q2)
-    feeds = [circuit.add_cell(f"f{i}", "FEED") for i in range(6)]
     placement = Placement(
         circuit,
-        [[buf, feeds[0], feeds[1]],
-         [ff1] + feeds[2:6],
+        [[buf, 2],
+         [ff1, 4],
          [ff2]],
     )
     return circuit, placement, clock
@@ -114,10 +113,7 @@ class TestRouting:
         # 4.3 must insert a flagged group of width 2.
         circuit, placement, clock = clock_circuit(library, pitch=2)
         # strip row 1 feeds so pass 1 fails for the wide net
-        placement.rows[1] = [
-            c for c in placement.rows[1] if not c.is_feed
-        ]
-        placement.refresh()
+        placement.set_row(1, placement.rows[1])
         router = GlobalRouter(circuit, placement, [], RouterConfig())
         result = router.route()
         assert result.feed_cells_inserted >= 2

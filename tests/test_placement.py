@@ -17,16 +17,15 @@ def circuit(library):
     c.add_cell("a", "NOR2")   # width 5
     c.add_cell("b", "INV1")   # width 4
     c.add_cell("d", "DFF")    # width 10
-    c.add_cell("f", "FEED")   # width 1
     return c
 
 
 class TestGeometry:
     def test_packing(self, circuit):
-        a, b, d, f = (circuit.cell(n) for n in "abdf")
-        placement = Placement(circuit, [[a, f, b], [d]])
+        a, b, d = (circuit.cell(n) for n in "abd")
+        placement = Placement(circuit, [[a, 1, b], [d]])
         assert placement.location_of(a) == (0, 0)
-        assert placement.location_of(f) == (0, 5)
+        assert placement.feed_columns(0) == [5]
         assert placement.location_of(b) == (0, 6)
         assert placement.location_of(d) == (1, 0)
         assert placement.width_columns == 10
@@ -162,89 +161,103 @@ class TestNetQueries:
 class TestMutation:
     def test_insert_cells_refreshes_coordinates(self, circuit):
         a, b = circuit.cell("a"), circuit.cell("b")
-        f = circuit.cell("f")
         placement = Placement(circuit, [[a, b]])
-        placement.insert_cells(0, 1, [f])
-        assert placement.location_of(f) == (0, 5)
+        placement.widen_feed_runs(0, [(1, 1)])
+        assert placement.feed_columns(0) == [5]
         assert placement.location_of(b) == (0, 6)
 
     def test_insert_bad_index_raises(self, circuit):
         a = circuit.cell("a")
         placement = Placement(circuit, [[a]])
         with pytest.raises(PlacementError):
-            placement.insert_cells(0, 5, [circuit.cell("f")])
+            placement.widen_feed_runs(0, [(5, 1)])
 
     def test_feed_cells_in_row(self, circuit):
-        a, f = circuit.cell("a"), circuit.cell("f")
-        placement = Placement(circuit, [[a, f]])
-        feeds = placement.feed_cells_in_row(0)
-        assert len(feeds) == 1
-        assert feeds[0].x == 5
-        assert placement.feed_cells_in_row(0)[0].cell is f
+        a = circuit.cell("a")
+        placement = Placement(circuit, [[a, 1]])
+        assert placement.feed_columns(0) == [5]
+        assert placement.feed_runs(0) == (0, 1)
+        assert placement.items(0) == [a, 1]
 
 
 class TestInsertCellBlocks:
-    def _feeds(self, circuit, n, prefix="nf"):
-        return [
-            circuit.add_cell(f"{prefix}{i}", "FEED") for i in range(n)
-        ]
+    """Several runs of one row widened in one call (the batched splice
+    of feed cells it replaced)."""
 
     def test_matches_sequential_insert_cells(self, circuit):
-        a, b, d, f = (circuit.cell(n) for n in "abdf")
-        feeds = self._feeds(circuit, 4)
-        seq = Placement(circuit, [[a, f, b]])
-        # Descending-index order, as FeedCellInserter produces.
-        blocks = [(3, feeds[2:4]), (1, feeds[0:2])]
-        for index, cells in blocks:
-            seq.insert_cells(0, index, cells)
-        expected = {
-            cell.name: seq.location_of(cell) for cell in seq.rows[0]
-        }
-        batched = Placement(circuit, [[a, f, b]])
-        batched.insert_cell_blocks(0, blocks)
-        assert [c.name for c in batched.rows[0]] == [
-            c.name for c in seq.rows[0]
-        ]
+        a, b = circuit.cell("a"), circuit.cell("b")
+        widths = [(2, 2), (1, 2)]
+        seq = Placement(circuit, [[a, 1, b]])
+        for gap, columns in widths:
+            seq.widen_feed_runs(0, [(gap, columns)])
+        batched = Placement(circuit, [[a, 1, b]])
+        batched.widen_feed_runs(0, widths)
+        assert batched.items(0) == seq.items(0) == [a, 3, b, 2]
         for cell in batched.rows[0]:
-            assert batched.location_of(cell) == expected[cell.name]
+            assert batched.location_of(cell) == seq.location_of(cell)
+        assert batched.feed_columns(0) == [5, 6, 7, 12, 13]
 
     def test_single_block_equals_insert_cells(self, circuit):
         a, b = circuit.cell("a"), circuit.cell("b")
-        feeds = self._feeds(circuit, 2)
         placement = Placement(circuit, [[a, b]])
-        placement.insert_cell_blocks(0, [(1, feeds)])
-        assert [c.name for c in placement.rows[0]] == [
-            "a", "nf0", "nf1", "b",
-        ]
-        assert placement.location_of(feeds[0]) == (0, 5)
-        assert placement.location_of(feeds[1]) == (0, 6)
+        placement.widen_feed_runs(0, [(1, 2)])
+        assert placement.items(0) == [a, 2, b]
+        assert placement.feed_columns(0) == [5, 6]
         assert placement.location_of(b) == (0, 7)
 
     def test_duplicate_rejected_before_mutation(self, circuit):
         a, b = circuit.cell("a"), circuit.cell("b")
-        feed = self._feeds(circuit, 1)[0]
         placement = Placement(circuit, [[a, b]])
         with pytest.raises(PlacementError):
-            placement.insert_cell_blocks(0, [(1, [feed]), (0, [feed])])
+            placement.widen_feed_runs(0, [(1, 1), (7, 1)])
         # The row must be untouched after the failed batch.
-        assert [c.name for c in placement.rows[0]] == ["a", "b"]
+        assert placement.items(0) == [a, b]
         assert placement.location_of(b) == (0, 5)
 
     def test_already_placed_cell_rejected(self, circuit):
         a, b = circuit.cell("a"), circuit.cell("b")
-        placement = Placement(circuit, [[a, b]])
+        placement = Placement(circuit, [[a, b], []])
+        placement.set_row(1, [2, a])
         with pytest.raises(PlacementError):
-            placement.insert_cell_blocks(0, [(0, [a])])
+            placement.refresh()
 
     def test_bad_index_raises(self, circuit):
         a, b = circuit.cell("a"), circuit.cell("b")
-        feed = self._feeds(circuit, 1)[0]
         placement = Placement(circuit, [[a, b]])
         with pytest.raises(PlacementError):
-            placement.insert_cell_blocks(0, [(7, [feed])])
+            placement.widen_feed_runs(0, [(7, 1)])
 
 
-_KINDS = ("NOR2", "INV1", "DFF", "FEED")  # widths 5, 4, 10, 1
+def test_bad_row_items_rejected(circuit):
+    a = circuit.cell("a")
+    for bad in (-1, 1.5, "f", True):
+        with pytest.raises(PlacementError):
+            Placement(circuit, [[a, bad]])
+
+
+def test_adjacent_runs_merge(circuit):
+    a, b = circuit.cell("a"), circuit.cell("b")
+    placement = Placement(circuit, [[1, 0, 2, a, 1, 1, b, 0]])
+    assert placement.items(0) == [3, a, 2, b]
+    assert placement.feed_runs(0) == (3, 2, 0)
+    assert placement.row_width(0) == 14
+
+
+def test_swap_with_feed_moves_the_column(circuit):
+    a, b = circuit.cell("a"), circuit.cell("b")
+    placement = Placement(circuit, [[a, 1, b]])
+    placement.swap_with_feed(a, right=True)
+    assert placement.items(0) == [1, a, b]
+    assert placement.location_of(a) == (0, 1)
+    assert placement.location_of(b) == (0, 6)
+    placement.swap_with_feed(a, right=False)
+    assert placement.items(0) == [a, 1, b]
+    assert placement.location_of(a) == (0, 0)
+    with pytest.raises(PlacementError):
+        placement.swap_with_feed(a, right=False)
+
+
+_KINDS = ("NOR2", "INV1", "DFF", 1)  # widths 5, 4, 10; 1 feed column
 _EDITS = st.tuples(
     st.sampled_from(("insert", "blocks", "swap")),
     st.integers(0, 10**6),
@@ -263,49 +276,62 @@ _EDITS = st.tuples(
 )
 def test_widths_match_resummed_cells(rows, edits):
     """Row and chip widths read off the last cell's position equal the
-    sum of the row's cell widths through any edit sequence."""
+    sum of the row's cell widths and feed runs through any edit
+    sequence, and every position equals a full repack's."""
     circuit = Circuit("w", standard_ecl_library())
     names = itertools.count()
 
-    def cells(kinds):
-        return [circuit.add_cell(f"c{next(names)}", kind) for kind in kinds]
+    def items(kinds):
+        return [
+            kind if kind == 1 else circuit.add_cell(f"c{next(names)}", kind)
+            for kind in kinds
+        ]
 
-    placement = Placement(circuit, [cells(row) for row in rows])
+    placement = Placement(circuit, [items(row) for row in rows])
 
     def check():
-        widths = [sum(c.width for c in row) for row in placement.rows]
+        widths = [
+            sum(c.width for c in row) + sum(placement.feed_runs(r))
+            for r, row in enumerate(placement.rows)
+        ]
         assert placement.width_columns == max(widths)
         for row, width in enumerate(widths):
             assert placement.row_width(row) == width
+        positions = {
+            c.name: placement.location_of(c)
+            for row in placement.rows for c in row
+        }
+        placement.refresh()
+        assert positions == {
+            c.name: placement.location_of(c)
+            for row in placement.rows for c in row
+        }
 
     check()
     for edit, x, y, kinds in edits:
         row = x % placement.n_rows
         size = len(placement.rows[row])
         if edit == "insert":
-            placement.insert_cells(row, y % (size + 1), cells(kinds))
+            placement.widen_feed_runs(row, [(y % (size + 1), len(kinds))])
         elif edit == "blocks":
-            # Distinct indices, right to left, against the row as it is.
-            indices = sorted(
-                {(y + 7 * k) % (size + 1) for k in range(len(kinds))},
-                reverse=True,
+            placement.widen_feed_runs(
+                row,
+                [((y + 7 * k) % (size + 1), 1) for k in range(len(kinds))],
             )
-            blocks = [
-                (index, cells([kind]))
-                for index, kind in zip(indices, kinds)
-            ]
-            placement.insert_cell_blocks(row, blocks)
         elif size:
-            # Either a cell and its right neighbour, or two cells of one
-            # width anywhere on the chip.
-            a = placement.rows[row][y % size]
-            if y % 2 == 0 and y % size + 1 < size:
-                b = placement.rows[row][y % size + 1]
+            # A cell and its right neighbour (a cell, or a feed column
+            # when the run between them is not empty), or two cells of
+            # one width anywhere on the chip.
+            index = y % size
+            a = placement.rows[row][index]
+            if y % 2 == 0 and placement.feed_runs(row)[index + 1]:
+                placement.swap_with_feed(a, right=True)
+            elif y % 2 == 0 and index + 1 < size:
+                placement.swap_cells(a, placement.rows[row][index + 1])
             else:
                 same = [
                     c for r in placement.rows for c in r
                     if c.width == a.width
                 ]
-                b = same[x % len(same)]
-            placement.swap_cells(a, b)
+                placement.swap_cells(a, same[x % len(same)])
         check()

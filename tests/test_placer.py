@@ -28,13 +28,8 @@ class TestPlaceCircuit:
         circuit = build_chain_circuit(library, n_gates=8)
         placement = place_circuit(circuit, PlacerConfig(n_rows=3))
         placement.validate()
-        placed = {
-            cell.name
-            for row in placement.rows
-            for cell in row
-            if not cell.is_feed
-        }
-        assert placed == {c.name for c in circuit.logic_cells}
+        placed = [cell.name for row in placement.rows for cell in row]
+        assert sorted(placed) == sorted(c.name for c in circuit.cells)
 
     def test_row_count_honoured(self, library):
         circuit = build_chain_circuit(library, n_gates=8)
@@ -70,16 +65,15 @@ class TestPlaceCircuit:
         )
         for placement in (even, aside):
             assert all(
-                len(placement.feed_cells_in_row(r)) >= 1
+                len(placement.feed_columns(r)) >= 1
                 for r in range(placement.n_rows)
             )
-        # ASIDE: all feeds are at the end of the row list.
-        for row in aside.rows:
-            feed_flags = [cell.is_feed for cell in row]
-            assert feed_flags == sorted(feed_flags)
-        # EVEN: at least one row has a feed strictly inside.
+        # ASIDE: all feeds are in the run after the row's last cell.
+        for r in range(aside.n_rows):
+            assert not any(aside.feed_runs(r)[:-1])
+        # EVEN: at least one row has a feed run strictly inside.
         assert any(
-            any(cell.is_feed for cell in row[1:-1]) for row in even.rows
+            any(even.feed_runs(r)[1:-1]) for r in range(even.n_rows)
         )
 
     def test_zero_feed_fraction(self, library):
@@ -88,7 +82,7 @@ class TestPlaceCircuit:
             circuit, PlacerConfig(n_rows=2, feed_fraction=0.0)
         )
         assert all(
-            not placement.feed_cells_in_row(r)
+            not placement.feed_columns(r)
             for r in range(placement.n_rows)
         )
 
@@ -117,9 +111,7 @@ class TestPlaceCircuit:
         p2 = place_circuit(c2, PlacerConfig(n_rows=3))
         layout1 = [[cell.name for cell in row] for row in p1.rows]
         layout2 = [[cell.name for cell in row] for row in p2.rows]
-        # Same structure modulo feed-cell naming.
-        assert [
-            [n for n in row if not n.startswith("__")] for row in layout1
-        ] == [
-            [n for n in row if not n.startswith("__")] for row in layout2
+        assert layout1 == layout2
+        assert [p1.feed_runs(r) for r in range(p1.n_rows)] == [
+            p2.feed_runs(r) for r in range(p2.n_rows)
         ]

@@ -67,8 +67,7 @@ class TestMultiRowNet:
         a = circuit.add_cell("a", "INV1")
         mid = circuit.add_cell("mid", "INV1")
         b = circuit.add_cell("b", "INV1")
-        feed = circuit.add_cell("f", "FEED")
-        placement = Placement(circuit, [[a], [mid, feed], [b]])
+        placement = Placement(circuit, [[a], [mid, 1], [b]])
         net = circuit.add_net("n")
         circuit.connect("n", a.terminal("O"), b.terminal("I0"))
         slots = {}
@@ -111,9 +110,11 @@ class TestMultiRowNet:
         other = circuit.add_net("other")
         a2 = circuit.add_cell("a2", "INV1")
         b2 = circuit.add_cell("b2", "INV1")
-        placement.rows[0].append(a2)
-        placement.rows[2].append(b2)
-        placement.refresh()
+        placement = Placement(
+            circuit,
+            [placement.items(0) + [a2], placement.items(1),
+             placement.items(2) + [b2]],
+        )
         circuit.connect("other", a2.terminal("O"), b2.terminal("I0"))
         from repro.layout.feedthrough import AssignedSlot
 
