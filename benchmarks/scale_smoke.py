@@ -15,9 +15,14 @@ across machines); so may its feedthrough assignment
 (``route/setup/graphs``), at most ``MAX_GRAPHS_RATIO``.  Its three
 post-route layers together — ``build_result``, channel routing and a
 ``verify_routing`` with the slot assignment, each a profiler phase —
-may take at most ``MAX_POST_ROUTE_RATIO``; each gated layer's cyclic-GC
-time (``gc_s``) is printed beside its ratio, report-only, so a failure
-shows whether a full collection landed there.  Routing must leave
+may take at most ``MAX_POST_ROUTE_RATIO``.  Each ratio is printed with
+the gated layer's own wall and the route wall beside it, so a ratio
+that rose only because the route got faster reads as such, and each
+post-route layer's cyclic-GC time (``gc_s``) too, report-only, so a
+failure shows whether a full collection landed there.  The walls of the
+initial deletion loop's picks and deletions (``route/initial/select``
+and ``route/initial/delete``, per-call scopes) are printed,
+report-only.  Routing must leave
 X1P1's netlist as generation made it: feed-cell insertion widens the
 placement's feed runs and adds no cell, so ``len(circuit.cells)`` is the
 same after ``route()`` as before it.  The process's peak RSS
@@ -159,10 +164,18 @@ def main() -> int:
             channel_wall = profiler.wall_s("route_channels")
             assign_wall = profiler.wall_s("route", "setup", "assignment")
             graphs_wall = profiler.wall_s("route", "setup", "graphs")
+            for scope in ("select", "delete"):
+                node = profiler.node("route", "initial", scope)
+                print(
+                    f"{name:6s} initial/{scope} {node.wall_s:6.2f}s in "
+                    f"{node.calls} calls  (initial "
+                    f"{profiler.wall_s('route', 'initial'):.2f}s, route "
+                    f"{wall:.2f}s)"
+                )
             channel_ratio = channel_wall / wall
             print(
                 f"{name:6s} route_channels {channel_wall:6.2f}s  "
-                f"= {channel_ratio:.3f} of route (max "
+                f"= {channel_ratio:.3f} of route {wall:.2f}s (max "
                 f"{MAX_CHANNEL_RATIO:.2f})"
             )
             if channel_ratio > MAX_CHANNEL_RATIO:
@@ -173,7 +186,7 @@ def main() -> int:
             assign_ratio = assign_wall / wall
             print(
                 f"{name:6s} assignment {assign_wall:6.2f}s  "
-                f"= {assign_ratio:.3f} of route (max "
+                f"= {assign_ratio:.3f} of route {wall:.2f}s (max "
                 f"{MAX_ASSIGNMENT_RATIO:.2f})"
             )
             if assign_ratio > MAX_ASSIGNMENT_RATIO:
@@ -185,7 +198,7 @@ def main() -> int:
             graphs_ratio = graphs_wall / wall
             print(
                 f"{name:6s} graphs {graphs_wall:6.2f}s  "
-                f"= {graphs_ratio:.3f} of route (max "
+                f"= {graphs_ratio:.3f} of route {wall:.2f}s (max "
                 f"{MAX_GRAPHS_RATIO:.2f})"
             )
             if graphs_ratio > MAX_GRAPHS_RATIO:
@@ -200,14 +213,14 @@ def main() -> int:
                 post_wall += node.wall_s
                 print(
                     f"{name:6s} {label} {node.wall_s:6.2f}s  "
-                    f"= {node.wall_s / wall:.3f} of route  "
+                    f"= {node.wall_s / wall:.3f} of route {wall:.2f}s  "
                     f"(gc {node.gc_s:.2f}s in {node.gc_collections} "
                     "collections)"
                 )
             post_ratio = post_wall / wall
             print(
                 f"{name:6s} post-route {post_wall:6.2f}s  "
-                f"= {post_ratio:.3f} of route (max "
+                f"= {post_ratio:.3f} of route {wall:.2f}s (max "
                 f"{MAX_POST_ROUTE_RATIO:.2f})"
             )
             if post_ratio > MAX_POST_ROUTE_RATIO:

@@ -33,7 +33,7 @@ from repro.io import (
     write_placement,
 )
 from repro.layout import PlacerConfig, assign_external_pins, place_circuit
-from repro.timing import StaticTimingAnalyzer, build_constraint_graph
+from repro.timing import ConstraintGraph, StaticTimingAnalyzer
 
 
 def main() -> None:
@@ -90,7 +90,7 @@ def main() -> None:
 
     gd = GlobalDelayGraph.of(circuit)
     analyzer = StaticTimingAnalyzer(
-        gd, [build_constraint_graph(gd, c) for c in constraints]
+        gd, [ConstraintGraph.of(gd, c) for c in constraints]
     )
     print()
     print(

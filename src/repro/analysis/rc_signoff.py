@@ -25,7 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core.result import GlobalRoutingResult
 from ..errors import TimingError
 from ..netlist.circuit import Circuit, Terminal
-from ..timing.constraint import PathConstraint, build_constraint_graph
+from ..timing.constraint import ConstraintGraph, PathConstraint
 from ..timing.delay_graph import DelayArc, GlobalDelayGraph
 from ..timing.delay_model import ElmoreDelayModel
 from ..timing.sta import NEG_INF
@@ -159,7 +159,7 @@ def rc_sign_off(
 
     margins: Dict[str, float] = {}
     for constraint in constraints:
-        cg = build_constraint_graph(gd, constraint)
+        cg = ConstraintGraph.of(gd, constraint)
         cg_lp = _constraint_forward_rc(gd, cg, wire)
         path_worst = max(
             (

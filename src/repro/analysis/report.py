@@ -15,7 +15,7 @@ from ..core.result import GlobalRoutingResult
 from ..layout.placement import Placement
 from ..netlist.circuit import Circuit
 from ..tech import Technology
-from ..timing.constraint import PathConstraint, build_constraint_graph
+from ..timing.constraint import ConstraintGraph, PathConstraint
 from ..timing.delay_graph import GlobalDelayGraph
 from ..timing.sta import StaticTimingAnalyzer, WireCaps
 from .signoff import SignoffReport
@@ -118,7 +118,7 @@ def full_report(
             gd = GlobalDelayGraph.of(circuit)
         analyzer = StaticTimingAnalyzer(
             gd,
-            [build_constraint_graph(gd, c) for c in constraints],
+            [ConstraintGraph.of(gd, c) for c in constraints],
         )
         sections.append(
             "--- critical paths (after channel routing) ---\n"

@@ -24,7 +24,7 @@ from ..layout.floorplan import Floorplan
 from ..layout.placement import Placement
 from ..netlist.circuit import Circuit
 from ..tech import Technology
-from ..timing.constraint import PathConstraint, build_constraint_graph
+from ..timing.constraint import ConstraintGraph, PathConstraint
 from ..timing.delay_graph import GlobalDelayGraph
 from ..timing.delay_model import CapacitanceDelayModel
 from ..timing.sta import StaticTimingAnalyzer, WireCaps
@@ -86,7 +86,7 @@ def sign_off(
     if gd is None:
         gd = GlobalDelayGraph.of(circuit)
     constraint_graphs = [
-        build_constraint_graph(gd, constraint) for constraint in constraints
+        ConstraintGraph.of(gd, constraint) for constraint in constraints
     ]
     analyzer = StaticTimingAnalyzer(gd, constraint_graphs)
     margins = {

@@ -4,10 +4,10 @@ The paper's loop (Fig. 2, lines 04–07) repeatedly picks the minimum of a
 lexicographic selection key over *all* nets' deletable edges.  Rescanning
 every candidate each iteration is an ``O(deletions × candidates)``
 Python loop; :class:`CandidateEngine` is instead an **array-backed
-incremental arg-min**: every candidate owns one row of a dense float64
-key matrix whose columns are the lexicographic key positions.  A row is
-a pure function of a few inputs, and a deletion re-keys a row only when
-one of them moved:
+incremental arg-min**: every candidate owns one key row, its slot in
+each of eleven float64 column arrays, one per lexicographic key
+position.  A row is a pure function of a few inputs, and a deletion
+re-keys a row only when one of them moved:
 
 * **delay columns** (``C_d``/``Gl``/``LD``) read each of the net's
   constraint margins, ``lp`` at the net's arc endpoints, the net's
@@ -24,10 +24,11 @@ one of them moved:
 * **density columns** read the channel's ``(C_M, NC_M, C_m, NC_m)`` and
   the two profiles over the row's own coverage window.  The
   :class:`~repro.core.density.DensityEngine` reports every changed
-  column span; a flush re-keys all of a channel's live rows if its
-  stats moved since they were keyed, otherwise only the rows whose
-  window overlaps a changed span, in one ``edge_params_batch``
-  reduction;
+  column span.  A row is stale when its channel's stats moved since
+  it was keyed, or else when its window meets a changed span; a flush
+  re-keys each channel holding a stale live row whole, through a
+  :class:`~repro.core.density.WindowIndex` built once per engine (a
+  row no change touched gets back the values it had);
 * **retirement**: a row leaves the pool on the ``removed`` and
   ``newly_essential`` lists of each deletion, mirror deletions
   included — mid-loop, those are the only ways a candidate stops being
@@ -36,8 +37,9 @@ one of them moved:
 ``select()`` takes the lexicographic arg-min over live rows by
 successive column refinement (all column values are exactly
 representable in float64, so the comparison order equals tuple
-comparison), then still checks the pick against graph truth as a
-safety net, retrying on a dead row and counting ``router.heap_stale``.
+comparison), refining only on the columns that can differ between two
+rows, then still checks the pick against graph truth as a safety net,
+retrying on a dead row and counting ``router.heap_stale``.
 
 Every batched column update is elementwise-identical to the scalar
 ``selection_key`` of Section 3.4 (see ``evaluate_delay_criteria_batch``
@@ -56,7 +58,7 @@ import numpy as np
 
 from ..routegraph.graph import EdgeKind
 from .criteria import evaluate_delay_criteria_batch
-from .density import ChannelStats, coverage_columns
+from .density import ChannelStats, WindowIndex, coverage_windows
 from .selection import SelectionMode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -99,12 +101,14 @@ class CandidateEngine:
     never the reverse — so no insertion path beyond the initial build is
     needed.
 
-    All key state lives in ``_K``, an ``(n_candidates, 11)`` float64
-    matrix; every integer that can appear in a selection key (densities,
-    counts, ids) is far below 2**53, so the float64 columns order
-    exactly like the scalar int/float tuples, and typed tuples equal to
-    the scalar ``selection_key`` output are reconstructed on demand
-    (tracing, :meth:`current_keys`) rather than kept.
+    All key state lives in ``_K``, an ``(11, n_candidates)`` float64
+    matrix: one contiguous array per key column, which is what the
+    arg-min and the density re-keys read and write.  Every integer that
+    can appear in a selection key (densities, counts, ids) is far below
+    2**53, so the float64 columns order exactly like the scalar
+    int/float tuples, and typed tuples equal to the scalar
+    ``selection_key`` output are reconstructed on demand (tracing,
+    :meth:`current_keys`) rather than kept.
     """
 
     def __init__(
@@ -135,73 +139,89 @@ class CandidateEngine:
 
         row_state: List["_NetState"] = []
         edge_ids: List[int] = []
+        kinds: List[EdgeKind] = []
         channels: List[int] = []
         lo: List[int] = []
         hi: List[int] = []
-        trunks: List[int] = []
-        neglen: List[float] = []
-        ranks: List[int] = []
-        sensitive: List[bool] = []
-        # net name -> edge id -> row, for retiring rows on deletion.
-        self._row_of: Dict[str, Dict[int, int]] = {}
+        lengths: List[float] = []
+        # (net name, first row, end row, timing-sensitive) per state, in
+        # build order.
+        nets: List[Tuple[str, int, int, bool]] = []
         for state in states:
             graph = state.graph
-            lengths = graph.edge_length
-            net_rank = rank[state.net.name]
-            is_sensitive = timing_driven and state.context.constrained
-            row_of = self._row_of.setdefault(state.net.name, {})
-            for edge_id in graph.deletable_edges():
-                coverage = graph.coverage(edge_id)
-                c_lo, c_hi = coverage_columns(coverage)
-                row_of[edge_id] = len(edge_ids)
-                row_state.append(state)
-                edge_ids.append(edge_id)
-                channels.append(coverage[1])
-                lo.append(c_lo)
-                hi.append(c_hi)
-                trunks.append(0 if coverage[0] is _TRUNK else 1)
-                neglen.append(-lengths[edge_id])
-                ranks.append(net_rank)
-                sensitive.append(is_sensitive)
+            edges = graph.deletable_edges()
+            first = len(edge_ids)
+            edge_ids += edges
+            row_state += [state] * len(edges)
+            for rows, column in (
+                (kinds, graph.edge_kind),
+                (channels, graph.edge_channel),
+                (lo, graph.edge_lo),
+                (hi, graph.edge_hi),
+                (lengths, graph.edge_length),
+            ):
+                rows += map(column.__getitem__, edges)
+            nets.append((
+                state.net.name, first, len(edge_ids),
+                timing_driven and state.context.constrained,
+            ))
 
+        # Rows are numbered channel by channel (build order within one),
+        # so each channel's rows are one slice of the matrix.
         n = len(edge_ids)
-        self._row_state = row_state
-        self._edge_ids = np.asarray(edge_ids, dtype=np.int64)
-        self._lo = np.asarray(lo, dtype=np.int64)
-        self._hi = np.asarray(hi, dtype=np.int64)
+        order = np.argsort(
+            np.asarray(channels, dtype=np.int64), kind="stable"
+        )
+        row = np.empty(n, dtype=np.int64)
+        row[order] = np.arange(n)
+        self._row_state = [row_state[i] for i in order.tolist()]
+        self._edge_ids = np.asarray(edge_ids, dtype=np.int64)[order]
         self._live = np.ones(n, dtype=bool)
+        trunk = np.fromiter(
+            (kind is _TRUNK for kind in kinds), dtype=bool, count=n
+        )
+        self._windows = WindowIndex(
+            np.asarray(channels, dtype=np.int64)[order],
+            *(a[order] for a in coverage_windows(trunk, lo, hi)),
+        )
         cols = self._cols
-        K = np.zeros((n, _N_COLS), dtype=np.float64)
-        K[:, cols["trunk"]] = trunks
-        K[:, cols["neglen"]] = neglen
-        K[:, 9] = ranks
-        K[:, 10] = self._edge_ids
+        K = np.zeros((_N_COLS, n), dtype=np.float64)
+        K[cols["trunk"]] = ~trunk[order]
+        K[cols["neglen"]] = -np.asarray(lengths, dtype=np.float64)[order]
+        K[9] = np.repeat(
+            [rank[name] for name, _, _, _ in nets],
+            [b - a for _, a, b, _ in nets],
+        )[order]
+        K[10] = self._edge_ids
         self._K = K
 
-        channel_arr = np.asarray(channels, dtype=np.int64)
-        self._rows_by_channel: Dict[int, np.ndarray] = {
-            int(channel): np.flatnonzero(channel_arr == channel)
-            for channel in np.unique(channel_arr)
+        # net name -> edge id -> row, for retiring rows on deletion, and
+        # each sensitive net's rows in build order.
+        row_list = row.tolist()
+        self._row_of: Dict[str, Dict[int, int]] = {
+            name: dict(zip(edge_ids[a:b], row_list[a:b]))
+            for name, a, b, _ in nets
         }
-        by_net: Dict[str, List[int]] = {}
-        for r in np.flatnonzero(sensitive).tolist():
-            by_net.setdefault(row_state[r].net.name, []).append(r)
         self._rows_by_net: Dict[str, np.ndarray] = {
-            name: np.asarray(rows, dtype=np.int64)
-            for name, rows in by_net.items()
+            name: row[a:b] for name, a, b, sensitive in nets
+            if sensitive and b > a
         }
         self._index_arcs()
+        self._refine = self._refined_columns()
 
-        # The stats each channel's live rows were keyed against, the
-        # column spans changed since, and the nets whose delay inputs
-        # moved since the last flush.
+        # The stats each channel's rows were keyed against (a key for
+        # every channel that holds rows), the column spans changed
+        # since, and the nets whose delay inputs moved since the last
+        # flush.
         self._keyed_stats: Dict[int, ChannelStats] = {}
         self._dirty_spans: Dict[int, List[Tuple[int, int]]] = {}
         self._delay_dirty: Set[str] = set()
 
         # Initial full build: every row's density and delay columns.
-        for channel, rows in self._rows_by_channel.items():
-            self._refresh_density_rows(channel, rows)
+        for channel in self._windows.channels():
+            self._key_density(
+                channel, self._density.channel_stats(channel)
+            )
         for name in sorted(self._rows_by_net):
             self._refresh_delay_rows(
                 self._states[name], self._rows_by_net[name]
@@ -209,10 +229,29 @@ class CandidateEngine:
         if n:
             router._m_key_evals.inc(n)
             self._m_vec_batches.inc(
-                len(self._rows_by_channel) + len(self._rows_by_net)
+                len(self._windows) + len(self._rows_by_net)
             )
         self._density.subscribe(self._on_span_changed)
         router._candidate_engines.append(self)
+
+    def _refined_columns(self) -> Tuple[int, ...]:
+        """The key columns that can differ between two rows, in order:
+        the delay columns only if a row is timing-sensitive (they stay
+        0.0 otherwise), the density columns always, and the fixed
+        columns (trunk flag, length, net rank, edge id) only if they
+        differ at construction."""
+        cols = self._cols
+        skip = set()
+        if not self._rows_by_net:
+            skip.update((cols["cd"], cols["gl"], cols["ld"]))
+        fixed = [cols["trunk"], cols["neglen"], 9, 10]
+        values = self._K[fixed]
+        for column, varies in zip(
+            fixed, (values != values[:, :1]).any(axis=1).tolist()
+        ):
+            if not varies:
+                skip.add(column)
+        return tuple(c for c in range(_N_COLS) if c not in skip)
 
     def _index_arcs(self) -> None:
         """Index the tracked sensitive nets by constraint: which nets
@@ -349,7 +388,7 @@ class CandidateEngine:
         )
 
     def _on_span_changed(self, channel: int, lo: int, hi: int) -> None:
-        if channel in self._rows_by_channel:
+        if channel in self._keyed_stats:
             self._dirty_spans.setdefault(channel, []).append((lo, hi))
 
     # ------------------------------------------------------------------
@@ -371,51 +410,41 @@ class CandidateEngine:
                 batches += 1
             self._delay_dirty.clear()
         if self._dirty_spans:
+            live = self._live
+            windows = self._windows
             for channel in sorted(self._dirty_spans):
-                rows = self._stale_density_rows(
-                    channel, self._dirty_spans[channel]
-                )
-                if rows.size == 0:
-                    continue
-                self._refresh_density_rows(channel, rows)
-                refreshed += int(rows.size)
-                batches += 1
+                a, b = windows.rows(channel)
+                stats = self._density.channel_stats(channel)
+                if stats != self._keyed_stats[channel]:
+                    stale = np.count_nonzero(live[a:b])
+                else:
+                    stale = np.count_nonzero(
+                        live[a:b]
+                        & windows.meets(channel, self._dirty_spans[channel])
+                    )
+                if stale:
+                    self._key_density(channel, stats)
+                    refreshed += stale
+                    batches += 1
             self._dirty_spans.clear()
         if refreshed:
             self._router._m_key_evals.inc(refreshed)
             self._m_vec_batches.inc(batches)
 
-    def _stale_density_rows(
-        self, channel: int, spans: List[Tuple[int, int]]
-    ) -> np.ndarray:
-        """Live rows of ``channel`` whose density columns moved: all of
-        them if the channel's stats moved since they were keyed, else
-        those whose window overlaps one of the changed ``spans``."""
-        rows = self._rows_by_channel[channel]
-        rows = rows[self._live[rows]]
-        stats = self._density.channel_stats(channel)
-        if stats != self._keyed_stats[channel]:
-            return rows
-        lo = self._lo[rows]
-        hi = self._hi[rows]
-        hit = np.zeros(rows.size, dtype=bool)
-        for span_lo, span_hi in spans:
-            hit |= (lo <= span_hi) & (hi >= span_lo)
-        return rows[hit]
-
-    def _refresh_density_rows(self, channel: int, rows: np.ndarray) -> None:
-        """Recompute conditions 4–8 for ``rows`` (one channel) in batch."""
-        density = self._density
-        stats = density.channel_stats(channel)
-        d_max, nd_max, d_min, nd_min = density.edge_params_batch(
-            channel, self._lo[rows], self._hi[rows]
+    def _key_density(self, channel: int, stats: ChannelStats) -> None:
+        """Recompute conditions 5–8 for every row of ``channel`` (live
+        or not) against its current ``stats``; a row whose window no
+        change touched gets back the values it had."""
+        a, b = self._windows.rows(channel)
+        d_max, d_min, nd_max, nd_min = self._windows.params(
+            self._density, channel
         )
         cols = self._cols
         K = self._K
-        K[rows, cols["fm"]] = stats.c_min - d_min
-        K[rows, cols["nm"]] = stats.nc_min - nd_min
-        K[rows, cols["fM"]] = stats.c_max - d_max
-        K[rows, cols["nM"]] = stats.nc_max - nd_max
+        K[cols["fm"], a:b] = stats.c_min - d_min
+        K[cols["nm"], a:b] = stats.nc_min - nd_min
+        K[cols["fM"], a:b] = stats.c_max - d_max
+        K[cols["nM"], a:b] = stats.nc_max - nd_max
         self._keyed_stats[channel] = stats
 
     def _refresh_delay_rows(
@@ -431,9 +460,9 @@ class CandidateEngine:
         )
         cols = self._cols
         K = self._K
-        K[rows, cols["cd"]] = crit
-        K[rows, cols["gl"]] = gl
-        K[rows, cols["ld"]] = ld
+        K[cols["cd"], rows] = crit
+        K[cols["gl"], rows] = gl
+        K[cols["ld"], rows] = ld
 
     def _argmin(self, exclude: int = -1) -> Optional[int]:
         """Lexicographic arg-min row by successive column refinement.
@@ -441,7 +470,9 @@ class CandidateEngine:
         Equivalent to tuple comparison because each column holds exactly
         the scalar key's value at that position (ints exactly
         representable; ``-0.0 == 0.0`` compares equal in both worlds)
-        and the identity tail makes the minimum unique.
+        and the identity tail makes the minimum unique.  A column equal
+        on every row cannot split a tie, so only ``_refine``'s columns
+        are refined on.
         """
         idx = np.flatnonzero(self._live)
         if exclude >= 0:
@@ -449,10 +480,10 @@ class CandidateEngine:
         if idx.size == 0:
             return None
         K = self._K
-        for column in range(_N_COLS):
+        for column in self._refine:
             if idx.size == 1:
                 break
-            values = K[idx, column]
+            values = K[column][idx]
             idx = idx[values == values.min()]
         return int(idx[0])
 
@@ -475,7 +506,7 @@ class CandidateEngine:
     def _tuple_key(self, r: int) -> tuple:
         """The scalar ``selection_key`` tuple of row ``r``, reconstructed
         with the original int/float/str element types."""
-        row = self._K[r]
+        row = self._K[:, r]
         name = self._row_state[r].net.name
         edge_id = int(self._edge_ids[r])
         if self._mode is SelectionMode.TIMING:

@@ -83,6 +83,20 @@ def coverage_columns(coverage: Coverage) -> Tuple[int, int]:
     return lo, lo
 
 
+def coverage_windows(
+    trunk: Sequence[bool], lo: Sequence[int], hi: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`coverage_columns` of many edges at once.
+
+    ``trunk`` flags the trunks among the edges and ``lo``/``hi`` are
+    their coverages' bounds; returns the inclusive ``(lo, hi)`` column
+    arrays, elementwise equal to :func:`coverage_columns`.
+    """
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    return lo, np.where(trunk, np.maximum(lo, hi - 1), lo)
+
+
 #: Column cap above which :meth:`DensityEngine.snapshot` downsamples the
 #: per-column strips (the scalar channel stats stay exact).  512 keeps a
 #: full-resolution payload for every hand-sized and standard-suite chip
@@ -117,8 +131,9 @@ class DensityEngine:
     object.  Listeners registered through :meth:`subscribe` are called
     with ``(channel, lo, hi)`` — the inclusive column span whose profile
     just changed — after every update.  The incremental candidate engine
-    uses the span to re-key only the candidates whose coverage window it
-    overlaps, unless the channel's stats moved too.
+    uses the span to tell which candidates' density columns moved: those
+    whose coverage window it overlaps, or all of the channel's if its
+    stats moved too.
     """
 
     def __init__(self, n_channels: int, width_columns: int):
@@ -126,14 +141,10 @@ class DensityEngine:
             raise RoutingError("density engine needs >=1 channel and column")
         self.n_channels = n_channels
         self.width_columns = width_columns
-        self.d_max = [
-            np.zeros(width_columns, dtype=np.int32)
-            for _ in range(n_channels)
-        ]
-        self.d_min = [
-            np.zeros(width_columns, dtype=np.int32)
-            for _ in range(n_channels)
-        ]
+        #: ``d_M`` and ``d_m``, one ``(channels, columns)`` array each:
+        #: ``d_max[c]`` is a view of channel ``c``'s profile.
+        self.d_max = np.zeros((n_channels, width_columns), dtype=np.int32)
+        self.d_min = np.zeros((n_channels, width_columns), dtype=np.int32)
         self._stats_cache: Dict[int, ChannelStats] = {}
         self._listeners: List[Callable[[int, int, int], None]] = []
         # Plain-int telemetry: profile updates vs. stats recomputes
@@ -221,7 +232,6 @@ class DensityEngine:
         stride = self.width_columns + 1
         starts = channel * stride + lo
         ends = channel * stride + hi + 1
-        touched = set(channels)
         for maps, rows in (
             (self.d_max, slice(None)),
             (self.d_min, essential),
@@ -232,10 +242,9 @@ class DensityEngine:
             counts = np.cumsum(
                 diff.reshape(self.n_channels, stride)[:, :-1], axis=1
             )
-            for c in touched:
-                maps[c] += counts[c].astype(np.int32)
+            maps += counts.astype(np.int32)
         self.updates += len(trunks) + int(np.count_nonzero(essential))
-        for c in touched:
+        for c in set(channels):
             self._stats_cache.pop(c, None)
 
     def _apply(
@@ -307,9 +316,9 @@ class DensityEngine:
         dM = self.d_max[channel]
         dm = self.d_min[channel]
         c_max = int(dM.max())
-        nc_max = int((dM == c_max).sum())
+        nc_max = np.count_nonzero(dM == c_max)
         c_min = int(dm.max())
-        nc_min = int((dm == c_min).sum())
+        nc_min = np.count_nonzero(dm == c_min)
         stats = ChannelStats(c_max, nc_max, c_min, nc_min)
         self._stats_cache[channel] = stats
         return stats
@@ -332,54 +341,6 @@ class DensityEngine:
             d_min=int(window_min.max()),
             nd_min=int((window_min == stats.c_min).sum()),
         )
-
-    def edge_params_batch(
-        self,
-        channel: int,
-        lo: np.ndarray,
-        hi: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`edge_params` over many coverage windows.
-
-        ``lo``/``hi`` are parallel int arrays of inclusive column ranges
-        (already bounds-checked by the caller via coverage columns of
-        alive edges).  Returns ``(d_max, nd_max, d_min, nd_min)`` int64
-        arrays, elementwise identical to calling :meth:`edge_params` per
-        edge: every reduction is an integer max/sum over the same
-        columns, so there is no floating-point order sensitivity.
-
-        The windows of one channel are flattened into a single index
-        vector and reduced with ``np.maximum.reduceat``/``np.add.reduceat``
-        — one pass over ``Σ window widths`` elements instead of ~2
-        Python-level array ops per candidate.
-        """
-        self._check_channel(channel)
-        stats = self.channel_stats(channel)
-        lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
-        n = lo.shape[0]
-        if n == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, empty
-        lens = hi - lo + 1
-        starts = np.zeros(n, dtype=np.int64)
-        np.cumsum(lens[:-1], out=starts[1:])
-        total = int(starts[-1] + lens[-1])
-        # flat[k] = absolute column of the k-th flattened window element.
-        flat = np.arange(total, dtype=np.int64)
-        flat -= np.repeat(starts, lens)
-        flat += np.repeat(lo, lens)
-        dM = self.d_max[channel][flat]
-        dm = self.d_min[channel][flat]
-        d_max = np.maximum.reduceat(dM, starts).astype(np.int64)
-        d_min = np.maximum.reduceat(dm, starts).astype(np.int64)
-        nd_max = np.add.reduceat(
-            (dM == stats.c_max).astype(np.int64), starts
-        )
-        nd_min = np.add.reduceat(
-            (dm == stats.c_min).astype(np.int64), starts
-        )
-        return d_max, nd_max, d_min, nd_min
 
     def density_at(self, channel: int, column: int) -> Tuple[int, int]:
         """``(d_M, d_m)`` at one column."""
@@ -463,4 +424,98 @@ class DensityEngine:
         return (
             f"DensityEngine({self.n_channels} channels × "
             f"{self.width_columns} columns, Σ C_M={self.total_peak()})"
+        )
+
+
+class WindowIndex:
+    """Coverage windows of many rows, flattened once per channel.
+
+    Built from parallel ``channels``/``lo``/``hi`` sequences (inclusive
+    column ranges, as :func:`coverage_columns` gives them) whose rows
+    are sorted by channel, so each channel's rows are one contiguous
+    range (:meth:`rows`).  Per channel it keeps every row's window as
+    one flat array of absolute columns plus each row's segment start in
+    it, so :meth:`params` reduces a whole channel with one gather per
+    profile and four segment reductions, and nothing is re-derived per
+    call.
+    """
+
+    __slots__ = ("_lo", "_hi", "_channels")
+
+    def __init__(
+        self,
+        channels: Sequence[int],
+        lo: Sequence[int],
+        hi: Sequence[int],
+    ):
+        channels = np.asarray(channels, dtype=np.int64)
+        self._lo = lo = np.asarray(lo, dtype=np.int64)
+        self._hi = hi = np.asarray(hi, dtype=np.int64)
+        if np.any(channels[1:] < channels[:-1]):
+            raise ValueError("window rows must be sorted by channel")
+        widths = hi - lo + 1
+        ends = np.cumsum(widths)
+        starts = ends - widths
+        # flat[k] = absolute column of the k-th element of the windows
+        # laid end to end.
+        flat = np.arange(int(ends[-1]) if ends.size else 0)
+        flat -= np.repeat(starts - lo, widths)
+        firsts = [0] + (
+            np.flatnonzero(channels[1:] != channels[:-1]) + 1
+        ).tolist()
+        lasts = firsts[1:] + [channels.size]
+        self._channels: Dict[
+            int, Tuple[int, int, np.ndarray, np.ndarray]
+        ] = {}
+        if channels.size:
+            for channel, a, b in zip(
+                channels[firsts].tolist(), firsts, lasts
+            ):
+                offset = int(starts[a])
+                self._channels[channel] = (
+                    a, b, flat[offset : ends[b - 1]], starts[a:b] - offset
+                )
+
+    def __len__(self) -> int:
+        return len(self._channels)
+
+    def channels(self) -> List[int]:
+        """The channels that hold rows, ascending."""
+        return list(self._channels)
+
+    def rows(self, channel: int) -> Tuple[int, int]:
+        """The ``(first, end)`` row range of ``channel``."""
+        a, b, _, _ = self._channels[channel]
+        return a, b
+
+    def meets(
+        self, channel: int, spans: Sequence[Tuple[int, int]]
+    ) -> np.ndarray:
+        """Which of ``channel``'s rows have a window that meets one of
+        the inclusive column ``spans`` (at least one)."""
+        a, b, _, _ = self._channels[channel]
+        lo = self._lo[a:b]
+        hi = self._hi[a:b]
+        (span_lo, span_hi), *rest = spans
+        hit = (lo <= span_hi) & (hi >= span_lo)
+        for span_lo, span_hi in rest:
+            hit |= (lo <= span_hi) & (hi >= span_lo)
+        return hit
+
+    def params(
+        self, density: DensityEngine, channel: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(D_M, D_m, ND_M, ND_m)`` of ``channel``'s rows, as arrays
+        elementwise equal to :meth:`DensityEngine.edge_params` over the
+        same windows: every reduction is an integer max or count over
+        the same columns."""
+        _, _, columns, starts = self._channels[channel]
+        stats = density.channel_stats(channel)
+        d_max = density.d_max[channel][columns]
+        d_min = density.d_min[channel][columns]
+        return (
+            np.maximum.reduceat(d_max, starts),
+            np.maximum.reduceat(d_min, starts),
+            np.add.reduceat(d_max == stats.c_max, starts, dtype=np.int64),
+            np.add.reduceat(d_min == stats.c_min, starts, dtype=np.int64),
         )

@@ -61,11 +61,7 @@ from ..routegraph.build import build_routing_graph
 from ..routegraph.graph import RoutingGraph
 from ..routegraph.tentative_tree import TentativeTree
 from ..routegraph.tree_engine import TreeEngine
-from ..timing.constraint import (
-    ConstraintGraph,
-    PathConstraint,
-    build_constraint_graph,
-)
+from ..timing.constraint import ConstraintGraph, PathConstraint
 from ..timing.delay_graph import GlobalDelayGraph
 from ..timing.delay_model import CapacitanceDelayModel
 from ..timing.sta import (
@@ -230,6 +226,13 @@ class GlobalRouter:
         self._tree_eval_timer = partial(
             self.profiler.phase, "tree_eval", "router.tree_eval_s"
         )
+        # And one each for the deletion loop's picks and deletions.
+        self._select_timer = partial(
+            self.profiler.phase, "select", "router.select_s"
+        )
+        self._delete_timer = partial(
+            self.profiler.phase, "delete", "router.delete_s"
+        )
         # Decision explainability: the candidate engine records the
         # outcome of each select() here (when tracing), and the deletion
         # that follows turns it into a sampled deletion_decision event.
@@ -344,9 +347,9 @@ class GlobalRouter:
 
     @property
     def _current_phase(self) -> str:
-        """The innermost open phase (no per-call scope ever encloses a
-        deletion, a reroute or a heartbeat)."""
-        return self.profiler.current.name
+        """The innermost open phase, below which a deletion's ``delete``
+        scope and its other per-call scopes run."""
+        return self.profiler.current_phase.name
 
     # ==================================================================
     # Setup stages
@@ -359,7 +362,7 @@ class GlobalRouter:
             ff_setup_ps=self.config.ff_setup_ps,
         )
         self.constraint_graphs = [
-            build_constraint_graph(self.gd, constraint)
+            ConstraintGraph.of(self.gd, constraint)
             for constraint in self.constraints
         ]
         self.analyzer = StaticTimingAnalyzer(self.gd, self.constraint_graphs)
@@ -742,11 +745,13 @@ class GlobalRouter:
         selector = CandidateEngine(self, states, mode)
         try:
             while True:
-                choice = selector.select()
+                with self._select_timer():
+                    choice = selector.select()
                 if choice is None:
                     return count
                 state, edge_id = choice
-                self._delete_edge(state, edge_id)
+                with self._delete_timer():
+                    self._delete_edge(state, edge_id)
                 count += 1
         finally:
             selector.close()

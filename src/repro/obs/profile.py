@@ -74,13 +74,16 @@ def peak_rss_mb() -> Optional[float]:
 class PhaseNode:
     """Accumulated timings of one phase (and its children)."""
 
-    __slots__ = ("name", "parent", "depth", "wall_s", "cpu_s", "calls",
-                 "gc_s", "gc_collections", "peak_rss_mb", "children")
+    __slots__ = ("name", "parent", "depth", "per_call", "wall_s", "cpu_s",
+                 "calls", "gc_s", "gc_collections", "peak_rss_mb",
+                 "children")
 
-    def __init__(self, name: str, parent: Optional["PhaseNode"] = None):
+    def __init__(self, name: str, parent: Optional["PhaseNode"] = None,
+                 per_call: bool = False):
         self.name = name
         self.parent = parent
         self.depth = 0 if parent is None else parent.depth + 1
+        self.per_call = per_call
         self.wall_s = 0.0
         self.cpu_s = 0.0
         self.calls = 0
@@ -89,10 +92,10 @@ class PhaseNode:
         self.peak_rss_mb: Optional[float] = None
         self.children: Dict[str, "PhaseNode"] = {}
 
-    def child(self, name: str) -> "PhaseNode":
+    def child(self, name: str, per_call: bool = False) -> "PhaseNode":
         node = self.children.get(name)
         if node is None:
-            node = self.children[name] = PhaseNode(name, self)
+            node = self.children[name] = PhaseNode(name, self, per_call)
         return node
 
     def to_dict(self) -> Dict[str, Any]:
@@ -132,7 +135,9 @@ class _Scope:
         if not profiler._open:
             gc.callbacks.append(profiler._gc_hook)
         profiler._open += 1
-        node = profiler.current = profiler.current.child(self.name)
+        node = profiler.current = profiler.current.child(
+            self.name, self.histogram is not None
+        )
         tracer = profiler._tracer
         if tracer is not None and self.histogram is None:
             tracer.emit("phase_start", phase=self.name, depth=node.depth)
@@ -198,6 +203,15 @@ class PhaseProfiler:
             self._gc_node.gc_s += time.perf_counter() - self._gc_t0
             self._gc_node.gc_collections += 1
             self._gc_node = None
+
+    @property
+    def current_phase(self) -> PhaseNode:
+        """The innermost open phase: ``current`` less the per-call scopes
+        open inside it (``root`` when no phase is open)."""
+        node = self.current
+        while node.per_call:
+            node = node.parent
+        return node
 
     def bind(self, tracer: Any, metrics: MetricsRegistry,
              heartbeat: Optional["HeartbeatEmitter"] = None) -> None:

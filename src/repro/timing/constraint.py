@@ -88,6 +88,26 @@ class ConstraintGraph:
                 f"constraint {constraint.name}: no source-to-sink path"
             )
 
+    @classmethod
+    def of(
+        cls, gd: GlobalDelayGraph, constraint: PathConstraint
+    ) -> "ConstraintGraph":
+        """``G_d(P)`` of ``constraint`` on ``gd``.
+
+        The graph depends on ``G_D`` and the constraint alone, and
+        ``G_D`` never changes once built, so one graph per constraint
+        serves the router, sign-off and the reports: it is built on the
+        first read and kept on ``gd`` (``gd.constraint_graphs``), as
+        :meth:`GlobalDelayGraph.of` keeps ``G_D`` on its circuit.  A
+        graph is never edited by its readers.
+        :func:`build_constraint_graph` is the uncached constructor.
+        """
+        graph = gd.constraint_graphs.get(constraint)
+        if graph is None:
+            graph = build_constraint_graph(gd, constraint)
+            gd.constraint_graphs[constraint] = graph
+        return graph
+
     # ------------------------------------------------------------------
     @property
     def name(self) -> str:

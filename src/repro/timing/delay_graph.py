@@ -19,10 +19,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from ..errors import TimingError
 from ..netlist.circuit import Circuit, ExternalPin, Net, Terminal
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .constraint import ConstraintGraph, PathConstraint
 
 
 class VertexKind(enum.Enum):
@@ -97,6 +100,11 @@ class GlobalDelayGraph:
         self.net_index: Dict[str, int] = {}
         self.nets: List[Net] = []
         self._topo: Optional[Tuple[int, ...]] = None
+        #: ``G_d(P)`` per constraint, kept by
+        #: :meth:`~repro.timing.constraint.ConstraintGraph.of`.
+        self.constraint_graphs: Dict[
+            "PathConstraint", "ConstraintGraph"
+        ] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -309,7 +317,7 @@ class GlobalDelayGraph:
         ``G_D`` does not change once built, so the order is sorted on
         the first call (:meth:`build` makes it) and kept; it is a tuple,
         so no reader can reorder it for the others.  The STA, every
-        ``build_constraint_graph`` call, the RC sign-off and constraint
+        constraint-graph build, the RC sign-off and constraint
         generation all read this one order.
         """
         if self._topo is None:

@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bench.circuits import standard_suite
 from repro.bipolar.multipitch import density_weight
-from repro.core.density import DensityEngine, coverage_columns
+from repro.core.density import (
+    DensityEngine,
+    WindowIndex,
+    coverage_columns,
+    coverage_windows,
+)
 from repro.errors import RoutingError
 from repro.geometry import Interval
 from repro.routegraph.graph import EdgeKind, RouteEdge
@@ -260,7 +265,29 @@ class TestZeroSpanTrunk:
         assert (params.d_max, params.d_min) == (1, 0)
 
 
-class TestEdgeParamsBatch:
+def window_params_match_scalar(engine, channels, lo, hi):
+    """Check a WindowIndex over the rows ``(channels, lo, hi)`` (sorted
+    by channel, inclusive windows) against ``edge_params`` row by row;
+    return the number of rows checked."""
+    index = WindowIndex(channels, lo, hi)
+    assert index.channels() == sorted(set(channels))
+    checked = 0
+    for channel in index.channels():
+        a, b = index.rows(channel)
+        assert all(c == channel for c in channels[a:b])
+        d_max, d_min, nd_max, nd_min = index.params(engine, channel)
+        for i, row in enumerate(range(a, b)):
+            scalar = engine.edge_params(
+                trunk(99, channel, lo[row], hi[row] + 1).coverage
+            )
+            assert (d_max[i], d_min[i], nd_max[i], nd_min[i]) == (
+                scalar.d_max, scalar.d_min, scalar.nd_max, scalar.nd_min
+            )
+            checked += 1
+    return checked
+
+
+class TestWindowIndex:
     def _random_engine(self, rng, n_channels=2, width=24):
         engine = DensityEngine(n_channels, width)
         for i in range(rng.randrange(1, 12)):
@@ -268,80 +295,103 @@ class TestEdgeParamsBatch:
             lo = rng.randrange(width - 1)
             hi = rng.randrange(lo + 1, width)
             engine.add_edge(trunk(i, channel, lo, hi).coverage)
+            if rng.random() < 0.5:
+                engine.add_bridge(trunk(i, channel, lo, hi).coverage)
         return engine
 
-    def test_empty_batch(self):
-        engine = DensityEngine(1, 8)
-        empty = np.empty(0, dtype=np.int64)
-        for arr in engine.edge_params_batch(0, empty, empty):
-            assert arr.shape == (0,)
-            assert arr.dtype == np.int64
+    def test_empty_index(self):
+        index = WindowIndex([], [], [])
+        assert index.channels() == []
+        assert len(index) == 0
+
+    def test_rows_must_be_sorted_by_channel(self):
+        with pytest.raises(ValueError, match="sorted by channel"):
+            WindowIndex([1, 0], [0, 0], [1, 1])
 
     def test_matches_scalar_on_random_profiles(self):
         rng = random.Random(7)
+        checked = 0
         for _ in range(20):
-            engine = self._random_engine(rng)
+            engine = self._random_engine(rng, n_channels=3)
             width = engine.width_columns
-            windows = []
+            rows = []
             for _ in range(rng.randrange(1, 10)):
                 lo = rng.randrange(width)
                 hi = rng.randrange(lo, width)
-                windows.append((lo, hi))
-            channel = rng.randrange(engine.n_channels)
-            lo_arr = np.array([w[0] for w in windows], dtype=np.int64)
-            hi_arr = np.array([w[1] for w in windows], dtype=np.int64)
-            d_max, nd_max, d_min, nd_min = engine.edge_params_batch(
-                channel, lo_arr, hi_arr
-            )
-            for i, (lo, hi) in enumerate(windows):
-                scalar = engine.edge_params(
-                    trunk(99, channel, lo, hi + 1).coverage
-                )
-                assert d_max[i] == scalar.d_max
-                assert nd_max[i] == scalar.nd_max
-                assert d_min[i] == scalar.d_min
-                assert nd_min[i] == scalar.nd_min
+                rows.append((rng.randrange(engine.n_channels), lo, hi))
+            rows.sort(key=lambda row: row[0])
+            channels, lo, hi = (list(column) for column in zip(*rows))
+            checked += window_params_match_scalar(engine, channels, lo, hi)
+        assert checked > 20
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
     def test_matches_scalar_property(self, data):
         width = 16
-        engine = DensityEngine(1, width)
+        engine = DensityEngine(2, width)
         spans = data.draw(
             st.lists(
                 st.tuples(
-                    st.integers(0, width - 2), st.integers(1, 6),
+                    st.integers(0, 1),
+                    st.integers(0, width - 2),
+                    st.integers(1, 6),
+                    st.booleans(),
                 ),
                 max_size=8,
             )
         )
-        for i, (lo, span) in enumerate(spans):
-            engine.add_edge(
-                trunk(i, 0, lo, min(width, lo + span)).coverage
-            )
-        windows = data.draw(
-            st.lists(
-                st.tuples(
-                    st.integers(0, width - 1), st.integers(0, 5),
-                ),
-                min_size=1,
-                max_size=8,
-            )
+        for i, (channel, lo, span, bridge) in enumerate(spans):
+            coverage = trunk(i, channel, lo, min(width, lo + span)).coverage
+            engine.add_edge(coverage)
+            if bridge:
+                engine.add_bridge(coverage)
+        rows = sorted(
+            data.draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 1),
+                        st.integers(0, width - 1),
+                        st.integers(0, 5),
+                    ),
+                    min_size=1,
+                    max_size=8,
+                )
+            ),
+            key=lambda row: row[0],
         )
-        lo_arr = np.array([w[0] for w in windows], dtype=np.int64)
-        hi_arr = np.array(
-            [min(width - 1, w[0] + w[1]) for w in windows],
-            dtype=np.int64,
+        channels = [channel for channel, _, _ in rows]
+        lo = [x for _, x, _ in rows]
+        hi = [min(width - 1, x + span) for _, x, span in rows]
+        assert window_params_match_scalar(engine, channels, lo, hi) == len(
+            rows
         )
-        batch = engine.edge_params_batch(0, lo_arr, hi_arr)
-        for i in range(len(windows)):
-            scalar = engine.edge_params(
-                trunk(99, 0, int(lo_arr[i]), int(hi_arr[i]) + 1).coverage
-            )
-            assert batch[0][i] == scalar.d_max
-            assert batch[1][i] == scalar.nd_max
-            assert batch[2][i] == scalar.d_min
-            assert batch[3][i] == scalar.nd_min
+
+    def test_coverage_windows_match_coverage_columns(self):
+        rng = random.Random(3)
+        edges = [trunk(0, 0, 4, 4), branch(1, 0, 7)]
+        for i in range(2, 40):
+            if rng.random() < 0.7:
+                edges.append(trunk(i, 0, *sorted(rng.sample(range(30), 2))))
+            else:
+                edges.append(branch(i, 0, rng.randrange(30)))
+        coverages = [edge.coverage for edge in edges]
+        lo, hi = coverage_windows(
+            [c[0] is EdgeKind.TRUNK for c in coverages],
+            [c[2] for c in coverages],
+            [c[3] for c in coverages],
+        )
+        assert list(zip(lo.tolist(), hi.tolist())) == [
+            coverage_columns(c) for c in coverages
+        ]
+
+    def test_meets_counts_any_span(self):
+        index = WindowIndex([0, 0, 0, 1], [0, 4, 9, 0], [2, 6, 9, 9])
+        assert index.meets(0, [(3, 3)]).tolist() == [False, False, False]
+        assert index.meets(0, [(2, 4)]).tolist() == [True, True, False]
+        assert index.meets(0, [(7, 8), (9, 12)]).tolist() == [
+            False, False, True,
+        ]
+        assert index.meets(1, [(5, 5)]).tolist() == [True]
 
 
 class TestDownsample:

@@ -243,7 +243,9 @@ class TestCliTrace:
         profiled = rows(capsys.readouterr().out)
         assert main(["trace", "summarize", str(trace)]) == 0
         summarized = rows(capsys.readouterr().out)
-        per_call = {"tree_eval", "reclassify", "timing_update"}
+        per_call = {
+            "tree_eval", "reclassify", "timing_update", "select", "delete",
+        }
         assert summarized == [
             row for row in profiled if row[0].strip() not in per_call
         ]

@@ -171,6 +171,21 @@ class TestOneScope:
             "initial"
         ]
 
+    def test_current_phase_skips_open_per_call_scopes(self):
+        profiler = PhaseProfiler()
+        assert profiler.current_phase is profiler.root
+        with profiler.phase("route"):
+            with profiler.phase("initial"):
+                initial = profiler.current
+                with profiler.phase("delete", "router.delete_s"):
+                    with profiler.phase("reclassify", "graph.reclassify_s"):
+                        assert profiler.current.name == "reclassify"
+                        assert profiler.current_phase is initial
+                    assert profiler.current_phase is initial
+                assert profiler.current_phase is initial
+            assert profiler.current_phase.name == "route"
+        assert profiler.current_phase is profiler.root
+
     def test_raising_bodies_still_close_their_scopes(self):
         profiler, sink, metrics = bound_profiler()
         with pytest.raises(RuntimeError):

@@ -35,7 +35,12 @@ PER_CALL = {
     "tree_eval": "router.tree_eval_s",
     "reclassify": "graph.reclassify_s",
     "timing_update": "router.timing_analysis_s",
+    "select": "router.select_s",
+    "delete": "router.delete_s",
 }
+
+#: The deletion loop's scopes, which only the edge-deletion engine opens.
+LOOP_SCOPES = ("select", "delete")
 
 #: Roots of a timing-driven flow (the bound is taken on the routed chip).
 ROOTS = [
@@ -96,14 +101,38 @@ def test_trace_rebuilds_the_tree_without_per_call_scopes(flow):
 
 
 def test_timing_histograms_are_the_per_call_scopes(flow):
-    _, _, profiler, metrics = flow
+    (_, engine), _, profiler, metrics = flow
     for scope, name in PER_CALL.items():
         scoped = [n for p, n in nodes(profiler) if p[-1] == scope]
         histogram = metrics.histogram(name)
-        assert histogram.count == sum(n.calls for n in scoped) > 0
+        assert histogram.count == sum(n.calls for n in scoped)
+        if engine == "edge-deletion" or scope not in LOOP_SCOPES:
+            assert histogram.count > 0
         assert histogram.total == pytest.approx(
             sum(n.wall_s for n in scoped), rel=1e-9
         )
+
+
+def test_loop_scopes_hold_the_other_per_call_scopes(flow):
+    """Each pick and each deletion of the initial loop is one scope, and
+    the tree evaluations, timing updates and reclassifications of the
+    loop run inside them."""
+    (_, engine), _, profiler, metrics = flow
+    initial = profiler.node("route", "initial")
+    if engine != "edge-deletion":
+        assert initial is None
+        return
+    select, delete = initial.children["select"], initial.children["delete"]
+    # One pick per deletion, and the last one finds no candidate.
+    assert select.calls == delete.calls + 1
+    assert "timing_update" in select.children
+    assert "tree_eval" in select.children
+    assert {"tree_eval", "reclassify"} <= set(delete.children)
+    # Besides them, only the candidate engine's construction (settling
+    # the timings, keying the delay columns) runs per-call scopes.
+    assert set(initial.children) == {
+        "select", "delete", "timing_update", "tree_eval",
+    }
 
 
 def test_roots_are_the_flow_phases(flow):

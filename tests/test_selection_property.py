@@ -24,8 +24,19 @@ constraints share nets, and the runs are long enough that some
 re-analyses keep a constraint's margin while moving ``lp`` downstream
 of the changed net — the case where the engine re-keys only the nets
 whose arcs touch the moved positions.
+
+:func:`test_picks_are_the_tuple_minimum` lets the engine drive instead:
+it deletes each of its own picks until the loop converges, on
+constrained and on unconstrained designs (an engine with no
+timing-sensitive row, whose arg-min skips the delay columns), and after
+every pick checks that the pick is the tuple-minimum of
+``current_keys()`` and that every live row's four density columns equal
+the channel stats less ``DensityEngine.edge_params`` of its coverage —
+through the late loop, where most rows of a channel are dead but its
+re-keys still write them all.
 """
 
+import itertools
 import random
 
 import pytest
@@ -40,13 +51,13 @@ from repro.bench.circuits import (
 )
 from conftest import fresh_selection_key
 from repro.core import GlobalRouter, RouterConfig
-from repro.core.candidates import CandidateEngine
+from repro.core.candidates import _COLS, CandidateEngine
 from repro.core.selection import SelectionMode
 
 MAX_STEPS = 40
 
 
-def _prepared_router(circuit_seed: int):
+def _prepared_router(circuit_seed: int, config=None):
     spec = DatasetSpec(
         f"prop{circuit_seed}",
         CircuitSpec(
@@ -66,7 +77,7 @@ def _prepared_router(circuit_seed: int):
         dataset.circuit,
         dataset.placement,
         dataset.constraints,
-        RouterConfig(),
+        config or RouterConfig(),
     )
     router._build_timing()
     router._assign_pins_and_feedthroughs()
@@ -182,3 +193,72 @@ def test_keys_exact_while_margins_stay_put(mode):
     finally:
         engine.close()
     assert margin_kept_lp_moved > 0
+
+
+def _assert_density_columns_exact(router, keys, mode, step):
+    """Every live row's ``F_m, N_m, F_M, N_M`` against the channel's
+    stats and ``edge_params`` of the row's own coverage."""
+    cols = _COLS[mode]
+    density = router.engine
+    for (name, edge_id), key in keys.items():
+        coverage = router.states[name].graph.coverage(edge_id)
+        stats = density.channel_stats(coverage[1])
+        params = density.edge_params(coverage)
+        served = tuple(key[cols[c]] for c in ("fm", "nm", "fM", "nM"))
+        assert served == (
+            stats.c_min - params.d_min,
+            stats.nc_min - params.nd_min,
+            stats.c_max - params.d_max,
+            stats.nc_max - params.nd_max,
+        ), f"step {step}: stale density columns for ({name}, {edge_id})"
+
+
+def _mostly_dead_channels(engine):
+    """Channels with live rows left but more dead rows than live ones."""
+    found = 0
+    for channel in engine._windows.channels():
+        a, b = engine._windows.rows(channel)
+        live = int(engine._live[a:b].sum())
+        if 0 < live < (b - a) - live:
+            found += 1
+    return found
+
+
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    circuit_seed=st.integers(min_value=0, max_value=40),
+    mode=st.sampled_from([SelectionMode.TIMING, SelectionMode.AREA]),
+    constrained=st.booleans(),
+)
+def test_picks_are_the_tuple_minimum(circuit_seed, mode, constrained):
+    config = RouterConfig()
+    if not constrained:
+        config = config.unconstrained()
+    router = _prepared_router(circuit_seed, config)
+    states = router._lead_states()
+    engine = CandidateEngine(router, states, mode)
+    delay_cols = {_COLS[mode][c] for c in ("cd", "gl", "ld")}
+    if not constrained:
+        assert not delay_cols & set(engine._refine)
+    mostly_dead = 0
+    try:
+        for step in itertools.count():
+            keys = engine.current_keys()
+            choice = engine.select()
+            if not keys:
+                assert choice is None
+                break
+            state, edge_id = choice
+            assert (state.net.name, edge_id) == min(keys, key=keys.get), (
+                f"step {step}: the pick is not the tuple-minimum"
+            )
+            _assert_density_columns_exact(router, keys, mode, step)
+            mostly_dead += _mostly_dead_channels(engine)
+            router._delete_edge(state, edge_id)
+    finally:
+        engine.close()
+    assert step > 0 and mostly_dead > 0
